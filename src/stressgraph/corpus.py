@@ -91,6 +91,13 @@ class TokenizedCorpus:
     sequences: list[list[int]]
     vocab: Vocabulary
     labels: list[int | None] = field(default_factory=list)
+    _rows: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # First occurrence wins, as with list.index.
+        self._rows = {}
+        for row, doc_id in enumerate(self.doc_ids):
+            self._rows.setdefault(doc_id, row)
 
     @property
     def n_docs(self) -> int:
@@ -103,8 +110,8 @@ class TokenizedCorpus:
 
     def row_of(self, doc_id: str) -> int:
         try:
-            return self.doc_ids.index(doc_id)
-        except ValueError:
+            return self._rows[doc_id]
+        except KeyError:
             raise KeyError(f"unknown document id: {doc_id!r}") from None
 
 

@@ -15,6 +15,7 @@ import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import evaluation
 from .graph import EmbeddingMatrix, NodeFeatures, SparseMatrix
@@ -176,9 +177,33 @@ def _check_finite(name: str, layer: int, arr: np.ndarray) -> None:
         raise FloatingPointError(f"non-finite values in {name} (layer {layer})")
 
 
+@dataclass(frozen=True)
+class _Propagation:
+    """The normalized adjacency in the slices the document rows need.
+
+    Only document rows are scored, so layer 2 reads A[docs, :]. When X is zero
+    outside the document rows (embedding mode), layer 1 reads only A[:, docs].
+    The backward pass multiplies by the exact transposes of these slices (CSC
+    views, no copy): A_hat is symmetric only up to rounding, so a slice cannot
+    stand in for the transpose of the other without changing the bits.
+    """
+
+    full: sp.csr_matrix
+    doc_cols: sp.csr_matrix  # A[:, docs]
+    doc_rows: sp.csr_matrix  # A[docs, :]
+    docs_only: bool  # X is zero outside the document rows
+
+
+def _plan(features: NodeFeatures, adj_norm: SparseMatrix) -> _Propagation:
+    full = adj_norm.to_csr()
+    n_docs = features.n_docs
+    docs_only = features.mode != "identity" and not features.matrix[n_docs:].any()
+    return _Propagation(full, full[:, :n_docs], full[:n_docs], docs_only)
+
+
 def _forward_pass(
     features: NodeFeatures,
-    adj_csr,
+    plan: _Propagation,
     gcn: GCNParameters,
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
@@ -188,18 +213,19 @@ def _forward_pass(
     """Run both branches and the fusion, keeping activations for backprop."""
     n_docs = features.n_docs
     if features.mode == "identity":
-        xw1 = gcn.W1  # X @ W1 with X = I
+        propagated_x = plan.full @ gcn.W1  # A @ X @ W1 with X = I
+    elif plan.docs_only:
+        propagated_x = plan.doc_cols @ (features.matrix[:n_docs] @ gcn.W1)
     else:
-        xw1 = features.matrix @ gcn.W1
-    h_pre = adj_csr @ xw1 + gcn.b1
+        propagated_x = plan.full @ (features.matrix @ gcn.W1)
+    h_pre = propagated_x + gcn.b1
     _check_finite("hidden pre-activation", 1, h_pre)
     hidden = np.maximum(h_pre, 0.0)
     h_drop = hidden * dropout_mask if dropout_mask is not None else hidden
-    propagated = adj_csr @ h_drop
+    propagated = plan.doc_rows @ h_drop
     logits = propagated @ gcn.W2 + gcn.b2
     _check_finite("output logits", 2, logits)
-    probs_full = _softmax(logits)
-    z_g = probs_full[:n_docs]
+    z_g = _softmax(logits)
 
     z_b = None
     head_logits = None
@@ -217,9 +243,7 @@ def _forward_pass(
         "n_docs": n_docs,
         "h_pre": h_pre,
         "dropout_mask": dropout_mask,
-        "h_drop": h_drop,
         "propagated": propagated,
-        "probs_full": probs_full,
         "z_g": z_g,
         "z_b": z_b,
         "z_final": z_final,
@@ -246,7 +270,7 @@ def gcn_forward(
             rng = np.random.default_rng(rng)
         hidden_shape = (adj_norm.n_rows, params.W1.shape[1])
         mask = _dropout_mask(rng, hidden_shape, dropout)
-    cache = _forward_pass(features, adj_norm.to_csr(), params, None, None, 1.0, mask)
+    cache = _forward_pass(features, _plan(features, adj_norm), params, None, None, 1.0, mask)
     return ProbabilityMatrix(cache["z_g"])
 
 
@@ -304,11 +328,15 @@ def loss_and_gradients(
     lam: float,
     weight_decay: float = 0.0,
     dropout_mask: np.ndarray | None = None,
-    adj_csr=None,
+    plan: _Propagation | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
-    """Forward pass plus analytic reverse-mode gradients for every parameter."""
-    adj_csr = adj_csr if adj_csr is not None else adj_norm.to_csr()
-    cache = _forward_pass(features, adj_csr, gcn, head, embeddings, lam, dropout_mask)
+    """Forward pass plus analytic reverse-mode gradients for every parameter.
+
+    plan is the propagation built once by train(); it is built from adj_norm
+    when omitted.
+    """
+    plan = plan if plan is not None else _plan(features, adj_norm)
+    cache = _forward_pass(features, plan, gcn, head, embeddings, lam, dropout_mask)
     mask = np.asarray(train_mask, dtype=bool)
     labels_arr = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
     loss = nll_loss(cache["z_final"], labels_arr, mask)
@@ -320,22 +348,25 @@ def loss_and_gradients(
     picked = cache["z_final"][mask, labels_arr[mask]]
     d_final[mask, labels_arr[mask]] = -1.0 / (n_masked * (picked + LOSS_EPS))
 
-    # Graph branch: softmax rows outside the document block get no gradient.
-    d_logits = np.zeros_like(cache["probs_full"])
-    d_logits[:n_docs] = _softmax_backward(cache["z_g"], lam * d_final)
+    d_logits = _softmax_backward(cache["z_g"], lam * d_final)
     grads: dict[str, np.ndarray] = {}
     grads["gcn.b2"] = d_logits.sum(axis=0)
     grads["gcn.W2"] = cache["propagated"].T @ d_logits
     d_propagated = d_logits @ gcn.W2.T
-    d_h_drop = adj_csr.T @ d_propagated
+    d_h_drop = plan.doc_rows.T @ d_propagated
     d_hidden = d_h_drop * cache["dropout_mask"] if cache["dropout_mask"] is not None else d_h_drop
     d_h_pre = d_hidden * (cache["h_pre"] > 0.0)
     grads["gcn.b1"] = d_h_pre.sum(axis=0)
-    back = adj_csr.T @ d_h_pre
     if features.mode == "identity":
-        grads["gcn.W1"] = back
-    else:
+        grads["gcn.W1"] = plan.full.T @ d_h_pre
+    elif plan.docs_only:
+        # Only document rows of back are non-zero; the GEMM keeps K = N + V,
+        # since a shorter K blocks the sum differently and changes the bits.
+        back = np.zeros_like(d_h_pre)
+        back[:n_docs] = plan.doc_cols.T @ d_h_pre
         grads["gcn.W1"] = features.matrix.T @ back
+    else:
+        grads["gcn.W1"] = features.matrix.T @ (plan.full.T @ d_h_pre)
 
     if head is not None:
         d_head_logits = _softmax_backward(cache["z_b"], (1.0 - lam) * d_final)
@@ -368,7 +399,7 @@ def compute_loss(
 ) -> float:
     """Loss only, on the exact forward path used by loss_and_gradients."""
     cache = _forward_pass(
-        features, adj_norm.to_csr(), gcn, head, embeddings, lam, dropout_mask
+        features, _plan(features, adj_norm), gcn, head, embeddings, lam, dropout_mask
     )
     loss = nll_loss(cache["z_final"], labels, train_mask)
     if weight_decay:
@@ -420,9 +451,11 @@ def fused_probabilities(
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
     lam: float,
+    plan: _Propagation | None = None,
 ) -> ProbabilityMatrix:
     """Inference-mode fused prediction (no dropout)."""
-    cache = _forward_pass(features, adj_norm.to_csr(), gcn, head, embeddings, lam, None)
+    plan = plan if plan is not None else _plan(features, adj_norm)
+    cache = _forward_pass(features, plan, gcn, head, embeddings, lam, None)
     return ProbabilityMatrix(cache["z_final"])
 
 
@@ -435,9 +468,10 @@ def evaluate(
     lam: float,
     labels,
     mask,
+    plan: _Propagation | None = None,
 ) -> evaluation.MetricsReport:
     """Weighted metrics of the fused prediction on the masked documents."""
-    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam)
+    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam, plan)
     preds = predict(probs)
     mask = np.asarray(mask, dtype=bool)
     gold = [labels[i] for i in np.flatnonzero(mask)]
@@ -476,7 +510,7 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
-    adj_csr = adj_norm.to_csr()
+    plan = _plan(features, adj_norm)
     params = _param_dict(gcn, head)
     hidden_shape = (features.n_docs + features.n_words, config.hidden_dim)
 
@@ -491,7 +525,7 @@ def train(
             mask = _dropout_mask(rng, hidden_shape, config.dropout)
         loss, grads = loss_and_gradients(
             features, adj_norm, gcn, head, embeddings, labels, train_mask,
-            config.lam, config.weight_decay, mask, adj_csr=adj_csr,
+            config.lam, config.weight_decay, mask, plan=plan,
         )
         if not math.isfinite(loss):
             raise DivergenceError(epoch)
@@ -500,7 +534,7 @@ def train(
         val_acc = val_f1 = 0.0
         if val_mask.any():
             report = evaluate(
-                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask
+                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask, plan
             )
             val_acc, val_f1 = report.accuracy, report.f1
         history.append(EpochStats(epoch=epoch, loss=loss, val_acc=val_acc, val_f1=val_f1))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -216,30 +217,21 @@ def assemble_adjacency(
     if tfidf.n_rows != n_docs or tfidf.n_cols != n_words:
         raise ValueError("tfidf shape does not match n_docs x n_words")
     n = n_docs + n_words
-    seen: set[tuple[int, int]] = set()
-
-    def add(r, c, v):
-        if (r, c) in seen:
-            raise ValueError(f"conflicting duplicate adjacency entry at ({r}, {c})")
-        seen.add((r, c))
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    for i in range(n):
-        add(i, i, 1.0)
-    for d, w, v in zip(tfidf.rows, tfidf.cols, tfidf.vals):
-        add(int(d), n_docs + int(w), float(v))
-        add(n_docs + int(w), int(d), float(v))
-    for i, j, v in word_edges:
-        if i == j:
-            raise ValueError("word-word self edges are not allowed")
-        add(n_docs + i, n_docs + j, v)
-        add(n_docs + j, n_docs + i, v)
-    return SparseMatrix(n, n, np.array(rows), np.array(cols), np.array(vals))
+    word = np.asarray(word_edges, dtype=np.float64).reshape(-1, 3)
+    word_i = word[:, 0].astype(np.int64)
+    word_j = word[:, 1].astype(np.int64)
+    if np.any(word_i == word_j):
+        raise ValueError("word-word self edges are not allowed")
+    # Entry order is self-loops, then every doc-word and word-word edge followed
+    # by its mirror: normalize_adjacency sums degrees in this order.
+    src = np.concatenate([tfidf.rows, n_docs + word_i])
+    dst = np.concatenate([n_docs + tfidf.cols, n_docs + word_j])
+    diag = np.arange(n, dtype=np.int64)
+    rows = np.concatenate([diag, np.column_stack([src, dst]).ravel()])
+    cols = np.concatenate([diag, np.column_stack([dst, src]).ravel()])
+    vals = np.concatenate([np.ones(n), np.repeat(np.concatenate([tfidf.vals, word[:, 2]]), 2)])
+    # SparseMatrix rejects duplicate (row, col) entries.
+    return SparseMatrix(n, n, rows, cols, vals)
 
 
 def normalize_adjacency(adj: SparseMatrix) -> SparseMatrix:
@@ -288,12 +280,20 @@ def read_embeddings(path) -> EmbeddingMatrix:
         magic = fh.read(4)
         if magic != EMBEDDING_MAGIC:
             raise ValueError(f"not an embedding file (bad magic {magic!r})")
-        version, n_rows, dim = struct.unpack("<IQQ", fh.read(20))
+        header = fh.read(20)
+        if len(header) != 20:
+            raise ValueError("truncated embedding header")
+        version, n_rows, dim = struct.unpack("<IQQ", header)
         if version != EMBEDDING_VERSION:
             raise ValueError(f"unsupported embedding file version {version}")
+        # Check the declared size against the file before allocating for it.
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_rows * dim * 4 > remaining:
+            raise ValueError(
+                f"truncated embedding payload: header declares {n_rows} x {dim} float32, "
+                f"file holds {remaining} bytes"
+            )
         payload = fh.read(n_rows * dim * 4)
-        if len(payload) != n_rows * dim * 4:
-            raise ValueError("truncated embedding payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(n_rows, dim)
     return EmbeddingMatrix(values=values.astype(np.float64))
 

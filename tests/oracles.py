@@ -94,3 +94,59 @@ def brute_adjacency_dense(tfidf_dense, word_edges, n_docs, n_words) -> np.ndarra
 def brute_normalize_dense(a: np.ndarray) -> np.ndarray:
     inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
+def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(logits)
+    for i, row in enumerate(logits):
+        e = np.exp(row - row.max())
+        out[i] = e / e.sum()
+    return out
+
+
+def _softmax_rows_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
+    """Row by row through the explicit Jacobian diag(p) - p p^T."""
+    out = np.zeros_like(upstream)
+    for i, p in enumerate(probs):
+        out[i] = (np.diag(p) - np.outer(p, p)) @ upstream[i]
+    return out
+
+
+def dense_fused_reference(a_hat, x, n_docs, gcn, head, embeddings, lam, labels, train_mask,
+                          dropout_mask=None, eps=1e-12):
+    """Fused prediction, loss and gradients with a dense A_hat and explicit X.
+
+    Propagates every node through both layers and keeps the document rows
+    only at the end; returns (z_final, loss, grads) with grads keyed like
+    gcn.loss_and_gradients (no weight decay).
+    """
+    mask = np.ones((a_hat.shape[0], gcn.W1.shape[1])) if dropout_mask is None else dropout_mask
+    h_pre = a_hat @ x @ gcn.W1 + gcn.b1
+    h_drop = np.maximum(h_pre, 0.0) * mask
+    propagated = a_hat @ h_drop
+    z_full = _softmax_rows(propagated @ gcn.W2 + gcn.b2)
+    z_g = z_full[:n_docs]
+    z_b = _softmax_rows(embeddings @ head.W + head.b) if head is not None else None
+    z_final = lam * z_g + (1.0 - lam) * z_b if head is not None else z_g
+
+    rows = [i for i in range(n_docs) if train_mask[i]]
+    loss = -sum(math.log(z_final[i, labels[i]] + eps) for i in rows) / len(rows)
+    d_final = np.zeros_like(z_final)
+    for i in rows:
+        d_final[i, labels[i]] = -1.0 / (len(rows) * (z_final[i, labels[i]] + eps))
+
+    d_full = np.zeros_like(z_full)
+    d_full[:n_docs] = lam * d_final
+    d_logits = _softmax_rows_backward(z_full, d_full)
+    d_h_pre = (a_hat.T @ (d_logits @ gcn.W2.T)) * mask * (h_pre > 0.0)
+    grads = {
+        "gcn.W2": propagated.T @ d_logits,
+        "gcn.b2": d_logits.sum(axis=0),
+        "gcn.W1": x.T @ a_hat.T @ d_h_pre,
+        "gcn.b1": d_h_pre.sum(axis=0),
+    }
+    if head is not None:
+        d_head = _softmax_rows_backward(z_b, (1.0 - lam) * d_final)
+        grads["head.W"] = embeddings.T @ d_head
+        grads["head.b"] = d_head.sum(axis=0)
+    return z_final, loss, grads

@@ -14,6 +14,7 @@ from stressgraph.corpus import (
     CorpusFormatError,
     RawDocument,
     SplitAssignment,
+    TokenizedCorpus,
     TokenizerRules,
     build_vocabulary,
     load_corpus,
@@ -217,8 +218,11 @@ def test_tokenize_corpus_drops_oov_keeps_empty_docs():
     assert corpus.empty_doc_ids == ["d2"]
     assert corpus.n_docs == 3
     assert corpus.row_of("d1") == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown document id: 'nope'"):
         corpus.row_of("nope")
+    # A repeated id resolves to its first row.
+    repeated = TokenizedCorpus(["a", "b", "a"], [[], [], []], corpus.vocab, [0, 1, 0])
+    assert repeated.row_of("a") == 0 and repeated.row_of("b") == 1
 
 
 # ----------------------------------------------------------------- split

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import make_corpus
+from oracles import dense_fused_reference, make_corpus
 from stressgraph.evaluation import MetricsReport
 from stressgraph.gcn import (
     AdamState,
@@ -301,6 +303,70 @@ def test_weight_decay_adds_to_loss_and_gradients():
     np.testing.assert_allclose(grads1["gcn.W1"], grads0["gcn.W1"] + 0.1 * gcn.W1, atol=1e-15)
     # Biases are never decayed.
     np.testing.assert_array_equal(grads1["gcn.b1"], grads0["gcn.b1"])
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("layout", ["embedding", "word-features", "identity"])
+def test_fused_pass_matches_dense_reference(layout, seed):
+    # Embedding features zero outside the document rows take the slice path;
+    # non-zero word rows and identity features take the full adjacency.
+    features, adj, embeddings, labels, rng = pipeline_setup(
+        200 + seed, n_docs=6, n_tokens=5, identity=layout == "identity"
+    )
+    if layout == "word-features":
+        features.matrix[features.n_docs:] = rng.normal(size=(features.n_words, features.dim))
+    gcn, head = init_parameters(features.dim, 4, 2, embeddings.dim, seed=seed)
+    train_mask = np.arange(features.n_docs) % 3 != 2
+    dropout_mask = (rng.random((adj.n_rows, 4)) >= 0.5) / 0.5
+    lam = 0.3
+    reference = (adj.to_dense(), features.matrix, features.n_docs, gcn, head, embeddings.values,
+                 lam, labels, train_mask)
+
+    want_z, _, _ = dense_fused_reference(*reference)
+    got_z = fused_probabilities(features, adj, gcn, head, embeddings, lam)
+    np.testing.assert_allclose(got_z.values, want_z, rtol=0, atol=1e-12)
+
+    _, want_loss, want_grads = dense_fused_reference(*reference, dropout_mask=dropout_mask)
+    loss, grads = loss_and_gradients(
+        features, adj, gcn, head, embeddings, labels, train_mask, lam, dropout_mask=dropout_mask
+    )
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert grads.keys() == want_grads.keys()
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(grads[name], want, rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**16), st.floats(0.05, 0.9))
+def test_ppmi_reweighting_with_fixed_row_sums_leaves_prediction(seed, delta):
+    # With embedding features the word-word block reaches Z only through the
+    # degrees in D^-1/2. Moving PPMI weight around a 4-cycle with alternating
+    # signs changes A_hat but no row sum, so Z must not move.
+    rng = np.random.default_rng(seed)
+    n_docs, n_words = 5, 6
+    corpus = make_corpus(
+        [[int(t) for t in rng.integers(0, n_words, size=6)] for _ in range(n_docs)], n_tokens=n_words
+    )
+    tfidf = compute_tfidf(corpus)
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    weights = rng.uniform(1.0, 2.0, size=len(cycle))
+
+    def adjacency(shift):
+        edges = [(i, j, w + sign * shift)
+                 for (i, j), w, sign in zip(cycle, weights, (1, -1, 1, -1))]
+        return normalize_adjacency(
+            assemble_adjacency(tfidf, edges + [(4, 5, 0.7)], n_docs, n_words)
+        )
+
+    base, moved = adjacency(0.0), adjacency(delta)
+    assert not np.allclose(base.to_dense(), moved.to_dense(), rtol=0, atol=1e-3)
+    embeddings = EmbeddingMatrix(rng.normal(size=(n_docs, 3)))
+    features = build_node_features(embeddings, n_docs, n_words)
+    gcn, _ = init_parameters(features.dim, 4, 2, None, seed=seed)
+    np.testing.assert_allclose(
+        gcn_forward(features, moved, gcn).values, gcn_forward(features, base, gcn).values,
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_adam_matches_reference_update():

@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -233,6 +234,18 @@ def test_adjacency_blocks_and_symmetry():
     assert np.array_equal(np.diag(dense), np.ones(4))
 
 
+def test_adjacency_entry_order():
+    # Self-loops first, then each doc-word and word-word edge followed by its
+    # mirror: normalize_adjacency sums degrees in this order.
+    tfidf = SparseMatrix.from_entries(2, 3, [(0, 2, 3.0), (1, 0, 2.0)])
+    adj = assemble_adjacency(tfidf, [(0, 1, 0.5), (1, 2, 0.25)], n_docs=2, n_words=3)
+    assert adj.entries == [
+        (0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0), (4, 4, 1.0),
+        (0, 4, 3.0), (4, 0, 3.0), (1, 2, 2.0), (2, 1, 2.0),
+        (2, 3, 0.5), (3, 2, 0.5), (3, 4, 0.25), (4, 3, 0.25),
+    ]
+
+
 def test_adjacency_rejects_word_self_edges():
     tfidf = SparseMatrix(1, 2, np.array([]), np.array([]), np.array([]))
     with pytest.raises(ValueError):
@@ -347,6 +360,18 @@ def test_embedding_binary_rejects_truncation(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-4])
     with pytest.raises(ValueError):
+        read_embeddings(path)
+
+
+def test_embedding_binary_rejects_oversized_header(tmp_path):
+    # 24 bytes whose header declares 2^60 rows: rejected from the file size,
+    # without allocating the declared payload.
+    path = tmp_path / "emb.bin"
+    path.write_bytes(b"TGEM" + struct.pack("<IQQ", 1, 2**60, 1))
+    with pytest.raises(ValueError, match="truncated"):
+        read_embeddings(path)
+    path.write_bytes(b"TGEM" + struct.pack("<I", 1))
+    with pytest.raises(ValueError, match="header"):
         read_embeddings(path)
 
 
