@@ -9,6 +9,7 @@ dense layer emits a single logit trained with binary cross-entropy.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -382,9 +383,10 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
             (id_len,) = struct.unpack("<H", fh.read(2))
             doc_id = fh.read(id_len).decode("utf-8")
             length, dim = struct.unpack("<II", fh.read(8))
-            payload = np.frombuffer(fh.read(length * dim * 4), dtype="<f4")
-            if payload.size != length * dim:
+            # Check the declared size against the file before reading it.
+            if length * dim * 4 > os.fstat(fh.fileno()).st_size - fh.tell():
                 raise ValueError(f"truncated payload for sequence {doc_id!r}")
+            payload = np.frombuffer(fh.read(length * dim * 4), dtype="<f4")
             if known is not None and doc_id not in known:
                 raise ValueError(f"sequence id {doc_id!r} does not match any document")
             if dim != config.embedding_dim:

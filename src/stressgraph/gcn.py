@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv as _csv
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
@@ -640,7 +641,14 @@ def load_parameter_blocks(path) -> dict:
             name = fh.read(name_len).decode("utf-8")
             (ndim,) = struct.unpack("<B", fh.read(1))
             shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
-            count = int(np.prod(shape)) if shape else 1
+            count = math.prod(shape)
+            # Check the declared size against the file before reading it.
+            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+            if count * 8 > remaining:
+                raise ValueError(
+                    f"truncated checkpoint block {name!r}: shape {shape} needs {count * 8} "
+                    f"bytes, file holds {remaining}"
+                )
             data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             blocks[name] = data.astype(np.float64)
     return blocks

@@ -8,6 +8,7 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
@@ -16,6 +17,13 @@ DEFAULT_WINDOW_SIZE = 20
 
 EMBEDDING_MAGIC = b"TGEM"
 EMBEDDING_VERSION = 1
+
+# slide_windows builds the window x token incidence over runs of documents
+# whose token count times the window size stays within this bound (at least
+# one document per run), so the memory of one run is bounded.
+_WINDOW_CHUNK_ENTRIES = 1 << 18
+# save_graph_json encodes list values this many elements at a time.
+_JSON_SLICE = 4096
 
 
 @dataclass
@@ -41,8 +49,8 @@ class SparseMatrix:
                 raise ValueError("column index out of range")
             if not np.all(np.isfinite(self.vals)):
                 raise ValueError("matrix values must be finite")
-            keys = self.rows * self.n_cols + self.cols
-            if len(np.unique(keys)) != len(keys):
+            keys = np.sort(self.rows * self.n_cols + self.cols)
+            if np.any(keys[1:] == keys[:-1]):
                 raise ValueError("duplicate (row, col) entries")
 
     @classmethod
@@ -86,13 +94,17 @@ class WindowStats:
     """Sliding-window presence counts used by the PPMI weighting.
 
     A token (or unordered token pair) is counted at most once per window;
-    windows never span documents.
+    windows never span documents. token_counts is indexed by token id;
+    pair_counts holds the count of pair (i, j) at [i, j] for i < j only, with
+    sorted indices and no stored zeros.
     """
 
     window_size: int
     total_windows: int = 0
-    token_counts: dict[int, int] = field(default_factory=dict)
-    pair_counts: dict[tuple[int, int], int] = field(default_factory=dict)
+    token_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    pair_counts: sp.csr_array = field(
+        default_factory=lambda: sp.csr_array((0, 0), dtype=np.int64)
+    )
 
 
 @dataclass
@@ -151,25 +163,68 @@ def compute_tfidf(corpus, vocab=None) -> SparseMatrix:
     )
 
 
+def _document_runs(sequences, window_size: int):
+    """Consecutive documents, split where the incidence entries would pass the bound."""
+    run, entries = [], 0
+    for seq in sequences:
+        cost = len(seq) * window_size
+        if run and entries + cost > _WINDOW_CHUNK_ENTRIES:
+            yield run
+            run, entries = [], 0
+        run.append(seq)
+        entries += cost
+    if run:
+        yield run
+
+
+def _window_incidence(sequences, window_size: int, n_tokens: int) -> sp.csr_array:
+    """0/1 window x token presence matrix of consecutive documents' stride-1 windows."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    n_windows = np.maximum(1, lengths - window_size + 1)
+    tokens = np.fromiter(chain.from_iterable(sequences), np.int64, count=int(lengths.sum()))
+    doc = np.repeat(np.arange(len(sequences)), lengths)
+    pos = np.arange(len(tokens)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    first = (np.cumsum(n_windows) - n_windows)[doc]
+    last = n_windows[doc]
+    # Position p of a document lies in its windows p - offset, offset < window_size.
+    rows, cols = [], []
+    for offset in range(window_size):
+        start = pos - offset
+        keep = (start >= 0) & (start < last)
+        rows.append(first[keep] + start[keep])
+        cols.append(tokens[keep])
+    rows = np.concatenate(rows)
+    # Building CSR from coordinates sums repeated (window, token) entries.
+    incidence = sp.csr_array(
+        (np.ones(len(rows), dtype=np.int64), (rows, np.concatenate(cols))),
+        shape=(int(n_windows.sum()), n_tokens),
+    )
+    incidence.data[:] = 1
+    return incidence
+
+
 def slide_windows(corpus, window_size: int = DEFAULT_WINDOW_SIZE) -> WindowStats:
     """Count token and pair window presences with stride-1 windows per document.
 
     A document shorter than the window contributes exactly one window (the
     whole document), so every document contributes max(1, L - k + 1) windows.
+    With B the 0/1 window x token incidence, token counts are the column sums
+    of B and pair counts the strict upper triangle of B^T B.
     """
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
-    stats = WindowStats(window_size=window_size)
-    for seq in corpus.sequences:
-        n_windows = max(1, len(seq) - window_size + 1)
-        stats.total_windows += n_windows
-        for start in range(n_windows):
-            present = sorted(set(seq[start : start + window_size]))
-            for a_idx, a in enumerate(present):
-                stats.token_counts[a] = stats.token_counts.get(a, 0) + 1
-                for b in present[a_idx + 1 :]:
-                    key = (a, b)
-                    stats.pair_counts[key] = stats.pair_counts.get(key, 0) + 1
+    n_tokens = len(corpus.vocab)
+    stats = WindowStats(
+        window_size=window_size,
+        token_counts=np.zeros(n_tokens, dtype=np.int64),
+        pair_counts=sp.csr_array((n_tokens, n_tokens), dtype=np.int64),
+    )
+    for run in _document_runs(corpus.sequences, window_size):
+        incidence = _window_incidence(run, window_size, n_tokens)
+        stats.total_windows += incidence.shape[0]
+        stats.token_counts += incidence.sum(axis=0)
+        stats.pair_counts += sp.triu(incidence.T @ incidence, k=1, format="csr")
+    stats.pair_counts.sort_indices()
     return stats
 
 
@@ -184,23 +239,36 @@ def ppmi(stats: WindowStats, i: int, j: int) -> float | None:
         raise ValueError("ppmi is defined for distinct tokens only")
     if stats.total_windows == 0:
         raise ValueError("window statistics are empty")
-    n_ij = stats.pair_counts.get((min(i, j), max(i, j)), 0)
+    n_ij = int(stats.pair_counts[min(i, j), max(i, j)])
     if n_ij == 0:
         return None
-    n_i = stats.token_counts[i]
-    n_j = stats.token_counts[j]
+    n_i = int(stats.token_counts[i])
+    n_j = int(stats.token_counts[j])
     value = math.log(n_ij * stats.total_windows / (n_i * n_j))
     return value if value > 0.0 else None
 
 
 def ppmi_edges(stats: WindowStats) -> list[tuple[int, int, float]]:
-    """All word pairs with strictly positive PMI, as (i, j, weight) with i < j."""
-    edges = []
-    for (i, j), _ in sorted(stats.pair_counts.items()):
-        value = ppmi(stats, i, j)
-        if value is not None:
-            edges.append((i, j, value))
-    return edges
+    """All word pairs with strictly positive PMI, as (i, j, weight) with i < j.
+
+    Equal to ppmi() pair by pair: both products of the ratio are at most T^2
+    for T windows, so below 2**53 they are exact in float64 and the quotient
+    is the correctly rounded one Python's integer division gives.
+    """
+    total = stats.total_windows
+    if total * total >= 2**53:
+        raise ValueError(f"{total} windows are too many for exact float64 PPMI ratios")
+    pairs = stats.pair_counts.tocoo()
+    counts = stats.token_counts
+    ratio = (pairs.data * total) / (counts[pairs.row] * counts[pairs.col])
+    # ln(r) > 0 exactly when r > 1; scalar math.log keeps ppmi()'s last ulp.
+    keep = ratio > 1.0
+    return [
+        (i, j, math.log(r))
+        for i, j, r in zip(
+            pairs.row[keep].tolist(), pairs.col[keep].tolist(), ratio[keep].tolist()
+        )
+    ]
 
 
 def assemble_adjacency(
@@ -355,6 +423,31 @@ def load_graph_json(data: dict) -> tuple[SparseMatrix, list[tuple[int, int, floa
 
 
 def save_graph_json(path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, indent=None, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    """Write a graph document as compact sorted-key JSON, replacing path atomically.
+
+    The bytes equal json.dumps(data, separators=(",", ":"), sort_keys=True)
+    plus a newline. Keys must be strings. List values are encoded a slice at
+    a time by the C encoder, so no full copy of the text is held in memory.
+    """
+    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write("{")
+            for n, key in enumerate(sorted(data)):
+                fh.write(("," if n else "") + encode(key) + ":")
+                value = data[key]
+                if not isinstance(value, list):
+                    fh.write(encode(value))
+                    continue
+                fh.write("[")
+                for start in range(0, len(value), _JSON_SLICE):
+                    chunk = encode(value[start:start + _JSON_SLICE])[1:-1]
+                    fh.write(("," if start else "") + chunk)
+                fh.write("]")
+            fh.write("}\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise

@@ -153,11 +153,11 @@ def test_acceptance_02_ppmi_matches_brute_force(announce):
             assert stats.total_windows == len(windows)
             for token in range(n_tokens):
                 want = sum(1 for w in windows if token in w)
-                assert stats.token_counts.get(token, 0) == want
+                assert stats.token_counts[token] == want
             for i in range(n_tokens):
                 for j in range(i + 1, n_tokens):
                     want = sum(1 for w in windows if i in w and j in w)
-                    assert stats.pair_counts.get((i, j), 0) == want
+                    assert stats.pair_counts[i, j] == want
 
                     n_ij = want
                     if n_ij == 0:

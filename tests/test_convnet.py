@@ -1,6 +1,7 @@
 """Tests for the convolutional sequence classifier and its binary sequence file."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -366,6 +367,17 @@ def test_sequence_file_bad_magic(tmp_path):
     path = tmp_path / "seqs.bin"
     path.write_bytes(b"WRNG" + b"\x00" * 12)
     with pytest.raises(ValueError):
+        load_token_embeddings(path, ConvHeadConfig(**SMALL))
+
+
+def test_sequence_file_rejects_oversized_header(tmp_path):
+    # One record declaring (2**32 - 1) x (2**32 - 1) float32 values with no
+    # payload: the size is checked against the file before any read of it.
+    path = tmp_path / "seqs.bin"
+    path.write_bytes(
+        b"TGSE" + struct.pack("<IQH", 1, 1, 1) + b"a" + struct.pack("<II", 2**32 - 1, 2**32 - 1)
+    )
+    with pytest.raises(ValueError, match="truncated payload for sequence 'a'"):
         load_token_embeddings(path, ConvHeadConfig(**SMALL))
 
 

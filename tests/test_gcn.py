@@ -2,6 +2,7 @@
 
 import csv
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stressgraph.gcn import (
     interpolate,
     linear_forward,
     load_checkpoint,
+    load_parameter_blocks,
     loss_and_gradients,
     nll_loss,
     predict,
@@ -586,6 +588,16 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"BAD!" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_checkpoint(path)
+
+
+def test_checkpoint_rejects_oversized_block_header(tmp_path):
+    # 24 bytes: one block "w" whose header declares 2**60 float64 values. The
+    # size is checked against the file before any read of that length.
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"TGCK" + struct.pack("<IIH", 1, 1, 1) + b"w" + struct.pack("<BQ", 1, 2**60))
+    assert path.stat().st_size == 24
+    with pytest.raises(ValueError, match="truncated checkpoint block 'w'"):
+        load_parameter_blocks(path)
 
 
 def test_history_csv_format(tmp_path):

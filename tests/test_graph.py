@@ -6,7 +6,8 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -17,9 +18,11 @@ from oracles import (
     make_corpus,
     window_sets,
 )
+from stressgraph import graph
 from stressgraph.graph import (
     EmbeddingMatrix,
     SparseMatrix,
+    WindowStats,
     assemble_adjacency,
     build_node_features,
     compute_tfidf,
@@ -112,8 +115,8 @@ def test_window_counts_example():
     assert stats.token_counts[0] == 2
     assert stats.token_counts[1] == 2
     assert stats.token_counts[2] == 1
-    assert stats.pair_counts[(0, 1)] == 2
-    assert (0, 2) not in stats.pair_counts
+    assert stats.pair_counts[0, 1] == 2
+    assert stats.pair_counts[0, 2] == 0
 
 
 def test_window_count_per_document():
@@ -134,7 +137,7 @@ def test_window_presence_counted_once():
 def test_window_no_cross_document_pairs():
     corpus = make_corpus([[0], [1]])
     stats = slide_windows(corpus, window_size=4)
-    assert stats.pair_counts == {}
+    assert stats.pair_counts.nnz == 0
 
 
 def test_window_size_validation():
@@ -151,7 +154,32 @@ def test_window_stats_match_enumeration(case):
     assert stats.total_windows == len(windows)
     for tok in range(8):
         want = sum(1 for w in windows if tok in w)
-        assert stats.token_counts.get(tok, 0) == want
+        assert stats.token_counts[tok] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora)
+@example(([[]], 2))
+@example(([[], [3], [], [1, 2, 1]], 5))
+def test_window_stats_per_document_runs_match_enumeration(case):
+    # One incidence run per document (the chunk bound at 1) counts the same
+    # windows, tokens and pairs, including empty and shorter-than-window docs.
+    sequences, k = case
+    windows = window_sets(sequences, k)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph, "_WINDOW_CHUNK_ENTRIES", 1)
+        stats = slide_windows(make_corpus(sequences, n_tokens=8), window_size=k)
+    assert stats.total_windows == len(windows)
+    want_tokens = [sum(1 for w in windows if tok in w) for tok in range(8)]
+    assert stats.token_counts.tolist() == want_tokens
+    want_pairs = np.zeros((8, 8), dtype=np.int64)
+    for i in range(8):
+        for j in range(i + 1, 8):
+            want_pairs[i, j] = sum(1 for w in windows if i in w and j in w)
+    pairs = stats.pair_counts
+    assert isinstance(pairs, sp.csr_array) and pairs.shape == (8, 8)
+    assert pairs.has_sorted_indices and np.all(pairs.data > 0)
+    np.testing.assert_array_equal(pairs.toarray(), want_pairs)
 
 
 # ------------------------------------------------------------------ ppmi
@@ -210,6 +238,34 @@ def test_ppmi_edges_match_brute_force(case):
     np.testing.assert_allclose(
         [v for _, _, v in got], [v for _, _, v in want], rtol=0, atol=1e-12
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora)
+def test_ppmi_edges_equal_scalar_ppmi(case):
+    sequences, k = case
+    stats = slide_windows(make_corpus(sequences, n_tokens=8), window_size=k)
+    edges = {(i, j): v for i, j, v in ppmi_edges(stats)}
+    for i in range(8):
+        for j in range(i + 1, 8):
+            assert edges.get((i, j)) == ppmi(stats, i, j)
+
+
+def test_ppmi_edges_reject_inexact_window_totals():
+    # The float64 ratio n_ij * T / (n_i * n_j) is exact only while T^2 < 2**53.
+    def stats(total):
+        return WindowStats(
+            window_size=2,
+            total_windows=total,
+            token_counts=np.array([total // 2, total // 2], dtype=np.int64),
+            pair_counts=sp.csr_array(([total // 2], ([0], [1])), shape=(2, 2), dtype=np.int64),
+        )
+
+    limit = math.isqrt(2**53 - 1)
+    (edge,) = ppmi_edges(stats(limit))
+    assert edge == (0, 1, ppmi(stats(limit), 0, 1)) and edge[2] >= math.log(2)
+    with pytest.raises(ValueError, match="windows"):
+        ppmi_edges(stats(limit + 1))
 
 
 # ------------------------------------------------------------- adjacency
@@ -408,3 +464,35 @@ def test_graph_json_rejects_unknown_edge_kind():
         load_graph_json(
             {"n_docs": 1, "n_words": 1, "nodes": [], "edges": [{"a": 0, "b": 1, "w": 1.0, "kind": "doc-doc"}]}
         )
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {},
+        {"edges": [], "n_docs": 0, "nodes": []},
+        {
+            "n_docs": 2,
+            "b": [{"w": i / 7, "kind": "word-word", "a": i} for i in range(10)],
+            "a": list(range(7)),
+            "c": {"nested": [1.5, None, "x\u00e9"]},
+        },
+    ],
+)
+def test_save_graph_json_bytes_equal_json_dumps(tmp_path, monkeypatch, data):
+    # A slice of 3 puts the 7- and 10-element lists across slice boundaries.
+    monkeypatch.setattr(graph, "_JSON_SLICE", 3)
+    path = tmp_path / "graph.json"
+    save_graph_json(path, data)
+    want = json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_save_graph_json_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "graph.json"
+    save_graph_json(path, {"edges": [], "n_docs": 0})
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        save_graph_json(path, {"edges": [{"a": 0, "w": object()}], "n_docs": 1})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["graph.json"]
