@@ -143,6 +143,62 @@ def _out_dir(args) -> str:
     return args.out
 
 
+_SCALAR_TYPES = {str, int, float, bool, type(None)}
+_RECORD_PAD = " " * 6
+
+
+def _records_json(records: list) -> str | None:
+    """A list of flat scalar dicts as indent=2 JSON at depth 1, or None.
+
+    The C encoder writes every separator as a newline plus the record-key
+    indentation; record boundaries are then re-indented. A JSON string never
+    holds a raw newline, so "},\n" + pad + "{" occurs only between records.
+    """
+    if not records:
+        return "[]"
+    if not all(type(rec) is dict and rec for rec in records):
+        return None
+    if not {type(v) for rec in records for v in rec.values()} <= _SCALAR_TYPES:
+        return None
+    sep = ",\n" + _RECORD_PAD
+    body = json.JSONEncoder(separators=(sep, ": "), sort_keys=True).encode(records)[2:-2]
+    body = body.replace("}" + sep + "{", "\n    },\n    {\n" + _RECORD_PAD)
+    return "[\n    {\n" + _RECORD_PAD + body + "\n    }\n  ]"
+
+
+def _indented_json(data: dict) -> str:
+    """json.dumps(data, indent=2, sort_keys=True).
+
+    String keys with scalar values or lists of flat scalar dicts (the export
+    tables) go through the C encoder; any other document through json.dumps.
+    """
+    parts = []
+    for key in sorted(data):
+        value = data[key]
+        if type(value) in _SCALAR_TYPES:
+            text = json.dumps(value)
+        else:
+            text = _records_json(value) if type(value) is list else None
+        if text is None or type(key) is not str:
+            return json.dumps(data, indent=2, sort_keys=True)
+        parts.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(parts) + "\n}" if parts else "{}"
+
+
+def _write_indented_json(path, data: dict) -> None:
+    """Write _indented_json(data) plus a newline into a temp file, then rename it."""
+    text = _indented_json(data) + "\n"
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def _rules(config: dict) -> TokenizerRules:
     from .corpus import DEFAULT_STOPWORDS
 
@@ -697,9 +753,7 @@ def cmd_export(args) -> int:
     if args.label is not None:
         table = interpret.label_word_frequencies(corpus, int(args.label))
         freq_path = os.path.join(out, f"frequencies-label{int(args.label)}.json")
-        with open(freq_path, "w", encoding="utf-8") as fh:
-            json.dump(interpret.frequency_to_json(table), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_indented_json(freq_path, interpret.frequency_to_json(table))
         man.add_output(freq_path)
         print(f"label {args.label}: {len(table.entries)} ranked tokens")
 
@@ -720,9 +774,7 @@ def cmd_export(args) -> int:
             corpus, doc_ids, tfidf, word_edges, int(args.k)
         )
         json_path = os.path.join(out, "salience.json")
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(interpret.salience_to_json(salience), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_indented_json(json_path, interpret.salience_to_json(salience))
         dot_path = os.path.join(out, "salience.dot")
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.write(interpret.salience_to_dot(salience))

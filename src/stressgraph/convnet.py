@@ -152,20 +152,20 @@ def _forward_doc(
     """Single-document forward pass; the cache feeds _backward_doc."""
     padded = pad_sequence(matrix, max(params.kernel_sizes))
     pooled_parts = []
-    bank_caches = []
+    argmaxes = []
     for kernel, bias in zip(params.kernels, params.conv_bias):
         k, d, n_filters = kernel.shape
-        windows = _windows(padded, k)
-        conv = windows @ kernel.reshape(k * d, n_filters) + bias
+        conv = _windows(padded, k) @ kernel.reshape(k * d, n_filters) + bias
         act = np.maximum(conv, 0.0)
         argmax = act.argmax(axis=0)
         pooled_parts.append(act[argmax, np.arange(n_filters)])
-        bank_caches.append({"windows": windows, "conv": conv, "argmax": argmax})
+        argmaxes.append(argmax)
     concat = np.concatenate(pooled_parts)
     dropped = concat * dropout_mask if dropout_mask is not None else concat
     logit = float(dropped @ params.dense_W + params.dense_b[0])
     cache = {
-        "banks": bank_caches,
+        "padded": padded,
+        "argmax": argmaxes,
         "concat": concat,
         "dropped": dropped,
         "dropout_mask": dropout_mask,
@@ -195,23 +195,30 @@ def _backward_doc(
     cache: dict,
     grads: dict,
 ) -> None:
-    """Accumulate per-document gradients into the shared grads dict."""
+    """Accumulate per-document gradients into the shared grads dict.
+
+    Kernel gradients accumulate as (filters, k*d) blocks. A filter's conv
+    gradient is non-zero only at its argmax row, and only when the conv value
+    there is positive (pooled > 0), so the im2col product windows.T @ d_conv
+    reduces to that one window scaled by the filter's gradient: the same
+    single rounded product per element, without the zeros.
+    """
     grads["dense.W"] += d_logit * cache["dropped"]
     grads["dense.b"] += d_logit
     d_concat = d_logit * params.dense_W
     if cache["dropout_mask"] is not None:
         d_concat = d_concat * cache["dropout_mask"]
+    d_conv_all = d_concat * (cache["concat"] > 0.0)
+    padded = cache["padded"]
     offset = 0
-    for idx, (kernel, bank) in enumerate(zip(params.kernels, cache["banks"])):
+    for idx, (kernel, argmax) in enumerate(zip(params.kernels, cache["argmax"])):
         k, d, n_filters = kernel.shape
-        d_pooled = d_concat[offset:offset + n_filters]
+        d_conv = d_conv_all[offset:offset + n_filters]
         offset += n_filters
-        d_act = np.zeros_like(bank["conv"])
-        cols = np.arange(n_filters)
-        d_act[bank["argmax"], cols] = d_pooled
-        d_conv = d_act * (bank["conv"] > 0.0)
-        grads[f"conv.K{idx}"] += (bank["windows"].T @ d_conv).reshape(k, d, n_filters)
-        grads[f"conv.b{idx}"] += d_conv.sum(axis=0)
+        nz = np.flatnonzero(d_conv)
+        windows = padded[argmax[nz, None] + np.arange(k)].reshape(len(nz), k * d)
+        grads[f"conv.K{idx}"][nz] += windows * d_conv[nz, None]
+        grads[f"conv.b{idx}"] += d_conv
 
 
 def bce_with_logits(logit: float, label: int) -> float:
@@ -253,7 +260,12 @@ def batch_loss_and_gradients(
     """Mean BCE loss and mean gradients over one minibatch."""
     if not sequences:
         raise ValueError("empty batch")
-    grads = {name: np.zeros_like(arr) for name, arr in _param_dict(params).items()}
+    # Kernel gradients accumulate as (filters, k*d); transposed once below.
+    grads = {
+        name: np.zeros((arr.shape[2], arr.shape[0] * arr.shape[1]))
+        if name.startswith("conv.K") else np.zeros_like(arr)
+        for name, arr in _param_dict(params).items()
+    }
     total = 0.0
     for pos, (seq, label) in enumerate(zip(sequences, labels)):
         mask = dropout_masks[pos] if dropout_masks is not None else None
@@ -262,6 +274,8 @@ def batch_loss_and_gradients(
         # dL/dz for BCE-with-logits is sigmoid(z) - y.
         _backward_doc(sigmoid(logit) - label, params, cache, grads)
     n = len(sequences)
+    for idx, kernel in enumerate(params.kernels):
+        grads[f"conv.K{idx}"] = np.ascontiguousarray(grads[f"conv.K{idx}"].T).reshape(kernel.shape)
     for name in grads:
         grads[name] /= n
     return total / n, grads

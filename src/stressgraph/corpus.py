@@ -331,7 +331,7 @@ def load_tokenized(path) -> TokenizedCorpus:
             doc_freq=list(payload["vocab"]["doc_freq"]),
             n_docs=int(payload["vocab"]["n_docs"]),
         )
-        return TokenizedCorpus(
+        corpus = TokenizedCorpus(
             doc_ids=list(payload["doc_ids"]),
             sequences=[list(seq) for seq in payload["sequences"]],
             vocab=vocab,
@@ -339,6 +339,30 @@ def load_tokenized(path) -> TokenizedCorpus:
         )
     except (KeyError, TypeError) as exc:
         raise CorpusFormatError(f"malformed tokenized-corpus file: {exc}") from exc
+    _check_tokenized(corpus)
+    return corpus
+
+
+def _check_tokenized(corpus: TokenizedCorpus) -> None:
+    """Aligned per-document lists, one doc_freq per token, ids in [0, V)."""
+    n_docs = len(corpus.doc_ids)
+    if len(corpus.sequences) != n_docs or len(corpus.labels) != n_docs:
+        raise CorpusFormatError(
+            f"tokenized corpus has {n_docs} doc ids, {len(corpus.sequences)} sequences "
+            f"and {len(corpus.labels)} labels"
+        )
+    n_tokens = len(corpus.vocab.tokens)
+    if len(corpus.vocab.doc_freq) != n_tokens:
+        raise CorpusFormatError(
+            f"vocabulary has {n_tokens} tokens but {len(corpus.vocab.doc_freq)} doc_freq entries"
+        )
+    ids = np.concatenate([seq for seq in corpus.sequences if seq] or [np.zeros(0, np.int64)])
+    if ids.dtype.kind != "i":
+        raise CorpusFormatError("token ids must be integers")
+    if len(ids) and (ids.min() < 0 or ids.max() >= n_tokens):
+        raise CorpusFormatError(
+            f"token ids span [{ids.min()}, {ids.max()}], outside the vocabulary [0, {n_tokens})"
+        )
 
 
 def save_split(path, split: SplitAssignment) -> None:

@@ -210,17 +210,23 @@ def _forward_pass(
     embeddings: EmbeddingMatrix | None,
     lam: float,
     dropout_mask: np.ndarray | None,
+    h_pre: np.ndarray | None = None,
 ) -> dict:
-    """Run both branches and the fusion, keeping activations for backprop."""
+    """Run both branches and the fusion, keeping activations for backprop.
+
+    h_pre, when given, is the layer-1 pre-activation A X W1 + b1 of exactly
+    these gcn parameters, computed by an earlier pass.
+    """
     n_docs = features.n_docs
-    if features.mode == "identity":
-        propagated_x = plan.full @ gcn.W1  # A @ X @ W1 with X = I
-    elif plan.docs_only:
-        propagated_x = plan.doc_cols @ (features.matrix[:n_docs] @ gcn.W1)
-    else:
-        propagated_x = plan.full @ (features.matrix @ gcn.W1)
-    h_pre = propagated_x + gcn.b1
-    _check_finite("hidden pre-activation", 1, h_pre)
+    if h_pre is None:
+        if features.mode == "identity":
+            propagated_x = plan.full @ gcn.W1  # A @ X @ W1 with X = I
+        elif plan.docs_only:
+            propagated_x = plan.doc_cols @ (features.matrix[:n_docs] @ gcn.W1)
+        else:
+            propagated_x = plan.full @ (features.matrix @ gcn.W1)
+        h_pre = propagated_x + gcn.b1
+        _check_finite("hidden pre-activation", 1, h_pre)
     hidden = np.maximum(h_pre, 0.0)
     h_drop = hidden * dropout_mask if dropout_mask is not None else hidden
     propagated = plan.doc_rows @ h_drop
@@ -330,14 +336,16 @@ def loss_and_gradients(
     weight_decay: float = 0.0,
     dropout_mask: np.ndarray | None = None,
     plan: _Propagation | None = None,
+    h_pre: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward pass plus analytic reverse-mode gradients for every parameter.
 
     plan is the propagation built once by train(); it is built from adj_norm
-    when omitted.
+    when omitted. h_pre is the layer-1 pre-activation of these parameters
+    when train() already has it from the validation pass.
     """
     plan = plan if plan is not None else _plan(features, adj_norm)
-    cache = _forward_pass(features, plan, gcn, head, embeddings, lam, dropout_mask)
+    cache = _forward_pass(features, plan, gcn, head, embeddings, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
     labels_arr = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
     loss = nll_loss(cache["z_final"], labels_arr, mask)
@@ -423,6 +431,12 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], lr: float):
+        """One update of params in place; grads are read, never written.
+
+        Works in place in two scratch buffers per block, in the operation
+        order of m = b1 m + (1 - b1) g, v = b2 v + ((1 - b2) g) g and
+        p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -430,11 +444,21 @@ class AdamState:
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
-            self.m[name] = self.beta1 * self.m[name] + (1.0 - self.beta1) * grad
-            self.v[name] = self.beta2 * self.v[name] + (1.0 - self.beta2) * grad * grad
-            m_hat = self.m[name] / bc1
-            v_hat = self.v[name] / bc2
-            params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = self.m[name], self.v[name]
+            num = np.multiply(grad, 1.0 - self.beta1)
+            np.multiply(m, self.beta1, out=m)
+            np.add(m, num, out=m)
+            np.multiply(grad, 1.0 - self.beta2, out=num)
+            np.multiply(num, grad, out=num)
+            np.multiply(v, self.beta2, out=v)
+            np.add(v, num, out=v)
+            np.divide(m, bc1, out=num)
+            np.multiply(num, lr, out=num)
+            den = np.divide(v, bc2)
+            np.sqrt(den, out=den)
+            np.add(den, self.eps, out=den)
+            np.divide(num, den, out=num)
+            params[name] -= num
 
 
 def _param_dict(gcn: GCNParameters, head: LinearHead | None) -> dict[str, np.ndarray]:
@@ -453,10 +477,16 @@ def fused_probabilities(
     embeddings: EmbeddingMatrix | None,
     lam: float,
     plan: _Propagation | None = None,
+    layer1: dict | None = None,
 ) -> ProbabilityMatrix:
-    """Inference-mode fused prediction (no dropout)."""
+    """Inference-mode fused prediction (no dropout).
+
+    layer1, when given, receives the layer-1 pre-activation under "h_pre".
+    """
     plan = plan if plan is not None else _plan(features, adj_norm)
     cache = _forward_pass(features, plan, gcn, head, embeddings, lam, None)
+    if layer1 is not None:
+        layer1["h_pre"] = cache["h_pre"]
     return ProbabilityMatrix(cache["z_final"])
 
 
@@ -470,9 +500,10 @@ def evaluate(
     labels,
     mask,
     plan: _Propagation | None = None,
+    layer1: dict | None = None,
 ) -> evaluation.MetricsReport:
     """Weighted metrics of the fused prediction on the masked documents."""
-    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam, plan)
+    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam, plan, layer1)
     preds = predict(probs)
     mask = np.asarray(mask, dtype=bool)
     gold = [labels[i] for i in np.flatnonzero(mask)]
@@ -520,13 +551,17 @@ def train(
     best_epoch: int | None = None
     best_gcn, best_head = None, None
     stale = 0
+    # Layer 1 of the current parameters, kept from the validation pass: Adam
+    # does not run between it and the next epoch's forward, and dropout acts
+    # only after the ReLU, so the training forward would compute the same bits.
+    h_pre = None
     for epoch in range(config.epochs):
         mask = None
         if config.dropout > 0.0:
             mask = _dropout_mask(rng, hidden_shape, config.dropout)
         loss, grads = loss_and_gradients(
             features, adj_norm, gcn, head, embeddings, labels, train_mask,
-            config.lam, config.weight_decay, mask, plan=plan,
+            config.lam, config.weight_decay, mask, plan=plan, h_pre=h_pre,
         )
         if not math.isfinite(loss):
             raise DivergenceError(epoch)
@@ -534,9 +569,12 @@ def train(
 
         val_acc = val_f1 = 0.0
         if val_mask.any():
+            layer1 = {}
             report = evaluate(
-                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask, plan
+                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask, plan,
+                layer1=layer1,
             )
+            h_pre = layer1["h_pre"]
             val_acc, val_f1 = report.accuracy, report.f1
         history.append(EpochStats(epoch=epoch, loss=loss, val_acc=val_acc, val_f1=val_f1))
 

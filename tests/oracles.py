@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from stressgraph.corpus import TokenizedCorpus, Vocabulary
+from stressgraph.gcn import evaluate, init_parameters, loss_and_gradients
 
 
 def make_corpus(sequences, n_tokens=None, labels=None) -> TokenizedCorpus:
@@ -150,3 +151,139 @@ def dense_fused_reference(a_hat, x, n_docs, gcn, head, embeddings, lam, labels, 
         grads["head.W"] = embeddings.T @ d_head
         grads["head.b"] = d_head.sum(axis=0)
     return z_final, loss, grads
+
+
+def _bce_with_logits(z, label):
+    return max(z, 0.0) - z * label + math.log1p(math.exp(-abs(z)))
+
+
+def _sigmoid(z):
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def dense_conv_reference(sequences, labels, params, dropout_masks=None):
+    """Mean BCE and mean gradients of the conv head by per-document im2col.
+
+    Every window of the padded sequence is a row of an explicit L x k*d
+    matrix; the backward pass scatters each pooled gradient into a dense
+    L x F d_act and runs the full windows.T @ d_conv product. Returns
+    (loss, grads) keyed like convnet.batch_loss_and_gradients.
+    """
+    grads = {}
+    for idx, kernel in enumerate(params.kernels):
+        grads[f"conv.K{idx}"] = np.zeros_like(kernel)
+        grads[f"conv.b{idx}"] = np.zeros_like(params.conv_bias[idx])
+    grads["dense.W"] = np.zeros_like(params.dense_W)
+    grads["dense.b"] = np.zeros_like(params.dense_b)
+    min_len = max(k.shape[0] for k in params.kernels)
+    total = 0.0
+    for pos, (seq, label) in enumerate(zip(sequences, labels)):
+        mask = dropout_masks[pos] if dropout_masks is not None else None
+        x = seq.matrix
+        if x.shape[0] < min_len:
+            x = np.vstack([x, np.zeros((min_len - x.shape[0], x.shape[1]))])
+        banks, pooled = [], []
+        for kernel, bias in zip(params.kernels, params.conv_bias):
+            k, d, n_filters = kernel.shape
+            windows = np.stack([x[i:i + k].reshape(-1) for i in range(x.shape[0] - k + 1)])
+            conv = windows @ kernel.reshape(k * d, n_filters) + bias
+            act = np.maximum(conv, 0.0)
+            argmax = act.argmax(axis=0)
+            pooled.append(act[argmax, np.arange(n_filters)])
+            banks.append((windows, conv, argmax))
+        concat = np.concatenate(pooled)
+        dropped = concat * mask if mask is not None else concat
+        logit = float(dropped @ params.dense_W + params.dense_b[0])
+        total += _bce_with_logits(logit, label)
+
+        d_logit = _sigmoid(logit) - label
+        grads["dense.W"] += d_logit * dropped
+        grads["dense.b"] += d_logit
+        d_concat = d_logit * params.dense_W
+        if mask is not None:
+            d_concat = d_concat * mask
+        offset = 0
+        for idx, (kernel, (windows, conv, argmax)) in enumerate(zip(params.kernels, banks)):
+            k, d, n_filters = kernel.shape
+            d_act = np.zeros_like(conv)
+            d_act[argmax, np.arange(n_filters)] = d_concat[offset:offset + n_filters]
+            offset += n_filters
+            d_conv = d_act * (conv > 0.0)
+            grads[f"conv.K{idx}"] += (windows.T @ d_conv).reshape(k, d, n_filters)
+            grads[f"conv.b{idx}"] += d_conv.sum(axis=0)
+    n = len(sequences)
+    for name in grads:
+        grads[name] /= n
+    return total / n, grads
+
+
+class ReferenceAdam:
+    """Adam written as whole-array expressions, each step rebinding m and v."""
+
+    def __init__(self, beta1, beta2, eps):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.t = 0
+        self.m, self.v = {}, {}
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, grad in grads.items():
+            m = self.m.get(name, np.zeros_like(params[name]))
+            v = self.v.get(name, np.zeros_like(params[name]))
+            self.m[name] = self.beta1 * m + (1.0 - self.beta1) * grad
+            self.v[name] = self.beta2 * v + (1.0 - self.beta2) * grad * grad
+            m_hat = self.m[name] / bc1
+            v_hat = self.v[name] / bc2
+            params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_train(features, adj_norm, embeddings, labels, masks, config):
+    """gcn.train's loop on public calls only: every epoch computes layer 1 itself.
+
+    Returns (history, gcn, head, best_epoch), with history as
+    (epoch, loss, val_acc, val_f1) tuples.
+    """
+    train_mask = np.asarray(masks["train"], dtype=bool)
+    val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)
+    params, head = init_parameters(
+        features.dim, config.hidden_dim, 2,
+        embeddings.dim if embeddings is not None else None, config.seed,
+    )
+    rng = np.random.default_rng(config.seed)
+    adam = ReferenceAdam(config.beta1, config.beta2, config.adam_eps)
+    refs = {"gcn.W1": params.W1, "gcn.b1": params.b1, "gcn.W2": params.W2, "gcn.b2": params.b2}
+    if head is not None:
+        refs.update({"head.W": head.W, "head.b": head.b})
+    shape = (features.n_docs + features.n_words, config.hidden_dim)
+    history, best_f1, best_epoch, best, stale = [], -1.0, None, None, 0
+    for epoch in range(config.epochs):
+        mask = None
+        if config.dropout > 0.0:
+            mask = (rng.random(shape) >= config.dropout) / (1.0 - config.dropout)
+        loss, grads = loss_and_gradients(
+            features, adj_norm, params, head, embeddings, labels, train_mask,
+            config.lam, config.weight_decay, mask,
+        )
+        adam.step(refs, grads, config.learning_rate)
+        val_acc = val_f1 = 0.0
+        if val_mask.any():
+            report = evaluate(features, adj_norm, params, head, embeddings, config.lam,
+                              labels, val_mask)
+            val_acc, val_f1 = report.accuracy, report.f1
+        history.append((epoch, loss, val_acc, val_f1))
+        if val_mask.any() and val_f1 >= best_f1:
+            stale = 0 if val_f1 > best_f1 else stale + 1
+            best_f1, best_epoch = val_f1, epoch
+            best = (params.copy(), head.copy() if head is not None else None)
+        else:
+            stale += 1
+        if config.patience is not None and stale > config.patience:
+            break
+    if best is not None:
+        params, head = best
+    return history, params, head, best_epoch

@@ -404,6 +404,19 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_build_graph_out_of_range_token_id_is_data_error(tmp_path, capsys):
+    tokenized = tmp_path / "tokenized.json"
+    tokenized.write_text(json.dumps({
+        "doc_ids": ["a", "b"],
+        "labels": [0, 1],
+        "sequences": [[0, 7], [1]],
+        "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2},
+    }))
+    rc = cli.main(["build-graph", "--tokenized", str(tokenized), "--out", str(tmp_path / "g")])
+    assert rc == cli.EXIT_DATA
+    assert "outside the vocabulary" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # eval
 
@@ -693,6 +706,51 @@ def test_export_unknown_doc_id_is_data_error(pipeline, tmp_path, capsys):
                    "--graph", str(pipeline["graph"]), "--docs", "zz9",
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
+
+
+EXPORT_JSON_CASES = [
+    {},
+    {"label": 1, "entries": []},
+    {"label": None, "entries": [{"token": "a", "count": 3}, {"token": "b", "count": 1}]},
+    {"nodes": [{"id": "d}", "kind": "doc"}], "edges": [
+        {"a": "},\n      {", "b": "\u00e9\n", "w": 0.1, "kind": "doc-word"},
+        {"a": "x", "b": "y", "w": -1e-300, "kind": True},
+    ]},
+    {"z": 1.5, "a": "s", "m": [{"k": 1}]},
+    # Shapes the C-encoder path does not take: each falls back to json.dumps.
+    {"entries": [{}]},
+    {"entries": [{"nested": {"a": 1}}]},
+    {"entries": [{"list": [1, 2]}]},
+    {"entries": [1, 2]},
+    {"entries": {"a": 1}},
+    {"entries": [[1]]},
+    {1: "int key"},
+]
+
+
+@pytest.mark.parametrize("case", range(len(EXPORT_JSON_CASES)))
+def test_export_json_writer_matches_indented_dump(tmp_path, case):
+    data = EXPORT_JSON_CASES[case]
+    path = tmp_path / "out.json"
+    cli._write_indented_json(path, data)
+    assert path.read_text(encoding="utf-8") == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_export_json_writer_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    with pytest.raises(TypeError):
+        cli._write_indented_json(path, {"entries": [{"w": object()}]})
+
+    def fail_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail_replace)
+    with pytest.raises(OSError):
+        cli._write_indented_json(path, {"entries": [{"w": 1.0}]})
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["out.json"]
 
 
 # ---------------------------------------------------------------------------

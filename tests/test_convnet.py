@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import dense_conv_reference
 from stressgraph.convnet import (
     ConvHeadConfig,
     ConvHeadParams,
@@ -238,6 +239,46 @@ def test_batch_loss_is_mean():
     assert loss == pytest.approx(np.mean(singles), abs=1e-12)
     with pytest.raises(ValueError):
         batch_loss_and_gradients([], [], params)
+
+
+CONV_REFERENCE_CASES = {
+    "no-dropout": dict(dropout=False, lengths=(6, 9, 4, 7)),
+    "dropout": dict(dropout=True, lengths=(6, 9, 4, 7)),
+    "shorter-than-kernels": dict(dropout=True, lengths=(1, 2, 3, 8)),
+    "dead-bank": dict(dropout=True, lengths=(6, 2, 9), dead_bank=1),
+    "batch-of-one": dict(dropout=False, lengths=(5,)),
+    "batch-of-one-dropout": dict(dropout=True, lengths=(1,)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONV_REFERENCE_CASES))
+def test_gather_backward_matches_dense_reference(case):
+    # The argmax gather must reproduce the full im2col backward bit for bit.
+    spec = CONV_REFERENCE_CASES[case]
+    rng = np.random.default_rng(len(case))
+    config = ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16, embedding_dim=24, seed=7)
+    params = init_conv_params(config)
+    if "dead_bank" in spec:
+        # Every conv value of this bank is negative: argmax 0, no gradient.
+        params.conv_bias[spec["dead_bank"]][:] = -1e3
+    sequences = [seq(f"d{i}", rng.normal(size=(n, 24))) for i, n in enumerate(spec["lengths"])]
+    labels = [int(x) for x in rng.integers(0, 2, size=len(sequences))]
+    masks = None
+    if spec["dropout"]:
+        masks = [(rng.random(params.concat_dim) >= 0.5) / 0.5 for _ in sequences]
+
+    loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
+    ref_loss, ref_grads = dense_conv_reference(sequences, labels, params, masks)
+    assert loss == ref_loss
+    assert list(grads) == list(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape, name
+        assert np.array_equal(grads[name], ref), name
+    if "dead_bank" in spec:
+        bank = spec["dead_bank"]
+        assert not grads[f"conv.K{bank}"].any() and not grads[f"conv.b{bank}"].any()
+    else:
+        assert all(grads[f"conv.K{i}"].any() for i in range(3))
 
 
 # -------------------------------------------------------------- training

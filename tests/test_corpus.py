@@ -357,6 +357,49 @@ def test_tokenized_load_rejects_malformed(tmp_path):
         load_tokenized(path)
 
 
+def _write_tokenized(path, **overrides):
+    payload = {
+        "doc_ids": ["a", "b"],
+        "labels": [0, 1],
+        "sequences": [[0, 1], []],
+        "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2},
+    }
+    for key, value in overrides.items():
+        if key in payload["vocab"]:
+            payload["vocab"][key] = value
+        else:
+            payload[key] = value
+    path.write_text(json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(sequences=[[0, 7], []]), "outside the vocabulary"),
+        (dict(sequences=[[0], [-1]]), "outside the vocabulary"),
+        (dict(sequences=[[0, 1.5], []]), "integers"),
+        (dict(sequences=[[0], ["y"]]), "integers"),
+        (dict(sequences=[[0, 1]]), "sequences"),
+        (dict(labels=[0]), "labels"),
+        (dict(doc_ids=["a", "b", "c"]), "doc ids"),
+        (dict(doc_freq=[1]), "doc_freq"),
+    ],
+)
+def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, message):
+    path = tmp_path / "tokenized.json"
+    _write_tokenized(path)
+    assert load_tokenized(path).sequences == [[0, 1], []]
+    _write_tokenized(path, **overrides)
+    with pytest.raises(CorpusFormatError, match=message):
+        load_tokenized(path)
+
+
+def test_tokenized_load_accepts_all_empty_sequences(tmp_path):
+    path = tmp_path / "tokenized.json"
+    _write_tokenized(path, sequences=[[], []], tokens=[], doc_freq=[])
+    assert load_tokenized(path).sequences == [[], []]
+
+
 def test_split_roundtrip(tmp_path):
     split = SplitAssignment(
         assignment={"a": "train", "b": "val", "c": "test", "d": "train"},

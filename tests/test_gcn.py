@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import dense_fused_reference, make_corpus
+from oracles import ReferenceAdam, dense_fused_reference, make_corpus, reference_train
 from stressgraph.evaluation import MetricsReport
 from stressgraph.gcn import (
     AdamState,
@@ -387,6 +387,27 @@ def test_adam_matches_reference_update():
     np.testing.assert_allclose(params["w"], w_ref, rtol=0, atol=1e-15)
 
 
+def test_adam_in_place_matches_reference_expressions():
+    # 50 steps over blocks of several shapes, bit for bit; grads are never written.
+    rng = np.random.default_rng(3)
+    shapes = {"W": (7, 5), "b": (5,), "one": (1,)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    ref_params = {name: arr.copy() for name, arr in params.items()}
+    state = AdamState(beta1=0.9, beta2=0.999, eps=1e-8)
+    ref = ReferenceAdam(0.9, 0.999, 1e-8)
+    for _ in range(50):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                 for name, shape in shapes.items()}
+        before = {name: g.copy() for name, g in grads.items()}
+        state.step(params, grads, lr=0.01)
+        ref.step(ref_params, grads, lr=0.01)
+        for name in shapes:
+            assert np.array_equal(grads[name], before[name]), name
+            assert np.array_equal(params[name], ref_params[name]), name
+            assert np.array_equal(state.m[name], ref.m[name]), name
+            assert np.array_equal(state.v[name], ref.v[name]), name
+
+
 # -------------------------------------------------------------- training
 
 
@@ -475,6 +496,48 @@ def test_train_patience_stops_early():
     result = train(features, adj, embeddings, labels, masks, config)
     assert len(result.history) < 500
     assert result.best_epoch == result.history[-1].epoch
+
+
+TRAIN_REFERENCE_CASES = {
+    "embedding": dict(identity=False, lam=0.3, patience=None, val=True),
+    "embedding-patience": dict(identity=False, lam=0.3, patience=2, val=True),
+    "identity": dict(identity=True, lam=1.0, patience=None, val=True),
+    "identity-no-val": dict(identity=True, lam=1.0, patience=None, val=False),
+    "embedding-no-val-patience": dict(identity=False, lam=0.5, patience=3, val=False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TRAIN_REFERENCE_CASES))
+def test_train_matches_reference_loop(case):
+    # Reusing the validation pass's layer 1 must not move a bit of training.
+    spec = TRAIN_REFERENCE_CASES[case]
+    features, adj, embeddings, labels, rng = pipeline_setup(
+        len(case), n_docs=16, n_tokens=10, identity=spec["identity"]
+    )
+    split = np.arange(16) % 4
+    masks = {"train": split < 2, "test": split == 3}
+    if spec["val"]:
+        masks["val"] = split == 2
+    config = TrainingConfig(
+        lam=spec["lam"], epochs=25, hidden_dim=8, learning_rate=0.05, weight_decay=1e-3,
+        patience=spec["patience"], seed=len(case),
+    )
+    emb = None if spec["identity"] else embeddings
+    result = train(features, adj, emb, labels, masks, config)
+    history, ref_gcn, ref_head, best_epoch = reference_train(
+        features, adj, emb, labels, masks, config
+    )
+    assert [(h.epoch, h.loss, h.val_acc, h.val_f1) for h in result.history] == history
+    assert result.best_epoch == best_epoch
+    if spec["patience"] is not None:
+        assert len(history) < config.epochs
+    for name in ("W1", "b1", "W2", "b2"):
+        assert np.array_equal(getattr(result.gcn, name), getattr(ref_gcn, name)), name
+    if ref_head is None:
+        assert result.head is None
+    else:
+        assert np.array_equal(result.head.W, ref_head.W)
+        assert np.array_equal(result.head.b, ref_head.b)
 
 
 def test_train_never_reads_test_labels():
