@@ -35,7 +35,7 @@ from .corpus import (
     stratified_split,
     tokenize_corpus,
 )
-from .manifest import RunManifest, write_manifest
+from .manifest import RunManifest, atomic_write, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -186,17 +186,10 @@ def _indented_json(data: dict) -> str:
 
 
 def _write_indented_json(path, data: dict) -> None:
-    """Write _indented_json(data) plus a newline into a temp file, then rename it."""
+    """Write _indented_json(data) plus a newline, replacing path atomically."""
     text = _indented_json(data) + "\n"
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(text)
 
 
 def _rules(config: dict) -> TokenizerRules:
@@ -286,12 +279,12 @@ def _load_split_for(corpus, path):
 def _load_graph_for(corpus, path):
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if data["n_docs"] != corpus.n_docs or data["n_words"] != len(corpus.vocab):
+    tfidf, word_edges, _ = graph.load_graph_json(data)
+    if tfidf.shape != (corpus.n_docs, len(corpus.vocab)):
         raise ValueError(
             "graph artifact does not align with the corpus "
             f"({data['n_docs']}x{data['n_words']} vs {corpus.n_docs}x{len(corpus.vocab)})"
         )
-    tfidf, word_edges, _ = graph.load_graph_json(data)
     return tfidf, word_edges
 
 

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import evaluation
-from .graph import EmbeddingMatrix, NodeFeatures, SparseMatrix
+from .graph import EmbeddingMatrix, NodeFeatures
 
 LOSS_EPS = 1e-12
 
@@ -189,17 +189,16 @@ class _Propagation:
     stand in for the transpose of the other without changing the bits.
     """
 
-    full: sp.csr_matrix
-    doc_cols: sp.csr_matrix  # A[:, docs]
-    doc_rows: sp.csr_matrix  # A[docs, :]
+    full: sp.csr_array
+    doc_cols: sp.csr_array  # A[:, docs]
+    doc_rows: sp.csr_array  # A[docs, :]
     docs_only: bool  # X is zero outside the document rows
 
 
-def _plan(features: NodeFeatures, adj_norm: SparseMatrix) -> _Propagation:
-    full = adj_norm.to_csr()
+def _plan(features: NodeFeatures, adj_norm: sp.csr_array) -> _Propagation:
     n_docs = features.n_docs
     docs_only = features.mode != "identity" and not features.matrix[n_docs:].any()
-    return _Propagation(full, full[:, :n_docs], full[:n_docs], docs_only)
+    return _Propagation(adj_norm, adj_norm[:, :n_docs], adj_norm[:n_docs], docs_only)
 
 
 def _forward_pass(
@@ -259,7 +258,7 @@ def _forward_pass(
 
 def gcn_forward(
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     params: GCNParameters,
     dropout: float = 0.0,
     rng: np.random.Generator | int | None = None,
@@ -275,7 +274,7 @@ def gcn_forward(
             raise ValueError("dropout during training requires an rng or seed")
         if not isinstance(rng, np.random.Generator):
             rng = np.random.default_rng(rng)
-        hidden_shape = (adj_norm.n_rows, params.W1.shape[1])
+        hidden_shape = (adj_norm.shape[0], params.W1.shape[1])
         mask = _dropout_mask(rng, hidden_shape, dropout)
     cache = _forward_pass(features, _plan(features, adj_norm), params, None, None, 1.0, mask)
     return ProbabilityMatrix(cache["z_g"])
@@ -326,7 +325,7 @@ def _softmax_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
 
 def loss_and_gradients(
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
@@ -396,7 +395,7 @@ def loss_and_gradients(
 
 def compute_loss(
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
@@ -471,7 +470,7 @@ def _param_dict(gcn: GCNParameters, head: LinearHead | None) -> dict[str, np.nda
 
 def fused_probabilities(
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
@@ -492,7 +491,7 @@ def fused_probabilities(
 
 def evaluate(
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
@@ -513,7 +512,7 @@ def evaluate(
 
 def train(
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     embeddings: EmbeddingMatrix | None,
     labels,
     masks: dict,
@@ -600,7 +599,7 @@ def ablate_lambda(
     grid,
     base_config: TrainingConfig,
     features: NodeFeatures,
-    adj_norm: SparseMatrix,
+    adj_norm: sp.csr_array,
     embeddings: EmbeddingMatrix | None,
     labels,
     masks: dict,

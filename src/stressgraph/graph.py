@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from collections import Counter
@@ -12,6 +13,8 @@ from itertools import chain
 
 import numpy as np
 import scipy.sparse as sp
+
+from .manifest import atomic_write
 
 DEFAULT_WINDOW_SIZE = 20
 
@@ -24,69 +27,6 @@ EMBEDDING_VERSION = 1
 _WINDOW_CHUNK_ENTRIES = 1 << 18
 # save_graph_json encodes list values this many elements at a time.
 _JSON_SLICE = 4096
-
-
-@dataclass
-class SparseMatrix:
-    """Real matrix in coordinate form; duplicate (row, col) pairs are rejected."""
-
-    n_rows: int
-    n_cols: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        self.rows = np.asarray(self.rows, dtype=np.int64)
-        self.cols = np.asarray(self.cols, dtype=np.int64)
-        self.vals = np.asarray(self.vals, dtype=np.float64)
-        if not (len(self.rows) == len(self.cols) == len(self.vals)):
-            raise ValueError("rows, cols, vals must have equal length")
-        if len(self.rows):
-            if self.rows.min() < 0 or self.rows.max() >= self.n_rows:
-                raise ValueError("row index out of range")
-            if self.cols.min() < 0 or self.cols.max() >= self.n_cols:
-                raise ValueError("column index out of range")
-            if not np.all(np.isfinite(self.vals)):
-                raise ValueError("matrix values must be finite")
-            keys = np.sort(self.rows * self.n_cols + self.cols)
-            if np.any(keys[1:] == keys[:-1]):
-                raise ValueError("duplicate (row, col) entries")
-
-    @classmethod
-    def from_entries(cls, n_rows: int, n_cols: int, entries) -> "SparseMatrix":
-        rows, cols, vals = [], [], []
-        for r, c, v in entries:
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
-        return cls(n_rows, n_cols, np.array(rows), np.array(cols), np.array(vals))
-
-    @property
-    def nnz(self) -> int:
-        return len(self.vals)
-
-    @property
-    def entries(self) -> list[tuple[int, int, float]]:
-        return [(int(r), int(c), float(v)) for r, c, v in zip(self.rows, self.cols, self.vals)]
-
-    def to_csr(self) -> sp.csr_matrix:
-        m = sp.coo_matrix(
-            (self.vals, (self.rows, self.cols)), shape=(self.n_rows, self.n_cols)
-        )
-        return m.tocsr()
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        out[self.rows, self.cols] = self.vals
-        return out
-
-    def dot(self, dense: np.ndarray) -> np.ndarray:
-        return self.to_csr() @ dense
-
-    def row_entries(self, row: int) -> list[tuple[int, float]]:
-        mask = self.rows == row
-        return [(int(c), float(v)) for c, v in zip(self.cols[mask], self.vals[mask])]
 
 
 @dataclass
@@ -141,25 +81,26 @@ class NodeFeatures:
         return self.matrix.shape[1]
 
 
-def compute_tfidf(corpus, vocab=None) -> SparseMatrix:
+def compute_tfidf(corpus, vocab=None) -> sp.csr_array:
     """Doc-word TF-IDF matrix: tf(w, d) * ln(n_docs / df(w)), zeros omitted.
 
     tf is the raw in-document count and idf uses the natural log, so a word
-    present in every document contributes no entry at all.
+    present in every document contributes no entry at all. The CSR has one
+    row per document with sorted word ids.
     """
     vocab = vocab if vocab is not None else corpus.vocab
     n_docs = vocab.n_docs
-    rows, cols, vals = [], [], []
-    for d, seq in enumerate(corpus.sequences):
+    indptr, cols, vals = [0], [], []
+    for seq in corpus.sequences:
         for w, tf in sorted(Counter(seq).items()):
             idf = math.log(n_docs / vocab.doc_freq[w])
             if tf * idf != 0.0:
-                rows.append(d)
                 cols.append(w)
                 vals.append(tf * idf)
-    return SparseMatrix(
-        n_docs, len(vocab), np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-        np.array(vals, dtype=np.float64),
+        indptr.append(len(cols))
+    return sp.csr_array(
+        (np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int64), np.array(indptr)),
+        shape=(n_docs, len(vocab)),
     )
 
 
@@ -271,19 +212,26 @@ def ppmi_edges(stats: WindowStats) -> list[tuple[int, int, float]]:
     ]
 
 
+def _has_repeated_pair(a: np.ndarray, b: np.ndarray, n: int) -> bool:
+    """Whether an unordered pair {a[k], b[k]} of ids below n occurs twice; n * n < 2**63."""
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
 def assemble_adjacency(
-    tfidf: SparseMatrix,
+    tfidf: sp.sparray,
     word_edges: list[tuple[int, int, float]],
     n_docs: int,
     n_words: int,
-) -> SparseMatrix:
+) -> sp.coo_array:
     """Symmetric heterogeneous adjacency over documents (rows 0..n_docs-1) and words.
 
     Unit self-loops everywhere; TF-IDF on the doc-word blocks; PPMI on the
     word-word block; the off-diagonal doc-doc block stays empty.
     """
-    if tfidf.n_rows != n_docs or tfidf.n_cols != n_words:
+    if tfidf.shape != (n_docs, n_words):
         raise ValueError("tfidf shape does not match n_docs x n_words")
+    tfidf = tfidf.tocoo()
     n = n_docs + n_words
     word = np.asarray(word_edges, dtype=np.float64).reshape(-1, 3)
     word_i = word[:, 0].astype(np.int64)
@@ -292,25 +240,30 @@ def assemble_adjacency(
         raise ValueError("word-word self edges are not allowed")
     # Entry order is self-loops, then every doc-word and word-word edge followed
     # by its mirror: normalize_adjacency sums degrees in this order.
-    src = np.concatenate([tfidf.rows, n_docs + word_i])
-    dst = np.concatenate([n_docs + tfidf.cols, n_docs + word_j])
+    src = np.concatenate([tfidf.row, n_docs + word_i])
+    dst = np.concatenate([n_docs + tfidf.col, n_docs + word_j])
+    if _has_repeated_pair(src, dst, n):
+        raise ValueError("duplicate (row, col) entries")
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([diag, np.column_stack([src, dst]).ravel()])
     cols = np.concatenate([diag, np.column_stack([dst, src]).ravel()])
-    vals = np.concatenate([np.ones(n), np.repeat(np.concatenate([tfidf.vals, word[:, 2]]), 2)])
-    # SparseMatrix rejects duplicate (row, col) entries.
-    return SparseMatrix(n, n, rows, cols, vals)
+    vals = np.concatenate([np.ones(n), np.repeat(np.concatenate([tfidf.data, word[:, 2]]), 2)])
+    return sp.coo_array((vals, (rows, cols)), shape=(n, n))
 
 
-def normalize_adjacency(adj: SparseMatrix) -> SparseMatrix:
-    """Symmetric normalization D^(-1/2) A D^(-1/2) with D the row-sum diagonal."""
-    degree = np.zeros(adj.n_rows)
-    np.add.at(degree, adj.rows, adj.vals)
+def normalize_adjacency(adj: sp.sparray) -> sp.csr_array:
+    """Symmetric normalization D^(-1/2) A D^(-1/2) with D the row-sum diagonal.
+
+    Degrees are summed in the entry order of adj's COO form, which fixes the
+    rounding of every row sum.
+    """
+    adj = adj.tocoo()
+    degree = np.bincount(adj.row, weights=adj.data, minlength=adj.shape[0])
     if np.any(degree <= 0):
         raise AssertionError("zero row sum; adjacency must carry self-loops")
     inv_sqrt = 1.0 / np.sqrt(degree)
-    vals = adj.vals * inv_sqrt[adj.rows] * inv_sqrt[adj.cols]
-    return SparseMatrix(adj.n_rows, adj.n_cols, adj.rows.copy(), adj.cols.copy(), vals)
+    vals = adj.data * inv_sqrt[adj.row] * inv_sqrt[adj.col]
+    return sp.coo_array((vals, (adj.row, adj.col)), shape=adj.shape).tocsr()
 
 
 def build_node_features(
@@ -378,7 +331,7 @@ def write_embeddings_csv(path, embeddings: EmbeddingMatrix) -> None:
 
 def export_graph_json(
     corpus,
-    tfidf: SparseMatrix,
+    tfidf: sp.csr_array,
     word_edges: list[tuple[int, int, float]],
 ) -> dict:
     """Serializable graph: node list (docs first, then words) and weighted edges.
@@ -389,9 +342,10 @@ def export_graph_json(
     n_docs = corpus.n_docs
     nodes = [{"id": doc_id, "kind": "doc"} for doc_id in corpus.doc_ids]
     nodes += [{"id": tok, "kind": "word"} for tok in corpus.vocab.tokens]
+    doc_word = tfidf.tocoo()
     edges = [
-        {"a": int(d), "b": n_docs + int(w), "w": float(v), "kind": "doc-word"}
-        for d, w, v in zip(tfidf.rows, tfidf.cols, tfidf.vals)
+        {"a": d, "b": n_docs + w, "w": v, "kind": "doc-word"}
+        for d, w, v in zip(doc_word.row.tolist(), doc_word.col.tolist(), doc_word.data.tolist())
     ]
     edges += [
         {"a": n_docs + i, "b": n_docs + j, "w": float(v), "kind": "word-word"}
@@ -400,25 +354,67 @@ def export_graph_json(
     return {"n_docs": n_docs, "n_words": len(corpus.vocab), "nodes": nodes, "edges": edges}
 
 
-def load_graph_json(data: dict) -> tuple[SparseMatrix, list[tuple[int, int, float]], dict]:
-    """Rebuild the (tfidf, word_edges) pair from an exported graph document."""
-    n_docs = data["n_docs"]
-    n_words = data["n_words"]
-    t_rows, t_cols, t_vals = [], [], []
-    word_edges = []
-    for e in data["edges"]:
-        if e["kind"] == "doc-word":
-            t_rows.append(e["a"])
-            t_cols.append(e["b"] - n_docs)
-            t_vals.append(e["w"])
-        elif e["kind"] == "word-word":
-            word_edges.append((e["a"] - n_docs, e["b"] - n_docs, e["w"]))
-        else:
-            raise ValueError(f"unknown edge kind {e['kind']!r}")
-    tfidf = SparseMatrix(
-        n_docs, n_words, np.array(t_rows, dtype=np.int64), np.array(t_cols, dtype=np.int64),
-        np.array(t_vals, dtype=np.float64),
-    )
+def _graph_edges(data) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(n_docs, n_words, is_doc_word, a, b, w) of a graph document, checked.
+
+    Raises ValueError unless n_docs and n_words are non-negative integers
+    that add up to the length of the node list, and every edge is an object
+    whose kind is doc-word (a document, then a word) or word-word (two
+    distinct words), whose endpoints are integer node indices and whose
+    weight is finite and positive, with no node pair joined twice. The
+    entries of the node list are not read.
+    """
+    if type(data) is not dict:
+        raise ValueError("graph document must be a JSON object")
+    n_docs, n_words, edges = data.get("n_docs"), data.get("n_words"), data.get("edges")
+    if not all(type(v) is int and v >= 0 for v in (n_docs, n_words)):
+        raise ValueError("n_docs and n_words must be non-negative integers")
+    nodes = data.get("nodes")
+    if type(nodes) is not list or len(nodes) != n_docs + n_words:
+        raise ValueError(f"nodes must be a list of n_docs + n_words = {n_docs + n_words} entries")
+    if type(edges) is not list:
+        raise ValueError("edges must be a list")
+    try:
+        kinds, a, b, w = (list(map(operator.itemgetter(key), edges)) for key in ("kind", "a", "b", "w"))
+    except (KeyError, TypeError):
+        raise ValueError("every edge must be an object with kind, a, b and w") from None
+    if not set(map(type, a)) | set(map(type, b)) <= {int}:
+        raise ValueError("edge endpoints must be integers")
+    if not set(map(type, w)) <= {int, float}:
+        raise ValueError("edge weights must be numbers")
+    doc_word = np.array([k == "doc-word" for k in kinds], dtype=bool)
+    unknown = ~doc_word & ~np.array([k == "word-word" for k in kinds], dtype=bool)
+    if unknown.any():
+        raise ValueError(f"unknown edge kind {kinds[int(np.argmax(unknown))]!r}")
+    n = n_docs + n_words
+    try:
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        w = np.array(w, dtype=np.float64)
+    except OverflowError:
+        raise ValueError("edge endpoint or weight out of range") from None
+    a_doc = (a >= 0) & (a < n_docs)
+    a_word, b_word = (a >= n_docs) & (a < n), (b >= n_docs) & (b < n)
+    in_block = np.where(doc_word, a_doc & b_word, a_word & b_word & (a != b))
+    if not in_block.all():
+        raise ValueError(f"{int((~in_block).sum())} edges have endpoints outside their block")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise ValueError("edge weights must be finite and positive")
+    if _has_repeated_pair(a, b, n):
+        raise ValueError("duplicate edges between the same two nodes")
+    return n_docs, n_words, doc_word, a, b, w
+
+
+def load_graph_json(data: dict) -> tuple[sp.csr_array, list[tuple[int, int, float]], dict]:
+    """Rebuild the (tfidf, word_edges) pair from an exported graph document.
+
+    Any malformed document raises ValueError (see _graph_edges).
+    """
+    n_docs, n_words, doc_word, a, b, w = _graph_edges(data)
+    tfidf = sp.coo_array(
+        (w[doc_word], (a[doc_word], b[doc_word] - n_docs)), shape=(n_docs, n_words)
+    ).tocsr()
+    word = ~doc_word
+    word_edges = list(zip((a[word] - n_docs).tolist(), (b[word] - n_docs).tolist(), w[word].tolist()))
     return tfidf, word_edges, data
 
 
@@ -430,24 +426,17 @@ def save_graph_json(path, data: dict) -> None:
     a time by the C encoder, so no full copy of the text is held in memory.
     """
     encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("{")
-            for n, key in enumerate(sorted(data)):
-                fh.write(("," if n else "") + encode(key) + ":")
-                value = data[key]
-                if not isinstance(value, list):
-                    fh.write(encode(value))
-                    continue
-                fh.write("[")
-                for start in range(0, len(value), _JSON_SLICE):
-                    chunk = encode(value[start:start + _JSON_SLICE])[1:-1]
-                    fh.write(("," if start else "") + chunk)
-                fh.write("]")
-            fh.write("}\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write("{")
+        for n, key in enumerate(sorted(data)):
+            fh.write(("," if n else "") + encode(key) + ":")
+            value = data[key]
+            if not isinstance(value, list):
+                fh.write(encode(value))
+                continue
+            fh.write("[")
+            for start in range(0, len(value), _JSON_SLICE):
+                chunk = encode(value[start:start + _JSON_SLICE])[1:-1]
+                fh.write(("," if start else "") + chunk)
+            fh.write("]")
+        fh.write("}\n")

@@ -9,8 +9,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+import scipy.sparse as sp
+
 from .corpus import TokenizedCorpus
-from .graph import SparseMatrix
 
 
 @dataclass(frozen=True)
@@ -77,14 +78,15 @@ def label_word_frequencies(corpus: TokenizedCorpus, label: int) -> FrequencyTabl
     )
 
 
-def top_k_words(tfidf: SparseMatrix, doc_row: int, k: int) -> list:
+def top_k_words(tfidf: sp.csr_array, doc_row: int, k: int) -> list:
     """The k highest-weight (word_id, weight) pairs of one document row.
 
     Ties order by word index ascending; fewer than k entries returns all.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    entries = tfidf.row_entries(doc_row)
+    lo, hi = tfidf.indptr[doc_row], tfidf.indptr[doc_row + 1]
+    entries = zip(tfidf.indices[lo:hi].tolist(), tfidf.data[lo:hi].tolist())
     ranked = sorted(entries, key=lambda item: (-item[1], item[0]))
     return ranked[:k]
 
@@ -92,7 +94,7 @@ def top_k_words(tfidf: SparseMatrix, doc_row: int, k: int) -> list:
 def build_salience_graph(
     corpus: TokenizedCorpus,
     doc_ids,
-    tfidf: SparseMatrix,
+    tfidf: sp.csr_array,
     word_edges,
     k: int,
 ) -> SalienceGraph:

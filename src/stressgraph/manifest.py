@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -53,8 +55,26 @@ def sha256_file(path) -> str:
     return digest.hexdigest()
 
 
+@contextmanager
+def atomic_write(path):
+    """Text file handle on path + ".tmp", renamed over path when the block succeeds.
+
+    When the block or the rename fails, the temp file is removed and path keeps
+    its old content.
+    """
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_manifest(path, manifest: RunManifest) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -382,7 +382,7 @@ def test_acceptance_06_structural_graph_invariants(announce):
             n_words = len(corpus.vocab)
             adj = assemble_adjacency(tfidf, word_edges, n_docs, n_words)
 
-            dense = adj.to_dense()
+            dense = adj.toarray()
             assert np.array_equal(dense, dense.T)
             assert np.array_equal(np.diag(dense), np.ones(n_docs + n_words))
             doc_block = dense[:n_docs, :n_docs].copy()
@@ -390,7 +390,7 @@ def test_acceptance_06_structural_graph_invariants(announce):
             assert not doc_block.any()
             assert all(v > 0 for _, _, v in word_edges)
 
-            norm = normalize_adjacency(adj).to_dense()
+            norm = normalize_adjacency(adj).toarray()
             np.testing.assert_allclose(norm, norm.T, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 norm, brute_normalize_dense(dense), rtol=0, atol=1e-12

@@ -11,7 +11,7 @@ import pytest
 
 from stressgraph import cli, convnet, gcn, graph, prompting
 from stressgraph.corpus import load_split, load_tokenized
-from stressgraph.manifest import read_manifest, sha256_file
+from stressgraph.manifest import RunManifest, read_manifest, sha256_file, write_manifest
 
 N_DOCS = 24
 
@@ -708,6 +708,68 @@ def test_export_unknown_doc_id_is_data_error(pipeline, tmp_path, capsys):
     assert rc == cli.EXIT_DATA
 
 
+MALFORMED_GRAPH_CASES = [
+    "top-level list", "non-dict edge", "null endpoint", "fractional endpoint",
+    "doc endpoint on word-word edge", "negative weight", "word pair in both orders",
+]
+
+
+def malformed_graph(valid: dict, case: str):
+    """A copy of a valid graph document broken in one way."""
+    data = json.loads(json.dumps(valid))
+    edges = data["edges"]
+    word_edge = next(e for e in edges if e["kind"] == "word-word")
+    if case == "top-level list":
+        return [data]
+    if case == "non-dict edge":
+        edges[0] = [edges[0]["a"], edges[0]["b"]]
+    elif case == "null endpoint":
+        edges[0]["a"] = None
+    elif case == "fractional endpoint":
+        edges[0]["a"] = 0.5
+    elif case == "doc endpoint on word-word edge":
+        # A document not yet linked to the edge's second word.
+        linked = {e["a"] for e in edges if e["kind"] == "doc-word" and e["b"] == word_edge["b"]}
+        word_edge["a"] = min(set(range(data["n_docs"])) - linked)
+    elif case == "negative weight":
+        edges[0]["w"] = -5
+    else:
+        edges.append({**word_edge, "a": word_edge["b"], "b": word_edge["a"]})
+    return data
+
+
+@pytest.mark.parametrize("command", ["train-gcn", "export"])
+@pytest.mark.parametrize("case", MALFORMED_GRAPH_CASES)
+def test_malformed_graph_is_data_error(pipeline, tmp_path, capsys, command, case):
+    valid = json.loads(pipeline["graph"].read_text(encoding="utf-8"))
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(malformed_graph(valid, case)), encoding="utf-8")
+    if command == "train-gcn":
+        args = train_gcn_args(pipeline, tmp_path / "run", ["--identity", "--lambda", "1",
+                                                           "--epochs", "1", "--seeds", "0"])
+        args[args.index("--graph") + 1] = str(bad)
+    else:
+        args = ["export", "--tokenized", str(pipeline["tokenized"]), "--graph", str(bad),
+                "--docs", "3", "--out", str(tmp_path / "run")]
+    assert cli.main(args) == cli.EXIT_DATA
+    assert "data error" in capsys.readouterr().err
+
+
+def test_misaligned_graph_is_data_error(pipeline, tmp_path, capsys):
+    # A valid graph document with one word fewer than the corpus vocabulary.
+    data = json.loads(pipeline["graph"].read_text(encoding="utf-8"))
+    n = data["n_docs"] + data["n_words"]
+    data["n_words"] -= 1
+    data["nodes"].pop()
+    data["edges"] = [e for e in data["edges"] if max(e["a"], e["b"]) < n - 1]
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    rc = cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--graph", str(bad),
+                   "--docs", "3", "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_DATA
+    assert "does not align" in capsys.readouterr().err
+
+
 EXPORT_JSON_CASES = [
     {},
     {"label": 1, "entries": []},
@@ -751,6 +813,16 @@ def test_export_json_writer_failure_keeps_old_file(tmp_path, monkeypatch):
         cli._write_indented_json(path, {"entries": [{"w": 1.0}]})
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+def test_write_manifest_failure_keeps_old_file(tmp_path):
+    path = tmp_path / "manifest.json"
+    write_manifest(path, RunManifest(command="ingest", config={}, seeds=[]))
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        write_manifest(path, RunManifest(command="split", config={"x": object()}, seeds=[]))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["manifest.json"]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,6 @@ from stressgraph.gcn import (
 )
 from stressgraph.graph import (
     EmbeddingMatrix,
-    SparseMatrix,
     assemble_adjacency,
     build_node_features,
     compute_tfidf,
@@ -48,8 +48,8 @@ from stressgraph.graph import (
 )
 
 
-def identity_adj(n: int) -> SparseMatrix:
-    return SparseMatrix.from_entries(n, n, [(i, i, 1.0) for i in range(n)])
+def identity_adj(n: int) -> sp.csr_array:
+    return sp.csr_array(np.eye(n))
 
 
 def pipeline_setup(seed: int, n_docs: int = 4, n_tokens: int = 4, identity: bool = False):
@@ -103,7 +103,7 @@ def test_gcn_forward_rows_are_stochastic():
 
 def test_gcn_forward_identity_matches_explicit_eye():
     features, adj, _, _, _ = pipeline_setup(3, identity=True)
-    n = adj.n_rows
+    n = adj.shape[0]
     explicit = build_node_features(EmbeddingMatrix(np.eye(n)[:features.n_docs]), features.n_docs, features.n_words)
     explicit.matrix = np.eye(n)  # full identity over docs and words
     gcn, _ = init_parameters(n, 4, 2, None, seed=2)
@@ -319,9 +319,9 @@ def test_fused_pass_matches_dense_reference(layout, seed):
         features.matrix[features.n_docs:] = rng.normal(size=(features.n_words, features.dim))
     gcn, head = init_parameters(features.dim, 4, 2, embeddings.dim, seed=seed)
     train_mask = np.arange(features.n_docs) % 3 != 2
-    dropout_mask = (rng.random((adj.n_rows, 4)) >= 0.5) / 0.5
+    dropout_mask = (rng.random((adj.shape[0], 4)) >= 0.5) / 0.5
     lam = 0.3
-    reference = (adj.to_dense(), features.matrix, features.n_docs, gcn, head, embeddings.values,
+    reference = (adj.toarray(), features.matrix, features.n_docs, gcn, head, embeddings.values,
                  lam, labels, train_mask)
 
     want_z, _, _ = dense_fused_reference(*reference)
@@ -361,7 +361,7 @@ def test_ppmi_reweighting_with_fixed_row_sums_leaves_prediction(seed, delta):
         )
 
     base, moved = adjacency(0.0), adjacency(delta)
-    assert not np.allclose(base.to_dense(), moved.to_dense(), rtol=0, atol=1e-3)
+    assert not np.allclose(base.toarray(), moved.toarray(), rtol=0, atol=1e-3)
     embeddings = EmbeddingMatrix(rng.normal(size=(n_docs, 3)))
     features = build_node_features(embeddings, n_docs, n_words)
     gcn, _ = init_parameters(features.dim, 4, 2, None, seed=seed)

@@ -21,7 +21,6 @@ from oracles import (
 from stressgraph import graph
 from stressgraph.graph import (
     EmbeddingMatrix,
-    SparseMatrix,
     WindowStats,
     assemble_adjacency,
     build_node_features,
@@ -46,28 +45,6 @@ corpora = st.tuples(
 )
 
 
-# ------------------------------------------------------------ sparse type
-
-
-def test_sparse_matrix_rejects_duplicates():
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, np.array([0, 0]), np.array([1, 1]), np.array([1.0, 2.0]))
-
-
-def test_sparse_matrix_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, np.array([2]), np.array([0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        SparseMatrix(2, 2, np.array([0]), np.array([-1]), np.array([1.0]))
-
-
-def test_sparse_matrix_dense_and_rows():
-    m = SparseMatrix.from_entries(2, 3, [(0, 1, 2.0), (1, 2, 3.0)])
-    assert np.array_equal(m.to_dense(), [[0, 2, 0], [0, 0, 3]])
-    assert m.row_entries(0) == [(1, 2.0)]
-    assert m.nnz == 2
-
-
 # ---------------------------------------------------------------- tf-idf
 
 
@@ -75,23 +52,24 @@ def test_tfidf_repeated_word():
     # Word 0 twice in the first of two docs: 2 * ln(2/1).
     corpus = make_corpus([[0, 0], [1]])
     tfidf = compute_tfidf(corpus)
-    assert tfidf.to_dense()[0, 0] == pytest.approx(2 * math.log(2), abs=1e-12)
+    assert tfidf.toarray()[0, 0] == pytest.approx(2 * math.log(2), abs=1e-12)
 
 
 def test_tfidf_everywhere_word_has_no_entry():
     # df == n_docs makes idf zero; the zero product is omitted, not stored.
     corpus = make_corpus([[0], [0, 1]])
     tfidf = compute_tfidf(corpus)
-    assert (0, 0) not in {(r, c) for r, c, _ in tfidf.entries}
-    assert (1, 0) not in {(r, c) for r, c, _ in tfidf.entries}
-    assert tfidf.to_dense()[1, 1] == pytest.approx(math.log(2))
+    entries = tfidf.tocoo()
+    assert (0, 0) not in set(zip(entries.row.tolist(), entries.col.tolist()))
+    assert (1, 0) not in set(zip(entries.row.tolist(), entries.col.tolist()))
+    assert tfidf.toarray()[1, 1] == pytest.approx(math.log(2))
 
 
 def test_tfidf_empty_doc_row():
     corpus = make_corpus([[0], []], n_tokens=1)
     tfidf = compute_tfidf(corpus)
-    assert tfidf.row_entries(1) == []
-    assert tfidf.n_rows == 2
+    assert tfidf[[1]].nnz == 0
+    assert tfidf.shape[0] == 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -99,7 +77,7 @@ def test_tfidf_empty_doc_row():
 def test_tfidf_matches_brute_force(case):
     sequences, _ = case
     corpus = make_corpus(sequences, n_tokens=8)
-    got = compute_tfidf(corpus).to_dense()
+    got = compute_tfidf(corpus).toarray()
     want = brute_tfidf_dense(sequences, 8)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -273,15 +251,15 @@ def test_ppmi_edges_reject_inexact_window_totals():
 
 def test_adjacency_single_isolated_doc():
     # One document, zero surviving words: the graph is a single self-loop.
-    tfidf = SparseMatrix(1, 0, np.array([]), np.array([]), np.array([]))
+    tfidf = sp.csr_array((1, 0))
     adj = assemble_adjacency(tfidf, [], n_docs=1, n_words=0)
-    assert np.array_equal(adj.to_dense(), [[1.0]])
+    assert np.array_equal(adj.toarray(), [[1.0]])
 
 
 def test_adjacency_blocks_and_symmetry():
-    tfidf = SparseMatrix.from_entries(2, 2, [(0, 0, 3.0), (1, 1, 2.0)])
+    tfidf = sp.csr_array(([3.0, 2.0], ([0, 1], [0, 1])), shape=(2, 2))
     adj = assemble_adjacency(tfidf, [(0, 1, 0.5)], n_docs=2, n_words=2)
-    dense = adj.to_dense()
+    dense = adj.toarray()
     assert np.array_equal(dense, dense.T)
     # Doc-doc off-diagonal block stays empty.
     assert dense[0, 1] == 0.0 and dense[1, 0] == 0.0
@@ -293,9 +271,9 @@ def test_adjacency_blocks_and_symmetry():
 def test_adjacency_entry_order():
     # Self-loops first, then each doc-word and word-word edge followed by its
     # mirror: normalize_adjacency sums degrees in this order.
-    tfidf = SparseMatrix.from_entries(2, 3, [(0, 2, 3.0), (1, 0, 2.0)])
+    tfidf = sp.csr_array(([3.0, 2.0], ([0, 1], [2, 0])), shape=(2, 3))
     adj = assemble_adjacency(tfidf, [(0, 1, 0.5), (1, 2, 0.25)], n_docs=2, n_words=3)
-    assert adj.entries == [
+    assert list(zip(adj.row.tolist(), adj.col.tolist(), adj.data.tolist())) == [
         (0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0), (4, 4, 1.0),
         (0, 4, 3.0), (4, 0, 3.0), (1, 2, 2.0), (2, 1, 2.0),
         (2, 3, 0.5), (3, 2, 0.5), (3, 4, 0.25), (4, 3, 0.25),
@@ -303,39 +281,64 @@ def test_adjacency_entry_order():
 
 
 def test_adjacency_rejects_word_self_edges():
-    tfidf = SparseMatrix(1, 2, np.array([]), np.array([]), np.array([]))
+    tfidf = sp.csr_array((1, 2))
     with pytest.raises(ValueError):
         assemble_adjacency(tfidf, [(1, 1, 0.5)], n_docs=1, n_words=2)
 
 
 def test_adjacency_rejects_duplicate_word_edges():
-    tfidf = SparseMatrix(1, 2, np.array([]), np.array([]), np.array([]))
+    tfidf = sp.csr_array((1, 2))
     with pytest.raises(ValueError):
         assemble_adjacency(tfidf, [(0, 1, 0.5), (0, 1, 0.6)], n_docs=1, n_words=2)
 
 
 def test_adjacency_shape_mismatch():
-    tfidf = SparseMatrix(1, 2, np.array([]), np.array([]), np.array([]))
+    tfidf = sp.csr_array((1, 2))
     with pytest.raises(ValueError):
         assemble_adjacency(tfidf, [], n_docs=2, n_words=2)
 
 
 def test_normalize_two_node_example():
     # A = [[1, 1], [1, 1]] has degree 2 everywhere, so every entry becomes 0.5.
-    adj = SparseMatrix.from_entries(2, 2, [(0, 0, 1.0), (0, 1, 1.0), (1, 0, 1.0), (1, 1, 1.0)])
+    adj = sp.coo_array(([1.0, 1.0, 1.0, 1.0], ([0, 0, 1, 1], [0, 1, 0, 1])), shape=(2, 2))
     norm = normalize_adjacency(adj)
-    assert np.allclose(norm.to_dense(), 0.5)
+    assert np.allclose(norm.toarray(), 0.5)
 
 
 def test_normalize_isolated_node_keeps_unit_loop():
-    adj = SparseMatrix.from_entries(1, 1, [(0, 0, 1.0)])
-    assert normalize_adjacency(adj).to_dense()[0, 0] == 1.0
+    adj = sp.coo_array(([1.0], ([0], [0])), shape=(1, 1))
+    assert normalize_adjacency(adj).toarray()[0, 0] == 1.0
 
 
 def test_normalize_requires_positive_degree():
-    adj = SparseMatrix(2, 2, np.array([0]), np.array([0]), np.array([1.0]))
+    adj = sp.coo_array(([1.0], ([0], [0])), shape=(2, 2))
     with pytest.raises(AssertionError):
         normalize_adjacency(adj)
+
+
+def test_normalize_sums_degrees_in_entry_order():
+    # Degrees are summed in the COO entry order assemble_adjacency documents.
+    # On this graph CSR row sums (column order) round differently in some
+    # rows, and the normalized values must follow the entry order bit for bit.
+    rng = np.random.default_rng(11)
+    n_docs, n_words = 30, 40
+    dense = rng.uniform(0.1, 10.0, size=(n_docs, n_words)) * (rng.random((n_docs, n_words)) < 0.4)
+    tfidf = sp.csr_array(dense)
+    word_edges = [(i, j, float(rng.uniform(0.01, 5.0)))
+                  for i in range(n_words) for j in range(i + 1, n_words) if rng.random() < 0.3]
+    adj = assemble_adjacency(tfidf, word_edges, n_docs, n_words)
+
+    degree = np.zeros(adj.shape[0])
+    np.add.at(degree, adj.row, adj.data)
+    assert not np.array_equal(degree, adj.tocsr().sum(axis=1))
+    inv_sqrt = 1.0 / np.sqrt(degree)
+    want = sp.coo_array(
+        (adj.data * inv_sqrt[adj.row] * inv_sqrt[adj.col], (adj.row, adj.col)), shape=adj.shape
+    ).tocsr()
+    got = normalize_adjacency(adj)
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert got.data.tobytes() == want.data.tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -350,16 +353,16 @@ def test_pipeline_structure_properties(case):
     adj = assemble_adjacency(tfidf, word_edges, n_docs, n_words)
     norm = normalize_adjacency(adj)
 
-    dense_adj = adj.to_dense()
-    want_adj = brute_adjacency_dense(tfidf.to_dense(), word_edges, n_docs, n_words)
+    dense_adj = adj.toarray()
+    want_adj = brute_adjacency_dense(tfidf.toarray(), word_edges, n_docs, n_words)
     np.testing.assert_allclose(dense_adj, want_adj, rtol=0, atol=1e-12)
 
-    dense = norm.to_dense()
+    dense = norm.toarray()
     np.testing.assert_allclose(dense, brute_normalize_dense(want_adj), rtol=0, atol=1e-12)
     # Symmetry survives normalization; entries stay in (0, 1] where present.
     np.testing.assert_allclose(dense, dense.T, rtol=0, atol=1e-12)
-    assert np.all(norm.vals > 0.0)
-    assert np.all(norm.vals <= 1.0 + 1e-12)
+    assert np.all(norm.data > 0.0)
+    assert np.all(norm.data <= 1.0 + 1e-12)
     assert np.all(np.diag(dense) > 0.0)
     # Doc-doc off-diagonal block is empty.
     assert not np.any(dense[:n_docs, :n_docs] - np.diag(np.diag(dense))[:n_docs, :n_docs])
@@ -454,9 +457,101 @@ def test_graph_json_roundtrip(tmp_path):
     save_graph_json(path, data)
     loaded = json.loads(path.read_text())
     tfidf2, word_edges2, meta = load_graph_json(loaded)
-    np.testing.assert_allclose(tfidf2.to_dense(), tfidf.to_dense(), rtol=0, atol=0)
+    np.testing.assert_allclose(tfidf2.toarray(), tfidf.toarray(), rtol=0, atol=0)
     assert word_edges2 == word_edges
     assert meta["n_docs"] == 3
+
+
+def graph_doc(edges, n_docs=2, n_words=3) -> dict:
+    """A graph document over n_docs documents and n_words words."""
+    nodes = [{"id": f"d{i}", "kind": "doc"} for i in range(n_docs)]
+    nodes += [{"id": f"w{i}", "kind": "word"} for i in range(n_words)]
+    return {"n_docs": n_docs, "n_words": n_words, "nodes": nodes, "edges": edges}
+
+
+def edge(a, b, w=1.0, kind="doc-word") -> dict:
+    return {"a": a, "b": b, "w": w, "kind": kind}
+
+
+def test_graph_json_rejects_duplicate_edges():
+    # One doc-word pair twice; one word pair in both orientations.
+    for edges in (
+        [edge(0, 2), edge(0, 2, 2.0)],
+        [edge(2, 3, kind="word-word"), edge(3, 2, kind="word-word")],
+    ):
+        with pytest.raises(ValueError, match="duplicate"):
+            load_graph_json(graph_doc(edges))
+
+
+@pytest.mark.parametrize("bad", [
+    edge(5, 2), edge(-1, 2), edge(0, 5), edge(0, 1), edge(2, 0),
+    edge(0, 3, kind="word-word"), edge(3, 3, kind="word-word"), edge(2, 5, kind="word-word"),
+])
+def test_graph_json_rejects_out_of_range_endpoints(bad):
+    with pytest.raises(ValueError, match="outside their block"):
+        load_graph_json(graph_doc([edge(1, 4), bad]))
+
+
+@pytest.mark.parametrize("data", [
+    [],
+    "graph",
+    graph_doc([]) | {"n_docs": True},
+    graph_doc([]) | {"n_words": -1},
+    graph_doc([]) | {"n_docs": 2.0},
+    graph_doc([]) | {"nodes": []},
+    graph_doc([]) | {"nodes": None},
+    graph_doc(None),
+    graph_doc({"a": 0}),
+    graph_doc([edge(0, 2), 5]),
+    graph_doc([{"a": 0, "b": 2, "w": 1.0}]),
+    graph_doc([edge(None, 2)]),
+    graph_doc([edge(0.5, 2)]),
+    graph_doc([edge(True, 2)]),
+    graph_doc([edge("0", 2)]),
+    graph_doc([edge(0, 2**70)]),
+    graph_doc([edge(0, 2, None)]),
+    graph_doc([edge(0, 2, "1")]),
+    graph_doc([edge(0, 2, True)]),
+    graph_doc([edge(0, 2, -5)]),
+    graph_doc([edge(0, 2, 0.0)]),
+    graph_doc([edge(0, 2, math.nan)]),
+    graph_doc([edge(0, 2, math.inf)]),
+    graph_doc([edge(0, 2, 10**400)]),
+    graph_doc([edge(0, 2, kind=["doc-word"])]),
+])
+def test_graph_json_rejects_malformed_documents(data):
+    with pytest.raises(ValueError):
+        load_graph_json(data)
+
+
+# Arbitrary JSON values, and lists of edge-shaped objects over a 2 + 3 node graph.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats() | st.text(max_size=3)
+    | st.sampled_from(["doc-word", "word-word"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["a", "b", "w", "kind"]) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=16,
+)
+weights = st.floats(0.01, 10.0) | st.floats() | st.integers(-1, 3)
+edge_objects = st.fixed_dictionaries({
+    "a": st.integers(0, 2), "b": st.integers(1, 5), "w": weights, "kind": st.just("doc-word"),
+}) | st.fixed_dictionaries({
+    "a": st.integers(2, 5), "b": st.integers(1, 4), "w": weights, "kind": st.just("word-word"),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values | st.lists(edge_objects, max_size=4) | st.lists(edge_objects | json_values, max_size=6))
+def test_graph_json_edges_load_or_raise_value_error(edges):
+    try:
+        tfidf, word_edges, _ = load_graph_json(graph_doc(edges))
+    except ValueError:
+        return
+    # Whatever loads is a graph the rest of the pipeline accepts.
+    assert tfidf.shape == (2, 3)
+    assert np.all(np.isfinite(tfidf.data)) and np.all(tfidf.data > 0.0)
+    assert all(0 <= i < 3 and 0 <= j < 3 and i != j and w > 0.0 for i, j, w in word_edges)
+    normalize_adjacency(assemble_adjacency(tfidf, word_edges, 2, 3))
 
 
 def test_graph_json_rejects_unknown_edge_kind():

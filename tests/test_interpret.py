@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from oracles import make_corpus
-from stressgraph.graph import SparseMatrix, compute_tfidf, ppmi_edges, slide_windows
+from stressgraph.graph import compute_tfidf, ppmi_edges, slide_windows
 from stressgraph.interpret import (
     FrequencyTable,
     SalienceEdge,
@@ -71,8 +72,8 @@ def test_frequency_json():
 
 
 def test_top_k_ranking_and_clamp():
-    tfidf = SparseMatrix.from_entries(
-        2, 4, [(0, 0, 1.0), (0, 1, 3.0), (0, 2, 2.0), (1, 3, 5.0)]
+    tfidf = sp.csr_array(
+        ([1.0, 3.0, 2.0, 5.0], ([0, 0, 0, 1], [0, 1, 2, 3])), shape=(2, 4)
     )
     assert top_k_words(tfidf, 0, 2) == [(1, 3.0), (2, 2.0)]
     assert top_k_words(tfidf, 0, 0) == []
@@ -83,14 +84,14 @@ def test_top_k_ranking_and_clamp():
 
 
 def test_top_k_ties_break_by_word_index():
-    tfidf = SparseMatrix.from_entries(1, 3, [(0, 2, 1.5), (0, 0, 1.5), (0, 1, 7.0)])
+    tfidf = sp.csr_array(([1.5, 1.5, 7.0], ([0, 0, 0], [2, 0, 1])), shape=(1, 3))
     assert top_k_words(tfidf, 0, 3) == [(1, 7.0), (0, 1.5), (2, 1.5)]
 
 
 def test_top_k_weights_match_matrix():
     corpus = labeled_corpus()
     tfidf = compute_tfidf(corpus)
-    dense = tfidf.to_dense()
+    dense = tfidf.toarray()
     for row in range(corpus.n_docs):
         for word_id, weight in top_k_words(tfidf, row, 5):
             assert weight == dense[row, word_id]
