@@ -101,6 +101,22 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _has_default_type(value, default) -> bool:
+    """Whether a config file value has the JSON type of its default.
+
+    Integers pass where the default is a float; list items are checked
+    against the default's first item; a null default (patience) takes null or
+    an integer.
+    """
+    if default is None:
+        return value is None or type(value) is int
+    if type(default) is float:
+        return type(value) in (int, float)
+    if type(default) is list:
+        return type(value) is list and all(_has_default_type(v, default[0]) for v in value)
+    return type(value) is type(default)
+
+
 def resolve_config(args, keys) -> dict:
     """Layer defaults, then the config file, then explicit CLI flags."""
     resolved = {key: CONFIG_DEFAULTS[key] for key in keys}
@@ -108,9 +124,17 @@ def resolve_config(args, keys) -> dict:
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_config = json.load(fh)
+        if type(file_config) is not dict:
+            raise ValueError("config file must hold a JSON object")
         unknown = set(file_config) - set(CONFIG_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown config file keys: {sorted(unknown)}")
+        mistyped = sorted(
+            key for key, value in file_config.items()
+            if not _has_default_type(value, CONFIG_DEFAULTS[key])
+        )
+        if mistyped:
+            raise ValueError(f"config file values of the wrong type: {mistyped}")
         for key in keys:
             if key in file_config:
                 resolved[key] = file_config[key]
@@ -300,8 +324,11 @@ def _load_embeddings(path, n_docs: int):
     return emb
 
 
-def _training_inputs(args):
-    """Shared artifact loading for train-gcn and ablate."""
+def _training_inputs(args, man: RunManifest):
+    """Shared artifact loading for train-gcn and ablate; records the input digests."""
+    for path in (args.tokenized, args.graph, args.split, getattr(args, "embeddings", None)):
+        if path:
+            man.add_input(path)
     corpus = load_tokenized(args.tokenized)
     tfidf, word_edges = _load_graph_for(corpus, args.graph)
     adjacency = graph.assemble_adjacency(tfidf, word_edges, corpus.n_docs, len(corpus.vocab))
@@ -338,6 +365,37 @@ def _gcn_config(config: dict, seed: int) -> gcn.TrainingConfig:
     )
 
 
+def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
+    """Train every seed on one pool, then write the per-seed files and the aggregate.
+
+    run_one(seed) returns (parameter blocks, history, test report, extra
+    metrics fields), written as <prefix>checkpoint-seed<N>.bin,
+    <prefix>history-seed<N>.csv and <prefix>metrics-seed<N>.json in seed order
+    once the pool is done, so the bytes do not depend on jobs. Returns the
+    aggregate written to <prefix>aggregate.json.
+    """
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(pool.map(run_one, seeds))
+    for seed, (blocks, history, report, extra) in zip(seeds, outcomes):
+        checkpoint_path = os.path.join(out, f"{prefix}checkpoint-seed{seed}.bin")
+        gcn.save_parameter_blocks(checkpoint_path, blocks)
+        history_path = os.path.join(out, f"{prefix}history-seed{seed}.csv")
+        gcn.write_history_csv(history_path, history)
+        metrics_path = os.path.join(out, f"{prefix}metrics-seed{seed}.json")
+        payload = {**evaluation.report_as_dict(report), "seed": seed, **extra}
+        _write_indented_json(metrics_path, payload)
+        for path in (checkpoint_path, history_path, metrics_path):
+            man.add_output(path)
+    agg = evaluation.aggregate(report for _, _, report, _ in outcomes)
+    agg_path = os.path.join(out, f"{prefix}aggregate.json")
+    _write_indented_json(agg_path, {
+        "n_runs": agg.n_runs,
+        "metrics": {name: {"mean": mean, "std": std} for name, (mean, std) in agg.stats.items()},
+    })
+    man.add_output(agg_path)
+    return agg
+
+
 def cmd_train_gcn(args) -> int:
     config = resolve_config(
         args,
@@ -346,11 +404,7 @@ def cmd_train_gcn(args) -> int:
     )
     seeds = [int(s) for s in config["seeds"]]
     man, started = _start_manifest(args, "train-gcn", config, seeds)
-    for path in (args.tokenized, args.graph, args.split):
-        man.add_input(path)
-    if getattr(args, "embeddings", None):
-        man.add_input(args.embeddings)
-    corpus, adj_norm, features, embeddings, masks = _training_inputs(args)
+    corpus, adj_norm, features, embeddings, masks = _training_inputs(args, man)
     out = _out_dir(args)
 
     def run_one(seed: int):
@@ -360,43 +414,10 @@ def cmd_train_gcn(args) -> int:
             features, adj_norm, result.gcn, result.head, embeddings,
             train_config.lam, corpus.labels, masks["test"],
         )
-        return result, report
+        blocks = gcn.param_blocks(result.gcn, result.head)
+        return blocks, result.history, report, {"best_epoch": result.best_epoch}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=int(config["jobs"])) as pool:
-        outcomes = list(pool.map(run_one, seeds))
-
-    reports = []
-    for seed, (result, report) in zip(seeds, outcomes):
-        checkpoint_path = os.path.join(out, f"checkpoint-seed{seed}.bin")
-        gcn.save_checkpoint(checkpoint_path, result.gcn, result.head)
-        history_path = os.path.join(out, f"history-seed{seed}.csv")
-        gcn.write_history_csv(history_path, result.history)
-        metrics_path = os.path.join(out, f"metrics-seed{seed}.json")
-        payload = evaluation.report_as_dict(report)
-        payload["seed"] = seed
-        payload["best_epoch"] = result.best_epoch
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        for path in (checkpoint_path, history_path, metrics_path):
-            man.add_output(path)
-        reports.append(report)
-
-    agg = evaluation.aggregate(reports)
-    agg_path = os.path.join(out, "aggregate.json")
-    with open(agg_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "n_runs": agg.n_runs,
-                "metrics": {
-                    name: {"mean": mean, "std": std}
-                    for name, (mean, std) in agg.stats.items()
-                },
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
-    man.add_output(agg_path)
+    agg = _run_seeds(man, out, seeds, int(config["jobs"]), run_one, "")
     _finish_manifest(man, started, out)
     print(evaluation.render_aggregate({"test": agg}), end="")
     return EXIT_OK
@@ -427,12 +448,10 @@ def cmd_train_conv(args) -> int:
     )
     sequences = convnet.load_token_embeddings(args.sequences, base, known_ids=corpus.doc_ids)
     by_id = {seq.doc_id: seq for seq in sequences}
+    missing = set(split.ids_in("train")) - set(by_id)
+    if missing:
+        raise ValueError(f"{len(missing)} train documents lack token sequences")
     rows = [i for i, doc_id in enumerate(corpus.doc_ids) if doc_id in by_id]
-    for name in SPLIT_NAMES:
-        needed = set(split.ids_in(name))
-        have = needed & set(by_id)
-        if name == "train" and have != needed:
-            raise ValueError(f"{len(needed - have)} train documents lack token sequences")
     aligned = [by_id[corpus.doc_ids[i]] for i in rows]
     labels = []
     for i in rows:
@@ -454,42 +473,9 @@ def cmd_train_conv(args) -> int:
         ]
         gold = [labels[i] for i in test_rows]
         report = evaluation.metrics(evaluation.confusion(preds, gold))
-        return result, report
+        return convnet.param_blocks(result.params), result.history, report, {}
 
-    with concurrent.futures.ThreadPoolExecutor(max_workers=int(config["jobs"])) as pool:
-        outcomes = list(pool.map(run_one, seeds))
-
-    reports = []
-    for seed, (result, report) in zip(seeds, outcomes):
-        checkpoint_path = os.path.join(out, f"conv-checkpoint-seed{seed}.bin")
-        gcn.save_parameter_blocks(checkpoint_path, convnet.param_blocks(result.params))
-        history_path = os.path.join(out, f"conv-history-seed{seed}.csv")
-        gcn.write_history_csv(history_path, result.history)
-        metrics_path = os.path.join(out, f"conv-metrics-seed{seed}.json")
-        payload = evaluation.report_as_dict(report)
-        payload["seed"] = seed
-        with open(metrics_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        for path in (checkpoint_path, history_path, metrics_path):
-            man.add_output(path)
-        reports.append(report)
-
-    agg = evaluation.aggregate(reports)
-    agg_path = os.path.join(out, "conv-aggregate.json")
-    with open(agg_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "n_runs": agg.n_runs,
-                "metrics": {
-                    name: {"mean": mean, "std": std}
-                    for name, (mean, std) in agg.stats.items()
-                },
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
-    man.add_output(agg_path)
+    agg = _run_seeds(man, out, seeds, int(config["jobs"]), run_one, "conv-")
     _finish_manifest(man, started, out)
     print(evaluation.render_aggregate({"test": agg}), end="")
     return EXIT_OK
@@ -501,42 +487,14 @@ def cmd_ablate(args) -> int:
         ["grid", "lam", "learning_rate", "epochs", "dropout", "hidden_dim",
          "weight_decay", "patience", "seeds", "jobs"],
     )
-    grid = sorted(float(v) for v in config["grid"])
-    if any(not 0.0 <= v <= 1.0 for v in grid):
-        raise ValueError("every grid value must lie in [0, 1]")
     seeds = [int(s) for s in config["seeds"]]
     man, started = _start_manifest(args, "ablate", config, seeds)
-    for path in (args.tokenized, args.graph, args.split):
-        man.add_input(path)
-    if getattr(args, "embeddings", None):
-        man.add_input(args.embeddings)
-    corpus, adj_norm, features, embeddings, masks = _training_inputs(args)
+    corpus, adj_norm, features, embeddings, masks = _training_inputs(args, man)
+    rows = gcn.ablate_lambda(
+        [float(v) for v in config["grid"]], _gcn_config(config, 0), features, adj_norm,
+        embeddings, corpus.labels, masks, seeds, jobs=int(config["jobs"]),
+    )
     out = _out_dir(args)
-
-    tasks = [(lam, seed) for lam in grid for seed in seeds]
-
-    def run_one(task):
-        lam, seed = task
-        train_config = replace(_gcn_config(config, seed), lam=lam)
-        result = gcn.train(features, adj_norm, embeddings, corpus.labels, masks, train_config)
-        report = gcn.evaluate(
-            features, adj_norm, result.gcn, result.head, embeddings, lam,
-            corpus.labels, masks["test"],
-        )
-        return report.accuracy, report.f1
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=int(config["jobs"])) as pool:
-        scores = list(pool.map(run_one, tasks))
-
-    rows = []
-    for pos, lam in enumerate(grid):
-        chunk = scores[pos * len(seeds):(pos + 1) * len(seeds)]
-        accs = [acc for acc, _ in chunk]
-        f1s = [f1 for _, f1 in chunk]
-        acc_mean, acc_std = evaluation.mean_std(accs)
-        f1_mean, f1_std = evaluation.mean_std(f1s)
-        rows.append(gcn.AblationRow(lam, acc_mean, f1_mean, acc_std, f1_std))
-
     csv_path = os.path.join(out, "ablation.csv")
     gcn.write_ablation_csv(csv_path, rows)
     table = evaluation.render_table(
@@ -545,7 +503,7 @@ def cmd_ablate(args) -> int:
           f"{r.acc_std:.4f}", f"{r.f1_std:.4f}"] for r in rows],
     )
     table_path = os.path.join(out, "ablation.txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
+    with atomic_write(table_path) as fh:
         fh.write(table)
     man.add_output(csv_path)
     man.add_output(table_path)
@@ -597,18 +555,11 @@ def cmd_prompts(args) -> int:
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     shots_path = os.path.join(out, "shots.json")
-    with open(shots_path, "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "k": k,
-                "seed": int(config["prompt_seed"]),
-                "shots": [
-                    {"id": s.doc_id, "label": s.label} for s in shots.shots
-                ],
-            },
-            fh, indent=2, sort_keys=True,
-        )
-        fh.write("\n")
+    _write_indented_json(shots_path, {
+        "k": k,
+        "seed": int(config["prompt_seed"]),
+        "shots": [{"id": s.doc_id, "label": s.label} for s in shots.shots],
+    })
     man.add_output(prompts_path)
     man.add_output(shots_path)
     _finish_manifest(man, started, out)
@@ -720,9 +671,7 @@ def cmd_eval(args) -> int:
     payload["confusion"] = {"tn": cm.tn, "fp": cm.fp, "fn": cm.fn, "tp": cm.tp}
     payload.update(meta)
     report_path = os.path.join(out, "report.json")
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_indented_json(report_path, payload)
     table = evaluation.render_metrics(report, name=config["averaging"])
     table_path = os.path.join(out, "report.txt")
     with open(table_path, "w", encoding="utf-8") as fh:

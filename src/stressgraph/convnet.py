@@ -241,7 +241,8 @@ def classify(logit: float) -> int:
     return 1 if logit >= 0.0 else 0
 
 
-def _param_dict(params: ConvHeadParams) -> dict:
+def param_blocks(params: ConvHeadParams) -> dict:
+    """Named parameter arrays (no copies), kernel banks in declaration order."""
     out = {}
     for idx in range(len(params.kernels)):
         out[f"conv.K{idx}"] = params.kernels[idx]
@@ -264,7 +265,7 @@ def batch_loss_and_gradients(
     grads = {
         name: np.zeros((arr.shape[2], arr.shape[0] * arr.shape[1]))
         if name.startswith("conv.K") else np.zeros_like(arr)
-        for name, arr in _param_dict(params).items()
+        for name, arr in param_blocks(params).items()
     }
     total = 0.0
     for pos, (seq, label) in enumerate(zip(sequences, labels)):
@@ -308,7 +309,7 @@ def train_conv(
     params = init_conv_params(config)
     rng = np.random.default_rng(config.seed)
     adam = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
-    param_refs = _param_dict(params)
+    param_refs = param_blocks(params)
 
     history = []
     for epoch in range(config.epochs):
@@ -348,11 +349,6 @@ def train_conv(
             )
         )
     return ConvTrainResult(params=params, history=history)
-
-
-def param_blocks(params: ConvHeadParams) -> dict:
-    """Named arrays for checkpointing, kernel banks in declaration order."""
-    return dict(_param_dict(params))
 
 
 def params_from_blocks(blocks: dict, dropout: float = 0.5) -> ConvHeadParams:

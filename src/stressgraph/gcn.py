@@ -13,6 +13,7 @@ import csv as _csv
 import math
 import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -323,6 +324,14 @@ def _softmax_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return probs * (upstream - inner)
 
 
+def _l2_penalty(gcn: GCNParameters, head: LinearHead | None, weight_decay: float) -> float:
+    """0.5 * weight_decay * the squared norm of the weight matrices (biases excluded)."""
+    return 0.5 * weight_decay * (
+        float((gcn.W1 ** 2).sum()) + float((gcn.W2 ** 2).sum())
+        + (float((head.W ** 2).sum()) if head is not None else 0.0)
+    )
+
+
 def loss_and_gradients(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
@@ -386,10 +395,7 @@ def loss_and_gradients(
         grads["gcn.W2"] = grads["gcn.W2"] + weight_decay * gcn.W2
         if head is not None:
             grads["head.W"] = grads["head.W"] + weight_decay * head.W
-        loss += 0.5 * weight_decay * (
-            float((gcn.W1 ** 2).sum()) + float((gcn.W2 ** 2).sum())
-            + (float((head.W ** 2).sum()) if head is not None else 0.0)
-        )
+        loss += _l2_penalty(gcn, head, weight_decay)
     return loss, grads
 
 
@@ -411,10 +417,7 @@ def compute_loss(
     )
     loss = nll_loss(cache["z_final"], labels, train_mask)
     if weight_decay:
-        loss += 0.5 * weight_decay * (
-            float((gcn.W1 ** 2).sum()) + float((gcn.W2 ** 2).sum())
-            + (float((head.W ** 2).sum()) if head is not None else 0.0)
-        )
+        loss += _l2_penalty(gcn, head, weight_decay)
     return loss
 
 
@@ -460,7 +463,8 @@ class AdamState:
             params[name] -= num
 
 
-def _param_dict(gcn: GCNParameters, head: LinearHead | None) -> dict[str, np.ndarray]:
+def param_blocks(gcn: GCNParameters, head: LinearHead | None) -> dict[str, np.ndarray]:
+    """Named parameter arrays (no copies): Adam's update targets and the checkpoint blocks."""
     params = {"gcn.W1": gcn.W1, "gcn.b1": gcn.b1, "gcn.W2": gcn.W2, "gcn.b2": gcn.b2}
     if head is not None:
         params["head.W"] = head.W
@@ -542,7 +546,7 @@ def train(
     rng = np.random.default_rng(config.seed)
     adam = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
     plan = _plan(features, adj_norm)
-    params = _param_dict(gcn, head)
+    params = param_blocks(gcn, head)
     hidden_shape = (features.n_docs + features.n_words, config.hidden_dim)
 
     history: list[EpochStats] = []
@@ -604,29 +608,38 @@ def ablate_lambda(
     labels,
     masks: dict,
     seeds,
+    jobs: int = 1,
 ) -> list[AblationRow]:
-    """Train/evaluate once per (lam, seed); report test-set means over seeds."""
-    rows = []
-    for lam in sorted(grid):
-        accs, f1s = [], []
-        for seed in seeds:
-            config = replace(base_config, lam=lam, seed=seed)
-            result = train(features, adj_norm, embeddings, labels, masks, config)
-            report = evaluate(
-                features, adj_norm, result.gcn, result.head, embeddings, lam,
-                labels, masks["test"],
-            )
-            accs.append(report.accuracy)
-            f1s.append(report.f1)
-        rows.append(
-            AblationRow(
-                lam=float(lam),
-                accuracy=float(np.mean(accs)),
-                f1=float(np.mean(f1s)),
-                acc_std=float(np.std(accs, ddof=1)) if len(accs) > 1 else 0.0,
-                f1_std=float(np.std(f1s, ddof=1)) if len(f1s) > 1 else 0.0,
-            )
+    """Train/evaluate once per (lam, seed); report test-set means over seeds.
+
+    The (lam, seed) cells run on a pool of jobs threads; each cell is
+    deterministic, so the rows do not depend on jobs.
+    """
+    grid = sorted(grid)
+    if any(not 0.0 <= lam <= 1.0 for lam in grid):
+        raise ValueError("every grid value must lie in [0, 1]")
+    seeds = list(seeds)
+
+    def run_cell(cell):
+        lam, seed = cell
+        result = train(
+            features, adj_norm, embeddings, labels, masks,
+            replace(base_config, lam=lam, seed=seed),
         )
+        report = evaluate(
+            features, adj_norm, result.gcn, result.head, embeddings, lam,
+            labels, masks["test"],
+        )
+        return report.accuracy, report.f1
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        scores = list(pool.map(run_cell, [(lam, seed) for lam in grid for seed in seeds]))
+    rows = []
+    for pos, lam in enumerate(grid):
+        cells = scores[pos * len(seeds):(pos + 1) * len(seeds)]
+        accuracy, acc_std = evaluation.mean_std([acc for acc, _ in cells])
+        f1, f1_std = evaluation.mean_std([f1 for _, f1 in cells])
+        rows.append(AblationRow(float(lam), accuracy, f1, acc_std, f1_std))
     return rows
 
 
@@ -692,7 +705,7 @@ def load_parameter_blocks(path) -> dict:
 
 
 def save_checkpoint(path, gcn: GCNParameters, head: LinearHead | None) -> None:
-    save_parameter_blocks(path, _param_dict(gcn, head))
+    save_parameter_blocks(path, param_blocks(gcn, head))
 
 
 def load_checkpoint(path) -> tuple[GCNParameters, LinearHead | None]:

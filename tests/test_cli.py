@@ -310,6 +310,48 @@ def test_ablate_rejects_grid_outside_unit_interval(pipeline, tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def ablate_args(pipeline, out, extra=()) -> list:
+    return [
+        "ablate", "--tokenized", str(pipeline["tokenized"]),
+        "--graph", str(pipeline["graph"]), "--split", str(pipeline["split"]),
+        "--embeddings", str(pipeline["embeddings"]),
+        "--grid", "1,0,0.5", "--epochs", "3", "--seeds", "0,1", "--hidden-dim", "4",
+        "--out", str(out), *extra,
+    ]
+
+
+def test_ablate_worker_pool_matches_serial(pipeline, tmp_path):
+    out_serial, out_pool = tmp_path / "serial", tmp_path / "pool"
+    assert cli.main(ablate_args(pipeline, out_serial)) == 0
+    assert cli.main(ablate_args(pipeline, out_pool, ["--jobs", "2"])) == 0
+    for name in ("ablation.csv", "ablation.txt"):
+        assert (out_serial / name).read_bytes() == (out_pool / name).read_bytes()
+
+
+def test_ablate_csv_matches_library_sweep(pipeline, tmp_path):
+    out = tmp_path / "abl"
+    assert cli.main(ablate_args(pipeline, out)) == 0
+
+    corpus = load_tokenized(pipeline["tokenized"])
+    with open(pipeline["graph"], "r", encoding="utf-8") as fh:
+        tfidf, word_edges, _ = graph.load_graph_json(json.load(fh))
+    n_words = len(corpus.vocab)
+    adj = graph.normalize_adjacency(
+        graph.assemble_adjacency(tfidf, word_edges, corpus.n_docs, n_words)
+    )
+    embeddings = graph.read_embeddings_csv(pipeline["embeddings"])
+    features = graph.build_node_features(embeddings, corpus.n_docs, n_words)
+    split = load_split(pipeline["split"])
+    masks = {name: np.asarray(split.mask(corpus.doc_ids, name)) for name in ("train", "val", "test")}
+    rows = gcn.ablate_lambda(
+        [1.0, 0.0, 0.5], gcn.TrainingConfig(epochs=3, hidden_dim=4), features, adj,
+        embeddings, corpus.labels, masks, [0, 1],
+    )
+    expected = tmp_path / "expected.csv"
+    gcn.write_ablation_csv(expected, rows)
+    assert (out / "ablation.csv").read_bytes() == expected.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # config file layering
 
@@ -340,6 +382,26 @@ def test_config_file_unknown_keys_rejected(pipeline, tmp_path, capsys):
                    "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
     assert "unknown config file keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, document", [
+    ("ingest", 5),
+    ("build-graph", {"window": None}),
+    ("train-gcn", {"seeds": 5}),
+], ids=["not-an-object", "null-window", "int-seeds"])
+def test_config_file_wrong_types_are_data_errors(pipeline, tmp_path, capsys, command, document):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(document), encoding="utf-8")
+    inputs = {
+        "ingest": ["--corpus", str(pipeline["corpus"])],
+        "build-graph": ["--tokenized", str(pipeline["tokenized"])],
+        "train-gcn": train_gcn_args(pipeline, tmp_path / "run", ["--identity", "--lambda", "1"])[1:],
+    }[command]
+    argv = [command, *inputs, "--config", str(config_path)]
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_DATA
+    assert "config file" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -815,6 +877,26 @@ def test_export_json_writer_failure_keeps_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["out.json"]
 
 
+def test_metrics_write_failure_keeps_old_file(pipeline, tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "metrics-seed0.json").write_text("old\n")
+    real_replace = os.replace
+
+    def fail_metrics_replace(src, dst):
+        if os.path.basename(dst) == "metrics-seed0.json":
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(cli.os, "replace", fail_metrics_replace)
+    rc = cli.main(train_gcn_args(pipeline, out, [
+        "--identity", "--lambda", "1", "--epochs", "2", "--seeds", "0", "--hidden-dim", "4",
+    ]))
+    assert rc == cli.EXIT_DATA
+    assert (out / "metrics-seed0.json").read_text() == "old\n"
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
 def test_write_manifest_failure_keeps_old_file(tmp_path):
     path = tmp_path / "manifest.json"
     write_manifest(path, RunManifest(command="ingest", config={}, seeds=[]))
@@ -868,6 +950,24 @@ def test_train_conv_end_to_end(pipeline, tmp_path):
     with open(out / "conv-aggregate.json", "r", encoding="utf-8") as fh:
         agg = json.load(fh)
     assert agg["n_runs"] == 1
+
+
+def test_train_conv_worker_pool_matches_serial(pipeline, tmp_path):
+    corpus = load_tokenized(pipeline["tokenized"])
+    seq_path = tmp_path / "sequences.bin"
+    write_sequences(seq_path, corpus)
+    outs = {}
+    for jobs in ("1", "2"):
+        outs[jobs] = tmp_path / f"jobs{jobs}"
+        assert cli.main([
+            "train-conv", "--tokenized", str(pipeline["tokenized"]),
+            "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+            "--kernel-sizes", "2,3", "--filters", "4", "--embedding-dim", "8",
+            "--max-len", "16", "--epochs", "2", "--batch-size", "8", "--seeds", "0,1",
+            "--jobs", jobs, "--out", str(outs[jobs]),
+        ]) == 0
+    assert len(artifact_digests(outs["1"])) == 7
+    assert artifact_digests(outs["1"]) == artifact_digests(outs["2"])
 
 
 def test_train_conv_missing_train_sequences(pipeline, tmp_path, capsys):

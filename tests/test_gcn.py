@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import ReferenceAdam, dense_fused_reference, make_corpus, reference_train
+from stressgraph import gcn as gcn_module
 from stressgraph.evaluation import MetricsReport
 from stressgraph.gcn import (
     AdamState,
@@ -618,6 +619,23 @@ def test_ablate_matches_individual_runs():
         assert abs(row.accuracy - np.mean(accs)) < 1e-12
         assert abs(row.f1 - np.mean(f1s)) < 1e-12
         assert abs(row.acc_std - np.std(accs, ddof=1)) < 1e-12
+
+
+def test_ablate_rejects_out_of_range_grid_before_training(monkeypatch):
+    features, adj, embeddings, labels, masks = separable_setup()
+    calls = []
+    real_train = gcn_module.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(gcn_module, "train", counting_train)
+    with pytest.raises(ValueError, match="grid"):
+        ablate_lambda(
+            [0.2, 1.5], TrainingConfig(epochs=1), features, adj, embeddings, labels, masks, [0]
+        )
+    assert calls == []
 
 
 # ------------------------------------------------------------------- I/O
