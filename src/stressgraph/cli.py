@@ -374,6 +374,8 @@ def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
     once the pool is done, so the bytes do not depend on jobs. Returns the
     aggregate written to <prefix>aggregate.json.
     """
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must not repeat, got {seeds}")
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         outcomes = list(pool.map(run_one, seeds))
     for seed, (blocks, history, report, extra) in zip(seeds, outcomes):
@@ -467,9 +469,10 @@ def cmd_train_conv(args) -> int:
     def run_one(seed: int):
         result = convnet.train_conv(aligned, labels, masks, replace(base, seed=seed))
         test_rows = [i for i, flag in enumerate(masks["test"]) if flag]
+        test_seqs = [aligned[i] for i in test_rows]
         preds = [
-            convnet.classify(convnet.conv_forward(aligned[i], result.params))
-            for i in test_rows
+            convnet.classify(z)
+            for z in convnet.conv_logits(test_seqs, result.params, base.batch_size)
         ]
         gold = [labels[i] for i in test_rows]
         report = evaluation.metrics(evaluation.confusion(preds, gold))

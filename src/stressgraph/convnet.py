@@ -14,6 +14,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .gcn import AdamState, DivergenceError, EpochStats
 from . import evaluation
@@ -139,38 +140,70 @@ def pad_sequence(matrix: np.ndarray, min_len: int) -> np.ndarray:
     return np.vstack([matrix, pad])
 
 
-def _windows(matrix: np.ndarray, k: int) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(matrix, (k, matrix.shape[1]))
-    return view.reshape(view.shape[0], -1)
+def _stack_kernels(params: ConvHeadParams) -> np.ndarray:
+    """Every bank's kernel offsets side by side: a d x sum(k * F) matrix.
+
+    Bank b's offset j occupies the F columns starting at
+    sum(k_c * F for c < b) + j * F.
+    """
+    d = params.kernels[0].shape[1]
+    w_all = np.empty((d, sum(kernel.shape[0] * kernel.shape[2] for kernel in params.kernels)))
+    col = 0
+    for kernel in params.kernels:
+        k, _, n_filters = kernel.shape
+        w_all[:, col:col + k * n_filters].reshape(d, k, n_filters)[...] = kernel.transpose(1, 0, 2)
+        col += k * n_filters
+    return w_all
 
 
-def _forward_doc(
-    matrix: np.ndarray,
+def _forward_batch(
+    sequences,
     params: ConvHeadParams,
-    dropout_mask: np.ndarray | None,
-) -> tuple[float, dict]:
-    """Single-document forward pass; the cache feeds _backward_doc."""
-    padded = pad_sequence(matrix, max(params.kernel_sizes))
-    pooled_parts = []
-    argmaxes = []
+    w_all: np.ndarray,
+    dropout_masks=None,
+) -> tuple[list, dict]:
+    """Logits of a minibatch from one GEMM over its concatenated padded rows.
+
+    With X the padded sequences stacked row-wise and Y = X @ w_all, bank b's
+    conv output at row r is sum_j Y[r + j, block(b, j)] (summed left to right)
+    plus the bias; a document starting at row s with padded length L owns
+    rows s .. s + L - k of it. The cache feeds batch_loss_and_gradients.
+    """
+    min_len = max(params.kernel_sizes)
+    padded = [pad_sequence(seq.matrix, min_len) for seq in sequences]
+    lengths = np.array([m.shape[0] for m in padded])
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    x = np.concatenate(padded)
+    y = x @ w_all
+    bank_convs = []
+    col = 0
     for kernel, bias in zip(params.kernels, params.conv_bias):
-        k, d, n_filters = kernel.shape
-        conv = _windows(padded, k) @ kernel.reshape(k * d, n_filters) + bias
-        act = np.maximum(conv, 0.0)
-        argmax = act.argmax(axis=0)
-        pooled_parts.append(act[argmax, np.arange(n_filters)])
-        argmaxes.append(argmax)
-    concat = np.concatenate(pooled_parts)
-    dropped = concat * dropout_mask if dropout_mask is not None else concat
-    logit = float(dropped @ params.dense_W + params.dense_b[0])
-    cache = {
-        "padded": padded,
-        "argmax": argmaxes,
-        "concat": concat,
-        "dropped": dropped,
-        "dropout_mask": dropout_mask,
-    }
-    return logit, cache
+        k, _, n_filters = kernel.shape
+        rows = x.shape[0] - k + 1
+        conv = y[:rows, col:col + n_filters]
+        for j in range(1, k):
+            conv = conv + y[j:j + rows, col + j * n_filters:col + (j + 1) * n_filters]
+        bank_convs.append(conv + bias)
+        col += k * n_filters
+    logits = []
+    cache = {"x": x, "starts": starts, "conv": [], "argmax": [], "concat": [], "dropped": []}
+    for pos, (start, length) in enumerate(zip(starts, lengths)):
+        doc_convs, pooled_parts, argmaxes = [], [], []
+        for kernel, conv in zip(params.kernels, bank_convs):
+            doc_conv = conv[start:start + length - kernel.shape[0] + 1]
+            act = np.maximum(doc_conv, 0.0)
+            argmax = act.argmax(axis=0)
+            pooled_parts.append(act[argmax, np.arange(kernel.shape[2])])
+            doc_convs.append(doc_conv)
+            argmaxes.append(argmax)
+        concat = np.concatenate(pooled_parts)
+        dropped = concat * dropout_masks[pos] if dropout_masks is not None else concat
+        logits.append(float(dropped @ params.dense_W + params.dense_b[0]))
+        cache["conv"].append(doc_convs)
+        cache["argmax"].append(np.concatenate(argmaxes))
+        cache["concat"].append(concat)
+        cache["dropped"].append(dropped)
+    return logits, cache
 
 
 def conv_forward(
@@ -180,45 +213,23 @@ def conv_forward(
     rng: np.random.Generator | None = None,
 ) -> float:
     """Scalar logit for one sequence; dropout only fires when training."""
-    mask = None
+    masks = None
     if training and params.dropout > 0.0:
         if rng is None:
             raise ValueError("dropout during training requires an rng")
-        mask = (rng.random(params.concat_dim) >= params.dropout) / (1.0 - params.dropout)
-    logit, _ = _forward_doc(seq.matrix, params, mask)
-    return logit
+        masks = [(rng.random(params.concat_dim) >= params.dropout) / (1.0 - params.dropout)]
+    logits, _ = _forward_batch([seq], params, _stack_kernels(params), masks)
+    return logits[0]
 
 
-def _backward_doc(
-    d_logit: float,
-    params: ConvHeadParams,
-    cache: dict,
-    grads: dict,
-) -> None:
-    """Accumulate per-document gradients into the shared grads dict.
-
-    Kernel gradients accumulate as (filters, k*d) blocks. A filter's conv
-    gradient is non-zero only at its argmax row, and only when the conv value
-    there is positive (pooled > 0), so the im2col product windows.T @ d_conv
-    reduces to that one window scaled by the filter's gradient: the same
-    single rounded product per element, without the zeros.
-    """
-    grads["dense.W"] += d_logit * cache["dropped"]
-    grads["dense.b"] += d_logit
-    d_concat = d_logit * params.dense_W
-    if cache["dropout_mask"] is not None:
-        d_concat = d_concat * cache["dropout_mask"]
-    d_conv_all = d_concat * (cache["concat"] > 0.0)
-    padded = cache["padded"]
-    offset = 0
-    for idx, (kernel, argmax) in enumerate(zip(params.kernels, cache["argmax"])):
-        k, d, n_filters = kernel.shape
-        d_conv = d_conv_all[offset:offset + n_filters]
-        offset += n_filters
-        nz = np.flatnonzero(d_conv)
-        windows = padded[argmax[nz, None] + np.arange(k)].reshape(len(nz), k * d)
-        grads[f"conv.K{idx}"][nz] += windows * d_conv[nz, None]
-        grads[f"conv.b{idx}"] += d_conv
+def conv_logits(sequences, params: ConvHeadParams, batch_size: int) -> list:
+    """Inference logits for many sequences, batch_size sequences per GEMM."""
+    sequences = list(sequences)
+    w_all = _stack_kernels(params)
+    logits = []
+    for start in range(0, len(sequences), batch_size):
+        logits.extend(_forward_batch(sequences[start:start + batch_size], params, w_all)[0])
+    return logits
 
 
 def bce_with_logits(logit: float, label: int) -> float:
@@ -258,27 +269,70 @@ def batch_loss_and_gradients(
     params: ConvHeadParams,
     dropout_masks=None,
 ) -> tuple[float, dict]:
-    """Mean BCE loss and mean gradients over one minibatch."""
+    """Mean BCE loss and mean gradients over one minibatch.
+
+    A filter's conv gradient is non-zero only at its argmax row, and only
+    when the conv value there is positive (pooled > 0). So the gradient of
+    the stacked kernels is one sparse product S @ X: row (b, j, f) of S holds
+    each document's d_conv for bank b's filter f at column start + argmax + j,
+    in document order. Per element that sums the same products in the same
+    order as the im2col product windows.T @ d_conv accumulated one document
+    at a time.
+    """
     if not sequences:
         raise ValueError("empty batch")
-    # Kernel gradients accumulate as (filters, k*d); transposed once below.
-    grads = {
-        name: np.zeros((arr.shape[2], arr.shape[0] * arr.shape[1]))
-        if name.startswith("conv.K") else np.zeros_like(arr)
-        for name, arr in param_blocks(params).items()
-    }
+    logits, cache = _forward_batch(sequences, params, _stack_kernels(params), dropout_masks)
+    bank_offsets = np.cumsum([0] + [kernel.shape[2] for kernel in params.kernels])
+    bias_grads = [np.zeros_like(bias) for bias in params.conv_bias]
+    dense_w = np.zeros_like(params.dense_W)
+    dense_b = np.zeros_like(params.dense_b)
+    d_convs = []
     total = 0.0
-    for pos, (seq, label) in enumerate(zip(sequences, labels)):
-        mask = dropout_masks[pos] if dropout_masks is not None else None
-        logit, cache = _forward_doc(seq.matrix, params, mask)
+    for pos, (logit, label) in enumerate(zip(logits, labels)):
         total += bce_with_logits(logit, label)
         # dL/dz for BCE-with-logits is sigmoid(z) - y.
-        _backward_doc(sigmoid(logit) - label, params, cache, grads)
-    n = len(sequences)
+        d_logit = sigmoid(logit) - label
+        dense_w += d_logit * cache["dropped"][pos]
+        dense_b += d_logit
+        d_concat = d_logit * params.dense_W
+        if dropout_masks is not None:
+            d_concat = d_concat * dropout_masks[pos]
+        d_conv = d_concat * (cache["concat"][pos] > 0.0)
+        for idx, grad in enumerate(bias_grads):
+            grad += d_conv[bank_offsets[idx]:bank_offsets[idx + 1]]
+        d_convs.append(d_conv)
+
+    d_convs = np.array(d_convs)
+    argmax = np.array(cache["argmax"])
+    x, starts = cache["x"], cache["starts"]
+    rows, cols, vals = [], [], []
+    row = 0
     for idx, kernel in enumerate(params.kernels):
-        grads[f"conv.K{idx}"] = np.ascontiguousarray(grads[f"conv.K{idx}"].T).reshape(kernel.shape)
-    for name in grads:
-        grads[name] /= n
+        k, _, n_filters = kernel.shape
+        filters, docs = np.nonzero(d_convs[:, bank_offsets[idx]:bank_offsets[idx + 1]].T)
+        unit = bank_offsets[idx] + filters
+        for j in range(k):
+            rows.append(row + j * n_filters + filters)
+            cols.append(starts[docs] + argmax[docs, unit] + j)
+            vals.append(d_convs[docs, unit])
+        row += k * n_filters
+    s_all = sp.csr_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row, x.shape[0]),
+    )
+    n = len(sequences)
+    g_all = s_all @ x
+    g_all /= n
+    grads = {}
+    row = 0
+    for idx, kernel in enumerate(params.kernels):
+        k, d, n_filters = kernel.shape
+        block = g_all[row:row + k * n_filters].reshape(k, n_filters, d)
+        grads[f"conv.K{idx}"] = np.ascontiguousarray(block.transpose(0, 2, 1))
+        grads[f"conv.b{idx}"] = bias_grads[idx] / n
+        row += k * n_filters
+    grads["dense.W"] = dense_w / n
+    grads["dense.b"] = dense_b / n
     return total / n, grads
 
 
@@ -336,7 +390,8 @@ def train_conv(
 
         val_acc = val_f1 = 0.0
         if len(val_idx):
-            preds = [classify(conv_forward(sequences[i], params)) for i in val_idx]
+            val_seqs = [sequences[i] for i in val_idx]
+            preds = [classify(z) for z in conv_logits(val_seqs, params, config.batch_size)]
             gold = [labels[i] for i in val_idx]
             report = evaluation.metrics(evaluation.confusion(preds, gold))
             val_acc, val_f1 = report.accuracy, report.f1
@@ -379,22 +434,35 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
     """Read a TGSE file, truncating sequences to max_len.
 
     known_ids, when given, must cover every record id; a payload dimension
-    that disagrees with the config is an error.
+    that disagrees with the config, a repeated id, a short read and bytes
+    after the last record are errors. Declared sizes are checked against the
+    file before anything of that size is read.
     """
     known = set(known_ids) if known_ids is not None else None
     out = []
+    seen = set()
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"truncated {what}")
+            return data
+
         if fh.read(4) != SEQUENCE_MAGIC:
             raise ValueError("not a token-embedding file (bad magic)")
-        version, count = struct.unpack("<IQ", fh.read(12))
+        version, count = struct.unpack("<IQ", read(12, "file header"))
         if version != SEQUENCE_VERSION:
             raise ValueError(f"unsupported sequence file version {version}")
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            doc_id = fh.read(id_len).decode("utf-8")
-            length, dim = struct.unpack("<II", fh.read(8))
-            # Check the declared size against the file before reading it.
-            if length * dim * 4 > os.fstat(fh.fileno()).st_size - fh.tell():
+            (id_len,) = struct.unpack("<H", read(2, "record header"))
+            doc_id = read(id_len, "sequence id").decode("utf-8")
+            if doc_id in seen:
+                raise ValueError(f"duplicate sequence id {doc_id!r}")
+            seen.add(doc_id)
+            length, dim = struct.unpack("<II", read(8, f"header of sequence {doc_id!r}"))
+            if length * dim * 4 > size - fh.tell():
                 raise ValueError(f"truncated payload for sequence {doc_id!r}")
             payload = np.frombuffer(fh.read(length * dim * 4), dtype="<f4")
             if known is not None and doc_id not in known:
@@ -407,4 +475,6 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
             if length > config.max_len:
                 matrix = matrix[:config.max_len]
             out.append(TokenEmbeddingSequence(doc_id=doc_id, matrix=matrix))
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last sequence")
     return out

@@ -618,7 +618,11 @@ def ablate_lambda(
     grid = sorted(grid)
     if any(not 0.0 <= lam <= 1.0 for lam in grid):
         raise ValueError("every grid value must lie in [0, 1]")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"grid values must not repeat, got {grid}")
     seeds = list(seeds)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must not repeat, got {seeds}")
 
     def run_cell(cell):
         lam, seed = cell

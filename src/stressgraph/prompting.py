@@ -279,24 +279,62 @@ class HTTPChatClient(CompletionClient):
             raise RuntimeError(f"malformed completion payload: {exc}") from exc
 
 
+def _decode_transcript(line: bytes) -> CompletionTranscript:
+    """One store line as a transcript; ValueError when it is not a record."""
+    payload = json.loads(line.decode("utf-8"))
+    if (not isinstance(payload, dict) or not isinstance(payload.get("prompt"), str)
+            or not isinstance(payload.get("meta", {}), dict)):
+        raise ValueError("not a transcript record (an object with a string prompt)")
+    return CompletionTranscript.from_dict(payload)
+
+
 def load_transcript_store(path) -> dict:
-    """Read a transcript JSONL store into a prompt-sha -> transcript map."""
+    """Read a transcript JSONL store into a prompt-sha -> transcript map.
+
+    An unterminated final line that does not decode is a torn append (a
+    crash mid-write) and is skipped, so its prompt is sent again on resume;
+    an undecodable line anywhere else is a ValueError.
+    """
     store: dict[str, CompletionTranscript] = {}
     if not os.path.exists(path):
         return store
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+    with open(path, "rb") as fh:
+        for line_no, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            store_entry = CompletionTranscript.from_dict(json.loads(line))
+            try:
+                store_entry = _decode_transcript(line)
+            except ValueError as exc:
+                if not line.endswith(b"\n"):
+                    break
+                raise ValueError(f"transcript store line {line_no}: {exc}") from None
             store[store_entry.prompt_sha256] = store_entry
     return store
 
 
 def append_transcript(path, transcript: CompletionTranscript) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(transcript.as_dict(), sort_keys=True) + "\n")
+    """Append one JSONL record on a line of its own.
+
+    After a torn append the file ends in an unterminated fragment; it is cut
+    off first (or, when it is a whole record that only lacks its newline,
+    terminated), so the new record never fuses with it into a corrupt line.
+    """
+    record = json.dumps(transcript.as_dict(), sort_keys=True) + "\n"
+    with open(path, "ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.seek(0)
+                data = fh.read()
+                start = data.rfind(b"\n") + 1
+                try:
+                    _decode_transcript(data[start:])
+                except ValueError:
+                    fh.truncate(start)
+                else:
+                    fh.write(b"\n")
+        fh.write(record.encode("utf-8"))
         fh.flush()
 
 

@@ -220,6 +220,63 @@ def dense_conv_reference(sequences, labels, params, dropout_masks=None):
     return total / n, grads
 
 
+def dense_conv_gradients(sequences, labels, params, conv_pre, dropout_masks=None):
+    """dense_conv_reference's pooling, loss and im2col backward on given convs.
+
+    conv_pre[pos][b] is document pos's bank-b conv pre-activation (windows x
+    filters, bias included) as the caller computed it; everything after it
+    runs the slow way: ReLU, argmax pooling, BCE, a dense L x F d_act and the
+    full windows.T @ d_conv product per document. Returns (loss, grads) keyed
+    like convnet.batch_loss_and_gradients.
+    """
+    grads = {}
+    for idx, kernel in enumerate(params.kernels):
+        grads[f"conv.K{idx}"] = np.zeros_like(kernel)
+        grads[f"conv.b{idx}"] = np.zeros_like(params.conv_bias[idx])
+    grads["dense.W"] = np.zeros_like(params.dense_W)
+    grads["dense.b"] = np.zeros_like(params.dense_b)
+    min_len = max(k.shape[0] for k in params.kernels)
+    total = 0.0
+    for pos, (seq, label) in enumerate(zip(sequences, labels)):
+        mask = dropout_masks[pos] if dropout_masks is not None else None
+        x = seq.matrix
+        if x.shape[0] < min_len:
+            x = np.vstack([x, np.zeros((min_len - x.shape[0], x.shape[1]))])
+        pooled, argmaxes = [], []
+        for kernel, conv in zip(params.kernels, conv_pre[pos]):
+            k, d, n_filters = kernel.shape
+            assert conv.shape == (x.shape[0] - k + 1, n_filters)
+            act = np.maximum(conv, 0.0)
+            argmax = act.argmax(axis=0)
+            pooled.append(act[argmax, np.arange(n_filters)])
+            argmaxes.append(argmax)
+        concat = np.concatenate(pooled)
+        dropped = concat * mask if mask is not None else concat
+        logit = float(dropped @ params.dense_W + params.dense_b[0])
+        total += _bce_with_logits(logit, label)
+
+        d_logit = _sigmoid(logit) - label
+        grads["dense.W"] += d_logit * dropped
+        grads["dense.b"] += d_logit
+        d_concat = d_logit * params.dense_W
+        if mask is not None:
+            d_concat = d_concat * mask
+        offset = 0
+        for idx, (kernel, conv, argmax) in enumerate(zip(params.kernels, conv_pre[pos], argmaxes)):
+            k, d, n_filters = kernel.shape
+            windows = np.stack([x[i:i + k].reshape(-1) for i in range(x.shape[0] - k + 1)])
+            d_act = np.zeros_like(conv)
+            d_act[argmax, np.arange(n_filters)] = d_concat[offset:offset + n_filters]
+            offset += n_filters
+            d_conv = d_act * (conv > 0.0)
+            grads[f"conv.K{idx}"] += (windows.T @ d_conv).reshape(k, d, n_filters)
+            grads[f"conv.b{idx}"] += d_conv.sum(axis=0)
+    n = len(sequences)
+    for name in grads:
+        grads[name] /= n
+    return total / n, grads
+
+
 class ReferenceAdam:
     """Adam written as whole-array expressions, each step rebinding m and v."""
 

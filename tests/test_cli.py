@@ -992,6 +992,43 @@ def test_train_conv_missing_train_sequences(pipeline, tmp_path, capsys):
     assert "lack token sequences" in capsys.readouterr().err
 
 
+REPEAT_CASES = {
+    "train-gcn-seeds": ("train-gcn", ["--seeds", "0,0"], "seeds"),
+    "train-conv-seeds": ("train-conv", ["--seeds", "0,0"], "seeds"),
+    "ablate-seeds": ("ablate", ["--grid", "0,1", "--seeds", "0,0"], "seeds"),
+    "ablate-grid": ("ablate", ["--grid", "1,1", "--seeds", "0"], "grid values"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPEAT_CASES))
+def test_repeated_seeds_or_grid_values_are_data_errors(pipeline, tmp_path, monkeypatch, capsys,
+                                                       case):
+    command, extra, word = REPEAT_CASES[case]
+    calls = []
+    for module, name in ((gcn, "train"), (convnet, "train_conv")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    out = tmp_path / "run"
+    if command == "train-conv":
+        seq_path = tmp_path / "sequences.bin"
+        write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
+        args = ["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+                "--kernel-sizes", "2", "--filters", "2", "--embedding-dim", "8",
+                "--epochs", "1", "--out", str(out)]
+    elif command == "train-gcn":
+        args = train_gcn_args(pipeline, out, ["--embeddings", str(pipeline["embeddings"]),
+                                              "--epochs", "1"])
+    else:
+        args = ablate_args(pipeline, out)[:-2] + ["--out", str(out)]
+    rc = cli.main(args + extra)
+    assert rc == cli.EXIT_DATA
+    assert f"{word} must not repeat" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists() or not [p for p in os.listdir(out) if p != "manifest.json"]
+
+
 # ---------------------------------------------------------------------------
 # installed entry point
 

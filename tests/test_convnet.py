@@ -5,16 +5,21 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import dense_conv_reference
+from oracles import dense_conv_gradients, dense_conv_reference
 from stressgraph.convnet import (
     ConvHeadConfig,
     ConvHeadParams,
     TokenEmbeddingSequence,
+    _forward_batch,
+    _stack_kernels,
     batch_loss_and_gradients,
     bce_with_logits,
     classify,
     conv_forward,
+    conv_logits,
     init_conv_params,
     load_token_embeddings,
     pad_sequence,
@@ -251,11 +256,9 @@ CONV_REFERENCE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CONV_REFERENCE_CASES))
-def test_gather_backward_matches_dense_reference(case):
-    # The argmax gather must reproduce the full im2col backward bit for bit.
-    spec = CONV_REFERENCE_CASES[case]
-    rng = np.random.default_rng(len(case))
+def conv_reference_case(spec, seed):
+    """(params, sequences, labels, dropout masks) of one CONV_REFERENCE_CASES entry."""
+    rng = np.random.default_rng(seed)
     config = ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16, embedding_dim=24, seed=7)
     params = init_conv_params(config)
     if "dead_bank" in spec:
@@ -266,19 +269,78 @@ def test_gather_backward_matches_dense_reference(case):
     masks = None
     if spec["dropout"]:
         masks = [(rng.random(params.concat_dim) >= 0.5) / 0.5 for _ in sequences]
+    return params, sequences, labels, masks
 
-    loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
-    ref_loss, ref_grads = dense_conv_reference(sequences, labels, params, masks)
-    assert loss == ref_loss
-    assert list(grads) == list(ref_grads)
-    for name, ref in ref_grads.items():
-        assert grads[name].shape == ref.shape, name
-        assert np.array_equal(grads[name], ref), name
+
+def assert_bank_liveness(spec, grads):
     if "dead_bank" in spec:
         bank = spec["dead_bank"]
         assert not grads[f"conv.K{bank}"].any() and not grads[f"conv.b{bank}"].any()
     else:
         assert all(grads[f"conv.K{i}"].any() for i in range(3))
+
+
+@pytest.mark.parametrize("case", sorted(CONV_REFERENCE_CASES))
+def test_gather_backward_matches_dense_reference(case):
+    # The kernel gradient gathers each pooled window through one sparse
+    # product; given the batch forward's own conv pre-activations, it must
+    # reproduce the full im2col backward bit for bit.
+    spec = CONV_REFERENCE_CASES[case]
+    params, sequences, labels, masks = conv_reference_case(spec, len(case))
+
+    loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
+    _, cache = _forward_batch(sequences, params, _stack_kernels(params), masks)
+    ref_loss, ref_grads = dense_conv_gradients(sequences, labels, params, cache["conv"], masks)
+    assert loss == ref_loss
+    assert list(grads) == list(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape, name
+        assert np.array_equal(grads[name], ref), name
+    assert_bank_liveness(spec, grads)
+
+
+@pytest.mark.parametrize("case", sorted(CONV_REFERENCE_CASES) + ["bench-size"])
+def test_batch_forward_matches_im2col_reference(case):
+    # The shifted-sum GEMM rounds differently from per-document im2col: the
+    # loss and every gradient block must agree to 1e-12 of the block's
+    # largest reference magnitude.
+    if case == "bench-size":
+        spec = dict(dropout=True)
+        rng = np.random.default_rng(8)
+        params = init_conv_params(ConvHeadConfig(seed=3))
+        sequences = [
+            seq(f"d{i}", rng.normal(size=(int(rng.integers(20, 121)), 768))) for i in range(8)
+        ]
+        labels = [int(x) for x in rng.integers(0, 2, size=8)]
+        masks = [(rng.random(params.concat_dim) >= 0.5) / 0.5 for _ in sequences]
+    else:
+        spec = CONV_REFERENCE_CASES[case]
+        params, sequences, labels, masks = conv_reference_case(spec, len(case))
+
+    loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
+    ref_loss, ref_grads = dense_conv_reference(sequences, labels, params, masks)
+    assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+    assert list(grads) == list(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].shape == ref.shape, name
+        assert np.abs(grads[name] - ref).max() <= 1e-12 * np.abs(ref).max(), name
+    assert_bank_liveness(spec, grads)
+
+
+def test_conv_logits_matches_single_document_forward():
+    # Chunked scoring and the batch-of-one forward run the same arithmetic up
+    # to GEMM rounding under row slicing, so compare at a tolerance.
+    rng = np.random.default_rng(12)
+    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16,
+                                             embedding_dim=24, seed=2))
+    sequences = [seq(f"d{i}", rng.normal(size=(int(n), 24)))
+                 for i, n in enumerate(rng.integers(1, 12, size=7))]
+    singles = [conv_forward(s, params) for s in sequences]
+    for batch_size in (1, 3, 7, 50):
+        logits = conv_logits(sequences, params, batch_size)
+        assert len(logits) == len(sequences)
+        np.testing.assert_allclose(logits, singles, rtol=1e-12, atol=1e-12)
+    assert conv_logits([], params, 4) == []
 
 
 # -------------------------------------------------------------- training
@@ -420,6 +482,59 @@ def test_sequence_file_rejects_oversized_header(tmp_path):
     )
     with pytest.raises(ValueError, match="truncated payload for sequence 'a'"):
         load_token_embeddings(path, ConvHeadConfig(**SMALL))
+
+
+def test_sequence_file_rejects_duplicate_id(tmp_path):
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, [seq("a", np.zeros((2, 3))), seq("a", np.ones((3, 3)))])
+    with pytest.raises(ValueError, match="duplicate sequence id 'a'"):
+        load_token_embeddings(path, ConvHeadConfig(**SMALL))
+
+
+@pytest.mark.parametrize("cut", [6, 17, 18, 22, 30])
+def test_sequence_file_truncation_is_value_error(tmp_path, cut):
+    # Cuts inside the file header, the id length, the id, the record header
+    # and the payload of a 16 + 2 + 1 + 8 + 24 byte file.
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, [seq("a", np.ones((2, 3)))])
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated"):
+        load_token_embeddings(path, ConvHeadConfig(**SMALL))
+
+
+def test_sequence_file_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, [seq("a", np.ones((2, 3)))])
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_token_embeddings(path, ConvHeadConfig(**SMALL))
+
+
+TGSE_HEADER = struct.pack("<I", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(TGSE_HEADER.__add__)))
+@example(TGSE_HEADER + struct.pack("<QH", 2**64 - 1, 1) + b"a" + struct.pack("<II", 1, 3)
+         + b"\x00" * 12)
+@example(TGSE_HEADER + struct.pack("<QH", 1, 2**16 - 1) + b"a")
+@example(TGSE_HEADER + struct.pack("<QH", 1, 1) + b"a" + struct.pack("<II", 2**32 - 1, 0))
+@example(TGSE_HEADER + struct.pack("<QH", 1, 1) + b"a" + struct.pack("<II", 0, 2**32 - 1))
+@example(TGSE_HEADER + struct.pack("<QH", 1, 1) + b"a" + struct.pack("<II", 1, 3)
+         + struct.pack("<3f", 1.0, float("nan"), 0.0))
+@example(TGSE_HEADER + struct.pack("<QH", 1, 2) + b"\xff\xfe" + struct.pack("<II", 1, 3)
+         + b"\x00" * 12)
+def test_sequence_file_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
+    # Any bytes after the magic either load or raise ValueError; declared
+    # sizes are checked against the file, so nothing huge is allocated.
+    path = tmp_path_factory.mktemp("tgse") / "seqs.bin"
+    path.write_bytes(b"TGSE" + body)
+    try:
+        sequences = load_token_embeddings(path, ConvHeadConfig(**SMALL))
+    except ValueError:
+        return
+    assert all(s.dim == 3 and 1 <= s.length <= 16 for s in sequences)
+    assert len({s.doc_id for s in sequences}) == len(sequences)
 
 
 def test_conv_checkpoint_roundtrip(tmp_path):

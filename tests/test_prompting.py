@@ -235,6 +235,48 @@ def test_transcript_store_roundtrip(tmp_path):
     assert load_transcript_store(tmp_path / "missing.jsonl") == {}
 
 
+def test_transcript_store_skips_torn_final_line(tmp_path):
+    path = tmp_path / "transcripts.jsonl"
+    a = CompletionTranscript(prompt="one", response="minority stress", label=1)
+    b = CompletionTranscript(prompt="two", response="no minority stress", label=0)
+    append_transcript(path, a)
+    append_transcript(path, b)
+    whole = path.read_bytes()
+    path.write_bytes(whole[:-10])
+    assert set(load_transcript_store(path)) == {a.prompt_sha256}
+    # A whole record that only lacks its newline still loads.
+    path.write_bytes(whole[:-1])
+    assert set(load_transcript_store(path)) == {a.prompt_sha256, b.prompt_sha256}
+
+
+@pytest.mark.parametrize("bad", [b'{"prompt": "x"', b"[1, 2]", b'{"response": "x"}', b"\xff"])
+def test_transcript_store_rejects_corrupt_middle_line(tmp_path, bad):
+    path = tmp_path / "transcripts.jsonl"
+    append_transcript(path, CompletionTranscript(prompt="one", response=None, label=None))
+    good = path.read_bytes()
+    path.write_bytes(good + bad + b"\n" + good)
+    with pytest.raises(ValueError, match="line 2"):
+        load_transcript_store(path)
+
+
+def test_append_after_torn_tail_starts_a_new_line(tmp_path):
+    path = tmp_path / "transcripts.jsonl"
+    a = CompletionTranscript(prompt="one", response="minority stress", label=1)
+    b = CompletionTranscript(prompt="two", response=None, label=None)
+    c = CompletionTranscript(prompt="three", response="no minority stress", label=0)
+    append_transcript(path, a)
+    append_transcript(path, b)
+    path.write_bytes(path.read_bytes()[:-7])
+    append_transcript(path, c)
+    assert set(load_transcript_store(path)) == {a.prompt_sha256, c.prompt_sha256}
+    # A whole but unterminated record is kept and terminated, not cut.
+    path.write_bytes(path.read_bytes()[:-1])
+    append_transcript(path, b)
+    lines = path.read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == "" and len(lines) == 4
+    assert set(load_transcript_store(path)) == {a.prompt_sha256, b.prompt_sha256, c.prompt_sha256}
+
+
 # -------------------------------------------------------------- clients
 
 
@@ -327,6 +369,26 @@ def test_run_batch_persists_and_resumes(tmp_path):
     assert second[0].prompt_sha256 == first[0].prompt_sha256
     assert all(t.label == 0 for t in second)
     assert len(store.read_text().strip().split("\n")) == 4
+
+
+def test_run_batch_resume_resends_only_the_torn_prompt(tmp_path):
+    store = tmp_path / "transcripts.jsonl"
+    prompts = [f"prompt {i}" for i in range(4)]
+    run_batch(CannedClient("minority stress"), prompts, store_path=store)
+    # A crash in the middle of the last append leaves a torn final line.
+    store.write_bytes(store.read_bytes()[:-20])
+
+    client = CannedClient("minority stress")
+    resumed = run_batch(client, prompts, store_path=store)
+    assert client.calls == 1
+    assert [t.prompt for t in resumed] == prompts
+    lines = store.read_text(encoding="utf-8").split("\n")
+    assert lines[-1] == "" and len(lines) == 5
+    assert all(json.loads(line)["prompt"] in prompts for line in lines[:-1])
+
+    again = CannedClient("minority stress")
+    run_batch(again, prompts, store_path=store)
+    assert again.calls == 0
 
 
 def test_run_batch_failure_after_retries():
