@@ -14,7 +14,6 @@ import csv
 import hashlib
 import json
 import os
-import struct
 import sys
 import time
 from dataclasses import replace
@@ -892,7 +891,7 @@ def main(argv=None) -> int:
         line = f" (line {exc.line_no})" if getattr(exc, "line_no", None) else ""
         print(f"data error: {exc}{line}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, KeyError, OSError, struct.error) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

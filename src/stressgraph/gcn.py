@@ -21,6 +21,7 @@ import scipy.sparse as sp
 
 from . import evaluation
 from .graph import EmbeddingMatrix, NodeFeatures
+from .manifest import atomic_write
 
 LOSS_EPS = 1e-12
 
@@ -108,14 +109,6 @@ class ProbabilityMatrix:
             if self.values.min() < -1e-12 or self.values.max() > 1.0 + 1e-12:
                 raise ValueError("probabilities must lie in [0, 1]")
 
-    @property
-    def n_docs(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass
 class EpochStats:
@@ -183,23 +176,20 @@ def _check_finite(name: str, layer: int, arr: np.ndarray) -> None:
 class _Propagation:
     """The normalized adjacency in the slices the document rows need.
 
-    Only document rows are scored, so layer 2 reads A[docs, :]. When X is zero
-    outside the document rows (embedding mode), layer 1 reads only A[:, docs].
-    The backward pass multiplies by the exact transposes of these slices (CSC
-    views, no copy): A_hat is symmetric only up to rounding, so a slice cannot
-    stand in for the transpose of the other without changing the bits.
+    Only document rows are scored, so layer 2 reads A[docs, :]. In embedding
+    mode X is zero outside the document rows, so layer 1 reads only A[:, docs],
+    taken as the transpose of A[docs, :] (a CSC view, no copy). This requires
+    adj_norm to be exactly symmetric, as normalize_adjacency returns it.
+    Identity mode propagates every node at layer 1 and keeps the full matrix.
     """
 
-    full: sp.csr_array
-    doc_cols: sp.csr_array  # A[:, docs]
     doc_rows: sp.csr_array  # A[docs, :]
-    docs_only: bool  # X is zero outside the document rows
+    full: sp.csr_array | None  # A, identity mode only
 
 
 def _plan(features: NodeFeatures, adj_norm: sp.csr_array) -> _Propagation:
-    n_docs = features.n_docs
-    docs_only = features.mode != "identity" and not features.matrix[n_docs:].any()
-    return _Propagation(adj_norm, adj_norm[:, :n_docs], adj_norm[:n_docs], docs_only)
+    full = adj_norm if features.mode == "identity" else None
+    return _Propagation(adj_norm[:features.n_docs], full)
 
 
 def _forward_pass(
@@ -217,14 +207,11 @@ def _forward_pass(
     h_pre, when given, is the layer-1 pre-activation A X W1 + b1 of exactly
     these gcn parameters, computed by an earlier pass.
     """
-    n_docs = features.n_docs
     if h_pre is None:
-        if features.mode == "identity":
+        if plan.full is not None:
             propagated_x = plan.full @ gcn.W1  # A @ X @ W1 with X = I
-        elif plan.docs_only:
-            propagated_x = plan.doc_cols @ (features.matrix[:n_docs] @ gcn.W1)
         else:
-            propagated_x = plan.full @ (features.matrix @ gcn.W1)
+            propagated_x = plan.doc_rows.T @ (features.doc_embeddings @ gcn.W1)
         h_pre = propagated_x + gcn.b1
         _check_finite("hidden pre-activation", 1, h_pre)
     hidden = np.maximum(h_pre, 0.0)
@@ -235,21 +222,17 @@ def _forward_pass(
     z_g = _softmax(logits)
 
     z_b = None
-    head_logits = None
     if head is not None:
         if embeddings is None:
             raise ValueError("a linear head requires document embeddings")
-        head_logits = embeddings.values @ head.W + head.b
-        z_b = _softmax(head_logits)
+        z_b = _softmax(embeddings.values @ head.W + head.b)
         z_final = lam * z_g + (1.0 - lam) * z_b
     else:
         if lam != 1.0:
             raise ValueError("without embeddings the model is GCN-only; lam must be 1")
         z_final = z_g
     return {
-        "n_docs": n_docs,
         "h_pre": h_pre,
-        "dropout_mask": dropout_mask,
         "propagated": propagated,
         "z_g": z_g,
         "z_b": z_b,
@@ -358,10 +341,9 @@ def loss_and_gradients(
     labels_arr = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
     loss = nll_loss(cache["z_final"], labels_arr, mask)
 
-    n_docs = cache["n_docs"]
     n_classes = gcn.W2.shape[1]
     n_masked = int(mask.sum())
-    d_final = np.zeros((n_docs, n_classes))
+    d_final = np.zeros((features.n_docs, n_classes))
     picked = cache["z_final"][mask, labels_arr[mask]]
     d_final[mask, labels_arr[mask]] = -1.0 / (n_masked * (picked + LOSS_EPS))
 
@@ -371,19 +353,13 @@ def loss_and_gradients(
     grads["gcn.W2"] = cache["propagated"].T @ d_logits
     d_propagated = d_logits @ gcn.W2.T
     d_h_drop = plan.doc_rows.T @ d_propagated
-    d_hidden = d_h_drop * cache["dropout_mask"] if cache["dropout_mask"] is not None else d_h_drop
+    d_hidden = d_h_drop * dropout_mask if dropout_mask is not None else d_h_drop
     d_h_pre = d_hidden * (cache["h_pre"] > 0.0)
     grads["gcn.b1"] = d_h_pre.sum(axis=0)
-    if features.mode == "identity":
+    if plan.full is not None:
         grads["gcn.W1"] = plan.full.T @ d_h_pre
-    elif plan.docs_only:
-        # Only document rows of back are non-zero; the GEMM keeps K = N + V,
-        # since a shorter K blocks the sum differently and changes the bits.
-        back = np.zeros_like(d_h_pre)
-        back[:n_docs] = plan.doc_cols.T @ d_h_pre
-        grads["gcn.W1"] = features.matrix.T @ back
     else:
-        grads["gcn.W1"] = features.matrix.T @ (plan.full.T @ d_h_pre)
+        grads["gcn.W1"] = features.doc_embeddings.T @ (plan.doc_rows @ d_h_pre)
 
     if head is not None:
         d_head_logits = _softmax_backward(cache["z_b"], (1.0 - lam) * d_final)
@@ -648,7 +624,7 @@ def ablate_lambda(
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = _csv.writer(fh)
         writer.writerow(["epoch", "loss", "val_acc", "val_f1"])
         for row in history:
@@ -656,7 +632,7 @@ def write_history_csv(path, history: list[EpochStats]) -> None:
 
 
 def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = _csv.writer(fh)
         writer.writerow(["lambda", "accuracy", "f1", "acc_std", "f1_std"])
         for row in rows:
@@ -668,7 +644,7 @@ def write_ablation_csv(path, rows: list[AblationRow]) -> None:
 
 def save_parameter_blocks(path, blocks: dict) -> None:
     """Versioned binary checkpoint: named parameter blocks, little-endian float64."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blocks)))
         for name, arr in blocks.items():
@@ -683,21 +659,31 @@ def save_parameter_blocks(path, blocks: dict) -> None:
 
 
 def load_parameter_blocks(path) -> dict:
+    """Read a checkpoint; a short read, a size beyond the file or trailing bytes raise ValueError."""
+    blocks: dict[str, np.ndarray] = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int, what: str) -> bytes:
+            data = fh.read(n)
+            if len(data) != n:
+                raise ValueError(f"truncated checkpoint {what}")
+            return data
+
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValueError("not a model checkpoint (bad magic)")
-        version, n_blocks = struct.unpack("<II", fh.read(8))
+        version, n_blocks = struct.unpack("<II", read(8, "header"))
         if version != CHECKPOINT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
-        blocks: dict[str, np.ndarray] = {}
         for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = tuple(struct.unpack("<Q", fh.read(8))[0] for _ in range(ndim))
+            (name_len,) = struct.unpack("<H", read(2, "block header"))
+            name = read(name_len, "block name").decode("utf-8")
+            if name in blocks:
+                raise ValueError(f"duplicate checkpoint block {name!r}")
+            (ndim,) = struct.unpack("<B", read(1, f"header of block {name!r}"))
+            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of block {name!r}"))
             count = math.prod(shape)
-            # Check the declared size against the file before reading it.
-            remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+            remaining = size - fh.tell()
             if count * 8 > remaining:
                 raise ValueError(
                     f"truncated checkpoint block {name!r}: shape {shape} needs {count * 8} "
@@ -705,6 +691,8 @@ def load_parameter_blocks(path) -> dict:
                 )
             data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
             blocks[name] = data.astype(np.float64)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the last checkpoint block")
     return blocks
 
 

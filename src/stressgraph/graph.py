@@ -69,16 +69,23 @@ class EmbeddingMatrix:
 
 @dataclass
 class NodeFeatures:
-    """Initial node feature matrix: stacked document embeddings or identity."""
+    """Initial node features X over documents then words, never materialized.
 
-    matrix: np.ndarray
+    In identity mode X is the (N+V) identity and doc_embeddings is None. In
+    embedding mode X stacks the N document embeddings over V zero word rows,
+    and doc_embeddings holds the document rows only.
+    """
+
+    doc_embeddings: np.ndarray | None
     mode: str  # "external-embeddings" | "identity"
     n_docs: int
     n_words: int
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[1]
+        if self.doc_embeddings is None:
+            return self.n_docs + self.n_words
+        return self.doc_embeddings.shape[1]
 
 
 def compute_tfidf(corpus, vocab=None) -> sp.csr_array:
@@ -255,14 +262,16 @@ def normalize_adjacency(adj: sp.sparray) -> sp.csr_array:
     """Symmetric normalization D^(-1/2) A D^(-1/2) with D the row-sum diagonal.
 
     Degrees are summed in the entry order of adj's COO form, which fixes the
-    rounding of every row sum.
+    rounding of every row sum. Each entry is scaled by the product of its two
+    factors, which commutes, so a symmetric adj gives an exactly symmetric
+    result: A_hat[i, j] == A_hat[j, i] bit for bit.
     """
     adj = adj.tocoo()
     degree = np.bincount(adj.row, weights=adj.data, minlength=adj.shape[0])
     if np.any(degree <= 0):
         raise AssertionError("zero row sum; adjacency must carry self-loops")
     inv_sqrt = 1.0 / np.sqrt(degree)
-    vals = adj.data * inv_sqrt[adj.row] * inv_sqrt[adj.col]
+    vals = adj.data * (inv_sqrt[adj.row] * inv_sqrt[adj.col])
     return sp.coo_array((vals, (adj.row, adj.col)), shape=adj.shape).tocsr()
 
 
@@ -271,21 +280,14 @@ def build_node_features(
     n_docs: int,
     n_words: int,
 ) -> NodeFeatures:
-    """Stack document embeddings over a zero word block, or fall back to identity."""
+    """Document embeddings over implicit zero word rows, or the implicit identity."""
     if embeddings is None:
-        return NodeFeatures(
-            matrix=np.eye(n_docs + n_words),
-            mode="identity",
-            n_docs=n_docs,
-            n_words=n_words,
-        )
+        return NodeFeatures(None, "identity", n_docs, n_words)
     if embeddings.n_docs != n_docs:
         raise ValueError(
             f"embedding rows ({embeddings.n_docs}) do not match corpus size ({n_docs})"
         )
-    matrix = np.zeros((n_docs + n_words, embeddings.dim))
-    matrix[:n_docs] = embeddings.values
-    return NodeFeatures(matrix=matrix, mode="external-embeddings", n_docs=n_docs, n_words=n_words)
+    return NodeFeatures(embeddings.values, "external-embeddings", n_docs, n_words)
 
 
 def write_embeddings(path, embeddings: EmbeddingMatrix) -> None:

@@ -52,15 +52,17 @@ def sha256_file(path) -> str:
 
 
 @contextmanager
-def atomic_write(path):
-    """Text file handle on path + ".tmp", renamed over path when the block succeeds.
+def atomic_write(path, binary: bool = False):
+    """File handle on path + ".tmp", renamed over path when the block succeeds.
 
-    When the block or the rename fails, the temp file is removed and path keeps
-    its old content.
+    The handle takes bytes when binary is set, else UTF-8 text written without
+    newline translation. When the block or the rename fails, the temp file is
+    removed and path keeps its old content.
     """
     tmp = f"{os.fspath(path)}.tmp"
+    text = {} if binary else {"encoding": "utf-8", "newline": ""}
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with open(tmp, "wb" if binary else "w", **text) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -97,6 +97,20 @@ def brute_normalize_dense(a: np.ndarray) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
+def explicit_node_features(features) -> np.ndarray:
+    """The X a NodeFeatures stands for, built in full.
+
+    The (N+V) identity in identity mode; otherwise the document embeddings
+    stacked over zero word rows.
+    """
+    n = features.n_docs + features.n_words
+    if features.doc_embeddings is None:
+        return np.eye(n)
+    x = np.zeros((n, features.dim))
+    x[:features.n_docs] = features.doc_embeddings
+    return x
+
+
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     out = np.zeros_like(logits)
     for i, row in enumerate(logits):

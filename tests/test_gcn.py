@@ -3,14 +3,21 @@
 import csv
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import ReferenceAdam, dense_fused_reference, make_corpus, reference_train
+from oracles import (
+    ReferenceAdam,
+    dense_fused_reference,
+    explicit_node_features,
+    make_corpus,
+    reference_train,
+)
 from stressgraph import gcn as gcn_module
 from stressgraph.evaluation import MetricsReport
 from stressgraph.gcn import (
@@ -103,14 +110,17 @@ def test_gcn_forward_rows_are_stochastic():
 
 
 def test_gcn_forward_identity_matches_explicit_eye():
-    features, adj, _, _, _ = pipeline_setup(3, identity=True)
+    features, adj, _, labels, _ = pipeline_setup(3, identity=True)
     n = adj.shape[0]
-    explicit = build_node_features(EmbeddingMatrix(np.eye(n)[:features.n_docs]), features.n_docs, features.n_words)
-    explicit.matrix = np.eye(n)  # full identity over docs and words
+    explicit = explicit_node_features(features)  # full identity over docs and words
+    assert np.array_equal(explicit, np.eye(n))
     gcn, _ = init_parameters(n, 4, 2, None, seed=2)
     got = gcn_forward(features, adj, gcn)
-    want = gcn_forward(explicit, adj, gcn)
-    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-15)
+    want, _, _ = dense_fused_reference(
+        adj.toarray(), explicit, features.n_docs, gcn, None, None, 1.0, labels,
+        [True] * features.n_docs,
+    )
+    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-15)
 
 
 def test_gcn_forward_dropout_requires_rng():
@@ -309,21 +319,19 @@ def test_weight_decay_adds_to_loss_and_gradients():
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("layout", ["embedding", "word-features", "identity"])
+@pytest.mark.parametrize("layout", ["embedding", "identity"])
 def test_fused_pass_matches_dense_reference(layout, seed):
-    # Embedding features zero outside the document rows take the slice path;
-    # non-zero word rows and identity features take the full adjacency.
+    # Embedding features take the document-row slice and its transpose;
+    # identity features take the full adjacency.
     features, adj, embeddings, labels, rng = pipeline_setup(
         200 + seed, n_docs=6, n_tokens=5, identity=layout == "identity"
     )
-    if layout == "word-features":
-        features.matrix[features.n_docs:] = rng.normal(size=(features.n_words, features.dim))
     gcn, head = init_parameters(features.dim, 4, 2, embeddings.dim, seed=seed)
     train_mask = np.arange(features.n_docs) % 3 != 2
     dropout_mask = (rng.random((adj.shape[0], 4)) >= 0.5) / 0.5
     lam = 0.3
-    reference = (adj.toarray(), features.matrix, features.n_docs, gcn, head, embeddings.values,
-                 lam, labels, train_mask)
+    reference = (adj.toarray(), explicit_node_features(features), features.n_docs, gcn, head,
+                 embeddings.values, lam, labels, train_mask)
 
     want_z, _, _ = dense_fused_reference(*reference)
     got_z = fused_probabilities(features, adj, gcn, head, embeddings, lam)
@@ -679,6 +687,120 @@ def test_checkpoint_rejects_oversized_block_header(tmp_path):
     assert path.stat().st_size == 24
     with pytest.raises(ValueError, match="truncated checkpoint block 'w'"):
         load_parameter_blocks(path)
+
+
+@pytest.mark.parametrize("cut", [5, 11, 13, 14, 20, 30, -1])
+def test_checkpoint_rejects_truncation(tmp_path, cut):
+    # Cuts inside the file header, a block header, a name, a shape and the
+    # payload all raise ValueError; the 5-byte file is the magic plus 1 byte.
+    gcn, _ = init_parameters(3, 2, 2, None, seed=0)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, gcn, None)
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(ValueError, match="truncated checkpoint"):
+        load_parameter_blocks(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    gcn, _ = init_parameters(3, 2, 2, None, seed=0)
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, gcn, None)
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        load_parameter_blocks(path)
+
+
+def test_checkpoint_rejects_duplicate_block(tmp_path):
+    block = struct.pack("<H", 1) + b"w" + struct.pack("<BQ", 1, 1) + struct.pack("<d", 1.0)
+    path = tmp_path / "model.bin"
+    path.write_bytes(b"TGCK" + struct.pack("<II", 1, 2) + block + block)
+    with pytest.raises(ValueError, match="duplicate checkpoint block 'w'"):
+        load_parameter_blocks(path)
+
+
+TGCK_HEADER = struct.pack("<I", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=64), st.binary(max_size=64).map(TGCK_HEADER.__add__)))
+@example(TGCK_HEADER + struct.pack("<IH", 2**32 - 1, 1) + b"w" + struct.pack("<BQ", 1, 1)
+         + b"\x00" * 8)
+@example(TGCK_HEADER + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<BQQ", 2, 2**62, 2**62))
+@example(TGCK_HEADER + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<BQQ", 2, 0, 2**64 - 1))
+@example(TGCK_HEADER + struct.pack("<IH", 1, 1) + b"w" + struct.pack("<B", 255))
+@example(TGCK_HEADER + struct.pack("<IH", 1, 2**16 - 1) + b"w")
+@example(TGCK_HEADER + struct.pack("<IH", 1, 2) + b"\xff\xfe" + struct.pack("<B", 0)
+         + b"\x00" * 8)
+def test_checkpoint_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
+    # Any bytes after the magic either load or raise ValueError; declared
+    # sizes are checked against the file, so nothing huge is allocated.
+    path = tmp_path_factory.mktemp("tgck") / "model.bin"
+    path.write_bytes(b"TGCK" + body)
+    try:
+        blocks = load_parameter_blocks(path)
+    except ValueError:
+        return
+    total = sum(8 * arr.size for arr in blocks.values())
+    assert total <= len(body) and all(arr.dtype == np.float64 for arr in blocks.values())
+
+
+def _failing_writes(tmp_path):
+    """(path, good write, failing write) per writer; the failing one raises midway."""
+    gcn, _ = init_parameters(3, 2, 2, None, seed=0)
+    history = [gcn_module.EpochStats(0, 0.5, 1.0, 1.0)]
+    rows = [gcn_module.AblationRow(0.5, 1.0, 1.0, 0.0, 0.0)]
+    return {
+        "checkpoint": (
+            tmp_path / "model.bin",
+            lambda p: save_checkpoint(p, gcn, None),
+            lambda p: gcn_module.save_parameter_blocks(p, {"gcn.W1": gcn.W1, "bad": "x"}),
+        ),
+        "history": (
+            tmp_path / "history.csv",
+            lambda p: write_history_csv(p, history),
+            lambda p: write_history_csv(p, [gcn_module.EpochStats(0, 0.25, 0.5, 0.5),
+                                            gcn_module.EpochStats(1, "x", 0, 0)]),
+        ),
+        "ablation": (
+            tmp_path / "ablation.csv",
+            lambda p: write_ablation_csv(p, rows),
+            lambda p: write_ablation_csv(p, [gcn_module.AblationRow(0.25, 0.5, 0.5, 0.0, 0.0),
+                                             gcn_module.AblationRow("x", 0, 0, 0, 0)]),
+        ),
+    }
+
+
+@pytest.mark.parametrize("writer", ["checkpoint", "history", "ablation"])
+def test_failed_write_keeps_old_file(tmp_path, writer):
+    path, good, bad = _failing_writes(tmp_path)[writer]
+    good(path)
+    before = path.read_bytes()
+    with pytest.raises(ValueError):
+        bad(path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
+def test_identity_features_are_never_materialized():
+    # np.eye over 6000 nodes alone would be 288 MB; the implicit identity
+    # keeps features plus one forward pass to a few MB.
+    n_docs, n_words = 2000, 4000
+    rng = np.random.default_rng(0)
+    rows = np.repeat(np.arange(n_docs), 8)
+    cols = rng.integers(0, n_words, size=rows.size)
+    tfidf = sp.csr_array((rng.uniform(0.5, 1.5, size=rows.size), (rows, cols)),
+                         shape=(n_docs, n_words))
+    adj = normalize_adjacency(assemble_adjacency(tfidf, [(0, 1, 1.0)], n_docs, n_words))
+    gcn, _ = init_parameters(n_docs + n_words, 16, 2, None, seed=0)
+    tracemalloc.start()
+    try:
+        features = build_node_features(None, n_docs, n_words)
+        probs = gcn_forward(features, adj, gcn)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert probs.values.shape == (n_docs, 2)
+    assert peak < 32 * 2**20
 
 
 def test_history_csv_format(tmp_path):

@@ -333,12 +333,13 @@ def test_normalize_sums_degrees_in_entry_order():
     assert not np.array_equal(degree, adj.tocsr().sum(axis=1))
     inv_sqrt = 1.0 / np.sqrt(degree)
     want = sp.coo_array(
-        (adj.data * inv_sqrt[adj.row] * inv_sqrt[adj.col], (adj.row, adj.col)), shape=adj.shape
+        (adj.data * (inv_sqrt[adj.row] * inv_sqrt[adj.col]), (adj.row, adj.col)), shape=adj.shape
     ).tocsr()
     got = normalize_adjacency(adj)
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+    assert got.toarray().tobytes() == got.T.toarray().tobytes()
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,14 +376,15 @@ def test_node_features_stacks_embeddings_over_zero_words():
     emb = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
     feats = build_node_features(emb, n_docs=2, n_words=1)
     assert feats.mode == "external-embeddings"
-    assert np.array_equal(feats.matrix, [[1, 0], [0, 1], [0, 0]])
-    assert feats.dim == 2
+    assert feats.doc_embeddings is emb.values  # the document rows, not copied
+    assert (feats.n_docs, feats.n_words, feats.dim) == (2, 1, 2)
 
 
 def test_node_features_identity_mode():
     feats = build_node_features(None, n_docs=2, n_words=3)
     assert feats.mode == "identity"
-    assert np.array_equal(feats.matrix, np.eye(5))
+    assert feats.doc_embeddings is None
+    assert (feats.n_docs, feats.n_words, feats.dim) == (2, 3, 5)
 
 
 def test_node_features_row_mismatch():
