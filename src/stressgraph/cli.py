@@ -232,7 +232,7 @@ def cmd_ingest(args) -> int:
     tokenized_path = os.path.join(out, "tokenized.json")
     save_tokenized(tokenized_path, corpus)
     vocab_path = os.path.join(out, "vocab.csv")
-    with open(vocab_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(vocab_path) as fh:
         fh.write("token,doc_freq\n")
         for token, df in zip(corpus.vocab.tokens, corpus.vocab.doc_freq):
             fh.write(f"{token},{df}\n")
@@ -273,8 +273,7 @@ def cmd_build_graph(args) -> int:
     corpus = load_tokenized(args.tokenized)
     tfidf = graph.compute_tfidf(corpus)
     stats = graph.slide_windows(corpus, int(config["window"]))
-    word_edges = graph.ppmi_edges(stats)
-    data = graph.export_graph_json(corpus, tfidf, word_edges)
+    data = graph.export_graph_json(corpus, tfidf, graph.ppmi_edges(stats))
     out = _out_dir(args)
     graph_path = os.path.join(out, "graph.json")
     graph.save_graph_json(graph_path, data)
@@ -301,14 +300,13 @@ def _load_split_for(corpus, path):
 
 def _load_graph_for(corpus, path):
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    tfidf, word_edges, _ = graph.load_graph_json(data)
+        tfidf, ppmi, _ = graph.load_graph_json(json.load(fh))
     if tfidf.shape != (corpus.n_docs, len(corpus.vocab)):
         raise ValueError(
             "graph artifact does not align with the corpus "
-            f"({data['n_docs']}x{data['n_words']} vs {corpus.n_docs}x{len(corpus.vocab)})"
+            "({}x{} vs {}x{})".format(*tfidf.shape, corpus.n_docs, len(corpus.vocab))
         )
-    return tfidf, word_edges
+    return tfidf, ppmi
 
 
 def _load_embeddings(path, n_docs: int):
@@ -329,8 +327,8 @@ def _training_inputs(args, man: RunManifest):
         if path:
             man.add_input(path)
     corpus = load_tokenized(args.tokenized)
-    tfidf, word_edges = _load_graph_for(corpus, args.graph)
-    adjacency = graph.assemble_adjacency(tfidf, word_edges, corpus.n_docs, len(corpus.vocab))
+    tfidf, ppmi = _load_graph_for(corpus, args.graph)
+    adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
     adj_norm = graph.normalize_adjacency(adjacency)
     split = _load_split_for(corpus, args.split)
     masks = {
@@ -547,7 +545,7 @@ def cmd_prompts(args) -> int:
 
     out = _out_dir(args)
     prompts_path = os.path.join(out, "prompts.jsonl")
-    with open(prompts_path, "w", encoding="utf-8") as fh:
+    with atomic_write(prompts_path) as fh:
         for doc in targets:
             prompt = prompting.build_few_shot(shots, doc.text, spec)
             record = {
@@ -676,7 +674,7 @@ def cmd_eval(args) -> int:
     _write_indented_json(report_path, payload)
     table = evaluation.render_metrics(report, name=config["averaging"])
     table_path = os.path.join(out, "report.txt")
-    with open(table_path, "w", encoding="utf-8") as fh:
+    with atomic_write(table_path) as fh:
         fh.write(table)
     man.add_output(report_path)
     man.add_output(table_path)
@@ -704,23 +702,21 @@ def cmd_export(args) -> int:
     if args.docs is not None:
         if args.graph:
             man.add_input(args.graph)
-            tfidf, word_edges = _load_graph_for(corpus, args.graph)
+            tfidf, ppmi = _load_graph_for(corpus, args.graph)
         else:
             tfidf = graph.compute_tfidf(corpus)
-            word_edges = graph.ppmi_edges(
-                graph.slide_windows(corpus, int(config["window"]))
-            )
+            ppmi = graph.ppmi_edges(graph.slide_windows(corpus, int(config["window"])))
         if args.docs.isdigit():
             doc_ids = corpus.doc_ids[: int(args.docs)]
         else:
             doc_ids = [part for part in args.docs.split(",") if part]
         salience = interpret.build_salience_graph(
-            corpus, doc_ids, tfidf, word_edges, int(args.k)
+            corpus, doc_ids, tfidf, ppmi, int(args.k)
         )
         json_path = os.path.join(out, "salience.json")
         _write_indented_json(json_path, interpret.salience_to_json(salience))
         dot_path = os.path.join(out, "salience.dot")
-        with open(dot_path, "w", encoding="utf-8") as fh:
+        with atomic_write(dot_path) as fh:
             fh.write(interpret.salience_to_dot(salience))
         man.add_output(json_path)
         man.add_output(dot_path)

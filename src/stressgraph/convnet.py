@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .gcn import AdamState, DivergenceError, EpochStats
+from .gcn import AdamState, DivergenceError, EpochStats, check_block_shapes
+from .manifest import atomic_write
 from . import evaluation
 
 SEQUENCE_MAGIC = b"TGSE"
@@ -407,7 +408,18 @@ def train_conv(
 
 
 def params_from_blocks(blocks: dict, dropout: float = 0.5) -> ConvHeadParams:
+    """Conv-head parameters from checkpoint blocks; ValueError names a missing or mis-shaped one.
+
+    Bank i has kernel conv.K<i> (k x d x F_i) and bias conv.b<i> (F_i,);
+    dense.W holds one weight per filter and dense.b one bias.
+    """
     n_banks = sum(1 for name in blocks if name.startswith("conv.K"))
+    dims = {}
+    for i in range(n_banks):
+        dims.update({f"conv.K{i}": (f"k{i}", "d", f"F{i}"), f"conv.b{i}": (f"F{i}",)})
+    check_block_shapes(blocks, dims)
+    n_filters = sum(blocks[f"conv.b{i}"].shape[0] for i in range(n_banks))
+    check_block_shapes(blocks, {"dense.W": (n_filters,), "dense.b": (1,)})
     return ConvHeadParams(
         kernels=tuple(blocks[f"conv.K{i}"] for i in range(n_banks)),
         conv_bias=tuple(blocks[f"conv.b{i}"] for i in range(n_banks)),
@@ -419,7 +431,7 @@ def params_from_blocks(blocks: dict, dropout: float = 0.5) -> ConvHeadParams:
 
 def write_token_embeddings(path, sequences) -> None:
     """Binary sequence file: TGSE magic, version, count, then id/L/d/float32 rows."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(SEQUENCE_MAGIC)
         fh.write(struct.pack("<IQ", SEQUENCE_VERSION, len(sequences)))
         for seq in sequences:

@@ -10,6 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .manifest import atomic_write
+
 # Classic English stopword list (NLTK lineage), inlined so tokenization has no
 # runtime data dependency.
 DEFAULT_STOPWORDS = frozenset("""
@@ -315,7 +317,7 @@ def save_tokenized(path, corpus: TokenizedCorpus) -> None:
             "n_docs": corpus.vocab.n_docs,
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
         fh.write("\n")
 
@@ -367,7 +369,7 @@ def _check_tokenized(corpus: TokenizedCorpus) -> None:
 
 def save_split(path, split: SplitAssignment) -> None:
     """Write the assignment as JSONL, one {id, split} object per document."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for doc_id, name in split.assignment.items():
             fh.write(json.dumps({"id": doc_id, "split": name}, sort_keys=True) + "\n")
 
@@ -384,6 +386,8 @@ def load_split(path) -> SplitAssignment:
                 doc_id, name = record["id"], record["split"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorpusFormatError(f"malformed split record: {exc}", line_no) from exc
+            if type(doc_id) is not str:
+                raise CorpusFormatError(f"document id {doc_id!r} is not a string", line_no)
             if name not in SPLIT_NAMES:
                 raise CorpusFormatError(f"unknown split name {name!r}", line_no)
             if doc_id in assignment:

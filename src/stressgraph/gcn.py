@@ -700,12 +700,39 @@ def save_checkpoint(path, gcn: GCNParameters, head: LinearHead | None) -> None:
     save_parameter_blocks(path, param_blocks(gcn, head))
 
 
+def check_block_shapes(blocks: dict, dims: dict) -> None:
+    """Raise ValueError unless every block named in dims is present with its shape.
+
+    dims maps a block name to its dimensions, each a fixed int or a name that
+    stands for the same size wherever it appears.
+    """
+    sizes = {}
+    for name, want in dims.items():
+        if name not in blocks:
+            raise ValueError(f"checkpoint lacks block {name!r}")
+        shape = blocks[name].shape
+        if len(shape) != len(want) or any(
+            (d if type(d) is int else sizes.setdefault(d, n)) != n for d, n in zip(want, shape)
+        ):
+            raise ValueError(
+                f"checkpoint block {name!r} has shape {shape}, expected {want} with {sizes}"
+            )
+
+
 def load_checkpoint(path) -> tuple[GCNParameters, LinearHead | None]:
+    """GCN weights and the optional head; a missing or mis-shaped block raises ValueError.
+
+    W1 is F x H, b1 (H,), W2 H x C and b2 (C,); head.W (d x C) and head.b
+    (C,) are both present or both absent.
+    """
     blocks = load_parameter_blocks(path)
+    dims = {"gcn.W1": ("F", "H"), "gcn.b1": ("H",), "gcn.W2": ("H", "C"), "gcn.b2": ("C",)}
+    has_head = "head.W" in blocks or "head.b" in blocks
+    if has_head:
+        dims.update({"head.W": ("d", "C"), "head.b": ("C",)})
+    check_block_shapes(blocks, dims)
     gcn = GCNParameters(
         W1=blocks["gcn.W1"], b1=blocks["gcn.b1"], W2=blocks["gcn.W2"], b2=blocks["gcn.b2"]
     )
-    head = None
-    if "head.W" in blocks:
-        head = LinearHead(W=blocks["head.W"], b=blocks["head.b"])
+    head = LinearHead(W=blocks["head.W"], b=blocks["head.b"]) if has_head else None
     return gcn, head

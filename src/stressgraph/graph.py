@@ -196,9 +196,10 @@ def ppmi(stats: WindowStats, i: int, j: int) -> float | None:
     return value if value > 0.0 else None
 
 
-def ppmi_edges(stats: WindowStats) -> list[tuple[int, int, float]]:
-    """All word pairs with strictly positive PMI, as (i, j, weight) with i < j.
+def ppmi_edges(stats: WindowStats) -> sp.coo_array:
+    """Word pairs with strictly positive PMI, as a V x V COO block with row < col.
 
+    One entry per unordered pair, in the row-major order of pair_counts.
     Equal to ppmi() pair by pair: both products of the ratio are at most T^2
     for T windows, so below 2**53 they are exact in float64 and the quotient
     is the correctly rounded one Python's integer division gives.
@@ -211,50 +212,45 @@ def ppmi_edges(stats: WindowStats) -> list[tuple[int, int, float]]:
     ratio = (pairs.data * total) / (counts[pairs.row] * counts[pairs.col])
     # ln(r) > 0 exactly when r > 1; scalar math.log keeps ppmi()'s last ulp.
     keep = ratio > 1.0
-    return [
-        (i, j, math.log(r))
-        for i, j, r in zip(
-            pairs.row[keep].tolist(), pairs.col[keep].tolist(), ratio[keep].tolist()
-        )
-    ]
+    weights = np.fromiter(map(math.log, ratio[keep].tolist()), np.float64)
+    return sp.coo_array((weights, (pairs.row[keep], pairs.col[keep])), shape=pairs.shape)
 
 
 def _has_repeated_pair(a: np.ndarray, b: np.ndarray, n: int) -> bool:
     """Whether an unordered pair {a[k], b[k]} of ids below n occurs twice; n * n < 2**63."""
-    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    # int64 keys: the ids may be int32, whose products wrap once n > 46,340.
+    keys = np.sort(np.minimum(a, b).astype(np.int64) * n + np.maximum(a, b))
     return bool(np.any(keys[1:] == keys[:-1]))
 
 
 def assemble_adjacency(
     tfidf: sp.sparray,
-    word_edges: list[tuple[int, int, float]],
+    ppmi: sp.sparray,
     n_docs: int,
     n_words: int,
 ) -> sp.coo_array:
     """Symmetric heterogeneous adjacency over documents (rows 0..n_docs-1) and words.
 
-    Unit self-loops everywhere; TF-IDF on the doc-word blocks; PPMI on the
-    word-word block; the off-diagonal doc-doc block stays empty.
+    Unit self-loops everywhere; TF-IDF on the doc-word blocks; the PPMI block
+    (each word pair stored once) on the word-word block; the off-diagonal
+    doc-doc block stays empty.
     """
-    if tfidf.shape != (n_docs, n_words):
-        raise ValueError("tfidf shape does not match n_docs x n_words")
-    tfidf = tfidf.tocoo()
+    if tfidf.shape != (n_docs, n_words) or ppmi.shape != (n_words, n_words):
+        raise ValueError("tfidf or ppmi shape does not match n_docs and n_words")
+    tfidf, ppmi = tfidf.tocoo(), ppmi.tocoo()
     n = n_docs + n_words
-    word = np.asarray(word_edges, dtype=np.float64).reshape(-1, 3)
-    word_i = word[:, 0].astype(np.int64)
-    word_j = word[:, 1].astype(np.int64)
-    if np.any(word_i == word_j):
+    if np.any(ppmi.row == ppmi.col):
         raise ValueError("word-word self edges are not allowed")
     # Entry order is self-loops, then every doc-word and word-word edge followed
     # by its mirror: normalize_adjacency sums degrees in this order.
-    src = np.concatenate([tfidf.row, n_docs + word_i])
-    dst = np.concatenate([n_docs + tfidf.col, n_docs + word_j])
+    src = np.concatenate([tfidf.row, n_docs + ppmi.row])
+    dst = np.concatenate([n_docs + tfidf.col, n_docs + ppmi.col])
     if _has_repeated_pair(src, dst, n):
         raise ValueError("duplicate (row, col) entries")
     diag = np.arange(n, dtype=np.int64)
     rows = np.concatenate([diag, np.column_stack([src, dst]).ravel()])
     cols = np.concatenate([diag, np.column_stack([dst, src]).ravel()])
-    vals = np.concatenate([np.ones(n), np.repeat(np.concatenate([tfidf.data, word[:, 2]]), 2)])
+    vals = np.concatenate([np.ones(n), np.repeat(np.concatenate([tfidf.data, ppmi.data]), 2)])
     return sp.coo_array((vals, (rows, cols)), shape=(n, n))
 
 
@@ -292,7 +288,7 @@ def build_node_features(
 
 def write_embeddings(path, embeddings: EmbeddingMatrix) -> None:
     """Binary embedding file: magic, version u32, n_rows u64, dim u64, float32 rows."""
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(EMBEDDING_MAGIC)
         fh.write(struct.pack("<IQQ", EMBEDDING_VERSION, embeddings.n_docs, embeddings.dim))
         fh.write(embeddings.values.astype("<f4").tobytes(order="C"))
@@ -317,6 +313,8 @@ def read_embeddings(path) -> EmbeddingMatrix:
                 f"file holds {remaining} bytes"
             )
         payload = fh.read(n_rows * dim * 4)
+        if fh.read(1):
+            raise ValueError("trailing bytes after the embedding payload")
     values = np.frombuffer(payload, dtype="<f4").reshape(n_rows, dim)
     return EmbeddingMatrix(values=values.astype(np.float64))
 
@@ -328,31 +326,26 @@ def read_embeddings_csv(path) -> EmbeddingMatrix:
 
 
 def write_embeddings_csv(path, embeddings: EmbeddingMatrix) -> None:
-    np.savetxt(path, embeddings.values, delimiter=",", fmt="%.17g")
+    with atomic_write(path) as fh:
+        np.savetxt(fh, embeddings.values, delimiter=",", fmt="%.17g")
 
 
-def export_graph_json(
-    corpus,
-    tfidf: sp.csr_array,
-    word_edges: list[tuple[int, int, float]],
-) -> dict:
+def export_graph_json(corpus, tfidf: sp.sparray, ppmi: sp.coo_array) -> dict:
     """Serializable graph: node list (docs first, then words) and weighted edges.
 
-    Edge endpoints are indices into the node list; self-loops are implicit and
-    re-added by the loader.
+    Edge endpoints are indices into the node list; the doc-word edges come
+    first, then the word-word edges, each in its block's COO order.
+    Self-loops are implicit and re-added by the loader.
     """
     n_docs = corpus.n_docs
     nodes = [{"id": doc_id, "kind": "doc"} for doc_id in corpus.doc_ids]
     nodes += [{"id": tok, "kind": "word"} for tok in corpus.vocab.tokens]
-    doc_word = tfidf.tocoo()
-    edges = [
-        {"a": d, "b": n_docs + w, "w": v, "kind": "doc-word"}
-        for d, w, v in zip(doc_word.row.tolist(), doc_word.col.tolist(), doc_word.data.tolist())
-    ]
-    edges += [
-        {"a": n_docs + i, "b": n_docs + j, "w": float(v), "kind": "word-word"}
-        for i, j, v in word_edges
-    ]
+    edges = []
+    for kind, block, offset in (("doc-word", tfidf.tocoo(), 0), ("word-word", ppmi, n_docs)):
+        edges += [
+            {"a": offset + a, "b": n_docs + b, "w": w, "kind": kind}
+            for a, b, w in zip(block.row.tolist(), block.col.tolist(), block.data.tolist())
+        ]
     return {"n_docs": n_docs, "n_words": len(corpus.vocab), "nodes": nodes, "edges": edges}
 
 
@@ -406,18 +399,20 @@ def _graph_edges(data) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np
     return n_docs, n_words, doc_word, a, b, w
 
 
-def load_graph_json(data: dict) -> tuple[sp.csr_array, list[tuple[int, int, float]], dict]:
-    """Rebuild the (tfidf, word_edges) pair from an exported graph document.
+def load_graph_json(data: dict) -> tuple[sp.csr_array, sp.coo_array, dict]:
+    """Rebuild the (tfidf, ppmi) blocks from an exported graph document.
 
-    Any malformed document raises ValueError (see _graph_edges).
+    The PPMI block keeps the word-word edges in file order, with each
+    endpoint pair as written. Any malformed document raises ValueError (see
+    _graph_edges).
     """
     n_docs, n_words, doc_word, a, b, w = _graph_edges(data)
+    word = ~doc_word
     tfidf = sp.coo_array(
         (w[doc_word], (a[doc_word], b[doc_word] - n_docs)), shape=(n_docs, n_words)
     ).tocsr()
-    word = ~doc_word
-    word_edges = list(zip((a[word] - n_docs).tolist(), (b[word] - n_docs).tolist(), w[word].tolist()))
-    return tfidf, word_edges, data
+    ppmi = sp.coo_array((w[word], (a[word] - n_docs, b[word] - n_docs)), shape=(n_words, n_words))
+    return tfidf, ppmi, data
 
 
 def save_graph_json(path, data: dict) -> None:

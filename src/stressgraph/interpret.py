@@ -9,6 +9,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TokenizedCorpus
@@ -95,35 +96,29 @@ def build_salience_graph(
     corpus: TokenizedCorpus,
     doc_ids,
     tfidf: sp.csr_array,
-    word_edges,
+    ppmi: sp.coo_array,
     k: int,
 ) -> SalienceGraph:
     """Assemble the top-k word neighborhood of the requested documents.
 
-    word_edges is the positive-PPMI (i, j, w) list; only pairs where both
-    words are selected by some document survive.
+    ppmi is the V x V positive-PPMI block; only pairs where both words are
+    selected by some document survive, in the block's stored order.
     """
     doc_ids = list(doc_ids)
     rows = [corpus.row_of(doc_id) for doc_id in doc_ids]
+    tokens = corpus.vocab.tokens
     edges = []
     included_words: dict[int, None] = {}
     for doc_id, row in zip(doc_ids, rows):
         for word_id, weight in top_k_words(tfidf, row, k):
-            token = corpus.vocab.tokens[word_id]
-            edges.append(SalienceEdge(a=doc_id, b=token, w=float(weight), kind="doc-word"))
+            edges.append(SalienceEdge(doc_id, tokens[word_id], float(weight), "doc-word"))
             included_words.setdefault(word_id, None)
-    word_set = set(included_words)
-    for i, j, weight in word_edges:
-        if i in word_set and j in word_set:
-            edges.append(
-                SalienceEdge(
-                    a=corpus.vocab.tokens[i],
-                    b=corpus.vocab.tokens[j],
-                    w=float(weight),
-                    kind="word-word",
-                )
-            )
-    word_nodes = tuple(corpus.vocab.tokens[wid] for wid in included_words)
+    word_ids = np.fromiter(included_words, np.int64, count=len(included_words))
+    keep = np.isin(ppmi.row, word_ids) & np.isin(ppmi.col, word_ids)
+    word_pairs = zip(ppmi.row[keep].tolist(), ppmi.col[keep].tolist(), ppmi.data[keep].tolist())
+    for i, j, weight in word_pairs:
+        edges.append(SalienceEdge(tokens[i], tokens[j], weight, "word-word"))
+    word_nodes = tuple(tokens[wid] for wid in included_words)
     return SalienceGraph(doc_nodes=tuple(doc_ids), word_nodes=word_nodes, edges=tuple(edges))
 
 

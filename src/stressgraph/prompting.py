@@ -350,10 +350,12 @@ def run_batch(
 ) -> list:
     """Dispatch prompts sequentially, one transcript per prompt, in order.
 
-    Completed prompts found in the store are not re-sent, so an interrupted
-    run resumes where it stopped. rate caps dispatch at that many requests
-    per second; a transport failure that survives all retries still yields a
-    transcript (response None, failure recorded in meta).
+    Prompts whose stored transcript holds a response (parsed or not) are not
+    re-sent, so an interrupted run resumes where it stopped. rate caps
+    dispatch at that many requests per second; a transport failure that
+    survives all retries still yields a transcript (response None, failure
+    recorded in meta), which is sent again on resume, its stored attempts
+    added to the new ones.
     """
     prompts = list(prompts)
     if not prompts:
@@ -364,9 +366,12 @@ def run_batch(
     transcripts = []
     for prompt in prompts:
         sha = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
-        if sha in store:
-            transcripts.append(store[sha])
+        stored = store.get(sha)
+        if stored is not None and stored.response is not None:
+            transcripts.append(stored)
             continue
+        prior = stored.meta.get("attempts") if stored is not None else None
+        prior = prior if type(prior) is int else 0
         response = None
         error = None
         attempts = 0
@@ -386,7 +391,7 @@ def run_batch(
         meta = {
             "model": client.model_tag,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "attempts": attempts,
+            "attempts": prior + attempts,
         }
         if error is not None:
             meta["error"] = error

@@ -8,6 +8,7 @@ shares none of its structure.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from stressgraph.corpus import TokenizedCorpus, Vocabulary
 from stressgraph.gcn import evaluate, init_parameters, loss_and_gradients
@@ -31,6 +32,21 @@ def make_corpus(sequences, n_tokens=None, labels=None) -> TokenizedCorpus:
         vocab=vocab,
         labels=list(labels) if labels is not None else [None] * len(sequences),
     )
+
+
+def word_block(edges, n_words) -> sp.coo_array:
+    """The n_words x n_words PPMI block holding (i, j, w) triples in the given order.
+
+    Its indices are int32, like those of the blocks graph.ppmi_edges builds.
+    """
+    i, j, w = zip(*edges) if edges else ((), (), ())
+    ij = (np.array(i, dtype=np.int32), np.array(j, dtype=np.int32))
+    return sp.coo_array((np.array(w, dtype=np.float64), ij), shape=(n_words, n_words))
+
+
+def edge_triples(block) -> list:
+    """The (i, j, w) triples of a PPMI block, in stored order."""
+    return list(zip(block.row.tolist(), block.col.tolist(), block.data.tolist()))
 
 
 def window_sets(sequences, window_size):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import brute_normalize_dense, make_corpus, window_sets
+from oracles import brute_normalize_dense, edge_triples, make_corpus, window_sets
 from test_cli import artifact_digests, write_corpus
 
 from stressgraph import cli, convnet, evaluation, gcn, prompting
@@ -388,7 +388,7 @@ def test_acceptance_06_structural_graph_invariants(announce):
             doc_block = dense[:n_docs, :n_docs].copy()
             np.fill_diagonal(doc_block, 0.0)
             assert not doc_block.any()
-            assert all(v > 0 for _, _, v in word_edges)
+            assert all(v > 0 for _, _, v in edge_triples(word_edges))
 
             norm = normalize_adjacency(adj).toarray()
             np.testing.assert_allclose(norm, norm.T, rtol=0, atol=1e-12)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stressgraph import cli, convnet, gcn, graph, prompting
-from stressgraph.corpus import load_split, load_tokenized
+from stressgraph.corpus import load_split, load_tokenized, save_split, save_tokenized
 from stressgraph.manifest import RunManifest, read_manifest, sha256_file, write_manifest
 
 N_DOCS = 24
@@ -598,6 +598,15 @@ def test_prompts_zero_shot_covers_all_documents(pipeline, tmp_path):
     assert shots == {"k": 0, "seed": 0, "shots": []}
 
 
+def test_prompts_rejects_non_string_split_ids(pipeline, tmp_path, capsys):
+    split_path = tmp_path / "split.jsonl"
+    split_path.write_text('{"id": [1], "split": "train"}\n', encoding="utf-8")
+    rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--split", str(split_path),
+                   "--out", str(tmp_path / "prompts")])
+    assert rc == cli.EXIT_DATA
+    assert "not a string" in capsys.readouterr().err
+
+
 def test_prompts_few_shot_draws_from_train(pipeline, tmp_path):
     out = tmp_path / "prompts"
     rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
@@ -829,7 +838,9 @@ def test_misaligned_graph_is_data_error(pipeline, tmp_path, capsys):
     rc = cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--graph", str(bad),
                    "--docs", "3", "--out", str(tmp_path / "run")])
     assert rc == cli.EXIT_DATA
-    assert "does not align" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    n_docs, n_words = data["n_docs"], data["n_words"]
+    assert "does not align" in err and f"({n_docs}x{n_words} vs {n_docs}x{n_words + 1})" in err
 
 
 EXPORT_JSON_CASES = [
@@ -1027,6 +1038,59 @@ def test_repeated_seeds_or_grid_values_are_data_errors(pipeline, tmp_path, monke
     assert f"{word} must not repeat" in capsys.readouterr().err
     assert calls == []
     assert not out.exists() or not [p for p in os.listdir(out) if p != "manifest.json"]
+
+
+# ---------------------------------------------------------------------------
+# crash-safe writers
+
+
+def _writers(pipeline, tmp_path) -> dict:
+    """Per file name, a call that writes that file into tmp_path (and maybe others)."""
+    corpus = load_tokenized(pipeline["tokenized"])
+    emb = graph.EmbeddingMatrix(np.ones((2, 3)))
+    seqs = [convnet.TokenEmbeddingSequence("d00", np.ones((2, 3)))]
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"tn": 3, "fp": 1, "fn": 1, "tp": 3}', encoding="utf-8")
+    out = ["--out", str(tmp_path)]
+    return {
+        "tokenized.json": lambda: save_tokenized(tmp_path / "tokenized.json", corpus),
+        "split.jsonl": lambda: save_split(tmp_path / "split.jsonl", load_split(pipeline["split"])),
+        "emb.bin": lambda: graph.write_embeddings(tmp_path / "emb.bin", emb),
+        "emb.csv": lambda: graph.write_embeddings_csv(tmp_path / "emb.csv", emb),
+        "seqs.bin": lambda: convnet.write_token_embeddings(tmp_path / "seqs.bin", seqs),
+        "vocab.csv": lambda: cli.main(["ingest", "--corpus", str(pipeline["corpus"]), *out]),
+        "prompts.jsonl": lambda: cli.main(["prompts", "--corpus", str(pipeline["corpus"]), *out]),
+        "report.txt": lambda: cli.main(["eval", "--counts", str(counts), *out]),
+        "salience.dot": lambda: cli.main(
+            ["export", "--tokenized", str(pipeline["tokenized"]), "--docs", "3", *out]
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", [
+    "tokenized.json", "split.jsonl", "emb.bin", "emb.csv", "seqs.bin",
+    "vocab.csv", "prompts.jsonl", "report.txt", "salience.dot",
+])
+def test_failed_write_keeps_old_artifact(pipeline, tmp_path, monkeypatch, name):
+    # The rename of the new file fails: the old one stays and no temp file is left.
+    write = _writers(pipeline, tmp_path)[name]
+    target = tmp_path / name
+    target.write_bytes(b"old\n")
+    replace = os.replace
+
+    def failing_replace(src, dst):
+        if os.path.basename(dst) == name:
+            raise OSError("rename failed")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    try:
+        status = write()
+    except OSError:
+        status = cli.EXIT_DATA
+    assert status == cli.EXIT_DATA
+    assert target.read_bytes() == b"old\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 # ---------------------------------------------------------------------------

@@ -537,6 +537,23 @@ def test_sequence_file_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
     assert len({s.doc_id for s in sequences}) == len(sequences)
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"conv.b1": None}, "lacks block 'conv.b1'"),
+    ({"conv.K0": None}, "lacks block 'conv.K0'"),
+    ({"conv.b0": np.zeros(5)}, "'conv.b0' has shape"),
+    ({"conv.K1": np.ones((3, 3))}, "'conv.K1' has shape"),
+    ({"conv.K1": np.ones((3, 2, 4))}, "'conv.K1' has shape"),
+    ({"dense.W": None}, "lacks block 'dense.W'"),
+    ({"dense.W": np.ones(7)}, "'dense.W' has shape"),
+    ({"dense.b": np.zeros(2)}, "'dense.b' has shape"),
+])
+def test_params_from_blocks_rejects_missing_or_misshaped_blocks(change, message):
+    blocks = param_blocks(init_conv_params(ConvHeadConfig(**SMALL, seed=11)))
+    blocks = {name: arr for name, arr in {**blocks, **change}.items() if arr is not None}
+    with pytest.raises(ValueError, match=message):
+        params_from_blocks(blocks)
+
+
 def test_conv_checkpoint_roundtrip(tmp_path):
     params = init_conv_params(ConvHeadConfig(**SMALL, seed=11))
     path = tmp_path / "conv.bin"

@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stressgraph.corpus import (
@@ -424,6 +424,46 @@ def test_split_load_rejects_bad_names(tmp_path):
     with pytest.raises(CorpusFormatError) as exc:
         load_split(path)
     assert exc.value.line_no == 1
+
+
+@pytest.mark.parametrize("record", [
+    '{"id": [1], "split": "train"}', '{"id": 7, "split": "val"}',
+    '{"id": null, "split": "test"}', '{"id": {"a": 1}, "split": "test"}',
+])
+def test_split_load_rejects_non_string_ids(tmp_path, record):
+    path = tmp_path / "split.jsonl"
+    path.write_text('{"id": "a", "split": "train"}\n' + record + "\n")
+    with pytest.raises(CorpusFormatError, match="not a string") as exc:
+        load_split(path)
+    assert exc.value.line_no == 2
+
+
+# Arbitrary JSON lines over the split record keys, and arbitrary bytes.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from(SPLIT_NAMES),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "split"]) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+split_lines = st.lists(
+    json_values.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=16), max_size=5
+).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | split_lines)
+@example(b'{"id": [1], "split": "train"}')
+@example(b'{"id": "a", "split": "train"}\n\xff')
+def test_split_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
+    # CorpusFormatError and UnicodeDecodeError are both ValueErrors.
+    path = tmp_path_factory.mktemp("split") / "split.jsonl"
+    path.write_bytes(data)
+    try:
+        split = load_split(path)
+    except ValueError:
+        return
+    assert all(type(i) is str and name in SPLIT_NAMES for i, name in split.assignment.items())
 
 
 def test_split_load_rejects_duplicates(tmp_path):

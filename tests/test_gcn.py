@@ -17,6 +17,7 @@ from oracles import (
     explicit_node_features,
     make_corpus,
     reference_train,
+    word_block,
 )
 from stressgraph import gcn as gcn_module
 from stressgraph.evaluation import MetricsReport
@@ -366,7 +367,7 @@ def test_ppmi_reweighting_with_fixed_row_sums_leaves_prediction(seed, delta):
         edges = [(i, j, w + sign * shift)
                  for (i, j), w, sign in zip(cycle, weights, (1, -1, 1, -1))]
         return normalize_adjacency(
-            assemble_adjacency(tfidf, edges + [(4, 5, 0.7)], n_docs, n_words)
+            assemble_adjacency(tfidf, word_block(edges + [(4, 5, 0.7)], n_words), n_docs, n_words)
         )
 
     base, moved = adjacency(0.0), adjacency(delta)
@@ -718,6 +719,29 @@ def test_checkpoint_rejects_duplicate_block(tmp_path):
         load_parameter_blocks(path)
 
 
+GCN_BLOCKS = gcn_module.param_blocks(*init_parameters(3, 2, 2, None, seed=0))
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ({"w": np.ones(1)}, "lacks block 'gcn.W1'"),
+    ({**GCN_BLOCKS, "gcn.W1": np.ones(3)}, "'gcn.W1' has shape"),
+    ({**GCN_BLOCKS, "gcn.b1": np.zeros(3)}, "'gcn.b1' has shape"),
+    ({**GCN_BLOCKS, "gcn.W2": np.ones((3, 2))}, "'gcn.W2' has shape"),
+    ({**GCN_BLOCKS, "gcn.W2": np.ones((3, 3, 3)), "gcn.b2": np.zeros(5)}, "'gcn.W2' has shape"),
+    ({**GCN_BLOCKS, "gcn.b2": np.zeros(5)}, "'gcn.b2' has shape"),
+    ({**GCN_BLOCKS, "head.W": np.ones((4, 2))}, "lacks block 'head.b'"),
+    ({**GCN_BLOCKS, "head.b": np.zeros(2)}, "lacks block 'head.W'"),
+    ({**GCN_BLOCKS, "head.W": np.ones((4, 3)), "head.b": np.zeros(3)}, "'head.W' has shape"),
+    ({**GCN_BLOCKS, "head.W": np.ones((4, 2)), "head.b": np.zeros((2, 1))}, "'head.b' has shape"),
+])
+def test_load_checkpoint_rejects_missing_or_misshaped_blocks(tmp_path, blocks, message):
+    # Well-formed TGCK files whose blocks do not make a model.
+    path = tmp_path / "model.bin"
+    gcn_module.save_parameter_blocks(path, blocks)
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(path)
+
+
 TGCK_HEADER = struct.pack("<I", 1)
 
 
@@ -790,7 +814,8 @@ def test_identity_features_are_never_materialized():
     cols = rng.integers(0, n_words, size=rows.size)
     tfidf = sp.csr_array((rng.uniform(0.5, 1.5, size=rows.size), (rows, cols)),
                          shape=(n_docs, n_words))
-    adj = normalize_adjacency(assemble_adjacency(tfidf, [(0, 1, 1.0)], n_docs, n_words))
+    ppmi_block = word_block([(0, 1, 1.0)], n_words)
+    adj = normalize_adjacency(assemble_adjacency(tfidf, ppmi_block, n_docs, n_words))
     gcn, _ = init_parameters(n_docs + n_words, 16, 2, None, seed=0)
     tracemalloc.start()
     try:

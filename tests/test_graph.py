@@ -15,8 +15,10 @@ from oracles import (
     brute_normalize_dense,
     brute_ppmi_edges,
     brute_tfidf_dense,
+    edge_triples,
     make_corpus,
     window_sets,
+    word_block,
 )
 from stressgraph import graph
 from stressgraph.graph import (
@@ -199,7 +201,7 @@ def test_ppmi_empty_stats_rejected():
 
 def test_ppmi_edges_ordered_upper_triangle():
     corpus = make_corpus([[0, 1], [0, 1], [2], [1, 2], [0, 3], [3]])
-    edges = ppmi_edges(slide_windows(corpus, window_size=20))
+    edges = edge_triples(ppmi_edges(slide_windows(corpus, window_size=20)))
     for i, j, v in edges:
         assert i < j
         assert v > 0.0
@@ -210,7 +212,7 @@ def test_ppmi_edges_ordered_upper_triangle():
 def test_ppmi_edges_match_brute_force(case):
     sequences, k = case
     stats = slide_windows(make_corpus(sequences, n_tokens=8), window_size=k)
-    got = ppmi_edges(stats)
+    got = edge_triples(ppmi_edges(stats))
     want = brute_ppmi_edges(sequences, 8, k)
     assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
     np.testing.assert_allclose(
@@ -223,7 +225,7 @@ def test_ppmi_edges_match_brute_force(case):
 def test_ppmi_edges_equal_scalar_ppmi(case):
     sequences, k = case
     stats = slide_windows(make_corpus(sequences, n_tokens=8), window_size=k)
-    edges = {(i, j): v for i, j, v in ppmi_edges(stats)}
+    edges = {(i, j): v for i, j, v in edge_triples(ppmi_edges(stats))}
     for i in range(8):
         for j in range(i + 1, 8):
             assert edges.get((i, j)) == ppmi(stats, i, j)
@@ -240,7 +242,7 @@ def test_ppmi_edges_reject_inexact_window_totals():
         )
 
     limit = math.isqrt(2**53 - 1)
-    (edge,) = ppmi_edges(stats(limit))
+    (edge,) = edge_triples(ppmi_edges(stats(limit)))
     assert edge == (0, 1, ppmi(stats(limit), 0, 1)) and edge[2] >= math.log(2)
     with pytest.raises(ValueError, match="windows"):
         ppmi_edges(stats(limit + 1))
@@ -252,13 +254,13 @@ def test_ppmi_edges_reject_inexact_window_totals():
 def test_adjacency_single_isolated_doc():
     # One document, zero surviving words: the graph is a single self-loop.
     tfidf = sp.csr_array((1, 0))
-    adj = assemble_adjacency(tfidf, [], n_docs=1, n_words=0)
+    adj = assemble_adjacency(tfidf, word_block([], 0), n_docs=1, n_words=0)
     assert np.array_equal(adj.toarray(), [[1.0]])
 
 
 def test_adjacency_blocks_and_symmetry():
     tfidf = sp.csr_array(([3.0, 2.0], ([0, 1], [0, 1])), shape=(2, 2))
-    adj = assemble_adjacency(tfidf, [(0, 1, 0.5)], n_docs=2, n_words=2)
+    adj = assemble_adjacency(tfidf, word_block([(0, 1, 0.5)], 2), n_docs=2, n_words=2)
     dense = adj.toarray()
     assert np.array_equal(dense, dense.T)
     # Doc-doc off-diagonal block stays empty.
@@ -272,7 +274,8 @@ def test_adjacency_entry_order():
     # Self-loops first, then each doc-word and word-word edge followed by its
     # mirror: normalize_adjacency sums degrees in this order.
     tfidf = sp.csr_array(([3.0, 2.0], ([0, 1], [2, 0])), shape=(2, 3))
-    adj = assemble_adjacency(tfidf, [(0, 1, 0.5), (1, 2, 0.25)], n_docs=2, n_words=3)
+    ppmi_block = word_block([(0, 1, 0.5), (1, 2, 0.25)], 3)
+    adj = assemble_adjacency(tfidf, ppmi_block, n_docs=2, n_words=3)
     assert list(zip(adj.row.tolist(), adj.col.tolist(), adj.data.tolist())) == [
         (0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (3, 3, 1.0), (4, 4, 1.0),
         (0, 4, 3.0), (4, 0, 3.0), (1, 2, 2.0), (2, 1, 2.0),
@@ -283,19 +286,34 @@ def test_adjacency_entry_order():
 def test_adjacency_rejects_word_self_edges():
     tfidf = sp.csr_array((1, 2))
     with pytest.raises(ValueError):
-        assemble_adjacency(tfidf, [(1, 1, 0.5)], n_docs=1, n_words=2)
+        assemble_adjacency(tfidf, word_block([(1, 1, 0.5)], 2), n_docs=1, n_words=2)
 
 
 def test_adjacency_rejects_duplicate_word_edges():
     tfidf = sp.csr_array((1, 2))
     with pytest.raises(ValueError):
-        assemble_adjacency(tfidf, [(0, 1, 0.5), (0, 1, 0.6)], n_docs=1, n_words=2)
+        assemble_adjacency(tfidf, word_block([(0, 1, 0.5), (0, 1, 0.6)], 2), n_docs=1, n_words=2)
+
+
+def test_adjacency_pair_keys_do_not_wrap():
+    # N + V = 2**17: the pairs (0, h) and (32768, h) have keys lo * n + hi that
+    # differ by exactly 2**32, so int32 keys would call them the same pair.
+    n_words, h = 2**17, 40_000
+    tfidf = sp.csr_array((0, n_words))
+    ppmi_block = word_block([(0, h, 0.5), (32_768, h, 0.25)], n_words)
+    adj = assemble_adjacency(tfidf, ppmi_block, 0, n_words)
+    assert adj.nnz == n_words + 4
+    for bad in ([(0, h, 0.5), (h, 0, 0.25)], [(0, h, 0.5), (32_768, 32_768, 0.25)]):
+        with pytest.raises(ValueError):
+            assemble_adjacency(tfidf, word_block(bad, n_words), 0, n_words)
 
 
 def test_adjacency_shape_mismatch():
     tfidf = sp.csr_array((1, 2))
     with pytest.raises(ValueError):
-        assemble_adjacency(tfidf, [], n_docs=2, n_words=2)
+        assemble_adjacency(tfidf, word_block([], 2), n_docs=2, n_words=2)
+    with pytest.raises(ValueError):
+        assemble_adjacency(tfidf, word_block([], 3), n_docs=1, n_words=2)
 
 
 def test_normalize_two_node_example():
@@ -326,7 +344,7 @@ def test_normalize_sums_degrees_in_entry_order():
     tfidf = sp.csr_array(dense)
     word_edges = [(i, j, float(rng.uniform(0.01, 5.0)))
                   for i in range(n_words) for j in range(i + 1, n_words) if rng.random() < 0.3]
-    adj = assemble_adjacency(tfidf, word_edges, n_docs, n_words)
+    adj = assemble_adjacency(tfidf, word_block(word_edges, n_words), n_docs, n_words)
 
     degree = np.zeros(adj.shape[0])
     np.add.at(degree, adj.row, adj.data)
@@ -355,7 +373,7 @@ def test_pipeline_structure_properties(case):
     norm = normalize_adjacency(adj)
 
     dense_adj = adj.toarray()
-    want_adj = brute_adjacency_dense(tfidf.toarray(), word_edges, n_docs, n_words)
+    want_adj = brute_adjacency_dense(tfidf.toarray(), edge_triples(word_edges), n_docs, n_words)
     np.testing.assert_allclose(dense_adj, want_adj, rtol=0, atol=1e-12)
 
     dense = norm.toarray()
@@ -436,6 +454,34 @@ def test_embedding_binary_rejects_oversized_header(tmp_path):
         read_embeddings(path)
 
 
+def test_embedding_binary_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_embeddings(path, EmbeddingMatrix(np.ones((2, 3))))
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(ValueError, match="trailing bytes"):
+        read_embeddings(path)
+
+
+TGEM_HEADER = struct.pack("<I", 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=48), st.binary(max_size=48).map(TGEM_HEADER.__add__)))
+@example(TGEM_HEADER + struct.pack("<QQ", 2**64 - 1, 0))
+@example(TGEM_HEADER + struct.pack("<QQ", 2**62, 2**62))
+@example(TGEM_HEADER + struct.pack("<QQ", 1, 2) + b"\x00" * 9)
+def test_embedding_binary_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
+    # Any bytes after the magic either load or raise ValueError; declared
+    # sizes are checked against the file, so nothing huge is allocated.
+    path = tmp_path_factory.mktemp("tgem") / "emb.bin"
+    path.write_bytes(b"TGEM" + body)
+    try:
+        emb = read_embeddings(path)
+    except ValueError:
+        return
+    assert 4 + 20 + 4 * emb.values.size == path.stat().st_size
+
+
 def test_embedding_csv_roundtrip(tmp_path):
     emb = EmbeddingMatrix(np.array([[1.5, -2.0], [0.0, 3.25]]))
     path = tmp_path / "emb.csv"
@@ -460,7 +506,8 @@ def test_graph_json_roundtrip(tmp_path):
     loaded = json.loads(path.read_text())
     tfidf2, word_edges2, meta = load_graph_json(loaded)
     np.testing.assert_allclose(tfidf2.toarray(), tfidf.toarray(), rtol=0, atol=0)
-    assert word_edges2 == word_edges
+    assert isinstance(word_edges2, sp.coo_array)
+    assert edge_triples(word_edges2) == edge_triples(word_edges)
     assert meta["n_docs"] == 3
 
 
@@ -552,7 +599,9 @@ def test_graph_json_edges_load_or_raise_value_error(edges):
     # Whatever loads is a graph the rest of the pipeline accepts.
     assert tfidf.shape == (2, 3)
     assert np.all(np.isfinite(tfidf.data)) and np.all(tfidf.data > 0.0)
-    assert all(0 <= i < 3 and 0 <= j < 3 and i != j and w > 0.0 for i, j, w in word_edges)
+    assert all(
+        0 <= i < 3 and 0 <= j < 3 and i != j and w > 0.0 for i, j, w in edge_triples(word_edges)
+    )
     normalize_adjacency(assemble_adjacency(tfidf, word_edges, 2, 3))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import make_corpus
+from oracles import make_corpus, word_block
 from stressgraph.graph import compute_tfidf, ppmi_edges, slide_windows
 from stressgraph.interpret import (
     FrequencyTable,
@@ -129,7 +129,7 @@ def test_salience_degree_bound_and_coverage():
 def test_salience_clamps_sparse_docs():
     corpus = make_corpus([[0, 0], [1]], labels=[1, 0])
     tfidf = compute_tfidf(corpus)
-    graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, [], k=5)
+    graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_block([], 2), k=5)
     doc_word = [e for e in graph.edges if e.kind == "doc-word"]
     # Each doc has a single distinct word, so one edge apiece despite k=5.
     assert len(doc_word) == 2
@@ -182,7 +182,7 @@ def test_salience_json_roundtrip():
 def test_salience_dot_output():
     corpus = make_corpus([[0, 0], [1]], labels=[1, 0])
     tfidf = compute_tfidf(corpus)
-    graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, [], k=1)
+    graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_block([], 2), k=1)
     dot = salience_to_dot(graph)
     assert dot.startswith("graph salience {")
     assert dot.rstrip().endswith("}")

@@ -407,6 +407,35 @@ def test_run_batch_failure_after_retries():
     assert "connection reset" in t.meta["error"]
 
 
+def test_run_batch_resends_transport_failures_on_resume(tmp_path):
+    store = tmp_path / "transcripts.jsonl"
+
+    def down(prompt):
+        raise RuntimeError("connection reset")
+
+    first = run_batch(CannedClient(down), ["a", "b"], retries=1, store_path=store)
+    assert [(t.response, t.meta["attempts"]) for t in first] == [(None, 2), (None, 2)]
+
+    client = CannedClient("minority stress")
+    resumed = run_batch(client, ["a", "b"], retries=1, store_path=store)
+    assert client.calls == 2
+    assert [(t.label, t.meta["attempts"]) for t in resumed] == [(1, 3), (1, 3)]
+    assert not any("error" in t.meta for t in resumed)
+    # The store's last line per prompt wins, so a third run sends nothing.
+    again = CannedClient("minority stress")
+    assert run_batch(again, ["a", "b"], store_path=store) == resumed
+    assert again.calls == 0
+
+
+def test_run_batch_serves_parse_failures_from_the_store(tmp_path):
+    store = tmp_path / "transcripts.jsonl"
+    (first,) = run_batch(CannedClient("no idea"), ["a"], store_path=store)
+    assert first.response == "no idea" and first.failed
+    client = CannedClient("minority stress")
+    assert run_batch(client, ["a"], store_path=store) == [first]
+    assert client.calls == 0
+
+
 def test_run_batch_recovers_within_retries():
     state = {"n": 0}
 
