@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -26,13 +26,15 @@ SEQUENCE_VERSION = 1
 
 @dataclass(frozen=True)
 class TokenEmbeddingSequence:
-    """One document's per-token embedding rows (L x d)."""
+    """One document's per-token embedding rows (L x d), held as float32 or float64."""
 
     doc_id: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        matrix = np.asarray(self.matrix)
+        if matrix.dtype != np.float32:
+            matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] < 1:
             raise ValueError(f"sequence {self.doc_id!r} must be a non-empty 2-D matrix")
         if not np.all(np.isfinite(matrix)):
@@ -76,13 +78,23 @@ class ConvHeadConfig:
 
 @dataclass
 class ConvHeadParams:
-    """Filter banks plus the dense output layer; dropout rate rides along."""
+    """Filter banks plus the dense output layer; dropout rate rides along.
+
+    The banks are copied into `stacked`, a sum(k * F) x d float64 matrix with bank b's
+    offset-j weights of filter f in row (b, j, f); kernels[b] are (k, d, F) views of it.
+    """
 
     kernels: tuple
     conv_bias: tuple
     dense_W: np.ndarray
     dense_b: np.ndarray
     dropout: float = 0.5
+    stacked: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        banks = [k.transpose(0, 2, 1).reshape(-1, k.shape[1]) for k in self.kernels]
+        self.stacked = np.concatenate(banks, dtype=np.float64)
+        self.kernels = _bank_views(self.stacked, [k.shape for k in self.kernels])
 
     @property
     def kernel_sizes(self) -> tuple:
@@ -94,7 +106,7 @@ class ConvHeadParams:
 
     def copy(self) -> "ConvHeadParams":
         return ConvHeadParams(
-            kernels=tuple(k.copy() for k in self.kernels),
+            kernels=self.kernels,
             conv_bias=tuple(b.copy() for b in self.conv_bias),
             dense_W=self.dense_W.copy(),
             dense_b=self.dense_b.copy(),
@@ -137,24 +149,26 @@ def pad_sequence(matrix: np.ndarray, min_len: int) -> np.ndarray:
     """Right-pad with zero rows up to min_len; longer input passes through."""
     if matrix.shape[0] >= min_len:
         return matrix
-    pad = np.zeros((min_len - matrix.shape[0], matrix.shape[1]))
+    pad = np.zeros((min_len - matrix.shape[0], matrix.shape[1]), dtype=matrix.dtype)
     return np.vstack([matrix, pad])
 
 
+def _bank_views(stacked: np.ndarray, shapes) -> tuple:
+    """(k, d, F) views of a sum(k * F) x d matrix whose rows run bank, offset, filter."""
+    views, row = [], 0
+    for k, d, n_filters in shapes:
+        views.append(stacked[row:row + k * n_filters].reshape(k, n_filters, d).transpose(0, 2, 1))
+        row += k * n_filters
+    return tuple(views)
+
+
 def _stack_kernels(params: ConvHeadParams) -> np.ndarray:
-    """Every bank's kernel offsets side by side: a d x sum(k * F) matrix.
+    """Every bank's kernel offsets side by side: a d x sum(k * F) view, no copy.
 
     Bank b's offset j occupies the F columns starting at
     sum(k_c * F for c < b) + j * F.
     """
-    d = params.kernels[0].shape[1]
-    w_all = np.empty((d, sum(kernel.shape[0] * kernel.shape[2] for kernel in params.kernels)))
-    col = 0
-    for kernel in params.kernels:
-        k, _, n_filters = kernel.shape
-        w_all[:, col:col + k * n_filters].reshape(d, k, n_filters)[...] = kernel.transpose(1, 0, 2)
-        col += k * n_filters
-    return w_all
+    return params.stacked.T
 
 
 def _forward_batch(
@@ -174,7 +188,7 @@ def _forward_batch(
     padded = [pad_sequence(seq.matrix, min_len) for seq in sequences]
     lengths = np.array([m.shape[0] for m in padded])
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
-    x = np.concatenate(padded)
+    x = np.concatenate(padded, dtype=np.float64)
     y = x @ w_all
     bank_convs = []
     col = 0
@@ -325,13 +339,9 @@ def batch_loss_and_gradients(
     g_all = s_all @ x
     g_all /= n
     grads = {}
-    row = 0
-    for idx, kernel in enumerate(params.kernels):
-        k, d, n_filters = kernel.shape
-        block = g_all[row:row + k * n_filters].reshape(k, n_filters, d)
-        grads[f"conv.K{idx}"] = np.ascontiguousarray(block.transpose(0, 2, 1))
+    for idx, grad in enumerate(_bank_views(g_all, [kernel.shape for kernel in params.kernels])):
+        grads[f"conv.K{idx}"] = grad
         grads[f"conv.b{idx}"] = bias_grads[idx] / n
-        row += k * n_filters
     grads["dense.W"] = dense_w / n
     grads["dense.b"] = dense_b / n
     return total / n, grads
@@ -483,9 +493,9 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
                 raise ValueError(
                     f"sequence {doc_id!r} has dim {dim}, expected {config.embedding_dim}"
                 )
-            matrix = payload.astype(np.float64).reshape(length, dim)
+            matrix = payload.reshape(length, dim)
             if length > config.max_len:
-                matrix = matrix[:config.max_len]
+                matrix = matrix[:config.max_len].copy()
             out.append(TokenEmbeddingSequence(doc_id=doc_id, matrix=matrix))
         if fh.read(1):
             raise ValueError("trailing bytes after the last sequence")

@@ -141,7 +141,7 @@ def _parse_label(value, line_no: int | None) -> int | None:
         return None
     try:
         label = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise CorpusFormatError(f"label {value!r} is not an integer", line_no)
     if label not in (0, 1):
         raise CorpusFormatError(f"label must be 0 or 1, got {label}", line_no)
@@ -169,10 +169,12 @@ def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
                     raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no)
                 if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
                     raise CorpusFormatError("record must be an object with id and text", line_no)
+                if not isinstance(rec["id"], str) or not isinstance(rec["text"], str):
+                    raise CorpusFormatError("id and text must be strings", line_no)
                 docs.append(
                     RawDocument(
-                        id=str(rec["id"]),
-                        text=str(rec["text"]),
+                        id=rec["id"],
+                        text=rec["text"],
                         label=_parse_label(rec.get("label"), line_no),
                         source=str(rec.get("source", "")),
                     )
@@ -180,20 +182,24 @@ def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
                 _check_duplicate(docs[-1].id, seen, line_no)
         else:
             reader = csv.DictReader(fh)
-            if reader.fieldnames is None or not {"id", "text"} <= set(reader.fieldnames):
-                raise CorpusFormatError("CSV header must contain id,text[,label]", 1)
-            for line_no, rec in enumerate(reader, start=2):
-                if rec["id"] is None or rec["text"] is None:
-                    raise CorpusFormatError("short record", line_no)
-                docs.append(
-                    RawDocument(
-                        id=rec["id"],
-                        text=rec["text"],
-                        label=_parse_label(rec.get("label"), line_no),
-                        source=rec.get("source") or "",
+            try:
+                if reader.fieldnames is None or not {"id", "text"} <= set(reader.fieldnames):
+                    raise CorpusFormatError("CSV header must contain id,text[,label]", 1)
+                for line_no, rec in enumerate(reader, start=2):
+                    if rec["id"] is None or rec["text"] is None:
+                        raise CorpusFormatError("short record", line_no)
+                    docs.append(
+                        RawDocument(
+                            id=rec["id"],
+                            text=rec["text"],
+                            label=_parse_label(rec.get("label"), line_no),
+                            source=rec.get("source") or "",
+                        )
                     )
-                )
-                _check_duplicate(docs[-1].id, seen, line_no)
+                    _check_duplicate(docs[-1].id, seen, line_no)
+            except csv.Error as exc:
+                # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
+                raise CorpusFormatError(f"invalid CSV ({exc})") from None
     return docs
 
 
@@ -339,7 +345,7 @@ def load_tokenized(path) -> TokenizedCorpus:
             vocab=vocab,
             labels=[None if lab is None else int(lab) for lab in payload["labels"]],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise CorpusFormatError(f"malformed tokenized-corpus file: {exc}") from exc
     _check_tokenized(corpus)
     return corpus
@@ -359,7 +365,7 @@ def _check_tokenized(corpus: TokenizedCorpus) -> None:
             f"vocabulary has {n_tokens} tokens but {len(corpus.vocab.doc_freq)} doc_freq entries"
         )
     ids = np.concatenate([seq for seq in corpus.sequences if seq] or [np.zeros(0, np.int64)])
-    if ids.dtype.kind != "i":
+    if ids.dtype.kind != "i" or ids.ndim != 1:
         raise CorpusFormatError("token ids must be integers")
     if len(ids) and (ids.min() < 0 or ids.max() >= n_tokens):
         raise CorpusFormatError(

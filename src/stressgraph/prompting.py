@@ -280,11 +280,16 @@ class HTTPChatClient(CompletionClient):
 
 
 def _decode_transcript(line: bytes) -> CompletionTranscript:
-    """One store line as a transcript; ValueError when it is not a record."""
+    """One store line as a transcript; ValueError when it is not a well-typed record."""
     payload = json.loads(line.decode("utf-8"))
     if (not isinstance(payload, dict) or not isinstance(payload.get("prompt"), str)
             or not isinstance(payload.get("meta", {}), dict)):
         raise ValueError("not a transcript record (an object with a string prompt)")
+    if not isinstance(payload.get("response"), (str, type(None))):
+        raise ValueError("transcript response must be a string or null")
+    label = payload.get("label")
+    if label is not None and (type(label) is not int or label not in (0, 1)):
+        raise ValueError("transcript label must be 0, 1 or null")
     return CompletionTranscript.from_dict(payload)
 
 

@@ -712,6 +712,21 @@ def test_eval_transcripts_failure_handling(pipeline, tmp_path):
     assert payload["total"] == 4
 
 
+def test_eval_transcripts_mistyped_record_is_data_error(pipeline, tmp_path, capsys):
+    prompts_out = tmp_path / "prompts"
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--target-split", "test",
+                     "--out", str(prompts_out)]) == 0
+    prompt = json.loads((prompts_out / "prompts.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    store_path = tmp_path / "transcripts.jsonl"
+    store_path.write_text(json.dumps({"prompt": prompt["prompt"], "response": 5, "label": "abc"}) + "\n")
+    rc = cli.main(["eval", "--transcripts", str(store_path),
+                   "--prompts", str(prompts_out / "prompts.jsonl"),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert "transcript store line 1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # export
 

@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,12 @@ def test_sequence_validation():
         seq("a", [[np.nan, 0.0]])
     s = seq("a", [[1.0, 2.0]])
     assert s.length == 1 and s.dim == 2
+    # float32 stays float32; every other input becomes float64.
+    assert TokenEmbeddingSequence("b", np.ones((2, 3), dtype=np.float32)).matrix.dtype == np.float32
+    for other in ([[1, 2, 3]], np.ones((1, 3), dtype=np.float16), np.ones((1, 3), dtype=np.int32)):
+        assert TokenEmbeddingSequence("c", other).matrix.dtype == np.float64
+    with pytest.raises(ValueError):
+        TokenEmbeddingSequence("d", np.array([[np.inf]], dtype=np.float32))
 
 
 def test_config_validation():
@@ -97,6 +104,58 @@ def test_pad_sequence():
     assert padded.shape == (5, 3)
     np.testing.assert_array_equal(padded[2:], 0.0)
     assert pad_sequence(m, 2) is m
+    assert pad_sequence(m.astype(np.float32), 5).dtype == np.float32
+
+
+def test_mixed_float32_batch_matches_float64_bit_for_bit():
+    # The batch is cast to float64 once; float32 -> float64 is exact, so every
+    # logit and gradient equals that of the same values held as float64.
+    rng = np.random.default_rng(12)
+    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=8, embedding_dim=6, seed=3))
+    matrices = [rng.normal(size=(n, 6)).astype(np.float32) for n in (1, 7, 4, 12)]
+    mixed = [TokenEmbeddingSequence(f"d{i}", m if i % 2 else m.astype(np.float64))
+             for i, m in enumerate(matrices)]
+    wide = [seq(f"d{i}", m) for i, m in enumerate(matrices)]
+    assert [s.matrix.dtype for s in mixed] == [np.float64, np.float32] * 2
+    assert conv_logits(mixed, params, 3) == conv_logits(wide, params, 3)
+    labels = [1, 0, 0, 1]
+    loss, grads = batch_loss_and_gradients(mixed, labels, params)
+    ref_loss, ref_grads = batch_loss_and_gradients(wide, labels, params)
+    assert loss == ref_loss
+    for name, ref in ref_grads.items():
+        assert np.array_equal(grads[name], ref), name
+
+
+def test_kernels_and_their_gradients_are_views_of_one_array_each():
+    params = init_conv_params(ConvHeadConfig(**SMALL, seed=5))
+    w_all = _stack_kernels(params)
+    assert np.shares_memory(w_all, _stack_kernels(params))
+    assert all(np.shares_memory(w_all, kernel) for kernel in params.kernels)
+    # An in-place update of a bank, as Adam makes, reaches the GEMM operand:
+    # bank 1 (k = 3) starts after bank 0's 2 x 4 columns, offset 2 after 2 x 4 more.
+    params.kernels[1][2, 0, 3] += 1.0
+    assert w_all[0, 8 + 8 + 3] == params.kernels[1][2, 0, 3]
+    # copy() stacks afresh.
+    assert not np.shares_memory(params.copy().kernels[0], w_all)
+    rng = np.random.default_rng(5)
+    sequences = [seq(f"d{i}", rng.normal(size=(n, 3))) for i, n in enumerate((4, 6))]
+    _, grads = batch_loss_and_gradients(sequences, [1, 0], params)
+    g_all = _root(grads["conv.K0"])
+    assert g_all.shape == (2 * 4 + 3 * 4, 3)
+    assert np.shares_memory(g_all, grads["conv.K0"]) and np.shares_memory(g_all, grads["conv.K1"])
+
+
+@pytest.mark.parametrize("rows", [20, 240, 960])
+def test_stacked_gemm_operand_matches_contiguous_matrix_bits(rows):
+    # The forward multiplies by a transposed view of the stacked kernels. A
+    # BLAS whose result then differs from that of the contiguous d x sum(k F)
+    # matrix would move every conv-head digest, so it fails here instead.
+    params = init_conv_params(ConvHeadConfig(seed=rows))
+    w_all = _stack_kernels(params)
+    filled = np.concatenate([k.transpose(1, 0, 2).reshape(k.shape[1], -1) for k in params.kernels], axis=1)
+    assert np.array_equal(w_all, filled)
+    x = np.random.default_rng(rows).normal(size=(rows, 768)).astype(np.float32).astype(np.float64)
+    assert np.array_equal(x @ w_all, x @ np.ascontiguousarray(w_all))
 
 
 def test_forward_zero_input_zero_logit():
@@ -190,15 +249,15 @@ def fd_gradients(loss_fn, arrays: dict, h: float = 1e-5) -> dict:
     out = {}
     for name, arr in arrays.items():
         grad = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        # Index arr itself: ravel() of a non-contiguous view is a copy.
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + h
             up = loss_fn()
-            flat[i] = orig - h
+            arr[idx] = orig - h
             down = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            arr[idx] = orig
+            grad[idx] = (up - down) / (2.0 * h)
         out[name] = grad
     return out
 
@@ -441,6 +500,47 @@ def test_sequence_file_truncates_to_max_len(tmp_path):
     back = load_token_embeddings(path, config)
     assert back[0].length == 16
     np.testing.assert_array_equal(back[0].matrix, long.matrix[:16])
+
+
+def _root(arr: np.ndarray) -> np.ndarray:
+    """The array at the root of arr's chain of views."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr
+
+
+def _buffer_bytes(arr: np.ndarray) -> int:
+    """Size of the buffer that arr's chain of views keeps alive."""
+    arr = _root(arr)
+    return arr.nbytes if arr.base is None else memoryview(arr.base).nbytes
+
+
+def test_sequence_file_loads_float32_without_a_float64_copy(tmp_path):
+    rng = np.random.default_rng(4)
+    sequences = [seq(f"d{i}", rng.normal(size=(100, 64))) for i in range(40)]
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, sequences)
+    payload_bytes = sum(s.length * s.dim * 4 for s in sequences)
+    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, embedding_dim=64)
+    tracemalloc.start()
+    try:
+        back = load_token_embeddings(path, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(s.matrix.dtype == np.float32 for s in back)
+    assert peak < 1.25 * payload_bytes
+    for got, want in zip(back, sequences):
+        np.testing.assert_array_equal(got.matrix, want.matrix.astype(np.float32))
+
+
+def test_truncated_sequence_does_not_keep_its_payload_alive(tmp_path):
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, [seq("long", np.ones((40, 3))), seq("short", np.ones((5, 3)))])
+    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, embedding_dim=3, max_len=16)
+    long, short = load_token_embeddings(path, config)
+    assert long.length == 16 and _buffer_bytes(long.matrix) == 16 * 3 * 4
+    assert short.length == 5 and _buffer_bytes(short.matrix) == 5 * 3 * 4
 
 
 def test_sequence_file_rejects_wrong_dim(tmp_path):

@@ -1,5 +1,6 @@
 """Tests for corpus loading, tokenization, vocabulary, and stratified splits."""
 
+import csv
 import json
 import math
 
@@ -76,6 +77,18 @@ def test_load_jsonl_missing_fields(tmp_path):
         load_corpus(path)
 
 
+@pytest.mark.parametrize("record", [
+    {"id": ["a"], "text": "x"}, {"id": 7, "text": "x"}, {"id": None, "text": "x"},
+    {"id": "b", "text": 5}, {"id": "b", "text": ["x"]}, {"id": "b", "text": None},
+])
+def test_load_jsonl_rejects_non_string_id_or_text(tmp_path, record):
+    path = tmp_path / "corpus.jsonl"
+    _write_jsonl(path, [{"id": "a", "text": "x"}, record])
+    with pytest.raises(CorpusFormatError, match="must be strings") as exc:
+        load_corpus(path)
+    assert exc.value.line_no == 2
+
+
 def test_load_duplicate_id_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     _write_jsonl(path, [{"id": "a", "text": "x", "label": 0}, {"id": "a", "text": "y", "label": 1}])
@@ -86,7 +99,7 @@ def test_load_duplicate_id_rejected(tmp_path):
 
 def test_load_bad_label_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    for bad in (2, -1, "yes"):
+    for bad in (2, -1, "yes", math.inf):
         _write_jsonl(path, [{"id": "a", "text": "x", "label": bad}])
         with pytest.raises(CorpusFormatError):
             load_corpus(path)
@@ -108,9 +121,51 @@ def test_load_csv_bad_header(tmp_path):
         load_corpus(path, format="csv")
 
 
+def test_load_csv_reader_error_is_format_error(tmp_path):
+    path = tmp_path / "corpus.csv"
+    path.write_text("id,text\na,ok\nb," + "x" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(CorpusFormatError, match="invalid CSV"):
+        load_corpus(path, format="csv")
+
+
 def test_load_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         load_corpus(tmp_path / "x", format="parquet")
+
+
+# Arbitrary JSON lines over the corpus record keys, CSV rows over its
+# columns, and arbitrary bytes.
+corpus_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "text", "label", "source"]) | st.text(max_size=2),
+                      inner, max_size=4),
+    max_leaves=8,
+)
+jsonl_corpora = st.lists(
+    corpus_values.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=16), max_size=5
+).map(b"\n".join)
+csv_fields = st.sampled_from(["id", "text", "label", "source", "0", "1", "2", '"', ""]) | st.text(max_size=4)
+csv_corpora = st.lists(st.lists(csv_fields, max_size=4).map(",".join), max_size=5).map(
+    lambda rows: "\n".join(["id,text,label", *rows]).encode()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | jsonl_corpora | csv_corpora, st.sampled_from(["jsonl", "csv"]))
+@example(b'{"id": "a", "text": "x", "label": Infinity}', "jsonl")
+@example(b'{"id": ["a"], "text": "x"}', "jsonl")
+@example(b"id,text\na\x00,x\n", "csv")
+def test_corpus_fuzz_loads_or_raises_value_error(tmp_path_factory, data, format):
+    # CorpusFormatError and UnicodeDecodeError are both ValueErrors.
+    path = tmp_path_factory.mktemp("corpus") / f"corpus.{format}"
+    path.write_bytes(data)
+    try:
+        docs = load_corpus(path, format=format)
+    except ValueError:
+        return
+    assert all(type(d.id) is str and type(d.text) is str and d.label in (None, 0, 1) for d in docs)
+    assert len({d.id for d in docs}) == len(docs)
 
 
 # ------------------------------------------------------------- tokenizer
@@ -392,6 +447,44 @@ def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, messag
     _write_tokenized(path, **overrides)
     with pytest.raises(CorpusFormatError, match=message):
         load_tokenized(path)
+
+
+# Tokenized-corpus payloads whose fields are well-shaped or arbitrary JSON.
+tokenized_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.integers() | st.floats() | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=8,
+)
+tokenized_payloads = st.fixed_dictionaries({
+    "doc_ids": st.lists(st.text(max_size=2), max_size=3) | tokenized_values,
+    "labels": st.lists(st.none() | st.integers(0, 1) | tokenized_values, max_size=3) | tokenized_values,
+    "sequences": st.lists(st.lists(st.integers(-1, 3) | tokenized_values, max_size=3), max_size=3)
+    | tokenized_values,
+    "vocab": st.fixed_dictionaries({
+        "tokens": st.lists(st.text(max_size=2), max_size=3) | tokenized_values,
+        "doc_freq": st.lists(st.integers(0, 3), max_size=3) | tokenized_values,
+        "n_docs": st.integers(0, 3) | tokenized_values,
+    }) | tokenized_values,
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | (tokenized_payloads | tokenized_values).map(lambda v: json.dumps(v).encode()))
+@example(b'{"doc_ids": ["a"], "labels": [Infinity], "sequences": [[]],'
+         b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 1}}')
+@example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[[0]]],'
+         b' "vocab": {"tokens": ["x"], "doc_freq": [1], "n_docs": 1}}')
+def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("tokenized") / "tokenized.json"
+    path.write_bytes(data)
+    try:
+        corpus = load_tokenized(path)
+    except ValueError:
+        return
+    n_tokens = len(corpus.vocab.tokens)
+    assert len(corpus.sequences) == len(corpus.labels) == len(corpus.doc_ids)
+    # JSON true/false pass as the integers 1/0, as they do in Python.
+    assert all(isinstance(t, int) and 0 <= t < n_tokens for seq in corpus.sequences for t in seq)
 
 
 def test_tokenized_load_accepts_all_empty_sequences(tmp_path):

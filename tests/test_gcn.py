@@ -231,15 +231,15 @@ def fd_gradients(loss_fn, arrays: dict, h: float = 1e-5) -> dict:
     out = {}
     for name, arr in arrays.items():
         grad = np.zeros_like(arr)
-        flat, gflat = arr.ravel(), grad.ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
+        # Index arr itself: ravel() of a non-contiguous view is a copy.
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + h
             up = loss_fn()
-            flat[i] = orig - h
+            arr[idx] = orig - h
             down = loss_fn()
-            flat[i] = orig
-            gflat[i] = (up - down) / (2.0 * h)
+            arr[idx] = orig
+            grad[idx] = (up - down) / (2.0 * h)
         out[name] = grad
     return out
 

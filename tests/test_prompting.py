@@ -5,6 +5,8 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stressgraph.prompting import (
     CannedClient,
@@ -257,6 +259,61 @@ def test_transcript_store_rejects_corrupt_middle_line(tmp_path, bad):
     path.write_bytes(good + bad + b"\n" + good)
     with pytest.raises(ValueError, match="line 2"):
         load_transcript_store(path)
+
+
+@pytest.mark.parametrize("record", [
+    {"prompt": "x", "response": 5, "label": "abc"},
+    {"prompt": "x", "response": ["r"], "label": None},
+    {"prompt": "x", "response": "r", "label": 2},
+    {"prompt": "x", "response": "r", "label": True},
+    {"prompt": "x", "response": "r", "label": 1.0},
+    {"prompt": "x", "response": "r", "label": "1"},
+])
+def test_transcript_store_rejects_mistyped_records(tmp_path, record):
+    path = tmp_path / "transcripts.jsonl"
+    line = json.dumps(record).encode()
+    path.write_bytes(line + b"\n")
+    with pytest.raises(ValueError, match="line 1: transcript"):
+        load_transcript_store(path)
+    # Unterminated, the same record is a torn final append and is skipped.
+    path.write_bytes(line)
+    assert load_transcript_store(path) == {}
+
+
+# Arbitrary JSON values, transcript-shaped objects over them, and arbitrary bytes.
+transcript_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["prompt", "response", "label", "meta"]) | st.text(max_size=2),
+                      inner, max_size=4),
+    max_leaves=8,
+)
+transcript_records = st.fixed_dictionaries(
+    {"prompt": st.text(max_size=3)},
+    optional={"response": transcript_values, "label": transcript_values, "meta": transcript_values},
+)
+transcript_lines = st.lists(
+    (transcript_records | transcript_values).map(lambda v: json.dumps(v).encode())
+    | st.binary(max_size=16),
+    max_size=4,
+).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | transcript_lines | transcript_lines.map(lambda b: b + b"\n"))
+@example(b'{"prompt": "x", "response": 5, "label": "abc"}\n')
+def test_transcript_store_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("store") / "transcripts.jsonl"
+    path.write_bytes(data)
+    try:
+        store = load_transcript_store(path)
+    except ValueError:
+        return
+    for sha, transcript in store.items():
+        assert transcript.prompt_sha256 == sha
+        assert transcript.response is None or type(transcript.response) is str
+        assert transcript.label is None or (type(transcript.label) is int and transcript.label in (0, 1))
+        assert type(transcript.meta) is dict
 
 
 def test_append_after_torn_tail_starts_a_new_line(tmp_path):
