@@ -34,7 +34,7 @@ from .corpus import (
     stratified_split,
     tokenize_corpus,
 )
-from .manifest import RunManifest, atomic_write, write_manifest
+from .manifest import RunManifest, atomic_write, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -164,55 +164,6 @@ def _finish_manifest(man: RunManifest, started: float, out_dir) -> str:
 def _out_dir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
-
-
-_SCALAR_TYPES = {str, int, float, bool, type(None)}
-_RECORD_PAD = " " * 6
-
-
-def _records_json(records: list) -> str | None:
-    """A list of flat scalar dicts as indent=2 JSON at depth 1, or None.
-
-    The C encoder writes every separator as a newline plus the record-key
-    indentation; record boundaries are then re-indented. A JSON string never
-    holds a raw newline, so "},\n" + pad + "{" occurs only between records.
-    """
-    if not records:
-        return "[]"
-    if not all(type(rec) is dict and rec for rec in records):
-        return None
-    if not {type(v) for rec in records for v in rec.values()} <= _SCALAR_TYPES:
-        return None
-    sep = ",\n" + _RECORD_PAD
-    body = json.JSONEncoder(separators=(sep, ": "), sort_keys=True).encode(records)[2:-2]
-    body = body.replace("}" + sep + "{", "\n    },\n    {\n" + _RECORD_PAD)
-    return "[\n    {\n" + _RECORD_PAD + body + "\n    }\n  ]"
-
-
-def _indented_json(data: dict) -> str:
-    """json.dumps(data, indent=2, sort_keys=True).
-
-    String keys with scalar values or lists of flat scalar dicts (the export
-    tables) go through the C encoder; any other document through json.dumps.
-    """
-    parts = []
-    for key in sorted(data):
-        value = data[key]
-        if type(value) in _SCALAR_TYPES:
-            text = json.dumps(value)
-        else:
-            text = _records_json(value) if type(value) is list else None
-        if text is None or type(key) is not str:
-            return json.dumps(data, indent=2, sort_keys=True)
-        parts.append(f"  {json.dumps(key)}: {text}")
-    return "{\n" + ",\n".join(parts) + "\n}" if parts else "{}"
-
-
-def _write_indented_json(path, data: dict) -> None:
-    """Write _indented_json(data) plus a newline, replacing path atomically."""
-    text = _indented_json(data) + "\n"
-    with atomic_write(path) as fh:
-        fh.write(text)
 
 
 def _rules(config: dict) -> TokenizerRules:
@@ -382,15 +333,15 @@ def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
         gcn.write_history_csv(history_path, history)
         metrics_path = os.path.join(out, f"{prefix}metrics-seed{seed}.json")
         payload = {**evaluation.report_as_dict(report), "seed": seed, **extra}
-        _write_indented_json(metrics_path, payload)
+        write_json(metrics_path, payload, indent=2)
         for path in (checkpoint_path, history_path, metrics_path):
             man.add_output(path)
     agg = evaluation.aggregate(report for _, _, report, _ in outcomes)
     agg_path = os.path.join(out, f"{prefix}aggregate.json")
-    _write_indented_json(agg_path, {
+    write_json(agg_path, {
         "n_runs": agg.n_runs,
         "metrics": {name: {"mean": mean, "std": std} for name, (mean, std) in agg.stats.items()},
-    })
+    }, indent=2)
     man.add_output(agg_path)
     return agg
 
@@ -555,11 +506,11 @@ def cmd_prompts(args) -> int:
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
     shots_path = os.path.join(out, "shots.json")
-    _write_indented_json(shots_path, {
+    write_json(shots_path, {
         "k": k,
         "seed": int(config["prompt_seed"]),
         "shots": [{"id": s.doc_id, "label": s.label} for s in shots.shots],
-    })
+    }, indent=2)
     man.add_output(prompts_path)
     man.add_output(shots_path)
     _finish_manifest(man, started, out)
@@ -671,7 +622,7 @@ def cmd_eval(args) -> int:
     payload["confusion"] = {"tn": cm.tn, "fp": cm.fp, "fn": cm.fn, "tp": cm.tp}
     payload.update(meta)
     report_path = os.path.join(out, "report.json")
-    _write_indented_json(report_path, payload)
+    write_json(report_path, payload, indent=2)
     table = evaluation.render_metrics(report, name=config["averaging"])
     table_path = os.path.join(out, "report.txt")
     with atomic_write(table_path) as fh:
@@ -695,7 +646,7 @@ def cmd_export(args) -> int:
     if args.label is not None:
         table = interpret.label_word_frequencies(corpus, int(args.label))
         freq_path = os.path.join(out, f"frequencies-label{int(args.label)}.json")
-        _write_indented_json(freq_path, interpret.frequency_to_json(table))
+        write_json(freq_path, interpret.frequency_to_json(table), indent=2)
         man.add_output(freq_path)
         print(f"label {args.label}: {len(table.entries)} ranked tokens")
 
@@ -714,7 +665,7 @@ def cmd_export(args) -> int:
             corpus, doc_ids, tfidf, ppmi, int(args.k)
         )
         json_path = os.path.join(out, "salience.json")
-        _write_indented_json(json_path, interpret.salience_to_json(salience))
+        write_json(json_path, interpret.salience_to_json(salience))
         dot_path = os.path.join(out, "salience.dot")
         with atomic_write(dot_path) as fh:
             fh.write(interpret.salience_to_dot(salience))

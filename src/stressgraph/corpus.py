@@ -7,10 +7,11 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
-from .manifest import atomic_write
+from .manifest import atomic_write, write_json
 
 # Classic English stopword list (NLTK lineage), inlined so tokenization has no
 # runtime data dependency.
@@ -181,12 +182,21 @@ def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
                 )
                 _check_duplicate(docs[-1].id, seen, line_no)
         else:
-            reader = csv.DictReader(fh)
+            reader = csv.reader(fh)
             try:
-                if reader.fieldnames is None or not {"id", "text"} <= set(reader.fieldnames):
+                header = next(reader, None)
+                if header is None or not {"id", "text"} <= set(header):
                     raise CorpusFormatError("CSV header must contain id,text[,label]", 1)
-                for line_no, rec in enumerate(reader, start=2):
-                    if rec["id"] is None or rec["text"] is None:
+                while True:
+                    # A quoted field may span lines: number the record by its first line.
+                    line_no = reader.line_num + 1
+                    row = next(reader, None)
+                    if row is None:
+                        break
+                    if not row:
+                        continue
+                    rec = dict(zip(header, row))
+                    if "id" not in rec or "text" not in rec:
                         raise CorpusFormatError("short record", line_no)
                     docs.append(
                         RawDocument(
@@ -323,9 +333,7 @@ def save_tokenized(path, corpus: TokenizedCorpus) -> None:
             "n_docs": corpus.vocab.n_docs,
         },
     }
-    with atomic_write(path) as fh:
-        json.dump(payload, fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_tokenized(path) -> TokenizedCorpus:
@@ -343,7 +351,7 @@ def load_tokenized(path) -> TokenizedCorpus:
             doc_ids=list(payload["doc_ids"]),
             sequences=[list(seq) for seq in payload["sequences"]],
             vocab=vocab,
-            labels=[None if lab is None else int(lab) for lab in payload["labels"]],
+            labels=list(payload["labels"]),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise CorpusFormatError(f"malformed tokenized-corpus file: {exc}") from exc
@@ -352,20 +360,30 @@ def load_tokenized(path) -> TokenizedCorpus:
 
 
 def _check_tokenized(corpus: TokenizedCorpus) -> None:
-    """Aligned per-document lists, one doc_freq per token, ids in [0, V)."""
+    """Aligned per-document lists of unique string ids and 0/1/None labels,
+    one doc_freq per token, integer token ids in [0, V)."""
     n_docs = len(corpus.doc_ids)
     if len(corpus.sequences) != n_docs or len(corpus.labels) != n_docs:
         raise CorpusFormatError(
             f"tokenized corpus has {n_docs} doc ids, {len(corpus.sequences)} sequences "
             f"and {len(corpus.labels)} labels"
         )
+    if any(type(doc_id) is not str for doc_id in corpus.doc_ids):
+        raise CorpusFormatError("doc ids must be strings")
+    if len(set(corpus.doc_ids)) != n_docs:
+        raise CorpusFormatError("doc ids must be unique")
+    if any(lab is not None and (type(lab) is not int or lab not in (0, 1)) for lab in corpus.labels):
+        raise CorpusFormatError("labels must be 0, 1 or null")
     n_tokens = len(corpus.vocab.tokens)
     if len(corpus.vocab.doc_freq) != n_tokens:
         raise CorpusFormatError(
             f"vocabulary has {n_tokens} tokens but {len(corpus.vocab.doc_freq)} doc_freq entries"
         )
+    # JSON true/false would pass numpy as the integers 1/0.
+    if set(map(type, chain.from_iterable(corpus.sequences))) - {int}:
+        raise CorpusFormatError("token ids must be integers")
     ids = np.concatenate([seq for seq in corpus.sequences if seq] or [np.zeros(0, np.int64)])
-    if ids.dtype.kind != "i" or ids.ndim != 1:
+    if ids.dtype.kind != "i":
         raise CorpusFormatError("token ids must be integers")
     if len(ids) and (ids.min() < 0 or ids.max() >= n_tokens):
         raise CorpusFormatError(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import os
@@ -14,7 +13,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .manifest import atomic_write
+from .manifest import atomic_write, write_json
 
 DEFAULT_WINDOW_SIZE = 20
 
@@ -25,8 +24,6 @@ EMBEDDING_VERSION = 1
 # whose token count times the window size stays within this bound (at least
 # one document per run), so the memory of one run is bounded.
 _WINDOW_CHUNK_ENTRIES = 1 << 18
-# save_graph_json encodes list values this many elements at a time.
-_JSON_SLICE = 4096
 
 
 @dataclass
@@ -416,24 +413,5 @@ def load_graph_json(data: dict) -> tuple[sp.csr_array, sp.coo_array, dict]:
 
 
 def save_graph_json(path, data: dict) -> None:
-    """Write a graph document as compact sorted-key JSON, replacing path atomically.
-
-    The bytes equal json.dumps(data, separators=(",", ":"), sort_keys=True)
-    plus a newline. Keys must be strings. List values are encoded a slice at
-    a time by the C encoder, so no full copy of the text is held in memory.
-    """
-    encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
-    with atomic_write(path) as fh:
-        fh.write("{")
-        for n, key in enumerate(sorted(data)):
-            fh.write(("," if n else "") + encode(key) + ":")
-            value = data[key]
-            if not isinstance(value, list):
-                fh.write(encode(value))
-                continue
-            fh.write("[")
-            for start in range(0, len(value), _JSON_SLICE):
-                chunk = encode(value[start:start + _JSON_SLICE])[1:-1]
-                fh.write(("," if start else "") + chunk)
-            fh.write("]")
-        fh.write("}\n")
+    """Write a graph document as compact sorted-key JSON, replacing path atomically."""
+    write_json(path, data)

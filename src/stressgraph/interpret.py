@@ -39,6 +39,10 @@ class SalienceEdge:
     kind: str
 
 
+# The node kinds an edge kind joins, in (a, b) order.
+_EDGE_ENDS = {"doc-word": ("doc", "word"), "word-word": ("word", "word")}
+
+
 @dataclass(frozen=True)
 class SalienceGraph:
     """Documents, their top-k words, and word-word links among those words."""
@@ -51,15 +55,16 @@ class SalienceGraph:
         object.__setattr__(self, "doc_nodes", tuple(self.doc_nodes))
         object.__setattr__(self, "word_nodes", tuple(self.word_nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
+        names = {"doc": set(self.doc_nodes), "word": set(self.word_nodes)}
         referenced = set()
         for edge in self.edges:
-            if edge.kind == "doc-word":
-                referenced.add(edge.b)
-            elif edge.kind == "word-word":
-                referenced.update((edge.a, edge.b))
-            else:
+            if edge.kind not in _EDGE_ENDS:
                 raise ValueError(f"unknown edge kind {edge.kind!r}")
-        orphans = set(self.word_nodes) - referenced
+            kind_a, kind_b = _EDGE_ENDS[edge.kind]
+            if edge.a not in names[kind_a] or edge.b not in names[kind_b]:
+                raise ValueError(f"{edge.kind} edge {edge.a!r}-{edge.b!r} ends outside the graph")
+            referenced.update((edge.a, edge.b) if kind_a == "word" else (edge.b,))
+        orphans = names["word"] - referenced
         if orphans:
             raise ValueError(f"word nodes without any edge: {sorted(orphans)}")
 
@@ -122,22 +127,38 @@ def build_salience_graph(
     return SalienceGraph(doc_nodes=tuple(doc_ids), word_nodes=word_nodes, edges=tuple(edges))
 
 
-def salience_to_json(graph: SalienceGraph) -> dict:
-    nodes = [{"id": d, "kind": "doc"} for d in graph.doc_nodes]
-    nodes += [{"id": w, "kind": "word"} for w in graph.word_nodes]
+def _node_ids(graph: SalienceGraph) -> dict:
+    """Per node kind, name -> id. The doc: / word: prefix keeps a document
+    and a word of the same name two nodes."""
     return {
-        "nodes": nodes,
-        "edges": [
-            {"a": e.a, "b": e.b, "w": e.w, "kind": e.kind} for e in graph.edges
-        ],
+        "doc": {d: f"doc:{d}" for d in graph.doc_nodes},
+        "word": {w: f"word:{w}" for w in graph.word_nodes},
     }
 
 
-def salience_from_json(payload: dict) -> SalienceGraph:
-    docs = [n["id"] for n in payload["nodes"] if n["kind"] == "doc"]
-    words = [n["id"] for n in payload["nodes"] if n["kind"] == "word"]
+def _edge_end_ids(graph: SalienceGraph, ids: dict) -> list:
+    """(a, b) per edge, looked up in ids by the node kinds its edge kind joins."""
+    ends = {kind: (ids[a], ids[b]) for kind, (a, b) in _EDGE_ENDS.items()}
+    return [(ends[e.kind][0][e.a], ends[e.kind][1][e.b]) for e in graph.edges]
+
+
+def salience_to_json(graph: SalienceGraph) -> dict:
+    ids = _node_ids(graph)
+    nodes = [{"id": ids["doc"][d], "kind": "doc", "name": d} for d in graph.doc_nodes]
+    nodes += [{"id": ids["word"][w], "kind": "word", "name": w} for w in graph.word_nodes]
     edges = [
-        SalienceEdge(a=e["a"], b=e["b"], w=float(e["w"]), kind=e["kind"])
+        {"a": a, "b": b, "w": e.w, "kind": e.kind}
+        for e, (a, b) in zip(graph.edges, _edge_end_ids(graph, ids))
+    ]
+    return {"nodes": nodes, "edges": edges}
+
+
+def salience_from_json(payload: dict) -> SalienceGraph:
+    names = {n["id"]: n["name"] for n in payload["nodes"]}
+    docs = [n["name"] for n in payload["nodes"] if n["kind"] == "doc"]
+    words = [n["name"] for n in payload["nodes"] if n["kind"] == "word"]
+    edges = [
+        SalienceEdge(a=names[e["a"]], b=names[e["b"]], w=float(e["w"]), kind=e["kind"])
         for e in payload["edges"]
     ]
     return SalienceGraph(doc_nodes=tuple(docs), word_nodes=tuple(words), edges=tuple(edges))
@@ -149,15 +170,19 @@ def _dot_quote(name: str) -> str:
 
 
 def salience_to_dot(graph: SalienceGraph) -> str:
-    """Graphviz rendering: red boxes for documents, green ellipses for words."""
+    """Graphviz rendering: red boxes for documents, green ellipses for words.
+
+    Nodes use the salience_to_json ids and show their names as labels.
+    """
+    ids = {kind: {n: _dot_quote(i) for n, i in m.items()} for kind, m in _node_ids(graph).items()}
     lines = ["graph salience {"]
     for doc in graph.doc_nodes:
-        lines.append(f"  {_dot_quote(doc)} [shape=box, color=red];")
+        lines.append(f"  {ids['doc'][doc]} [label={_dot_quote(doc)}, shape=box, color=red];")
     for word in graph.word_nodes:
-        lines.append(f"  {_dot_quote(word)} [shape=ellipse, color=green];")
-    for edge in graph.edges:
+        lines.append(f"  {ids['word'][word]} [label={_dot_quote(word)}, shape=ellipse, color=green];")
+    for edge, (a, b) in zip(graph.edges, _edge_end_ids(graph, ids)):
         lines.append(
-            f"  {_dot_quote(edge.a)} -- {_dot_quote(edge.b)} "
+            f"  {a} -- {b} "
             f'[weight={edge.w:.6g}, label="{edge.w:.3g}", kind="{edge.kind}"];'
         )
     lines.append("}")

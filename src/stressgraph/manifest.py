@@ -71,10 +71,24 @@ def atomic_write(path, binary: bool = False):
         raise
 
 
-def write_manifest(path, manifest: RunManifest) -> None:
+def write_json(path, data, indent=None) -> None:
+    """Write data as sorted-key JSON plus a newline, replacing path atomically.
+
+    indent=None gives compact separators, for the data documents (graph,
+    tokenized corpus, salience graph); indent=2 the layout of the reports
+    people read.
+    """
+    if indent not in (None, 2):
+        raise ValueError(f"indent must be None or 2, got {indent!r}")
+    separators = (",", ":") if indent is None else (",", ": ")
+    text = json.dumps(data, indent=indent, separators=separators, sort_keys=True)
     with atomic_write(path) as fh:
-        json.dump(manifest.as_dict(), fh, indent=2, sort_keys=True)
+        fh.write(text)
         fh.write("\n")
+
+
+def write_manifest(path, manifest: RunManifest) -> None:
+    write_json(path, manifest.as_dict(), indent=2)
 
 
 def read_manifest(path) -> RunManifest:

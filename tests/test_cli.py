@@ -11,7 +11,7 @@ import pytest
 
 from stressgraph import cli, convnet, gcn, graph, prompting
 from stressgraph.corpus import load_split, load_tokenized, save_split, save_tokenized
-from stressgraph.manifest import RunManifest, read_manifest, sha256_file, write_manifest
+from stressgraph.manifest import RunManifest, read_manifest, sha256_file, write_json, write_manifest
 
 N_DOCS = 24
 
@@ -753,11 +753,11 @@ def test_export_salience_first_n_docs(pipeline, tmp_path):
     assert rc == cli.EXIT_OK
     with open(out / "salience.json", "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    docs = [n["id"] for n in payload["nodes"] if n["kind"] == "doc"]
+    docs = [n["name"] for n in payload["nodes"] if n["kind"] == "doc"]
     assert docs == ["d00", "d01"]
     for doc_id in docs:
         doc_edges = [e for e in payload["edges"]
-                     if e["kind"] == "doc-word" and doc_id in (e["a"], e["b"])]
+                     if e["kind"] == "doc-word" and e["a"] == f"doc:{doc_id}"]
         assert 1 <= len(doc_edges) <= 3
 
     dot = (out / "salience.dot").read_text(encoding="utf-8")
@@ -773,7 +773,7 @@ def test_export_salience_explicit_ids(pipeline, tmp_path):
     assert rc == cli.EXIT_OK
     with open(out / "salience.json", "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    docs = [n["id"] for n in payload["nodes"] if n["kind"] == "doc"]
+    docs = [n["name"] for n in payload["nodes"] if n["kind"] == "doc"]
     assert docs == ["d03", "d10"]
 
 
@@ -867,7 +867,6 @@ EXPORT_JSON_CASES = [
         {"a": "x", "b": "y", "w": -1e-300, "kind": True},
     ]},
     {"z": 1.5, "a": "s", "m": [{"k": 1}]},
-    # Shapes the C-encoder path does not take: each falls back to json.dumps.
     {"entries": [{}]},
     {"entries": [{"nested": {"a": 1}}]},
     {"entries": [{"list": [1, 2]}]},
@@ -882,8 +881,11 @@ EXPORT_JSON_CASES = [
 def test_export_json_writer_matches_indented_dump(tmp_path, case):
     data = EXPORT_JSON_CASES[case]
     path = tmp_path / "out.json"
-    cli._write_indented_json(path, data)
+    write_json(path, data, indent=2)
     assert path.read_text(encoding="utf-8") == json.dumps(data, indent=2, sort_keys=True) + "\n"
+    write_json(path, data)
+    compact = json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
+    assert path.read_text(encoding="utf-8") == compact
     assert os.listdir(tmp_path) == ["out.json"]
 
 
@@ -891,16 +893,58 @@ def test_export_json_writer_failure_keeps_old_file(tmp_path, monkeypatch):
     path = tmp_path / "out.json"
     path.write_text("old\n")
     with pytest.raises(TypeError):
-        cli._write_indented_json(path, {"entries": [{"w": object()}]})
+        write_json(path, {"entries": [{"w": object()}]}, indent=2)
+    with pytest.raises(ValueError, match="indent"):
+        write_json(path, {"entries": []}, indent=4)
 
     def fail_replace(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "replace", fail_replace)
     with pytest.raises(OSError):
-        cli._write_indented_json(path, {"entries": [{"w": 1.0}]})
+        write_json(path, {"entries": [{"w": 1.0}]}, indent=2)
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
+
+
+COMPACT_JSON = {"graph.json", "tokenized.json", "salience.json"}
+INDENTED_JSON = {"manifest.json", "metrics-seed0.json", "aggregate.json", "report.json",
+                 "shots.json", "frequencies-label1.json"}
+
+
+def test_pipeline_json_artifacts_follow_the_json_policy(pipeline, tmp_path):
+    # Data documents are compact, the reports people read are indented by 2;
+    # both sort their keys and end with one newline.
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"tn": 3, "fp": 1, "fn": 1, "tp": 3}', encoding="utf-8")
+    runs = {
+        "ingest": ["ingest", "--corpus", str(pipeline["corpus"]), "--min-df", "1"],
+        "graph": ["build-graph", "--tokenized", str(pipeline["tokenized"])],
+        "gcn": ["train-gcn", "--tokenized", str(pipeline["tokenized"]),
+                "--graph", str(pipeline["graph"]), "--split", str(pipeline["split"]),
+                "--identity", "--lambda", "1", "--epochs", "1", "--seeds", "0",
+                "--hidden-dim", "4"],
+        "prompts": ["prompts", "--corpus", str(pipeline["corpus"]),
+                    "--split", str(pipeline["split"]), "--k", "3"],
+        "eval": ["eval", "--counts", str(counts)],
+        "export": ["export", "--tokenized", str(pipeline["tokenized"]),
+                   "--graph", str(pipeline["graph"]), "--docs", "3", "--label", "1"],
+    }
+    seen = set()
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_OK
+        for path in out.glob("*.json"):
+            text = path.read_text(encoding="utf-8")
+            data = json.loads(text)
+            if path.name in COMPACT_JSON:
+                want = json.dumps(data, separators=(",", ":"), sort_keys=True)
+            else:
+                assert path.name in INDENTED_JSON
+                want = json.dumps(data, indent=2, sort_keys=True)
+            assert text == want + "\n", path
+            seen.add(path.name)
+    assert seen == COMPACT_JSON | INDENTED_JSON
 
 
 def test_metrics_write_failure_keeps_old_file(pipeline, tmp_path, monkeypatch):

@@ -114,6 +114,20 @@ def test_load_csv(tmp_path):
     assert docs[2].label is None
 
 
+def test_load_csv_error_names_the_line_the_record_starts_on(tmp_path):
+    # Record "b" spans lines 2-3 (a quoted newline), a blank line 4 is skipped,
+    # and record "c" with its bad label starts on line 5.
+    path = tmp_path / "corpus.csv"
+    path.write_text('id,text,label\nb,"two\nlines",1\n\nc,bad,7\n')
+    with pytest.raises(CorpusFormatError) as exc:
+        load_corpus(path, format="csv")
+    assert exc.value.line_no == 5
+    path.write_text('id,text,label\na,"x\ny",1\nb\n')
+    with pytest.raises(CorpusFormatError, match="short record") as exc:
+        load_corpus(path, format="csv")
+    assert exc.value.line_no == 4
+
+
 def test_load_csv_bad_header(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("foo,bar\n1,2\n")
@@ -438,6 +452,12 @@ def _write_tokenized(path, **overrides):
         (dict(labels=[0]), "labels"),
         (dict(doc_ids=["a", "b", "c"]), "doc ids"),
         (dict(doc_freq=[1]), "doc_freq"),
+        (dict(labels=[5, 0]), "labels must be 0, 1 or null"),
+        (dict(labels=[0, 0.7]), "labels must be 0, 1 or null"),
+        (dict(labels=[True, 0]), "labels must be 0, 1 or null"),
+        (dict(sequences=[[0, True], []]), "integers"),
+        (dict(doc_ids=[7, 7]), "strings"),
+        (dict(doc_ids=["a", "a"]), "unique"),
     ],
 )
 def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, message):
@@ -474,6 +494,12 @@ tokenized_payloads = st.fixed_dictionaries({
          b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 1}}')
 @example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[[0]]],'
          b' "vocab": {"tokens": ["x"], "doc_freq": [1], "n_docs": 1}}')
+@example(b'{"doc_ids": ["a", "b"], "labels": [5, 0.7], "sequences": [[], []],'
+         b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 2}}')
+@example(b'{"doc_ids": ["a"], "labels": [null], "sequences": [[0, true]],'
+         b' "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 1}}')
+@example(b'{"doc_ids": [7, 7], "labels": [0, 1], "sequences": [[], []],'
+         b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 2}}')
 def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("tokenized") / "tokenized.json"
     path.write_bytes(data)
@@ -483,8 +509,10 @@ def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
         return
     n_tokens = len(corpus.vocab.tokens)
     assert len(corpus.sequences) == len(corpus.labels) == len(corpus.doc_ids)
-    # JSON true/false pass as the integers 1/0, as they do in Python.
-    assert all(isinstance(t, int) and 0 <= t < n_tokens for seq in corpus.sequences for t in seq)
+    assert all(type(t) is int and 0 <= t < n_tokens for seq in corpus.sequences for t in seq)
+    assert all(lab is None or (type(lab) is int and lab in (0, 1)) for lab in corpus.labels)
+    assert all(type(d) is str for d in corpus.doc_ids)
+    assert len(set(corpus.doc_ids)) == len(corpus.doc_ids)
 
 
 def test_tokenized_load_accepts_all_empty_sequences(tmp_path):

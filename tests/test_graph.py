@@ -625,9 +625,7 @@ def test_graph_json_rejects_unknown_edge_kind():
         },
     ],
 )
-def test_save_graph_json_bytes_equal_json_dumps(tmp_path, monkeypatch, data):
-    # A slice of 3 puts the 7- and 10-element lists across slice boundaries.
-    monkeypatch.setattr(graph, "_JSON_SLICE", 3)
+def test_save_graph_json_bytes_equal_json_dumps(tmp_path, data):
     path = tmp_path / "graph.json"
     save_graph_json(path, data)
     want = json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"

@@ -167,6 +167,11 @@ def test_salience_graph_rejects_orphan_words():
             word_nodes=("w",),
             edges=(SalienceEdge("d0", "w", 1.0, "doc-doc"),),
         )
+    # Edges whose ends are not nodes of the kinds their edge kind joins.
+    for edge in (SalienceEdge("d9", "w", 1.0, "doc-word"), SalienceEdge("w", "w", 1.0, "doc-word"),
+                 SalienceEdge("w", "d0", 1.0, "word-word")):
+        with pytest.raises(ValueError, match="ends outside the graph"):
+            SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), edges=(edge,))
 
 
 def test_salience_json_roundtrip():
@@ -186,10 +191,40 @@ def test_salience_dot_output():
     dot = salience_to_dot(graph)
     assert dot.startswith("graph salience {")
     assert dot.rstrip().endswith("}")
-    assert '"d0" [shape=box, color=red];' in dot
-    assert '[shape=ellipse, color=green];' in dot
+    assert '"doc:d0" [label="d0", shape=box, color=red];' in dot
+    assert 'shape=ellipse, color=green];' in dot
     assert ' -- ' in dot
     assert 'kind="doc-word"' in dot
+
+
+def test_salience_doc_and_word_of_one_name_stay_two_nodes():
+    # A document "dog" next to a token "dog": doc-word and word-word edges
+    # must name different nodes in both exports.
+    graph = SalienceGraph(
+        doc_nodes=("dog",),
+        word_nodes=("cat", "dog", "fish"),
+        edges=(
+            SalienceEdge("dog", "cat", 1.0, "doc-word"),
+            SalienceEdge("dog", "dog", 0.5, "doc-word"),
+            SalienceEdge("dog", "fish", 0.25, "word-word"),
+        ),
+    )
+    payload = salience_to_json(graph)
+    ids = [n["id"] for n in payload["nodes"]]
+    assert ids == ["doc:dog", "word:cat", "word:dog", "word:fish"]
+    assert [n["name"] for n in payload["nodes"]] == ["dog", "cat", "dog", "fish"]
+    assert [(e["a"], e["b"]) for e in payload["edges"]] == [
+        ("doc:dog", "word:cat"), ("doc:dog", "word:dog"), ("word:dog", "word:fish"),
+    ]
+    assert salience_from_json(payload) == graph
+
+    dot = salience_to_dot(graph)
+    assert '"doc:dog" [label="dog", shape=box, color=red];' in dot
+    assert '"word:dog" [label="dog", shape=ellipse, color=green];' in dot
+    assert '"doc:dog" -- "word:cat"' in dot
+    assert '"word:dog" -- "word:fish"' in dot
+    declared = [line.split(" [", 1)[0].strip() for line in dot.splitlines() if "shape=" in line]
+    assert len(declared) == len(set(declared)) == 4
 
 
 def test_salience_dot_quotes_special_characters():
