@@ -24,7 +24,6 @@ from . import convnet, evaluation, gcn, graph, interpret, prompting
 from .corpus import (
     DEFAULT_SPLIT_RATIOS,
     SPLIT_NAMES,
-    CorpusFormatError,
     TokenizerRules,
     load_corpus,
     load_split,
@@ -521,13 +520,13 @@ def cmd_prompts(args) -> int:
 def _eval_counts(path) -> evaluation.ConfusionMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    try:
-        return evaluation.ConfusionMatrix(
-            tn=int(payload["tn"]), fp=int(payload["fp"]),
-            fn=int(payload["fn"]), tp=int(payload["tp"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"counts file must define tn/fp/fn/tp: missing {exc}") from exc
+    names = ("tn", "fp", "fn", "tp")
+    if type(payload) is not dict:
+        raise ValueError("counts file must hold a JSON object with tn/fp/fn/tp")
+    for name in names:
+        if type(payload.get(name)) is not int:
+            raise ValueError(f"counts file {name} must be an integer, not {payload.get(name)!r}")
+    return evaluation.ConfusionMatrix(**{name: payload[name] for name in names})
 
 
 def _eval_predictions(args) -> tuple:
@@ -541,6 +540,8 @@ def _eval_predictions(args) -> tuple:
         for row in reader:
             if len(row) != 2:
                 raise ValueError(f"malformed prediction row: {row}")
+            if row[0] in preds_by_id:
+                raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
             preds_by_id[row[0]] = int(row[1])
     if args.split:
         split = _load_split_for(corpus, args.split)
@@ -566,33 +567,32 @@ def _eval_predictions(args) -> tuple:
 def _eval_transcripts(args) -> tuple:
     corpus = load_tokenized(args.tokenized)
     store = prompting.load_transcript_store(args.transcripts)
-    pairs = []
+    gold, transcripts = [], []
     with open(args.prompts, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            pairs.append((record["id"], record["prompt_sha256"]))
-    preds, gold = [], []
-    failures = 0
-    for doc_id, sha in pairs:
-        row = corpus.row_of(doc_id)
-        if corpus.labels[row] is None:
-            raise ValueError(f"document {doc_id!r} is unlabeled")
-        transcript = store.get(sha)
-        if transcript is None or transcript.label is None:
-            failures += 1
-            if args.failures_as_negative:
-                preds.append(0)
-                gold.append(corpus.labels[row])
-            continue
-        preds.append(transcript.label)
-        gold.append(corpus.labels[row])
-    if not preds:
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            if type(record) is not dict or not all(
+                type(record.get(key)) is str for key in ("id", "prompt_sha256")
+            ):
+                raise ValueError(f"prompts file line {line_no}: expected an object with "
+                                 "string id and prompt_sha256")
+            label = corpus.labels[corpus.row_of(record["id"])]
+            if label is None:
+                raise ValueError(f"document {record['id']!r} is unlabeled")
+            gold.append(label)
+            transcripts.append(store.get(record["prompt_sha256"]))
+    scored, failures = prompting.transcript_predictions(transcripts, args.failures_as_negative)
+    if not scored:
         raise ValueError("no evaluable transcripts (all missing or unparsed)")
-    meta = {"n_prompts": len(pairs), "parse_failures": failures}
-    return evaluation.confusion(preds, gold), meta
+    preds = [label for _, label in scored]
+    meta = {"n_prompts": len(transcripts), "parse_failures": failures}
+    return evaluation.confusion(preds, [gold[idx] for idx, _ in scored]), meta
 
 
 def cmd_eval(args) -> int:
@@ -828,16 +828,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except gcn.DivergenceError as exc:
+    except (gcn.DivergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FloatingPointError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except CorpusFormatError as exc:
-        line = f" (line {exc.line_no})" if getattr(exc, "line_no", None) else ""
-        print(f"data error: {exc}{line}", file=sys.stderr)
-        return EXIT_DATA
     except (ValueError, KeyError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -9,7 +9,6 @@ dense layer emits a single logit trained with binary cross-entropy.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -17,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .gcn import AdamState, DivergenceError, EpochStats, check_block_shapes
-from .manifest import atomic_write
+from .manifest import pack_name, read_binary, write_binary
 from . import evaluation
 
 SEQUENCE_MAGIC = b"TGSE"
@@ -60,9 +59,6 @@ class ConvHeadConfig:
     epochs: int = 10
     batch_size: int = 32
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -373,7 +369,7 @@ def train_conv(
 
     params = init_conv_params(config)
     rng = np.random.default_rng(config.seed)
-    adam = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
+    adam = AdamState()
     param_refs = param_blocks(params)
 
     history = []
@@ -441,14 +437,10 @@ def params_from_blocks(blocks: dict, dropout: float = 0.5) -> ConvHeadParams:
 
 def write_token_embeddings(path, sequences) -> None:
     """Binary sequence file: TGSE magic, version, count, then id/L/d/float32 rows."""
-    with atomic_write(path, binary=True) as fh:
-        fh.write(SEQUENCE_MAGIC)
-        fh.write(struct.pack("<IQ", SEQUENCE_VERSION, len(sequences)))
+    with write_binary(path, SEQUENCE_MAGIC, SEQUENCE_VERSION) as fh:
+        fh.write(struct.pack("<Q", len(sequences)))
         for seq in sequences:
-            encoded = seq.doc_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<II", seq.length, seq.dim))
+            fh.write(pack_name(seq.doc_id) + struct.pack("<II", seq.length, seq.dim))
             fh.write(np.ascontiguousarray(seq.matrix, dtype="<f4").tobytes())
 
 
@@ -456,47 +448,26 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
     """Read a TGSE file, truncating sequences to max_len.
 
     known_ids, when given, must cover every record id; a payload dimension
-    that disagrees with the config, a repeated id, a short read and bytes
-    after the last record are errors. Declared sizes are checked against the
-    file before anything of that size is read.
+    that disagrees with the config and a repeated id are errors. Each payload
+    stays float32, one buffer per record; a cut one is copied.
     """
     known = set(known_ids) if known_ids is not None else None
-    out = []
-    seen = set()
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(n: int, what: str) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"truncated {what}")
-            return data
-
-        if fh.read(4) != SEQUENCE_MAGIC:
-            raise ValueError("not a token-embedding file (bad magic)")
-        version, count = struct.unpack("<IQ", read(12, "file header"))
-        if version != SEQUENCE_VERSION:
-            raise ValueError(f"unsupported sequence file version {version}")
+    out = {}
+    with read_binary(path, SEQUENCE_MAGIC, SEQUENCE_VERSION, "sequence file") as reader:
+        (count,) = reader.unpack("<Q", "sequence file header")
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", read(2, "record header"))
-            doc_id = read(id_len, "sequence id").decode("utf-8")
-            if doc_id in seen:
+            doc_id = reader.name("sequence id")
+            if doc_id in out:
                 raise ValueError(f"duplicate sequence id {doc_id!r}")
-            seen.add(doc_id)
-            length, dim = struct.unpack("<II", read(8, f"header of sequence {doc_id!r}"))
-            if length * dim * 4 > size - fh.tell():
-                raise ValueError(f"truncated payload for sequence {doc_id!r}")
-            payload = np.frombuffer(fh.read(length * dim * 4), dtype="<f4")
+            length, dim = reader.unpack("<II", f"header of sequence {doc_id!r}")
+            matrix = reader.array((length, dim), "<f4", f"payload for sequence {doc_id!r}")
             if known is not None and doc_id not in known:
                 raise ValueError(f"sequence id {doc_id!r} does not match any document")
             if dim != config.embedding_dim:
                 raise ValueError(
                     f"sequence {doc_id!r} has dim {dim}, expected {config.embedding_dim}"
                 )
-            matrix = payload.reshape(length, dim)
             if length > config.max_len:
                 matrix = matrix[:config.max_len].copy()
-            out.append(TokenEmbeddingSequence(doc_id=doc_id, matrix=matrix))
-        if fh.read(1):
-            raise ValueError("trailing bytes after the last sequence")
-    return out
+            out[doc_id] = TokenEmbeddingSequence(doc_id=doc_id, matrix=matrix)
+    return list(out.values())

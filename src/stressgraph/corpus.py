@@ -345,7 +345,7 @@ def load_tokenized(path) -> TokenizedCorpus:
             tokens=tokens,
             index={t: i for i, t in enumerate(tokens)},
             doc_freq=list(payload["vocab"]["doc_freq"]),
-            n_docs=int(payload["vocab"]["n_docs"]),
+            n_docs=payload["vocab"]["n_docs"],
         )
         corpus = TokenizedCorpus(
             doc_ids=list(payload["doc_ids"]),
@@ -361,7 +361,8 @@ def load_tokenized(path) -> TokenizedCorpus:
 
 def _check_tokenized(corpus: TokenizedCorpus) -> None:
     """Aligned per-document lists of unique string ids and 0/1/None labels,
-    one doc_freq per token, integer token ids in [0, V)."""
+    unique string tokens each with an integer doc_freq in [1, n_docs],
+    vocabulary n_docs equal to the document count, integer token ids in [0, V)."""
     n_docs = len(corpus.doc_ids)
     if len(corpus.sequences) != n_docs or len(corpus.labels) != n_docs:
         raise CorpusFormatError(
@@ -374,11 +375,18 @@ def _check_tokenized(corpus: TokenizedCorpus) -> None:
         raise CorpusFormatError("doc ids must be unique")
     if any(lab is not None and (type(lab) is not int or lab not in (0, 1)) for lab in corpus.labels):
         raise CorpusFormatError("labels must be 0, 1 or null")
-    n_tokens = len(corpus.vocab.tokens)
-    if len(corpus.vocab.doc_freq) != n_tokens:
+    vocab = corpus.vocab
+    n_tokens = len(vocab.tokens)
+    if type(vocab.n_docs) is not int or vocab.n_docs != n_docs:
+        raise CorpusFormatError(f"vocabulary n_docs {vocab.n_docs!r} is not the {n_docs} documents")
+    if any(type(t) is not str for t in vocab.tokens) or len(vocab.index) != n_tokens:
+        raise CorpusFormatError("vocabulary tokens must be unique strings")
+    if len(vocab.doc_freq) != n_tokens:
         raise CorpusFormatError(
-            f"vocabulary has {n_tokens} tokens but {len(corpus.vocab.doc_freq)} doc_freq entries"
+            f"vocabulary has {n_tokens} tokens but {len(vocab.doc_freq)} doc_freq entries"
         )
+    if any(type(df) is not int or not 1 <= df <= n_docs for df in vocab.doc_freq):
+        raise CorpusFormatError(f"every doc_freq must be an integer in [1, {n_docs}]")
     # JSON true/false would pass numpy as the integers 1/0.
     if set(map(type, chain.from_iterable(corpus.sequences))) - {int}:
         raise CorpusFormatError("token ids must be integers")

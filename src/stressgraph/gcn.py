@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv as _csv
 import math
-import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -21,9 +20,13 @@ import scipy.sparse as sp
 
 from . import evaluation
 from .graph import EmbeddingMatrix, NodeFeatures
-from .manifest import atomic_write
+from .manifest import atomic_write, pack_name, read_binary, write_binary
 
 LOSS_EPS = 1e-12
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 CHECKPOINT_MAGIC = b"TGCK"
 CHECKPOINT_VERSION = 1
@@ -73,9 +76,6 @@ class TrainingConfig:
 
     lam: float = 0.2
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 200
     dropout: float = 0.5
     hidden_dim: int = 200
@@ -401,9 +401,6 @@ def compute_loss(
 class AdamState:
     """Per-parameter first/second moment accumulators."""
 
-    beta1: float
-    beta2: float
-    eps: float
     t: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -416,25 +413,25 @@ class AdamState:
         p -= (lr (m / bc1)) / (sqrt(v / bc2) + eps).
         """
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - ADAM_BETA1 ** self.t
+        bc2 = 1.0 - ADAM_BETA2 ** self.t
         for name, grad in grads.items():
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
             m, v = self.m[name], self.v[name]
-            num = np.multiply(grad, 1.0 - self.beta1)
-            np.multiply(m, self.beta1, out=m)
+            num = np.multiply(grad, 1.0 - ADAM_BETA1)
+            np.multiply(m, ADAM_BETA1, out=m)
             np.add(m, num, out=m)
-            np.multiply(grad, 1.0 - self.beta2, out=num)
+            np.multiply(grad, 1.0 - ADAM_BETA2, out=num)
             np.multiply(num, grad, out=num)
-            np.multiply(v, self.beta2, out=v)
+            np.multiply(v, ADAM_BETA2, out=v)
             np.add(v, num, out=v)
             np.divide(m, bc1, out=num)
             np.multiply(num, lr, out=num)
             den = np.divide(v, bc2)
             np.sqrt(den, out=den)
-            np.add(den, self.eps, out=den)
+            np.add(den, ADAM_EPS, out=den)
             np.divide(num, den, out=num)
             params[name] -= num
 
@@ -520,7 +517,7 @@ def train(
         raise ValueError("without embeddings the model is GCN-only; set lam to 1")
 
     rng = np.random.default_rng(config.seed)
-    adam = AdamState(beta1=config.beta1, beta2=config.beta2, eps=config.adam_eps)
+    adam = AdamState()
     plan = _plan(features, adj_norm)
     params = param_blocks(gcn, head)
     hidden_shape = (features.n_docs + features.n_words, config.hidden_dim)
@@ -644,55 +641,26 @@ def write_ablation_csv(path, rows: list[AblationRow]) -> None:
 
 def save_parameter_blocks(path, blocks: dict) -> None:
     """Versioned binary checkpoint: named parameter blocks, little-endian float64."""
-    with atomic_write(path, binary=True) as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blocks)))
+    with write_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION) as fh:
+        fh.write(struct.pack("<I", len(blocks)))
         for name, arr in blocks.items():
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
             arr = np.asarray(arr, dtype=np.float64)
-            fh.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<Q", dim))
+            fh.write(pack_name(name) + struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape))
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_parameter_blocks(path) -> dict:
     """Read a checkpoint; a short read, a size beyond the file or trailing bytes raise ValueError."""
     blocks: dict[str, np.ndarray] = {}
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-
-        def read(n: int, what: str) -> bytes:
-            data = fh.read(n)
-            if len(data) != n:
-                raise ValueError(f"truncated checkpoint {what}")
-            return data
-
-        if fh.read(4) != CHECKPOINT_MAGIC:
-            raise ValueError("not a model checkpoint (bad magic)")
-        version, n_blocks = struct.unpack("<II", read(8, "header"))
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+    with read_binary(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint") as reader:
+        (n_blocks,) = reader.unpack("<I", "checkpoint header")
         for _ in range(n_blocks):
-            (name_len,) = struct.unpack("<H", read(2, "block header"))
-            name = read(name_len, "block name").decode("utf-8")
+            name = reader.name("checkpoint block name")
             if name in blocks:
                 raise ValueError(f"duplicate checkpoint block {name!r}")
-            (ndim,) = struct.unpack("<B", read(1, f"header of block {name!r}"))
-            shape = struct.unpack(f"<{ndim}Q", read(8 * ndim, f"shape of block {name!r}"))
-            count = math.prod(shape)
-            remaining = size - fh.tell()
-            if count * 8 > remaining:
-                raise ValueError(
-                    f"truncated checkpoint block {name!r}: shape {shape} needs {count * 8} "
-                    f"bytes, file holds {remaining}"
-                )
-            data = np.frombuffer(fh.read(count * 8), dtype="<f8").reshape(shape)
-            blocks[name] = data.astype(np.float64)
-        if fh.read(1):
-            raise ValueError("trailing bytes after the last checkpoint block")
+            (ndim,) = reader.unpack("<B", f"checkpoint header of block {name!r}")
+            shape = reader.unpack(f"<{ndim}Q", f"checkpoint shape of block {name!r}")
+            blocks[name] = reader.array(shape, "<f8", f"checkpoint block {name!r}").astype(np.float64)
     return blocks
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -13,7 +12,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .manifest import atomic_write, write_json
+from .manifest import atomic_write, read_binary, write_binary, write_json
 
 DEFAULT_WINDOW_SIZE = 20
 
@@ -54,6 +53,8 @@ class EmbeddingMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("embedding matrix must be 2-D")
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("embedding matrix contains non-finite values")
 
     @property
     def n_docs(self) -> int:
@@ -285,35 +286,16 @@ def build_node_features(
 
 def write_embeddings(path, embeddings: EmbeddingMatrix) -> None:
     """Binary embedding file: magic, version u32, n_rows u64, dim u64, float32 rows."""
-    with atomic_write(path, binary=True) as fh:
-        fh.write(EMBEDDING_MAGIC)
-        fh.write(struct.pack("<IQQ", EMBEDDING_VERSION, embeddings.n_docs, embeddings.dim))
+    with write_binary(path, EMBEDDING_MAGIC, EMBEDDING_VERSION) as fh:
+        fh.write(struct.pack("<QQ", embeddings.n_docs, embeddings.dim))
         fh.write(embeddings.values.astype("<f4").tobytes(order="C"))
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != EMBEDDING_MAGIC:
-            raise ValueError(f"not an embedding file (bad magic {magic!r})")
-        header = fh.read(20)
-        if len(header) != 20:
-            raise ValueError("truncated embedding header")
-        version, n_rows, dim = struct.unpack("<IQQ", header)
-        if version != EMBEDDING_VERSION:
-            raise ValueError(f"unsupported embedding file version {version}")
-        # Check the declared size against the file before allocating for it.
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if n_rows * dim * 4 > remaining:
-            raise ValueError(
-                f"truncated embedding payload: header declares {n_rows} x {dim} float32, "
-                f"file holds {remaining} bytes"
-            )
-        payload = fh.read(n_rows * dim * 4)
-        if fh.read(1):
-            raise ValueError("trailing bytes after the embedding payload")
-    values = np.frombuffer(payload, dtype="<f4").reshape(n_rows, dim)
-    return EmbeddingMatrix(values=values.astype(np.float64))
+    with read_binary(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "embedding file") as reader:
+        shape = reader.unpack("<QQ", "embedding file header")
+        values = reader.array(shape, "<f4", "embedding payload")
+    return EmbeddingMatrix(values=values)
 
 
 def read_embeddings_csv(path) -> EmbeddingMatrix:

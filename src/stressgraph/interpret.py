@@ -56,6 +56,10 @@ class SalienceGraph:
         object.__setattr__(self, "word_nodes", tuple(self.word_nodes))
         object.__setattr__(self, "edges", tuple(self.edges))
         names = {"doc": set(self.doc_nodes), "word": set(self.word_nodes)}
+        for kind, nodes in (("doc", self.doc_nodes), ("word", self.word_nodes)):
+            if len(names[kind]) != len(nodes):
+                repeated = sorted(name for name, n in Counter(nodes).items() if n > 1)
+                raise ValueError(f"repeated {kind} nodes {repeated}")
         referenced = set()
         for edge in self.edges:
             if edge.kind not in _EDGE_ENDS:

@@ -1,4 +1,4 @@
-"""Run manifests: enough provenance to reproduce any pipeline command.
+"""Run manifests and the framing every artifact is written and read through.
 
 A manifest records the command, the fully resolved configuration, the seeds,
 SHA-256 digests of every input file, and the path + digest of every artifact
@@ -10,9 +10,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
+import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+import numpy as np
 
 
 @dataclass
@@ -85,6 +89,72 @@ def write_json(path, data, indent=None) -> None:
     with atomic_write(path) as fh:
         fh.write(text)
         fh.write("\n")
+
+
+@contextmanager
+def write_binary(path, magic: bytes, version: int):
+    """atomic_write handle on path, with the magic and the u32 version already written."""
+    with atomic_write(path, binary=True) as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", version))
+        yield fh
+
+
+def pack_name(name: str) -> bytes:
+    """name as a u16 byte length followed by its UTF-8 bytes."""
+    encoded = name.encode("utf-8")
+    if len(encoded) > 0xFFFF:
+        raise ValueError(f"name of {len(encoded)} UTF-8 bytes does not fit a u16 length")
+    return struct.pack("<H", len(encoded)) + encoded
+
+
+class BinaryReader:
+    """Reads that never ask for more bytes than the file has left, so a corrupt
+    size raises ValueError before anything of that size is allocated."""
+
+    def __init__(self, fh, left: int):
+        self._fh = fh
+        self.left = left
+
+    def _read(self, n: int, what: str) -> bytes:
+        if n > self.left:
+            raise ValueError(f"truncated {what}: needs {n} bytes, the file has {self.left} left")
+        data = self._fh.read(n)
+        if len(data) != n:
+            raise ValueError(f"truncated {what}")
+        self.left -= n
+        return data
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self._read(struct.calcsize(fmt), what))
+
+    def name(self, what: str) -> str:
+        """A name written by pack_name; undecodable bytes raise UnicodeDecodeError, a ValueError."""
+        (size,) = self.unpack("<H", what)
+        return self._read(size, what).decode("utf-8")
+
+    def array(self, shape: tuple, dtype, what: str) -> np.ndarray:
+        """A read-only array of shape over the next bytes, without a copy."""
+        dtype = np.dtype(dtype)
+        data = self._read(math.prod(shape) * dtype.itemsize, what)
+        return np.frombuffer(data, dtype=dtype).reshape(shape)
+
+
+@contextmanager
+def read_binary(path, magic: bytes, version: int, kind: str):
+    """BinaryReader over a write_binary file; a wrong magic or version raises
+    ValueError on entry, and bytes left after a completed block on exit."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(magic))
+        if head != magic:
+            raise ValueError(f"not a {kind} (bad magic {head!r})")
+        reader = BinaryReader(fh, os.fstat(fh.fileno()).st_size - len(magic))
+        (found,) = reader.unpack("<I", f"{kind} header")
+        if found != version:
+            raise ValueError(f"unsupported {kind} version {found}")
+        yield reader
+        if reader.left:
+            raise ValueError(f"{kind} has {reader.left} trailing bytes after its last record")
 
 
 def write_manifest(path, manifest: RunManifest) -> None:

@@ -414,15 +414,16 @@ def run_batch(
 
 
 def transcript_predictions(transcripts, failures_as_negative: bool = False):
-    """Extract (index, label) prediction pairs and the parse-failure count.
+    """Extract (index, label) prediction pairs and the failure count.
 
+    A transcript that is None (missing) or has no parsed label is a failure.
     Failures are skipped by default; with failures_as_negative they predict
     the negative class instead of being dropped.
     """
     pairs = []
     failures = 0
     for idx, transcript in enumerate(transcripts):
-        if transcript.label is None:
+        if transcript is None or transcript.label is None:
             failures += 1
             if failures_as_negative:
                 pairs.append((idx, 0))

@@ -342,7 +342,7 @@ def reference_train(features, adj_norm, embeddings, labels, masks, config):
         embeddings.dim if embeddings is not None else None, config.seed,
     )
     rng = np.random.default_rng(config.seed)
-    adam = ReferenceAdam(config.beta1, config.beta2, config.adam_eps)
+    adam = ReferenceAdam(0.9, 0.999, 1e-8)
     refs = {"gcn.W1": params.W1, "gcn.b1": params.b1, "gcn.W2": params.W2, "gcn.b2": params.b2}
     if head is not None:
         refs.update({"head.W": head.W, "head.b": head.b})

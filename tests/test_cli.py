@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -256,6 +257,22 @@ def test_train_gcn_divergence_exit_code(pipeline, tmp_path, capsys):
     ]))
     assert rc == cli.EXIT_NUMERIC
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_train_gcn_non_finite_embedding_is_data_error(pipeline, tmp_path, capsys, suffix):
+    rows = graph.read_embeddings_csv(pipeline["embeddings"]).values.astype(np.float32)
+    rows[1, 0] = np.nan
+    path = tmp_path / f"emb{suffix}"
+    if suffix == ".csv":
+        np.savetxt(path, rows, delimiter=",")
+    else:
+        path.write_bytes(b"TGEM" + struct.pack("<IQQ", 1, *rows.shape) + rows.astype("<f4").tobytes())
+    rc = cli.main(train_gcn_args(pipeline, tmp_path / "run", [
+        "--embeddings", str(path), "--epochs", "2", "--seeds", "0", "--hidden-dim", "4",
+    ]))
+    assert rc == cli.EXIT_DATA
+    assert "non-finite" in capsys.readouterr().err
 
 
 def test_train_gcn_misaligned_split_rejected(pipeline, tmp_path, capsys):
@@ -516,6 +533,21 @@ def test_eval_counts_macro_averaging(tmp_path):
     assert payload["f1"] == payload["macro"]["f1"]
 
 
+@pytest.mark.parametrize("payload, message", [
+    ([1], "JSON object"),
+    ({"tn": 1.5, "fp": 0, "fn": 0, "tp": 1}, "tn must be an integer, not 1.5"),
+    ({"tn": 1, "fp": True, "fn": 0, "tp": 1}, "fp must be an integer, not True"),
+    ({"tn": 1, "fp": 0, "fn": "2", "tp": 1}, "fn must be an integer, not '2'"),
+    ({"tn": 1, "fp": 0, "fn": 0}, "tp must be an integer, not None"),
+])
+def test_eval_counts_rejects_malformed_file(tmp_path, capsys, payload, message):
+    counts = tmp_path / "counts.json"
+    counts.write_text(json.dumps(payload), encoding="utf-8")
+    rc = cli.main(["eval", "--counts", str(counts), "--out", str(tmp_path / "report")])
+    assert rc == cli.EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
 def test_eval_predictions_on_test_split(pipeline, tmp_path):
     corpus = load_tokenized(pipeline["tokenized"])
     split = load_split(pipeline["split"])
@@ -573,6 +605,15 @@ def test_eval_predictions_missing_id_is_data_error(pipeline, tmp_path, capsys):
                    "--split", str(pipeline["split"]), "--out", str(tmp_path / "rep")])
     assert rc == cli.EXIT_DATA
     assert "lack predictions" in capsys.readouterr().err
+
+
+def test_eval_predictions_repeated_id_is_data_error(pipeline, tmp_path, capsys):
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text("id,pred\nd00,0\nd01,1\nd00,1\n", encoding="utf-8")
+    rc = cli.main(["eval", "--pred", str(pred_path),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "rep")])
+    assert rc == cli.EXIT_DATA
+    assert "line 4: repeated prediction id 'd00'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -727,6 +768,25 @@ def test_eval_transcripts_mistyped_record_is_data_error(pipeline, tmp_path, caps
     assert "transcript store line 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_line", ["[1,2]", '"d00"', '{"id": 7, "prompt_sha256": "x"}',
+                                      '{"id": "d00"}', "{not json"])
+def test_eval_transcripts_malformed_prompts_line_is_data_error(pipeline, tmp_path, capsys,
+                                                                bad_line):
+    prompts_out = tmp_path / "prompts"
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--target-split", "test",
+                     "--out", str(prompts_out)]) == 0
+    prompts_path = prompts_out / "prompts.jsonl"
+    lines = prompts_path.read_text(encoding="utf-8").splitlines()
+    prompts_path.write_text("\n".join([lines[0], bad_line, *lines[1:]]) + "\n", encoding="utf-8")
+    store_path = tmp_path / "transcripts.jsonl"
+    store_path.write_text("", encoding="utf-8")
+    rc = cli.main(["eval", "--transcripts", str(store_path), "--prompts", str(prompts_path),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert "prompts file line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -792,6 +852,15 @@ def test_export_unknown_doc_id_is_data_error(pipeline, tmp_path, capsys):
                    "--graph", str(pipeline["graph"]), "--docs", "zz9",
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
+
+
+def test_export_repeated_doc_id_is_data_error(pipeline, tmp_path, capsys):
+    rc = cli.main(["export", "--tokenized", str(pipeline["tokenized"]),
+                   "--graph", str(pipeline["graph"]), "--docs", "d00,d00",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert "repeated doc nodes ['d00']" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "salience.json").exists()
 
 
 MALFORMED_GRAPH_CASES = [

@@ -584,6 +584,16 @@ def test_sequence_file_rejects_oversized_header(tmp_path):
         load_token_embeddings(path, ConvHeadConfig(**SMALL))
 
 
+def test_sequence_file_rejects_overlong_id_and_keeps_old_file(tmp_path):
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, [seq("a", np.ones((2, 3)))])
+    before = path.read_bytes()
+    with pytest.raises(ValueError, match="does not fit a u16 length"):
+        write_token_embeddings(path, [seq("é" * 40000, np.ones((2, 3)))])
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seqs.bin"]
+
+
 def test_sequence_file_rejects_duplicate_id(tmp_path):
     path = tmp_path / "seqs.bin"
     write_token_embeddings(path, [seq("a", np.zeros((2, 3))), seq("a", np.ones((3, 3)))])

@@ -458,6 +458,16 @@ def _write_tokenized(path, **overrides):
         (dict(sequences=[[0, True], []]), "integers"),
         (dict(doc_ids=[7, 7]), "strings"),
         (dict(doc_ids=["a", "a"]), "unique"),
+        (dict(doc_freq=[0, 1]), "doc_freq"),
+        (dict(doc_freq=["a", 1]), "doc_freq"),
+        (dict(doc_freq=[True, 1]), "doc_freq"),
+        (dict(doc_freq=[1, 1.0]), "doc_freq"),
+        (dict(doc_freq=[3, 1]), "doc_freq"),
+        (dict(n_docs=5), "n_docs"),
+        (dict(n_docs=2.0), "n_docs"),
+        (dict(n_docs="2"), "n_docs"),
+        (dict(tokens=["x", "x"]), "unique strings"),
+        (dict(tokens=["x", 7]), "unique strings"),
     ],
 )
 def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, message):
@@ -500,6 +510,14 @@ tokenized_payloads = st.fixed_dictionaries({
          b' "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 1}}')
 @example(b'{"doc_ids": [7, 7], "labels": [0, 1], "sequences": [[], []],'
          b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 2}}')
+@example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[0]],'
+         b' "vocab": {"tokens": ["x"], "doc_freq": [0], "n_docs": 1}}')
+@example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[0]],'
+         b' "vocab": {"tokens": ["x"], "doc_freq": [2], "n_docs": 1}}')
+@example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[]],'
+         b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 5}}')
+@example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[0, 1]],'
+         b' "vocab": {"tokens": ["x", "x"], "doc_freq": [1, 1], "n_docs": 1}}')
 def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("tokenized") / "tokenized.json"
     path.write_bytes(data)
@@ -513,6 +531,10 @@ def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     assert all(lab is None or (type(lab) is int and lab in (0, 1)) for lab in corpus.labels)
     assert all(type(d) is str for d in corpus.doc_ids)
     assert len(set(corpus.doc_ids)) == len(corpus.doc_ids)
+    vocab = corpus.vocab
+    assert type(vocab.n_docs) is int and vocab.n_docs == len(corpus.doc_ids)
+    assert all(type(t) is str for t in vocab.tokens) and len(set(vocab.tokens)) == n_tokens
+    assert all(type(df) is int and 1 <= df <= vocab.n_docs for df in vocab.doc_freq)
 
 
 def test_tokenized_load_accepts_all_empty_sequences(tmp_path):

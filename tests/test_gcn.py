@@ -385,7 +385,7 @@ def test_adam_matches_reference_update():
     rng = np.random.default_rng(0)
     w_ref = rng.normal(size=4)
     params = {"w": w_ref.copy()}
-    state = AdamState(beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState()
     m = np.zeros(4)
     v = np.zeros(4)
     for t in range(1, 6):
@@ -403,7 +403,7 @@ def test_adam_in_place_matches_reference_expressions():
     shapes = {"W": (7, 5), "b": (5,), "one": (1,)}
     params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
     ref_params = {name: arr.copy() for name, arr in params.items()}
-    state = AdamState(beta1=0.9, beta2=0.999, eps=1e-8)
+    state = AdamState()
     ref = ReferenceAdam(0.9, 0.999, 1e-8)
     for _ in range(50):
         grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)

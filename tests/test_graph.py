@@ -405,6 +405,14 @@ def test_node_features_identity_mode():
     assert (feats.n_docs, feats.n_words, feats.dim) == (2, 3, 5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_embedding_matrix_rejects_non_finite_values(bad):
+    values = np.ones((2, 3))
+    values[1, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        EmbeddingMatrix(values)
+
+
 def test_node_features_row_mismatch():
     emb = EmbeddingMatrix(np.zeros((3, 4)))
     with pytest.raises(ValueError):

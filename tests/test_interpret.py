@@ -174,6 +174,14 @@ def test_salience_graph_rejects_orphan_words():
             SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), edges=(edge,))
 
 
+def test_salience_graph_rejects_repeated_nodes():
+    edge = SalienceEdge("d0", "w", 1.0, "doc-word")
+    with pytest.raises(ValueError, match=r"repeated doc nodes \['d0'\]"):
+        SalienceGraph(doc_nodes=("d0", "d0"), word_nodes=("w",), edges=(edge,))
+    with pytest.raises(ValueError, match=r"repeated word nodes \['w'\]"):
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("w", "w"), edges=(edge,))
+
+
 def test_salience_json_roundtrip():
     corpus, tfidf, word_edges, k = salience_setup()
     graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_edges, k)

@@ -535,3 +535,6 @@ def test_transcript_predictions_modes():
     pairs, failures = transcript_predictions(transcripts, failures_as_negative=True)
     assert pairs == [(0, 1), (1, 0), (2, 0)]
     assert failures == 1
+    # A missing transcript (None) is a failure too.
+    assert transcript_predictions([None, *transcripts[:1]]) == ([(1, 1)], 1)
+    assert transcript_predictions([None], failures_as_negative=True) == ([(0, 0)], 1)
