@@ -75,6 +75,12 @@ CONFIG_DEFAULTS = {
     "jobs": 1,
 }
 
+# Config keys named as the gcn.TrainingConfig fields they fill.
+GCN_FIELDS = ("lam", "learning_rate", "epochs", "dropout", "hidden_dim", "weight_decay", "patience")
+# Config keys named as the convnet.ConvHeadConfig fields they fill; conv_epochs fills epochs.
+CONV_FIELDS = ("kernel_sizes", "n_filters", "embedding_dim", "max_len", "dropout", "batch_size",
+               "learning_rate")
+
 
 class UsageError(Exception):
     """Bad command line; maps to exit code 1."""
@@ -143,23 +149,6 @@ def resolve_config(args, keys) -> dict:
     return resolved
 
 
-def _start_manifest(args, command: str, config: dict, seeds) -> tuple:
-    man = RunManifest(
-        command=command,
-        config={k: (list(v) if isinstance(v, tuple) else v) for k, v in config.items()},
-        seeds=list(seeds),
-        thread_count=int(config.get("jobs", 1)),
-    )
-    return man, time.perf_counter()
-
-
-def _finish_manifest(man: RunManifest, started: float, out_dir) -> str:
-    man.wall_clock_seconds = time.perf_counter() - started
-    path = os.path.join(out_dir, "manifest.json")
-    write_manifest(path, man)
-    return path
-
-
 def _out_dir(args) -> str:
     os.makedirs(args.out, exist_ok=True)
     return args.out
@@ -169,15 +158,13 @@ def _rules(config: dict) -> TokenizerRules:
     from .corpus import DEFAULT_STOPWORDS
 
     stopwords = DEFAULT_STOPWORDS if config["remove_stopwords"] else frozenset()
-    return TokenizerRules(lowercase=bool(config["lowercase"]), stopwords=stopwords)
+    return TokenizerRules(lowercase=config["lowercase"], stopwords=stopwords)
 
 
-def cmd_ingest(args) -> int:
-    config = resolve_config(args, ["format", "lowercase", "remove_stopwords", "min_df"])
-    man, started = _start_manifest(args, "ingest", config, [])
+def cmd_ingest(args, config: dict, man: RunManifest) -> None:
     man.add_input(args.corpus)
     docs = load_corpus(args.corpus, config["format"])
-    corpus = tokenize_corpus(docs, _rules(config), int(config["min_df"]))
+    corpus = tokenize_corpus(docs, _rules(config), config["min_df"])
     out = _out_dir(args)
     tokenized_path = os.path.join(out, "tokenized.json")
     save_tokenized(tokenized_path, corpus)
@@ -188,52 +175,42 @@ def cmd_ingest(args) -> int:
             fh.write(f"{token},{df}\n")
     man.add_output(tokenized_path)
     man.add_output(vocab_path)
-    _finish_manifest(man, started, out)
     print(
         f"ingested {corpus.n_docs} documents, vocabulary {len(corpus.vocab)} tokens, "
         f"{len(corpus.empty_doc_ids)} empty after filtering"
     )
-    return EXIT_OK
 
 
-def cmd_split(args) -> int:
-    config = resolve_config(args, ["ratios", "split_seed"])
-    man, started = _start_manifest(args, "split", config, [config["split_seed"]])
+def cmd_split(args, config: dict, man: RunManifest) -> None:
     man.add_input(args.tokenized)
     corpus = load_tokenized(args.tokenized)
     if any(lab is None for lab in corpus.labels):
         raise ValueError("stratified split requires a fully labeled corpus")
     split = stratified_split(
-        corpus.doc_ids, corpus.labels, tuple(config["ratios"]), int(config["split_seed"])
+        corpus.doc_ids, corpus.labels, tuple(config["ratios"]), config["split_seed"]
     )
     out = _out_dir(args)
     split_path = os.path.join(out, "split.jsonl")
     save_split(split_path, split)
     man.add_output(split_path)
-    _finish_manifest(man, started, out)
     counts = {name: len(split.ids_in(name)) for name in SPLIT_NAMES}
     print("split sizes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
-    return EXIT_OK
 
 
-def cmd_build_graph(args) -> int:
-    config = resolve_config(args, ["window"])
-    man, started = _start_manifest(args, "build-graph", config, [])
+def cmd_build_graph(args, config: dict, man: RunManifest) -> None:
     man.add_input(args.tokenized)
     corpus = load_tokenized(args.tokenized)
     tfidf = graph.compute_tfidf(corpus)
-    stats = graph.slide_windows(corpus, int(config["window"]))
+    stats = graph.slide_windows(corpus, config["window"])
     data = graph.export_graph_json(corpus, tfidf, graph.ppmi_edges(stats))
     out = _out_dir(args)
     graph_path = os.path.join(out, "graph.json")
     graph.save_graph_json(graph_path, data)
     man.add_output(graph_path)
-    _finish_manifest(man, started, out)
     print(
         f"graph: {data['n_docs']} doc nodes, {data['n_words']} word nodes, "
         f"{len(data['edges'])} weighted edges (self-loops implicit)"
     )
-    return EXIT_OK
 
 
 def _load_split_for(corpus, path):
@@ -299,19 +276,6 @@ def _training_inputs(args, man: RunManifest):
     return corpus, adj_norm, features, embeddings, masks
 
 
-def _gcn_config(config: dict, seed: int) -> gcn.TrainingConfig:
-    return gcn.TrainingConfig(
-        lam=float(config["lam"]),
-        learning_rate=float(config["learning_rate"]),
-        epochs=int(config["epochs"]),
-        dropout=float(config["dropout"]),
-        hidden_dim=int(config["hidden_dim"]),
-        weight_decay=float(config["weight_decay"]),
-        seed=seed,
-        patience=None if config["patience"] is None else int(config["patience"]),
-    )
-
-
 def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
     """Train every seed on one pool, then write the per-seed files and the aggregate.
 
@@ -345,55 +309,34 @@ def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
     return agg
 
 
-def cmd_train_gcn(args) -> int:
-    config = resolve_config(
-        args,
-        ["lam", "learning_rate", "epochs", "dropout", "hidden_dim", "weight_decay",
-         "patience", "seeds", "jobs"],
-    )
-    seeds = [int(s) for s in config["seeds"]]
-    man, started = _start_manifest(args, "train-gcn", config, seeds)
+def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
     corpus, adj_norm, features, embeddings, masks = _training_inputs(args, man)
+    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
     out = _out_dir(args)
 
     def run_one(seed: int):
-        train_config = _gcn_config(config, seed)
-        result = gcn.train(features, adj_norm, embeddings, corpus.labels, masks, train_config)
+        result = gcn.train(
+            features, adj_norm, embeddings, corpus.labels, masks, replace(base, seed=seed)
+        )
         report = gcn.evaluate(
             features, adj_norm, result.gcn, result.head, embeddings,
-            train_config.lam, corpus.labels, masks["test"],
+            base.lam, corpus.labels, masks["test"],
         )
         blocks = gcn.param_blocks(result.gcn, result.head)
         return blocks, result.history, report, {"best_epoch": result.best_epoch}
 
-    agg = _run_seeds(man, out, seeds, int(config["jobs"]), run_one, "")
-    _finish_manifest(man, started, out)
+    agg = _run_seeds(man, out, config["seeds"], config["jobs"], run_one, "")
     print(evaluation.render_aggregate({"test": agg}), end="")
-    return EXIT_OK
 
 
-def cmd_train_conv(args) -> int:
-    config = resolve_config(
-        args,
-        ["kernel_sizes", "n_filters", "embedding_dim", "max_len", "dropout",
-         "conv_epochs", "batch_size", "learning_rate", "seeds", "jobs"],
-    )
-    seeds = [int(s) for s in config["seeds"]]
-    man, started = _start_manifest(args, "train-conv", config, seeds)
+def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
     for path in (args.tokenized, args.split, args.sequences):
         man.add_input(path)
     corpus = load_tokenized(args.tokenized)
     split = _load_split_for(corpus, args.split)
 
     base = convnet.ConvHeadConfig(
-        kernel_sizes=tuple(int(k) for k in config["kernel_sizes"]),
-        n_filters=int(config["n_filters"]),
-        embedding_dim=int(config["embedding_dim"]),
-        max_len=int(config["max_len"]),
-        dropout=float(config["dropout"]),
-        epochs=int(config["conv_epochs"]),
-        batch_size=int(config["batch_size"]),
-        learning_rate=float(config["learning_rate"]),
+        **{key: config[key] for key in CONV_FIELDS}, epochs=config["conv_epochs"]
     )
     sequences = convnet.load_token_embeddings(args.sequences, base, known_ids=corpus.doc_ids)
     by_id = {seq.doc_id: seq for seq in sequences}
@@ -425,24 +368,16 @@ def cmd_train_conv(args) -> int:
         report = evaluation.metrics(evaluation.confusion(preds, gold))
         return convnet.param_blocks(result.params), result.history, report, {}
 
-    agg = _run_seeds(man, out, seeds, int(config["jobs"]), run_one, "conv-")
-    _finish_manifest(man, started, out)
+    agg = _run_seeds(man, out, config["seeds"], config["jobs"], run_one, "conv-")
     print(evaluation.render_aggregate({"test": agg}), end="")
-    return EXIT_OK
 
 
-def cmd_ablate(args) -> int:
-    config = resolve_config(
-        args,
-        ["grid", "lam", "learning_rate", "epochs", "dropout", "hidden_dim",
-         "weight_decay", "patience", "seeds", "jobs"],
-    )
-    seeds = [int(s) for s in config["seeds"]]
-    man, started = _start_manifest(args, "ablate", config, seeds)
+def cmd_ablate(args, config: dict, man: RunManifest) -> None:
     corpus, adj_norm, features, embeddings, masks = _training_inputs(args, man)
     rows = gcn.ablate_lambda(
-        [float(v) for v in config["grid"]], _gcn_config(config, 0), features, adj_norm,
-        embeddings, corpus.labels, masks, seeds, jobs=int(config["jobs"]),
+        config["grid"], gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS}),
+        features, adj_norm, embeddings, corpus.labels, masks, config["seeds"],
+        jobs=config["jobs"],
     )
     out = _out_dir(args)
     csv_path = os.path.join(out, "ablation.csv")
@@ -457,15 +392,11 @@ def cmd_ablate(args) -> int:
         fh.write(table)
     man.add_output(csv_path)
     man.add_output(table_path)
-    _finish_manifest(man, started, out)
     print(table, end="")
-    return EXIT_OK
 
 
-def cmd_prompts(args) -> int:
-    config = resolve_config(args, ["format", "k", "prompt_seed", "target_split"])
-    k = int(config["k"])
-    man, started = _start_manifest(args, "prompts", config, [config["prompt_seed"]])
+def cmd_prompts(args, config: dict, man: RunManifest) -> None:
+    k = config["k"]
     man.add_input(args.corpus)
     docs = load_corpus(args.corpus, config["format"])
     spec = prompting.PromptSpec()
@@ -490,7 +421,7 @@ def cmd_prompts(args) -> int:
     if k > 0:
         pool = [prompting.Shot(d.id, d.text, d.label) for d in pool_docs]
         shots = prompting.compose_shots(
-            pool, k, int(config["prompt_seed"]), exclude_ids=[d.id for d in targets]
+            pool, k, config["prompt_seed"], exclude_ids=[d.id for d in targets]
         )
 
     out = _out_dir(args)
@@ -507,14 +438,12 @@ def cmd_prompts(args) -> int:
     shots_path = os.path.join(out, "shots.json")
     write_json(shots_path, {
         "k": k,
-        "seed": int(config["prompt_seed"]),
+        "seed": config["prompt_seed"],
         "shots": [{"id": s.doc_id, "label": s.label} for s in shots.shots],
     }, indent=2)
     man.add_output(prompts_path)
     man.add_output(shots_path)
-    _finish_manifest(man, started, out)
     print(f"wrote {len(targets)} prompts ({k}-shot)")
-    return EXIT_OK
 
 
 def _eval_counts(path) -> evaluation.ConfusionMatrix:
@@ -595,9 +524,7 @@ def _eval_transcripts(args) -> tuple:
     return evaluation.confusion(preds, [gold[idx] for idx, _ in scored]), meta
 
 
-def cmd_eval(args) -> int:
-    config = resolve_config(args, ["averaging"])
-    man, started = _start_manifest(args, "eval", config, [])
+def cmd_eval(args, config: dict, man: RunManifest) -> None:
     modes = [bool(args.counts), bool(args.pred), bool(args.transcripts)]
     if sum(modes) != 1:
         raise UsageError("exactly one of --counts, --pred, --transcripts is required")
@@ -629,23 +556,19 @@ def cmd_eval(args) -> int:
         fh.write(table)
     man.add_output(report_path)
     man.add_output(table_path)
-    _finish_manifest(man, started, out)
     print(table, end="")
-    return EXIT_OK
 
 
-def cmd_export(args) -> int:
-    config = resolve_config(args, ["window"])
+def cmd_export(args, config: dict, man: RunManifest) -> None:
     if args.docs is None and args.label is None:
         raise UsageError("nothing to export: pass --docs and/or --label")
-    man, started = _start_manifest(args, "export", config, [])
     man.add_input(args.tokenized)
     corpus = load_tokenized(args.tokenized)
     out = _out_dir(args)
 
     if args.label is not None:
-        table = interpret.label_word_frequencies(corpus, int(args.label))
-        freq_path = os.path.join(out, f"frequencies-label{int(args.label)}.json")
+        table = interpret.label_word_frequencies(corpus, args.label)
+        freq_path = os.path.join(out, f"frequencies-label{args.label}.json")
         write_json(freq_path, interpret.frequency_to_json(table), indent=2)
         man.add_output(freq_path)
         print(f"label {args.label}: {len(table.entries)} ranked tokens")
@@ -656,14 +579,12 @@ def cmd_export(args) -> int:
             tfidf, ppmi = _load_graph_for(corpus, args.graph)
         else:
             tfidf = graph.compute_tfidf(corpus)
-            ppmi = graph.ppmi_edges(graph.slide_windows(corpus, int(config["window"])))
+            ppmi = graph.ppmi_edges(graph.slide_windows(corpus, config["window"]))
         if args.docs.isdigit():
             doc_ids = corpus.doc_ids[: int(args.docs)]
         else:
             doc_ids = [part for part in args.docs.split(",") if part]
-        salience = interpret.build_salience_graph(
-            corpus, doc_ids, tfidf, ppmi, int(args.k)
-        )
+        salience = interpret.build_salience_graph(corpus, doc_ids, tfidf, ppmi, args.top_k)
         json_path = os.path.join(out, "salience.json")
         write_json(json_path, interpret.salience_to_json(salience))
         dot_path = os.path.join(out, "salience.dot")
@@ -676,24 +597,43 @@ def cmd_export(args) -> int:
             f"{len(salience.word_nodes)} words, {len(salience.edges)} edges"
         )
 
-    _finish_manifest(man, started, out)
-    return EXIT_OK
-
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every subparser sets func, its cmd_* handler looked up when this runs, and
+    keys, the CONFIG_DEFAULTS keys resolve_config fills for it."""
     parser = _Parser(
         prog="stressgraph",
         description="Document-word graph classifier pipeline",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def common(p, out=True, config=True):
-        if out:
-            p.add_argument("--out", required=True, help="output artifact directory")
-        if config:
-            p.add_argument("--config", help="JSON config file (flags override it)")
+    def command(name, func, keys, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--out", required=True, help="output artifact directory")
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        p.set_defaults(func=func, keys=keys)
+        return p
 
-    p = sub.add_parser("ingest", parents=[], help="tokenize a corpus and build its vocabulary")
+    def gcn_flags(p):
+        p.add_argument("--tokenized", required=True)
+        p.add_argument("--graph", required=True)
+        p.add_argument("--split", required=True)
+        p.add_argument("--embeddings", help="document embedding file (binary or .csv)")
+        p.add_argument(
+            "--identity", action="store_true",
+            help="identity node features, graph branch only (requires lambda 1)",
+        )
+        p.add_argument("--learning-rate", dest="learning_rate", type=float)
+        p.add_argument("--epochs", type=int)
+        p.add_argument("--dropout", type=float)
+        p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
+        p.add_argument("--weight-decay", dest="weight_decay", type=float)
+        p.add_argument("--patience", type=int)
+        p.add_argument("--seeds", type=_int_list)
+        p.add_argument("--jobs", type=int)
+
+    p = command("ingest", cmd_ingest, ("format", "lowercase", "remove_stopwords", "min_df"),
+                help="tokenize a corpus and build its vocabulary")
     p.add_argument("--corpus", required=True, help="JSONL or CSV document file")
     p.add_argument("--format", choices=["jsonl", "csv"])
     p.add_argument("--min-df", dest="min_df", type=int)
@@ -702,44 +642,25 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-stopwords", dest="remove_stopwords", action="store_const", const=False,
         default=None, help="disable stopword removal",
     )
-    common(p)
-    p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("split", help="stratified train/val/test assignment")
+    p = command("split", cmd_split, ("ratios", "split_seed"),
+                help="stratified train/val/test assignment")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--ratios", type=_float_list)
     p.add_argument("--seed", dest="split_seed", type=int)
-    common(p)
-    p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("build-graph", help="TF-IDF + PPMI heterogeneous graph")
+    p = command("build-graph", cmd_build_graph, ("window",),
+                help="TF-IDF + PPMI heterogeneous graph")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--window", type=int)
-    common(p)
-    p.set_defaults(func=cmd_build_graph)
 
-    p = sub.add_parser("train-gcn", help="train the fused graph + head classifier")
-    p.add_argument("--tokenized", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--embeddings", help="document embedding file (binary or .csv)")
-    p.add_argument(
-        "--identity", action="store_true",
-        help="identity node features, graph branch only (requires --lambda 1)",
-    )
+    p = command("train-gcn", cmd_train_gcn, GCN_FIELDS + ("seeds", "jobs"),
+                help="train the fused graph + head classifier")
+    gcn_flags(p)
     p.add_argument("--lambda", dest="lam", type=float)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seeds", type=_int_list)
-    p.add_argument("--jobs", type=int)
-    common(p)
-    p.set_defaults(func=cmd_train_gcn)
 
-    p = sub.add_parser("train-conv", help="train the convolutional sequence head")
+    p = command("train-conv", cmd_train_conv, CONV_FIELDS + ("conv_epochs", "seeds", "jobs"),
+                help="train the convolutional sequence head")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--sequences", required=True, help="token-embedding sequence file")
@@ -753,38 +674,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--seeds", type=_int_list)
     p.add_argument("--jobs", type=int)
-    common(p)
-    p.set_defaults(func=cmd_train_conv)
 
-    p = sub.add_parser("ablate", help="accuracy/F1 across an interpolation grid")
-    p.add_argument("--tokenized", required=True)
-    p.add_argument("--graph", required=True)
-    p.add_argument("--split", required=True)
-    p.add_argument("--embeddings")
-    p.add_argument("--identity", action="store_true")
+    p = command("ablate", cmd_ablate, ("grid",) + GCN_FIELDS + ("seeds", "jobs"),
+                help="accuracy/F1 across an interpolation grid")
+    gcn_flags(p)
     p.add_argument("--grid", type=_float_list, help="comma-separated interpolation values")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float)
-    p.add_argument("--patience", type=int)
-    p.add_argument("--seeds", type=_int_list)
-    p.add_argument("--jobs", type=int)
-    common(p)
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("prompts", help="build zero- or few-shot classification prompts")
+    p = command("prompts", cmd_prompts, ("format", "k", "prompt_seed", "target_split"),
+                help="build zero- or few-shot classification prompts")
     p.add_argument("--corpus", required=True, help="raw document file (text is needed)")
     p.add_argument("--format", choices=["jsonl", "csv"])
     p.add_argument("--split", help="split assignment file; exemplars come from train")
     p.add_argument("--k", type=int, choices=[0, 3, 10])
     p.add_argument("--seed", dest="prompt_seed", type=int)
     p.add_argument("--target-split", dest="target_split", choices=list(SPLIT_NAMES))
-    common(p)
-    p.set_defaults(func=cmd_prompts)
 
-    p = sub.add_parser("eval", help="score predictions, counts, or transcripts")
+    p = command("eval", cmd_eval, ("averaging",),
+                help="score predictions, counts, or transcripts")
     p.add_argument("--counts", help="JSON file with tn/fp/fn/tp")
     p.add_argument("--pred", help="CSV id,pred prediction file")
     p.add_argument("--transcripts", help="completion transcript JSONL store")
@@ -797,34 +703,45 @@ def build_parser() -> argparse.ArgumentParser:
         help="count parse failures as negative predictions instead of dropping them",
     )
     p.add_argument("--averaging", choices=list(evaluation.AVERAGING_MODES))
-    common(p)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("export", help="interpretability exports (frequencies, salience)")
+    p = command("export", cmd_export, ("window",),
+                help="interpretability exports (frequencies, salience)")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--graph", help="reuse a built graph instead of recomputing")
     p.add_argument("--label", type=int, choices=[0, 1], help="word-frequency export label")
     p.add_argument("--docs", help="document count (first N) or comma-separated ids")
-    p.add_argument("--k", type=int, default=5, help="salient words per document")
+    p.add_argument("--k", dest="top_k", type=int, default=5, help="salient words per document")
     p.add_argument("--window", type=int)
-    common(p)
-    p.set_defaults(func=cmd_export)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one subcommand and write its manifest.json into --out; returns the exit code.
+
+    The handler gets the resolved config and the manifest to record its inputs
+    and outputs in; the manifest is written only when the handler returns.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if getattr(args, "func", None) is None:
-        parser.print_help(sys.stderr)
-        return EXIT_USAGE
-    try:
-        return args.func(args)
+        if getattr(args, "func", None) is None:
+            parser.print_help(sys.stderr)
+            return EXIT_USAGE
+        config = resolve_config(args, args.keys)
+        man = RunManifest(
+            command=args.command,
+            config=config,
+            seeds=config.get(
+                "seeds", [config[key] for key in ("split_seed", "prompt_seed") if key in config]
+            ),
+            thread_count=config.get("jobs", 1),
+        )
+        started = time.perf_counter()
+        args.func(args, config, man)
+        man.wall_clock_seconds = time.perf_counter() - started
+        write_manifest(os.path.join(args.out, "manifest.json"), man)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

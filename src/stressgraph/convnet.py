@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .gcn import AdamState, DivergenceError, EpochStats, check_block_shapes
+from .gcn import AdamState, DivergenceError, EpochStats, _dropout_mask, _glorot, check_block_shapes
 from .manifest import pack_name, read_binary, write_binary
 from . import evaluation
 
@@ -119,23 +119,13 @@ class ConvTrainResult:
 def init_conv_params(config: ConvHeadConfig) -> ConvHeadParams:
     """Glorot-uniform kernels and dense weights, zero biases, fixed draw order."""
     rng = np.random.default_rng(config.seed)
-    kernels = []
-    biases = []
-    for k in config.kernel_sizes:
-        fan_in = k * config.embedding_dim
-        fan_out = config.n_filters
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        kernels.append(
-            rng.uniform(-limit, limit, size=(k, config.embedding_dim, config.n_filters))
-        )
-        biases.append(np.zeros(config.n_filters))
-    concat = config.n_filters * len(config.kernel_sizes)
-    limit = math.sqrt(6.0 / (concat + 1))
-    dense_w = rng.uniform(-limit, limit, size=concat)
+    d, n_filters = config.embedding_dim, config.n_filters
+    kernels = [_glorot(rng, k * d, n_filters).reshape(k, d, n_filters) for k in config.kernel_sizes]
+    concat = n_filters * len(config.kernel_sizes)
     return ConvHeadParams(
         kernels=tuple(kernels),
-        conv_bias=tuple(biases),
-        dense_W=dense_w,
+        conv_bias=tuple(np.zeros(n_filters) for _ in kernels),
+        dense_W=_glorot(rng, concat, 1).ravel(),
         dense_b=np.zeros(1),
         dropout=config.dropout,
     )
@@ -197,20 +187,17 @@ def _forward_batch(
         bank_convs.append(conv + bias)
         col += k * n_filters
     logits = []
-    cache = {"x": x, "starts": starts, "conv": [], "argmax": [], "concat": [], "dropped": []}
+    cache = {"x": x, "starts": starts, "argmax": [], "concat": [], "dropped": []}
     for pos, (start, length) in enumerate(zip(starts, lengths)):
-        doc_convs, pooled_parts, argmaxes = [], [], []
+        pooled_parts, argmaxes = [], []
         for kernel, conv in zip(params.kernels, bank_convs):
-            doc_conv = conv[start:start + length - kernel.shape[0] + 1]
-            act = np.maximum(doc_conv, 0.0)
+            act = np.maximum(conv[start:start + length - kernel.shape[0] + 1], 0.0)
             argmax = act.argmax(axis=0)
             pooled_parts.append(act[argmax, np.arange(kernel.shape[2])])
-            doc_convs.append(doc_conv)
             argmaxes.append(argmax)
         concat = np.concatenate(pooled_parts)
         dropped = concat * dropout_masks[pos] if dropout_masks is not None else concat
         logits.append(float(dropped @ params.dense_W + params.dense_b[0]))
-        cache["conv"].append(doc_convs)
         cache["argmax"].append(np.concatenate(argmaxes))
         cache["concat"].append(concat)
         cache["dropped"].append(dropped)
@@ -228,7 +215,7 @@ def conv_forward(
     if training and params.dropout > 0.0:
         if rng is None:
             raise ValueError("dropout during training requires an rng")
-        masks = [(rng.random(params.concat_dim) >= params.dropout) / (1.0 - params.dropout)]
+        masks = [_dropout_mask(rng, params.concat_dim, params.dropout)]
     logits, _ = _forward_batch([seq], params, _stack_kernels(params), masks)
     return logits[0]
 
@@ -383,9 +370,7 @@ def train_conv(
             dropout_masks = None
             if config.dropout > 0.0:
                 dropout_masks = [
-                    (rng.random(params.concat_dim) >= config.dropout)
-                    / (1.0 - config.dropout)
-                    for _ in batch
+                    _dropout_mask(rng, params.concat_dim, config.dropout) for _ in batch
                 ]
             loss, grads = batch_loss_and_gradients(
                 batch_seqs, batch_labels, params, dropout_masks

@@ -361,8 +361,8 @@ def load_tokenized(path) -> TokenizedCorpus:
 
 def _check_tokenized(corpus: TokenizedCorpus) -> None:
     """Aligned per-document lists of unique string ids and 0/1/None labels,
-    unique string tokens each with an integer doc_freq in [1, n_docs],
-    vocabulary n_docs equal to the document count, integer token ids in [0, V)."""
+    unique string tokens, vocabulary n_docs equal to the document count, integer
+    token ids in [0, V), and each token's doc_freq the count of documents holding it."""
     n_docs = len(corpus.doc_ids)
     if len(corpus.sequences) != n_docs or len(corpus.labels) != n_docs:
         raise CorpusFormatError(
@@ -396,6 +396,18 @@ def _check_tokenized(corpus: TokenizedCorpus) -> None:
     if len(ids) and (ids.min() < 0 or ids.max() >= n_tokens):
         raise CorpusFormatError(
             f"token ids span [{ids.min()}, {ids.max()}], outside the vocabulary [0, {n_tokens})"
+        )
+    # One sorted (document, token) key per occurrence; the first key of each run
+    # counts the token once for its document.
+    doc_of = np.repeat(np.arange(n_docs), [len(seq) for seq in corpus.sequences])
+    keys = np.sort(doc_of * n_tokens + ids)
+    counted = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % n_tokens, minlength=n_tokens)
+    wrong = np.flatnonzero(counted != np.asarray(vocab.doc_freq, dtype=np.int64))
+    if len(wrong):
+        token = wrong[0]
+        raise CorpusFormatError(
+            f"doc_freq of token {vocab.tokens[token]!r} is {vocab.doc_freq[token]}, "
+            f"but it occurs in {counted[token]} documents"
         )
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests: artifacts, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -421,6 +422,48 @@ def test_config_file_wrong_types_are_data_errors(pipeline, tmp_path, capsys, com
     assert "config file" in capsys.readouterr().err
 
 
+def test_every_config_flag_is_a_key_of_its_command():
+    # resolve_config fills only a command's keys, so a flag whose dest is a
+    # config key outside them would be parsed and then silently ignored.
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert len(commands.choices) == 9
+    for name, sub in commands.choices.items():
+        keys = sub.get_default("keys")
+        assert set(keys) <= set(cli.CONFIG_DEFAULTS), name
+        flagged = {action.dest for action in sub._actions if action.dest in cli.CONFIG_DEFAULTS}
+        assert flagged <= set(keys), (name, flagged - set(keys))
+
+
+def test_manifest_seeds_and_threads_come_from_the_config(pipeline, tmp_path):
+    out = tmp_path / "split"
+    assert cli.main(["split", "--tokenized", str(pipeline["tokenized"]), "--seed", "3",
+                     "--out", str(out)]) == cli.EXIT_OK
+    man = read_manifest(out / "manifest.json")
+    assert (man.command, man.seeds, man.thread_count) == ("split", [3], 1)
+
+    out = tmp_path / "prompts"
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--seed", "4",
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert read_manifest(out / "manifest.json").seeds == [4]
+
+    out = tmp_path / "train"
+    assert cli.main(train_gcn_args(pipeline, out, [
+        "--identity", "--lambda", "1", "--epochs", "1", "--hidden-dim", "4",
+        "--seeds", "2,5", "--jobs", "2",
+    ])) == cli.EXIT_OK
+    man = read_manifest(out / "manifest.json")
+    assert (man.command, man.seeds, man.thread_count) == ("train-gcn", [2, 5], 2)
+    assert man.config["seeds"] == [2, 5] and man.config["jobs"] == 2
+    assert man.wall_clock_seconds > 0.0
+
+    out = tmp_path / "graph"
+    assert cli.main(["build-graph", "--tokenized", str(pipeline["tokenized"]),
+                     "--out", str(out)]) == cli.EXIT_OK
+    man = read_manifest(out / "manifest.json")
+    assert (man.seeds, man.thread_count) == ([], 1)
+
+
 # ---------------------------------------------------------------------------
 # usage and data errors
 
@@ -494,6 +537,22 @@ def test_build_graph_out_of_range_token_id_is_data_error(tmp_path, capsys):
     rc = cli.main(["build-graph", "--tokenized", str(tokenized), "--out", str(tmp_path / "g")])
     assert rc == cli.EXIT_DATA
     assert "outside the vocabulary" in capsys.readouterr().err
+
+
+def test_build_graph_wrong_doc_freq_is_data_error(tmp_path, capsys):
+    # x occurs in both documents: its idf is ln(2/2) = 0, so a doc_freq of 1
+    # would add doc-word edges of weight ln 2 that the corpus does not have.
+    tokenized = tmp_path / "tokenized.json"
+    tokenized.write_text(json.dumps({
+        "doc_ids": ["a", "b"],
+        "labels": [0, 1],
+        "sequences": [[0, 1], [0]],
+        "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2},
+    }))
+    rc = cli.main(["build-graph", "--tokenized", str(tokenized), "--out", str(tmp_path / "g")])
+    assert rc == cli.EXIT_DATA
+    assert "doc_freq of token 'x' is 1, but it occurs in 2 documents" in capsys.readouterr().err
+    assert not (tmp_path / "g" / "graph.json").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -339,17 +339,40 @@ def assert_bank_liveness(spec, grads):
         assert all(grads[f"conv.K{i}"].any() for i in range(3))
 
 
+def batch_conv_pre(cache, params):
+    """Each document's per-bank conv pre-activations, summed as _forward_batch sums
+    them: with Y = X @ w_all over the batch's padded rows, bank b's output at row r
+    is sum_j Y[r + j, block(b, j)] left to right, plus the bias."""
+    x, starts = cache["x"], cache["starts"]
+    y = x @ _stack_kernels(params)
+    ends = np.append(starts[1:], x.shape[0])
+    out = [[] for _ in starts]
+    col = 0
+    for kernel, bias in zip(params.kernels, params.conv_bias):
+        k, _, n_filters = kernel.shape
+        rows = x.shape[0] - k + 1
+        conv = y[:rows, col:col + n_filters]
+        for j in range(1, k):
+            conv = conv + y[j:j + rows, col + j * n_filters:col + (j + 1) * n_filters]
+        conv = conv + bias
+        for pos, (start, end) in enumerate(zip(starts, ends)):
+            out[pos].append(conv[start:end - k + 1])
+        col += k * n_filters
+    return out
+
+
 @pytest.mark.parametrize("case", sorted(CONV_REFERENCE_CASES))
 def test_gather_backward_matches_dense_reference(case):
     # The kernel gradient gathers each pooled window through one sparse
-    # product; given the batch forward's own conv pre-activations, it must
+    # product; given the batch forward's conv pre-activations, it must
     # reproduce the full im2col backward bit for bit.
     spec = CONV_REFERENCE_CASES[case]
     params, sequences, labels, masks = conv_reference_case(spec, len(case))
 
     loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
     _, cache = _forward_batch(sequences, params, _stack_kernels(params), masks)
-    ref_loss, ref_grads = dense_conv_gradients(sequences, labels, params, cache["conv"], masks)
+    conv_pre = batch_conv_pre(cache, params)
+    ref_loss, ref_grads = dense_conv_gradients(sequences, labels, params, conv_pre, masks)
     assert loss == ref_loss
     assert list(grads) == list(ref_grads)
     for name, ref in ref_grads.items():

@@ -463,6 +463,8 @@ def _write_tokenized(path, **overrides):
         (dict(doc_freq=[True, 1]), "doc_freq"),
         (dict(doc_freq=[1, 1.0]), "doc_freq"),
         (dict(doc_freq=[3, 1]), "doc_freq"),
+        (dict(sequences=[[0, 1], [0]]), "doc_freq of token 'x' is 1, but it occurs in 2"),
+        (dict(sequences=[[0, 0, 1], []], doc_freq=[2, 1]), "doc_freq of token 'x' is 2"),
         (dict(n_docs=5), "n_docs"),
         (dict(n_docs=2.0), "n_docs"),
         (dict(n_docs="2"), "n_docs"),
@@ -518,6 +520,8 @@ tokenized_payloads = st.fixed_dictionaries({
          b' "vocab": {"tokens": [], "doc_freq": [], "n_docs": 5}}')
 @example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[0, 1]],'
          b' "vocab": {"tokens": ["x", "x"], "doc_freq": [1, 1], "n_docs": 1}}')
+@example(b'{"doc_ids": ["a", "b"], "labels": [0, 1], "sequences": [[0, 1], [0]],'
+         b' "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2}}')
 def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("tokenized") / "tokenized.json"
     path.write_bytes(data)
@@ -535,6 +539,7 @@ def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     assert type(vocab.n_docs) is int and vocab.n_docs == len(corpus.doc_ids)
     assert all(type(t) is str for t in vocab.tokens) and len(set(vocab.tokens)) == n_tokens
     assert all(type(df) is int and 1 <= df <= vocab.n_docs for df in vocab.doc_freq)
+    assert vocab.doc_freq == [sum(t in seq for seq in corpus.sequences) for t in range(n_tokens)]
 
 
 def test_tokenized_load_accepts_all_empty_sequences(tmp_path):
