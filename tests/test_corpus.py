@@ -463,13 +463,13 @@ def _write_tokenized(path, **overrides):
         (dict(doc_freq=[True, 1]), "doc_freq"),
         (dict(doc_freq=[1, 1.0]), "doc_freq"),
         (dict(doc_freq=[3, 1]), "doc_freq"),
-        (dict(sequences=[[0, 1], [0]]), "doc_freq of token 'x' is 1, but it occurs in 2"),
-        (dict(sequences=[[0, 0, 1], []], doc_freq=[2, 1]), "doc_freq of token 'x' is 2"),
         (dict(n_docs=5), "n_docs"),
         (dict(n_docs=2.0), "n_docs"),
         (dict(n_docs="2"), "n_docs"),
         (dict(tokens=["x", "x"]), "unique strings"),
         (dict(tokens=["x", 7]), "unique strings"),
+        (dict(sequences=[[0, 1], [0]]), "doc_freq of token 'x' is 1, but it occurs in 2"),
+        (dict(sequences=[[0, 0, 1], []], doc_freq=[2, 1]), "doc_freq of token 'x' is 2"),
     ],
 )
 def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, message):
