@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -33,7 +32,7 @@ from .corpus import (
     stratified_split,
     tokenize_corpus,
 )
-from .manifest import RunManifest, atomic_write, write_json, write_manifest
+from .manifest import RunManifest, atomic_write, sha256_file, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -80,6 +79,8 @@ GCN_FIELDS = ("lam", "learning_rate", "epochs", "dropout", "hidden_dim", "weight
 # Config keys named as the convnet.ConvHeadConfig fields they fill; conv_epochs fills epochs.
 CONV_FIELDS = ("kernel_sizes", "n_filters", "embedding_dim", "max_len", "dropout", "batch_size",
                "learning_rate")
+# Dests of the input file flags train-gcn and ablate share.
+GCN_INPUTS = ("tokenized", "graph", "split", "embeddings")
 
 
 class UsageError(Exception):
@@ -149,11 +150,6 @@ def resolve_config(args, keys) -> dict:
     return resolved
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return args.out
-
-
 def _rules(config: dict) -> TokenizerRules:
     from .corpus import DEFAULT_STOPWORDS
 
@@ -162,19 +158,13 @@ def _rules(config: dict) -> TokenizerRules:
 
 
 def cmd_ingest(args, config: dict, man: RunManifest) -> None:
-    man.add_input(args.corpus)
     docs = load_corpus(args.corpus, config["format"])
     corpus = tokenize_corpus(docs, _rules(config), config["min_df"])
-    out = _out_dir(args)
-    tokenized_path = os.path.join(out, "tokenized.json")
-    save_tokenized(tokenized_path, corpus)
-    vocab_path = os.path.join(out, "vocab.csv")
-    with atomic_write(vocab_path) as fh:
+    save_tokenized(man.output("tokenized.json"), corpus)
+    with atomic_write(man.output("vocab.csv")) as fh:
         fh.write("token,doc_freq\n")
         for token, df in zip(corpus.vocab.tokens, corpus.vocab.doc_freq):
             fh.write(f"{token},{df}\n")
-    man.add_output(tokenized_path)
-    man.add_output(vocab_path)
     print(
         f"ingested {corpus.n_docs} documents, vocabulary {len(corpus.vocab)} tokens, "
         f"{len(corpus.empty_doc_ids)} empty after filtering"
@@ -182,31 +172,23 @@ def cmd_ingest(args, config: dict, man: RunManifest) -> None:
 
 
 def cmd_split(args, config: dict, man: RunManifest) -> None:
-    man.add_input(args.tokenized)
     corpus = load_tokenized(args.tokenized)
     if any(lab is None for lab in corpus.labels):
         raise ValueError("stratified split requires a fully labeled corpus")
     split = stratified_split(
         corpus.doc_ids, corpus.labels, tuple(config["ratios"]), config["split_seed"]
     )
-    out = _out_dir(args)
-    split_path = os.path.join(out, "split.jsonl")
-    save_split(split_path, split)
-    man.add_output(split_path)
+    save_split(man.output("split.jsonl"), split)
     counts = {name: len(split.ids_in(name)) for name in SPLIT_NAMES}
     print("split sizes: " + ", ".join(f"{k}={v}" for k, v in counts.items()))
 
 
 def cmd_build_graph(args, config: dict, man: RunManifest) -> None:
-    man.add_input(args.tokenized)
     corpus = load_tokenized(args.tokenized)
     tfidf = graph.compute_tfidf(corpus)
     stats = graph.slide_windows(corpus, config["window"])
     data = graph.export_graph_json(corpus, tfidf, graph.ppmi_edges(stats))
-    out = _out_dir(args)
-    graph_path = os.path.join(out, "graph.json")
-    graph.save_graph_json(graph_path, data)
-    man.add_output(graph_path)
+    graph.save_graph_json(man.output("graph.json"), data)
     print(
         f"graph: {data['n_docs']} doc nodes, {data['n_words']} word nodes, "
         f"{len(data['edges'])} weighted edges (self-loops implicit)"
@@ -248,11 +230,8 @@ def _load_embeddings(path, n_docs: int):
     return emb
 
 
-def _training_inputs(args, man: RunManifest):
-    """Shared artifact loading for train-gcn and ablate; records the input digests."""
-    for path in (args.tokenized, args.graph, args.split, getattr(args, "embeddings", None)):
-        if path:
-            man.add_input(path)
+def _training_inputs(args):
+    """Shared artifact loading for train-gcn and ablate."""
     corpus = load_tokenized(args.tokenized)
     tfidf, ppmi = _load_graph_for(corpus, args.graph)
     adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
@@ -263,9 +242,9 @@ def _training_inputs(args, man: RunManifest):
         for name in SPLIT_NAMES
     }
     embeddings = None
-    if getattr(args, "embeddings", None):
+    if args.embeddings:
         embeddings = _load_embeddings(args.embeddings, corpus.n_docs)
-    elif not getattr(args, "identity", False):
+    elif not args.identity:
         raise ValueError("provide --embeddings FILE or pass --identity")
     for name in SPLIT_NAMES:
         rows = np.flatnonzero(masks[name])
@@ -276,7 +255,7 @@ def _training_inputs(args, man: RunManifest):
     return corpus, adj_norm, features, embeddings, masks
 
 
-def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
+def _run_seeds(man: RunManifest, seeds, jobs: int, run_one, prefix: str):
     """Train every seed on one pool, then write the per-seed files and the aggregate.
 
     run_one(seed) returns (parameter blocks, history, test report, extra
@@ -290,29 +269,21 @@ def _run_seeds(man: RunManifest, out, seeds, jobs: int, run_one, prefix: str):
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
         outcomes = list(pool.map(run_one, seeds))
     for seed, (blocks, history, report, extra) in zip(seeds, outcomes):
-        checkpoint_path = os.path.join(out, f"{prefix}checkpoint-seed{seed}.bin")
-        gcn.save_parameter_blocks(checkpoint_path, blocks)
-        history_path = os.path.join(out, f"{prefix}history-seed{seed}.csv")
-        gcn.write_history_csv(history_path, history)
-        metrics_path = os.path.join(out, f"{prefix}metrics-seed{seed}.json")
+        gcn.save_parameter_blocks(man.output(f"{prefix}checkpoint-seed{seed}.bin"), blocks)
+        gcn.write_history_csv(man.output(f"{prefix}history-seed{seed}.csv"), history)
         payload = {**evaluation.report_as_dict(report), "seed": seed, **extra}
-        write_json(metrics_path, payload, indent=2)
-        for path in (checkpoint_path, history_path, metrics_path):
-            man.add_output(path)
+        write_json(man.output(f"{prefix}metrics-seed{seed}.json"), payload, indent=2)
     agg = evaluation.aggregate(report for _, _, report, _ in outcomes)
-    agg_path = os.path.join(out, f"{prefix}aggregate.json")
-    write_json(agg_path, {
+    write_json(man.output(f"{prefix}aggregate.json"), {
         "n_runs": agg.n_runs,
         "metrics": {name: {"mean": mean, "std": std} for name, (mean, std) in agg.stats.items()},
     }, indent=2)
-    man.add_output(agg_path)
     return agg
 
 
 def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
-    corpus, adj_norm, features, embeddings, masks = _training_inputs(args, man)
     base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
-    out = _out_dir(args)
+    corpus, adj_norm, features, embeddings, masks = _training_inputs(args)
 
     def run_one(seed: int):
         result = gcn.train(
@@ -325,13 +296,11 @@ def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
         blocks = gcn.param_blocks(result.gcn, result.head)
         return blocks, result.history, report, {"best_epoch": result.best_epoch}
 
-    agg = _run_seeds(man, out, config["seeds"], config["jobs"], run_one, "")
+    agg = _run_seeds(man, config["seeds"], config["jobs"], run_one, "")
     print(evaluation.render_aggregate({"test": agg}), end="")
 
 
 def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
-    for path in (args.tokenized, args.split, args.sequences):
-        man.add_input(path)
     corpus = load_tokenized(args.tokenized)
     split = _load_split_for(corpus, args.split)
 
@@ -354,7 +323,6 @@ def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
         name: [split.assignment.get(corpus.doc_ids[i]) == name for i in rows]
         for name in SPLIT_NAMES
     }
-    out = _out_dir(args)
 
     def run_one(seed: int):
         result = convnet.train_conv(aligned, labels, masks, replace(base, seed=seed))
@@ -368,41 +336,34 @@ def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
         report = evaluation.metrics(evaluation.confusion(preds, gold))
         return convnet.param_blocks(result.params), result.history, report, {}
 
-    agg = _run_seeds(man, out, config["seeds"], config["jobs"], run_one, "conv-")
+    agg = _run_seeds(man, config["seeds"], config["jobs"], run_one, "conv-")
     print(evaluation.render_aggregate({"test": agg}), end="")
 
 
 def cmd_ablate(args, config: dict, man: RunManifest) -> None:
-    corpus, adj_norm, features, embeddings, masks = _training_inputs(args, man)
+    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
+    corpus, adj_norm, features, embeddings, masks = _training_inputs(args)
     rows = gcn.ablate_lambda(
-        config["grid"], gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS}),
-        features, adj_norm, embeddings, corpus.labels, masks, config["seeds"],
+        config["grid"], base, features, adj_norm, embeddings, corpus.labels, masks, config["seeds"],
         jobs=config["jobs"],
     )
-    out = _out_dir(args)
-    csv_path = os.path.join(out, "ablation.csv")
-    gcn.write_ablation_csv(csv_path, rows)
+    gcn.write_ablation_csv(man.output("ablation.csv"), rows)
     table = evaluation.render_table(
         ["lambda", "accuracy", "f1", "acc_std", "f1_std"],
         [[f"{r.lam:g}", f"{r.accuracy:.4f}", f"{r.f1:.4f}",
           f"{r.acc_std:.4f}", f"{r.f1_std:.4f}"] for r in rows],
     )
-    table_path = os.path.join(out, "ablation.txt")
-    with atomic_write(table_path) as fh:
+    with atomic_write(man.output("ablation.txt")) as fh:
         fh.write(table)
-    man.add_output(csv_path)
-    man.add_output(table_path)
     print(table, end="")
 
 
 def cmd_prompts(args, config: dict, man: RunManifest) -> None:
     k = config["k"]
-    man.add_input(args.corpus)
     docs = load_corpus(args.corpus, config["format"])
     spec = prompting.PromptSpec()
 
     if args.split:
-        man.add_input(args.split)
         split = load_split(args.split)
         target_name = config["target_split"]
         if target_name not in SPLIT_NAMES:
@@ -424,25 +385,17 @@ def cmd_prompts(args, config: dict, man: RunManifest) -> None:
             pool, k, config["prompt_seed"], exclude_ids=[d.id for d in targets]
         )
 
-    out = _out_dir(args)
-    prompts_path = os.path.join(out, "prompts.jsonl")
-    with atomic_write(prompts_path) as fh:
+    with atomic_write(man.output("prompts.jsonl")) as fh:
         for doc in targets:
             prompt = prompting.build_few_shot(shots, doc.text, spec)
-            record = {
-                "id": doc.id,
-                "prompt": prompt,
-                "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
-            }
+            sha = prompting.prompt_sha256(prompt)
+            record = {"id": doc.id, "prompt": prompt, "prompt_sha256": sha}
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    shots_path = os.path.join(out, "shots.json")
-    write_json(shots_path, {
+    write_json(man.output("shots.json"), {
         "k": k,
         "seed": config["prompt_seed"],
         "shots": [{"id": s.doc_id, "label": s.label} for s in shots.shots],
     }, indent=2)
-    man.add_output(prompts_path)
-    man.add_output(shots_path)
     print(f"wrote {len(targets)} prompts ({k}-shot)")
 
 
@@ -528,54 +481,42 @@ def cmd_eval(args, config: dict, man: RunManifest) -> None:
     modes = [bool(args.counts), bool(args.pred), bool(args.transcripts)]
     if sum(modes) != 1:
         raise UsageError("exactly one of --counts, --pred, --transcripts is required")
+    if not (args.counts or args.tokenized):
+        raise UsageError("--pred and --transcripts need --tokenized for the gold labels")
+    if args.transcripts and not args.prompts:
+        raise UsageError("--transcripts needs --prompts")
     meta = {}
     if args.counts:
-        man.add_input(args.counts)
         cm = _eval_counts(args.counts)
     elif args.pred:
-        for path in (args.pred, args.tokenized):
-            man.add_input(path)
-        if args.split:
-            man.add_input(args.split)
         cm, meta = _eval_predictions(args)
     else:
-        for path in (args.transcripts, args.prompts, args.tokenized):
-            man.add_input(path)
         cm, meta = _eval_transcripts(args)
 
     report = evaluation.metrics(cm, config["averaging"])
-    out = _out_dir(args)
     payload = evaluation.report_as_dict(report)
     payload["confusion"] = {"tn": cm.tn, "fp": cm.fp, "fn": cm.fn, "tp": cm.tp}
     payload.update(meta)
-    report_path = os.path.join(out, "report.json")
-    write_json(report_path, payload, indent=2)
+    write_json(man.output("report.json"), payload, indent=2)
     table = evaluation.render_metrics(report, name=config["averaging"])
-    table_path = os.path.join(out, "report.txt")
-    with atomic_write(table_path) as fh:
+    with atomic_write(man.output("report.txt")) as fh:
         fh.write(table)
-    man.add_output(report_path)
-    man.add_output(table_path)
     print(table, end="")
 
 
 def cmd_export(args, config: dict, man: RunManifest) -> None:
     if args.docs is None and args.label is None:
         raise UsageError("nothing to export: pass --docs and/or --label")
-    man.add_input(args.tokenized)
     corpus = load_tokenized(args.tokenized)
-    out = _out_dir(args)
 
     if args.label is not None:
         table = interpret.label_word_frequencies(corpus, args.label)
-        freq_path = os.path.join(out, f"frequencies-label{args.label}.json")
-        write_json(freq_path, interpret.frequency_to_json(table), indent=2)
-        man.add_output(freq_path)
+        write_json(man.output(f"frequencies-label{args.label}.json"),
+                   interpret.frequency_to_json(table), indent=2)
         print(f"label {args.label}: {len(table.entries)} ranked tokens")
 
     if args.docs is not None:
         if args.graph:
-            man.add_input(args.graph)
             tfidf, ppmi = _load_graph_for(corpus, args.graph)
         else:
             tfidf = graph.compute_tfidf(corpus)
@@ -585,13 +526,9 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
         else:
             doc_ids = [part for part in args.docs.split(",") if part]
         salience = interpret.build_salience_graph(corpus, doc_ids, tfidf, ppmi, args.top_k)
-        json_path = os.path.join(out, "salience.json")
-        write_json(json_path, interpret.salience_to_json(salience))
-        dot_path = os.path.join(out, "salience.dot")
-        with atomic_write(dot_path) as fh:
+        write_json(man.output("salience.json"), interpret.salience_to_json(salience))
+        with atomic_write(man.output("salience.dot")) as fh:
             fh.write(interpret.salience_to_dot(salience))
-        man.add_output(json_path)
-        man.add_output(dot_path)
         print(
             f"salience graph: {len(salience.doc_nodes)} docs, "
             f"{len(salience.word_nodes)} words, {len(salience.edges)} edges"
@@ -599,19 +536,20 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Every subparser sets func, its cmd_* handler looked up when this runs, and
-    keys, the CONFIG_DEFAULTS keys resolve_config fills for it."""
+    """Every subparser sets func, its cmd_* handler looked up when this runs,
+    keys, the CONFIG_DEFAULTS keys resolve_config fills for it, and inputs, the
+    dests of its flags that name input files."""
     parser = _Parser(
         prog="stressgraph",
         description="Document-word graph classifier pipeline",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, func, keys, help):
+    def command(name, func, keys, inputs, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", required=True, help="output artifact directory")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.set_defaults(func=func, keys=keys)
+        p.set_defaults(func=func, keys=keys, inputs=inputs)
         return p
 
     def gcn_flags(p):
@@ -633,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int)
 
     p = command("ingest", cmd_ingest, ("format", "lowercase", "remove_stopwords", "min_df"),
-                help="tokenize a corpus and build its vocabulary")
+                ("corpus",), help="tokenize a corpus and build its vocabulary")
     p.add_argument("--corpus", required=True, help="JSONL or CSV document file")
     p.add_argument("--format", choices=["jsonl", "csv"])
     p.add_argument("--min-df", dest="min_df", type=int)
@@ -643,24 +581,24 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, help="disable stopword removal",
     )
 
-    p = command("split", cmd_split, ("ratios", "split_seed"),
+    p = command("split", cmd_split, ("ratios", "split_seed"), ("tokenized",),
                 help="stratified train/val/test assignment")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--ratios", type=_float_list)
     p.add_argument("--seed", dest="split_seed", type=int)
 
-    p = command("build-graph", cmd_build_graph, ("window",),
+    p = command("build-graph", cmd_build_graph, ("window",), ("tokenized",),
                 help="TF-IDF + PPMI heterogeneous graph")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--window", type=int)
 
-    p = command("train-gcn", cmd_train_gcn, GCN_FIELDS + ("seeds", "jobs"),
+    p = command("train-gcn", cmd_train_gcn, GCN_FIELDS + ("seeds", "jobs"), GCN_INPUTS,
                 help="train the fused graph + head classifier")
     gcn_flags(p)
     p.add_argument("--lambda", dest="lam", type=float)
 
     p = command("train-conv", cmd_train_conv, CONV_FIELDS + ("conv_epochs", "seeds", "jobs"),
-                help="train the convolutional sequence head")
+                ("tokenized", "split", "sequences"), help="train the convolutional sequence head")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--sequences", required=True, help="token-embedding sequence file")
@@ -675,13 +613,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list)
     p.add_argument("--jobs", type=int)
 
-    p = command("ablate", cmd_ablate, ("grid",) + GCN_FIELDS + ("seeds", "jobs"),
+    p = command("ablate", cmd_ablate, ("grid",) + GCN_FIELDS + ("seeds", "jobs"), GCN_INPUTS,
                 help="accuracy/F1 across an interpolation grid")
     gcn_flags(p)
     p.add_argument("--grid", type=_float_list, help="comma-separated interpolation values")
 
     p = command("prompts", cmd_prompts, ("format", "k", "prompt_seed", "target_split"),
-                help="build zero- or few-shot classification prompts")
+                ("corpus", "split"), help="build zero- or few-shot classification prompts")
     p.add_argument("--corpus", required=True, help="raw document file (text is needed)")
     p.add_argument("--format", choices=["jsonl", "csv"])
     p.add_argument("--split", help="split assignment file; exemplars come from train")
@@ -690,6 +628,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-split", dest="target_split", choices=list(SPLIT_NAMES))
 
     p = command("eval", cmd_eval, ("averaging",),
+                ("counts", "pred", "transcripts", "prompts", "tokenized", "split"),
                 help="score predictions, counts, or transcripts")
     p.add_argument("--counts", help="JSON file with tn/fp/fn/tp")
     p.add_argument("--pred", help="CSV id,pred prediction file")
@@ -704,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--averaging", choices=list(evaluation.AVERAGING_MODES))
 
-    p = command("export", cmd_export, ("window",),
+    p = command("export", cmd_export, ("window",), ("tokenized", "graph"),
                 help="interpretability exports (frequencies, salience)")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--graph", help="reuse a built graph instead of recomputing")
@@ -719,8 +658,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand and write its manifest.json into --out; returns the exit code.
 
-    The handler gets the resolved config and the manifest to record its inputs
-    and outputs in; the manifest is written only when the handler returns.
+    The files named by the command's input flags are hashed before the handler
+    runs. The handler gets the resolved config and the manifest, and writes
+    every artifact to a path from man.output; those are hashed once it
+    returns. The manifest is written only when the handler returns.
     """
     parser = build_parser()
     try:
@@ -736,9 +677,13 @@ def main(argv=None) -> int:
                 "seeds", [config[key] for key in ("split_seed", "prompt_seed") if key in config]
             ),
             thread_count=config.get("jobs", 1),
+            out_dir=args.out,
         )
         started = time.perf_counter()
+        named = [getattr(args, dest) for dest in args.inputs]
+        man.inputs = {path: sha256_file(path) for path in named if path}
         args.func(args, config, man)
+        man.outputs = {path: sha256_file(path) for path in man.outputs}
         man.wall_clock_seconds = time.perf_counter() - started
         write_manifest(os.path.join(args.out, "manifest.json"), man)
         return EXIT_OK

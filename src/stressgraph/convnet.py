@@ -70,6 +70,14 @@ class ConvHeadConfig:
             raise ValueError("dropout must lie in [0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch size must be positive")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must not be negative, got {self.epochs}")
+        if self.learning_rate <= 0:
+            raise ValueError("learning_rate must be positive")
+        if self.embedding_dim < 1:
+            raise ValueError("embedding_dim must be positive")
+        if self.max_len < 1:
+            raise ValueError("max_len must be positive")
 
 
 @dataclass

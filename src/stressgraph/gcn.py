@@ -90,6 +90,14 @@ class TrainingConfig:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must not be negative, got {self.epochs}")
+        if self.hidden_dim < 1:
+            raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must not be negative, got {self.weight_decay}")
+        if self.patience is not None and self.patience < 0:
+            raise ValueError(f"patience must not be negative, got {self.patience}")
 
 
 @dataclass

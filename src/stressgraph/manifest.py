@@ -28,12 +28,16 @@ class RunManifest:
     outputs: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
     thread_count: int = 1
+    # The command's --out directory; not part of the written manifest.
+    out_dir: str = field(default="", compare=False)
 
-    def add_input(self, path) -> None:
-        self.inputs[str(path)] = sha256_file(path)
-
-    def add_output(self, path) -> None:
-        self.outputs[str(path)] = sha256_file(path)
+    def output(self, name: str) -> str:
+        """Path of artifact name in out_dir (created on first use), recorded in
+        outputs without a digest; cli.main hashes the outputs once the command returns."""
+        os.makedirs(self.out_dir, exist_ok=True)
+        path = os.path.join(self.out_dir, name)
+        self.outputs[path] = None
+        return path
 
     def as_dict(self) -> dict:
         return {

@@ -100,6 +100,11 @@ class ShotSet:
         return len(self.shots)
 
 
+def prompt_sha256(prompt: str) -> str:
+    """Hex SHA-256 of the prompt's UTF-8 bytes: the key of a prompt in a transcript store."""
+    return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+
+
 @dataclass
 class CompletionTranscript:
     """One prompt/response exchange; label None marks a parse or transport failure."""
@@ -111,7 +116,7 @@ class CompletionTranscript:
 
     @property
     def prompt_sha256(self) -> str:
-        return hashlib.sha256(self.prompt.encode("utf-8")).hexdigest()
+        return prompt_sha256(self.prompt)
 
     @property
     def failed(self) -> bool:
@@ -233,9 +238,7 @@ class CannedClient(CompletionClient):
             return self.responses
         if callable(self.responses):
             return self.responses(prompt)
-        key = prompt if prompt in self.responses else hashlib.sha256(
-            prompt.encode("utf-8")
-        ).hexdigest()
+        key = prompt if prompt in self.responses else prompt_sha256(prompt)
         return self.responses[key]
 
 
@@ -370,7 +373,7 @@ def run_batch(
     last_dispatch = None
     transcripts = []
     for prompt in prompts:
-        sha = hashlib.sha256(prompt.encode("utf-8")).hexdigest()
+        sha = prompt_sha256(prompt)
         stored = store.get(sha)
         if stored is not None and stored.response is not None:
             transcripts.append(stored)

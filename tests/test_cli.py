@@ -243,6 +243,14 @@ def test_train_gcn_requires_feature_source(pipeline, tmp_path, capsys):
     assert "--embeddings" in capsys.readouterr().err
 
 
+def test_train_gcn_zero_hidden_units_is_data_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "run"
+    extra = ["--identity", "--lambda", "1", "--hidden-dim", "0"]
+    assert cli.main(train_gcn_args(pipeline, out, extra)) == cli.EXIT_DATA
+    assert "hidden_dim" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gcn_identity_needs_full_graph_weight(pipeline, tmp_path):
     base = ["--identity", "--epochs", "2", "--seeds", "0", "--hidden-dim", "4"]
     # Identity mode has no linear head, so the default 0.2 interpolation fails.
@@ -464,6 +472,62 @@ def test_manifest_seeds_and_threads_come_from_the_config(pipeline, tmp_path):
     assert (man.seeds, man.thread_count) == ([], 1)
 
 
+def manifest_runs(pipeline, tmp_path) -> dict:
+    """Per subcommand: the file each input flag names, and the other flags of one short run."""
+    corpus = load_tokenized(pipeline["tokenized"])
+    sequences = tmp_path / "sequences.bin"
+    write_sequences(sequences, corpus)
+    pred = tmp_path / "pred.csv"
+    pred.write_text("id,pred\n" + "".join(f"{d},1\n" for d in corpus.doc_ids), encoding="utf-8")
+    trained = {name: pipeline[name] for name in ("tokenized", "graph", "split", "embeddings")}
+    short = ["--epochs", "1", "--hidden-dim", "4", "--seeds", "0,1"]
+    return {
+        "ingest": ({"corpus": pipeline["corpus"]}, ["--min-df", "1"]),
+        "split": ({"tokenized": pipeline["tokenized"]}, []),
+        "build-graph": ({"tokenized": pipeline["tokenized"]}, []),
+        "train-gcn": (trained, short),
+        "train-conv": (
+            {"tokenized": pipeline["tokenized"], "split": pipeline["split"], "sequences": sequences},
+            ["--kernel-sizes", "2", "--filters", "2", "--embedding-dim", "8", "--epochs", "1",
+             "--seeds", "0"],
+        ),
+        "ablate": (trained, short + ["--grid", "0,1"]),
+        "prompts": ({"corpus": pipeline["corpus"], "split": pipeline["split"]}, ["--k", "3"]),
+        "eval": ({"pred": pred, "tokenized": pipeline["tokenized"], "split": pipeline["split"]}, []),
+        "export": ({"tokenized": pipeline["tokenized"], "graph": pipeline["graph"]},
+                   ["--docs", "3", "--label", "1"]),
+    }
+
+
+@pytest.mark.parametrize("command", ["ingest", "split", "build-graph", "train-gcn", "train-conv",
+                                     "ablate", "prompts", "eval", "export"])
+def test_manifest_records_named_inputs_and_every_output(pipeline, tmp_path, command):
+    inputs, flags = manifest_runs(pipeline, tmp_path)[command]
+    out = tmp_path / "out"
+    named = [arg for flag, path in inputs.items() for arg in (f"--{flag}", str(path))]
+    assert cli.main([command, *named, *flags, "--out", str(out)]) == cli.EXIT_OK
+    man = read_manifest(out / "manifest.json")
+    assert man.inputs == {str(path): sha256_file(path) for path in inputs.values()}
+    assert man.outputs == {str(out / name): digest for name, digest in artifact_digests(out).items()}
+
+
+def test_eval_counts_records_a_stray_named_input(pipeline, tmp_path):
+    # --counts mode reads no corpus, but the --tokenized file it names is an
+    # input all the same, and a named file that does not exist is a data error.
+    counts = tmp_path / "counts.json"
+    counts.write_text('{"tn": 3, "fp": 1, "fn": 1, "tp": 3}', encoding="utf-8")
+    out = tmp_path / "report"
+    assert cli.main(["eval", "--counts", str(counts), "--tokenized", str(pipeline["tokenized"]),
+                     "--out", str(out)]) == cli.EXIT_OK
+    assert read_manifest(out / "manifest.json").inputs == {
+        str(path): sha256_file(path) for path in (counts, pipeline["tokenized"])
+    }
+    out = tmp_path / "missing"
+    assert cli.main(["eval", "--counts", str(counts), "--tokenized", str(tmp_path / "nope.json"),
+                     "--out", str(out)]) == cli.EXIT_DATA
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # usage and data errors
 
@@ -494,6 +558,17 @@ def test_eval_requires_exactly_one_mode(pipeline, tmp_path, capsys):
                    "--out", str(tmp_path / "b")])
     assert rc == cli.EXIT_USAGE
     assert "exactly one" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode, given", [
+    ("--pred", []), ("--transcripts", ["--prompts"]), ("--transcripts", ["--tokenized"]),
+], ids=["pred-without-tokenized", "transcripts-without-tokenized", "transcripts-without-prompts"])
+def test_eval_mode_without_its_companion_files_is_usage_error(tmp_path, capsys, mode, given):
+    named = tmp_path / "named.txt"
+    named.write_text("x\n", encoding="utf-8")
+    argv = ["eval", mode, str(named), *(arg for flag in given for arg in (flag, str(named)))]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert "need" in capsys.readouterr().err
 
 
 def test_export_requires_a_selection(pipeline, tmp_path):

@@ -73,6 +73,14 @@ def test_config_validation():
         ConvHeadConfig(batch_size=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("learning_rate", 0.0), ("embedding_dim", 0), ("max_len", 0),
+])
+def test_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        ConvHeadConfig(**{field: value})
+
+
 def test_init_shapes_and_bounds():
     config = ConvHeadConfig(**SMALL)
     params = init_conv_params(config)

@@ -211,6 +211,14 @@ def test_training_config_validation():
         TrainingConfig(learning_rate=0.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", -1), ("hidden_dim", 0), ("weight_decay", -1e-4), ("patience", -1),
+])
+def test_training_config_rejects_out_of_range_field(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainingConfig(**{field: value})
+
+
 def test_init_parameters_draw_order_stable():
     # Adding a head must not disturb the GCN draws for the same seed.
     gcn_a, head_a = init_parameters(5, 4, 2, None, seed=9)
