@@ -207,33 +207,10 @@ def _load_split_for(corpus, path):
     return split
 
 
-def _load_graph_for(corpus, path):
-    with open(path, "r", encoding="utf-8") as fh:
-        tfidf, ppmi, _ = graph.load_graph_json(json.load(fh))
-    if tfidf.shape != (corpus.n_docs, len(corpus.vocab)):
-        raise ValueError(
-            "graph artifact does not align with the corpus "
-            "({}x{} vs {}x{})".format(*tfidf.shape, corpus.n_docs, len(corpus.vocab))
-        )
-    return tfidf, ppmi
-
-
-def _load_embeddings(path, n_docs: int):
-    if str(path).endswith(".csv"):
-        emb = graph.read_embeddings_csv(path)
-    else:
-        emb = graph.read_embeddings(path)
-    if emb.n_docs != n_docs:
-        raise ValueError(
-            f"embedding rows ({emb.n_docs}) do not match the corpus ({n_docs})"
-        )
-    return emb
-
-
 def _training_inputs(args):
     """Shared artifact loading for train-gcn and ablate."""
     corpus = load_tokenized(args.tokenized)
-    tfidf, ppmi = _load_graph_for(corpus, args.graph)
+    tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
     adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
     adj_norm = graph.normalize_adjacency(adjacency)
     split = _load_split_for(corpus, args.split)
@@ -243,7 +220,8 @@ def _training_inputs(args):
     }
     embeddings = None
     if args.embeddings:
-        embeddings = _load_embeddings(args.embeddings, corpus.n_docs)
+        csv_file = str(args.embeddings).endswith(".csv")
+        embeddings = (graph.read_embeddings_csv if csv_file else graph.read_embeddings)(args.embeddings)
     elif not args.identity:
         raise ValueError("provide --embeddings FILE or pass --identity")
     for name in SPLIT_NAMES:
@@ -517,7 +495,7 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
 
     if args.docs is not None:
         if args.graph:
-            tfidf, ppmi = _load_graph_for(corpus, args.graph)
+            tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
         else:
             tfidf = graph.compute_tfidf(corpus)
             ppmi = graph.ppmi_edges(graph.slide_windows(corpus, config["window"]))
@@ -531,7 +509,7 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
             fh.write(interpret.salience_to_dot(salience))
         print(
             f"salience graph: {len(salience.doc_nodes)} docs, "
-            f"{len(salience.word_nodes)} words, {len(salience.edges)} edges"
+            f"{len(salience.word_nodes)} words, {len(salience.w)} edges"
         )
 
 

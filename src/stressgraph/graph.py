@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import operator
 import struct
@@ -12,7 +13,7 @@ from itertools import chain
 import numpy as np
 import scipy.sparse as sp
 
-from .manifest import atomic_write, read_binary, write_binary, write_json
+from .manifest import Columns, atomic_write, read_binary, write_binary, write_json
 
 DEFAULT_WINDOW_SIZE = 20
 
@@ -314,18 +315,19 @@ def export_graph_json(corpus, tfidf: sp.sparray, ppmi: sp.coo_array) -> dict:
 
     Edge endpoints are indices into the node list; the doc-word edges come
     first, then the word-word edges, each in its block's COO order.
-    Self-loops are implicit and re-added by the loader.
+    Self-loops are implicit and re-added by the loader. Both lists are Columns.
     """
-    n_docs = corpus.n_docs
-    nodes = [{"id": doc_id, "kind": "doc"} for doc_id in corpus.doc_ids]
-    nodes += [{"id": tok, "kind": "word"} for tok in corpus.vocab.tokens]
-    edges = []
-    for kind, block, offset in (("doc-word", tfidf.tocoo(), 0), ("word-word", ppmi, n_docs)):
-        edges += [
-            {"a": offset + a, "b": n_docs + b, "w": w, "kind": kind}
-            for a, b, w in zip(block.row.tolist(), block.col.tolist(), block.data.tolist())
-        ]
-    return {"n_docs": n_docs, "n_words": len(corpus.vocab), "nodes": nodes, "edges": edges}
+    n_docs, n_words = corpus.n_docs, len(corpus.vocab)
+    tfidf = tfidf.tocoo()
+    kinds = ["doc"] * n_docs + ["word"] * n_words
+    nodes = Columns({"id": [*corpus.doc_ids, *corpus.vocab.tokens], "kind": kinds})
+    edges = Columns({
+        "a": np.concatenate([tfidf.row, ppmi.row.astype(np.int64) + n_docs]),
+        "b": np.concatenate([tfidf.col, ppmi.col]).astype(np.int64) + n_docs,
+        "kind": ["doc-word"] * tfidf.nnz + ["word-word"] * ppmi.nnz,
+        "w": np.concatenate([tfidf.data, ppmi.data]),
+    })
+    return {"n_docs": n_docs, "n_words": n_words, "nodes": nodes, "edges": edges}
 
 
 def _graph_edges(data) -> tuple[int, int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -392,6 +394,21 @@ def load_graph_json(data: dict) -> tuple[sp.csr_array, sp.coo_array, dict]:
     ).tocsr()
     ppmi = sp.coo_array((w[word], (a[word] - n_docs, b[word] - n_docs)), shape=(n_words, n_words))
     return tfidf, ppmi, data
+
+
+def read_graph_json(path, corpus) -> tuple[sp.csr_array, sp.coo_array]:
+    """The (tfidf, ppmi) blocks of the graph file at path; ValueError unless it loads
+    (see load_graph_json) and its nodes are corpus.doc_ids, then corpus.vocab.tokens."""
+    with open(path, "r", encoding="utf-8") as fh:
+        tfidf, ppmi, data = load_graph_json(json.load(fh))
+    if tfidf.shape != (corpus.n_docs, len(corpus.vocab)):
+        raise ValueError("graph artifact does not align with the corpus ({}x{} vs {}x{})".format(
+            *tfidf.shape, corpus.n_docs, len(corpus.vocab)))
+    names = [(d, "doc") for d in corpus.doc_ids] + [(t, "word") for t in corpus.vocab.tokens]
+    for i, (node, (name, kind)) in enumerate(zip(data["nodes"], names)):
+        if node != {"id": name, "kind": kind}:
+            raise ValueError(f"graph node {i} is {node!r}, the corpus has {kind} {name!r}")
+    return tfidf, ppmi
 
 
 def save_graph_json(path, data: dict) -> None:

@@ -5,7 +5,6 @@ PPMI links among the included words), serialized to JSON and Graphviz DOT.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 
@@ -13,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import TokenizedCorpus
+from .manifest import Columns
 
 
 @dataclass(frozen=True)
@@ -31,44 +31,43 @@ class FrequencyTable:
             raise ValueError("frequency counts must be >= 1")
 
 
-@dataclass(frozen=True)
-class SalienceEdge:
-    a: str
-    b: str
-    w: float
-    kind: str
+# Edge kind names, indexed by SalienceGraph.word_word.
+_EDGE_KINDS = ("doc-word", "word-word")
 
 
-# The node kinds an edge kind joins, in (a, b) order.
-_EDGE_ENDS = {"doc-word": ("doc", "word"), "word-word": ("word", "word")}
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SalienceGraph:
-    """Documents, their top-k words, and word-word links among those words."""
+    """Documents, their top-k words, and word-word links among those words.
+
+    Edge k joins nodes a[k] and b[k] (indices into doc_nodes + word_nodes) with
+    weight w[k]: two words where word_word[k] is set, else a document and a word."""
 
     doc_nodes: tuple
     word_nodes: tuple
-    edges: tuple
+    a: np.ndarray
+    b: np.ndarray
+    w: np.ndarray
+    word_word: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "doc_nodes", tuple(self.doc_nodes))
         object.__setattr__(self, "word_nodes", tuple(self.word_nodes))
-        object.__setattr__(self, "edges", tuple(self.edges))
-        names = {"doc": set(self.doc_nodes), "word": set(self.word_nodes)}
+        for name, dtype in (("a", np.int64), ("b", np.int64), ("w", np.float64), ("word_word", bool)):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
         for kind, nodes in (("doc", self.doc_nodes), ("word", self.word_nodes)):
-            if len(names[kind]) != len(nodes):
+            if len(set(nodes)) != len(nodes):
                 repeated = sorted(name for name, n in Counter(nodes).items() if n > 1)
                 raise ValueError(f"repeated {kind} nodes {repeated}")
-        referenced = set()
-        for edge in self.edges:
-            if edge.kind not in _EDGE_ENDS:
-                raise ValueError(f"unknown edge kind {edge.kind!r}")
-            kind_a, kind_b = _EDGE_ENDS[edge.kind]
-            if edge.a not in names[kind_a] or edge.b not in names[kind_b]:
-                raise ValueError(f"{edge.kind} edge {edge.a!r}-{edge.b!r} ends outside the graph")
-            referenced.update((edge.a, edge.b) if kind_a == "word" else (edge.b,))
-        orphans = names["word"] - referenced
+        if not len(self.a) == len(self.b) == len(self.w) == len(self.word_word):
+            raise ValueError("edge columns differ in length")
+        n_docs, n = len(self.doc_nodes), len(self.doc_nodes) + len(self.word_nodes)
+        a_doc, a_word = (self.a >= 0) & (self.a < n_docs), (self.a >= n_docs) & (self.a < n)
+        inside = np.where(self.word_word, a_word, a_doc) & (self.b >= n_docs) & (self.b < n)
+        if not inside.all():
+            raise ValueError(f"edge {int(np.argmin(inside))} ends outside the graph")
+        referenced = np.zeros(n, dtype=bool)
+        referenced[self.b] = referenced[self.a[self.word_word]] = True
+        orphans = [w for w, seen in zip(self.word_nodes, referenced[n_docs:]) if not seen]
         if orphans:
             raise ValueError(f"word nodes without any edge: {sorted(orphans)}")
 
@@ -110,62 +109,68 @@ def build_salience_graph(
 ) -> SalienceGraph:
     """Assemble the top-k word neighborhood of the requested documents.
 
-    ppmi is the V x V positive-PPMI block; only pairs where both words are
-    selected by some document survive, in the block's stored order.
+    Words become nodes in the order the documents first select them. ppmi is
+    the V x V positive-PPMI block; only pairs where both words are selected
+    by some document survive, in the block's stored order.
     """
     doc_ids = list(doc_ids)
-    rows = [corpus.row_of(doc_id) for doc_id in doc_ids]
+    top = [top_k_words(tfidf, corpus.row_of(doc_id), k) for doc_id in doc_ids]
+    words = np.fromiter((wid for row in top for wid, _ in row), np.int64)
+    weights = np.fromiter((x for row in top for _, x in row), np.float64)
+    # The selected word ids ascending, and the rank of each among the word nodes.
+    ids, first, inverse = np.unique(words, return_index=True, return_inverse=True)
+    rank = np.argsort(np.argsort(first))
+    keep = np.isin(ppmi.row, ids) & np.isin(ppmi.col, ids)
+    n_docs = len(doc_ids)
+    pair_a, pair_b = (n_docs + rank[np.searchsorted(ids, ends[keep])] for ends in (ppmi.row, ppmi.col))
+    doc_ends = np.repeat(np.arange(n_docs), np.fromiter(map(len, top), np.int64, n_docs))
     tokens = corpus.vocab.tokens
-    edges = []
-    included_words: dict[int, None] = {}
-    for doc_id, row in zip(doc_ids, rows):
-        for word_id, weight in top_k_words(tfidf, row, k):
-            edges.append(SalienceEdge(doc_id, tokens[word_id], float(weight), "doc-word"))
-            included_words.setdefault(word_id, None)
-    word_ids = np.fromiter(included_words, np.int64, count=len(included_words))
-    keep = np.isin(ppmi.row, word_ids) & np.isin(ppmi.col, word_ids)
-    word_pairs = zip(ppmi.row[keep].tolist(), ppmi.col[keep].tolist(), ppmi.data[keep].tolist())
-    for i, j, weight in word_pairs:
-        edges.append(SalienceEdge(tokens[i], tokens[j], weight, "word-word"))
-    word_nodes = tuple(tokens[wid] for wid in included_words)
-    return SalienceGraph(doc_nodes=tuple(doc_ids), word_nodes=word_nodes, edges=tuple(edges))
+    return SalienceGraph(
+        doc_nodes=doc_ids,
+        word_nodes=[tokens[wid] for wid in words[np.sort(first)].tolist()],
+        a=np.concatenate([doc_ends, pair_a]),
+        b=np.concatenate([n_docs + rank[inverse], pair_b]),
+        w=np.concatenate([weights, ppmi.data[keep]]),
+        word_word=np.repeat([False, True], [len(words), len(pair_a)]),
+    )
 
 
-def _node_ids(graph: SalienceGraph) -> dict:
-    """Per node kind, name -> id. The doc: / word: prefix keeps a document
-    and a word of the same name two nodes."""
-    return {
-        "doc": {d: f"doc:{d}" for d in graph.doc_nodes},
-        "word": {w: f"word:{w}" for w in graph.word_nodes},
-    }
+def _node_ids(graph: SalienceGraph) -> list:
+    """Node ids over doc_nodes + word_nodes. The doc: / word: prefix keeps a
+    document and a word of the same name two nodes."""
+    return [f"doc:{d}" for d in graph.doc_nodes] + [f"word:{w}" for w in graph.word_nodes]
 
 
-def _edge_end_ids(graph: SalienceGraph, ids: dict) -> list:
-    """(a, b) per edge, looked up in ids by the node kinds its edge kind joins."""
-    ends = {kind: (ids[a], ids[b]) for kind, (a, b) in _EDGE_ENDS.items()}
-    return [(ends[e.kind][0][e.a], ends[e.kind][1][e.b]) for e in graph.edges]
+def _edge_kinds(graph: SalienceGraph) -> list:
+    return np.take(_EDGE_KINDS, graph.word_word.view(np.uint8)).tolist()
 
 
 def salience_to_json(graph: SalienceGraph) -> dict:
-    ids = _node_ids(graph)
-    nodes = [{"id": ids["doc"][d], "kind": "doc", "name": d} for d in graph.doc_nodes]
-    nodes += [{"id": ids["word"][w], "kind": "word", "name": w} for w in graph.word_nodes]
-    edges = [
-        {"a": a, "b": b, "w": e.w, "kind": e.kind}
-        for e, (a, b) in zip(graph.edges, _edge_end_ids(graph, ids))
-    ]
-    return {"nodes": nodes, "edges": edges}
+    """nodes ({id, kind, name}) and edges ({a, b, w, kind}, ends by node id) as
+    manifest.Columns, which write_json encodes."""
+    ids = np.array(_node_ids(graph), dtype=object)
+    kinds = ["doc"] * len(graph.doc_nodes) + ["word"] * len(graph.word_nodes)
+    nodes = Columns({"id": ids.tolist(), "kind": kinds, "name": [*graph.doc_nodes, *graph.word_nodes]})
+    ends = {"a": ids[graph.a].tolist(), "b": ids[graph.b].tolist()}
+    return {"nodes": nodes, "edges": Columns({**ends, "kind": _edge_kinds(graph), "w": graph.w})}
 
 
-def salience_from_json(payload: dict) -> SalienceGraph:
-    names = {n["id"]: n["name"] for n in payload["nodes"]}
-    docs = [n["name"] for n in payload["nodes"] if n["kind"] == "doc"]
-    words = [n["name"] for n in payload["nodes"] if n["kind"] == "word"]
-    edges = [
-        SalienceEdge(a=names[e["a"]], b=names[e["b"]], w=float(e["w"]), kind=e["kind"])
-        for e in payload["edges"]
-    ]
-    return SalienceGraph(doc_nodes=tuple(docs), word_nodes=tuple(words), edges=tuple(edges))
+def salience_from_json(payload) -> SalienceGraph:
+    """The graph of a parsed salience.json; a malformed payload raises ValueError."""
+    try:
+        nodes = {"doc": [], "word": []}
+        for node in payload["nodes"]:
+            nodes[node["kind"]].append((node["id"], node["name"]))
+        order = nodes["doc"] + nodes["word"]
+        index = {node_id: i for i, (node_id, _) in enumerate(order)}
+        if len(index) != len(order):
+            raise ValueError("repeated node ids")
+        kind = dict(zip(_EDGE_KINDS, (False, True)))
+        edges = [(index[e["a"]], index[e["b"]], float(e["w"]), kind[e["kind"]]) for e in payload["edges"]]
+        a, b, w, ww = zip(*edges) if edges else ((), (), (), ())
+        return SalienceGraph([n for _, n in nodes["doc"]], [n for _, n in nodes["word"]], a, b, w, ww)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed salience payload: {type(exc).__name__} {exc}") from None
 
 
 def _dot_quote(name: str) -> str:
@@ -178,19 +183,14 @@ def salience_to_dot(graph: SalienceGraph) -> str:
 
     Nodes use the salience_to_json ids and show their names as labels.
     """
-    ids = {kind: {n: _dot_quote(i) for n, i in m.items()} for kind, m in _node_ids(graph).items()}
-    lines = ["graph salience {"]
-    for doc in graph.doc_nodes:
-        lines.append(f"  {ids['doc'][doc]} [label={_dot_quote(doc)}, shape=box, color=red];")
-    for word in graph.word_nodes:
-        lines.append(f"  {ids['word'][word]} [label={_dot_quote(word)}, shape=ellipse, color=green];")
-    for edge, (a, b) in zip(graph.edges, _edge_end_ids(graph, ids)):
-        lines.append(
-            f"  {a} -- {b} "
-            f'[weight={edge.w:.6g}, label="{edge.w:.3g}", kind="{edge.kind}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    ids = np.array([_dot_quote(i) for i in _node_ids(graph)], dtype=object)
+    names = map(_dot_quote, graph.doc_nodes + graph.word_nodes)
+    shapes = ["box, color=red"] * len(graph.doc_nodes) + ["ellipse, color=green"] * len(graph.word_nodes)
+    node, edge = "  %s [label=%s, shape=%s];", '  %s -- %s [weight=%.6g, label="%.3g", kind="%s"];'
+    a, b, w = ids[graph.a].tolist(), ids[graph.b].tolist(), graph.w.tolist()
+    lines = ["graph salience {", *map(node.__mod__, zip(ids.tolist(), names, shapes))]
+    lines += map(edge.__mod__, zip(a, b, w, w, _edge_kinds(graph)))
+    return "\n".join(lines) + "\n}\n"
 
 
 def frequency_to_json(table: FrequencyTable) -> dict:

@@ -15,6 +15,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -79,17 +80,60 @@ def atomic_write(path, binary: bool = False):
         raise
 
 
-def write_json(path, data, indent=None) -> None:
-    """Write data as sorted-key JSON plus a newline, replacing path atomically.
+@dataclass(frozen=True)
+class Columns:
+    """A JSON list of same-keyed objects held as one column per key: a numpy
+    int or float array, or a list of str, all of one length."""
 
-    indent=None gives compact separators, for the data documents (graph,
-    tokenized corpus, salience graph); indent=2 the layout of the reports
-    people read.
-    """
+    columns: dict
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+    def encode(self) -> str:
+        """The bytes json.dumps(sort_keys=True, separators=(",", ":")) gives the
+        list of dicts; a non-finite float raises ValueError."""
+        if len({len(column) for column in self.columns.values()}) > 1:
+            raise ValueError("columns differ in length")
+        keys = sorted(self.columns)
+        # One % template per object; a % in a key must not act as a placeholder.
+        row = "{" + ",".join(encode_basestring_ascii(k).replace("%", "%%") + ":%s" for k in keys) + "}"
+        return "[" + ",".join(map(row.__mod__, zip(*(_cells(self.columns[k]) for k in keys)))) + "]"
+
+
+def _cells(values) -> list:
+    """The JSON text of each value of a column; each distinct value is encoded once."""
+    if not isinstance(values, np.ndarray):
+        text = {value: encode_basestring_ascii(value) for value in set(values)}
+        return [text[value] for value in values]
+    if values.dtype.kind == "f" and not np.all(np.isfinite(values)):
+        raise ValueError("JSON has no non-finite floats")
+    encode = {"i": int.__repr__, "u": int.__repr__, "f": float.__repr__}.get(values.dtype.kind)
+    if encode is None:
+        raise TypeError(f"cannot encode a {values.dtype} column")
+    # Distinct bit patterns, so -0.0 and 0.0 keep their own text.
+    bits, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
+    text = list(map(encode, bits.view(values.dtype).tolist()))
+    return np.array(text, dtype=object)[inverse].tolist()
+
+
+def json_text(data, indent=None) -> str:
+    """data as sorted-key JSON. indent=None gives compact separators, for the
+    data documents (graph, tokenized corpus, salience graph), whose top-level
+    object may hold Columns; indent=2 the layout of the reports people read."""
     if indent not in (None, 2):
         raise ValueError(f"indent must be None or 2, got {indent!r}")
+    if indent is None and isinstance(data, dict) and any(isinstance(v, Columns) for v in data.values()):
+        items = (f"{encode_basestring_ascii(k)}:{v.encode() if isinstance(v, Columns) else json_text(v)}"
+                 for k, v in sorted(data.items()))
+        return "{" + ",".join(items) + "}"
     separators = (",", ":") if indent is None else (",", ": ")
-    text = json.dumps(data, indent=indent, separators=separators, sort_keys=True)
+    return json.dumps(data, indent=indent, separators=separators, sort_keys=True)
+
+
+def write_json(path, data, indent=None) -> None:
+    """Write json_text(data, indent) plus a newline, replacing path atomically."""
+    text = json_text(data, indent)
     with atomic_write(path) as fh:
         fh.write(text)
         fh.write("\n")

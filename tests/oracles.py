@@ -113,6 +113,71 @@ def brute_normalize_dense(a: np.ndarray) -> np.ndarray:
     return a * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
+def reference_graph_json(corpus, tfidf, ppmi) -> dict:
+    """The graph document with one dict per node and per edge: docs, then words;
+    the doc-word edges, then the word-word edges, each in its block's COO order."""
+    n_docs = corpus.n_docs
+    nodes = [{"id": doc_id, "kind": "doc"} for doc_id in corpus.doc_ids]
+    nodes += [{"id": tok, "kind": "word"} for tok in corpus.vocab.tokens]
+    edges = []
+    for kind, block, offset in (("doc-word", tfidf.tocoo(), 0), ("word-word", ppmi, n_docs)):
+        edges += [
+            {"a": offset + a, "b": n_docs + b, "w": w, "kind": kind}
+            for a, b, w in zip(block.row.tolist(), block.col.tolist(), block.data.tolist())
+        ]
+    return {"n_docs": n_docs, "n_words": len(corpus.vocab), "nodes": nodes, "edges": edges}
+
+
+def reference_salience(corpus, doc_ids, tfidf, ppmi, k):
+    """(doc_nodes, word_nodes, edges) of the salience graph, one (a, b, w, kind)
+    name tuple per edge: per document its k highest-weight words (ties by word
+    id), words in the order first selected, then every PPMI pair of two
+    selected words in the block's stored order."""
+    tokens = corpus.vocab.tokens
+    edges, words = [], {}
+    for doc_id in doc_ids:
+        row = corpus.row_of(doc_id)
+        lo, hi = tfidf.indptr[row], tfidf.indptr[row + 1]
+        entries = zip(tfidf.indices[lo:hi].tolist(), tfidf.data[lo:hi].tolist())
+        for word_id, weight in sorted(entries, key=lambda item: (-item[1], item[0]))[:k]:
+            edges.append((doc_id, tokens[word_id], weight, "doc-word"))
+            words.setdefault(word_id, None)
+    for i, j, weight in zip(ppmi.row.tolist(), ppmi.col.tolist(), ppmi.data.tolist()):
+        if i in words and j in words:
+            edges.append((tokens[i], tokens[j], weight, "word-word"))
+    return list(doc_ids), [tokens[w] for w in words], edges
+
+
+def reference_salience_json(doc_nodes, word_nodes, edges) -> dict:
+    """salience.json with one dict per node and per edge; ids are doc:<name> / word:<name>."""
+    nodes = [{"id": f"doc:{d}", "kind": "doc", "name": d} for d in doc_nodes]
+    nodes += [{"id": f"word:{w}", "kind": "word", "name": w} for w in word_nodes]
+    first = {"doc-word": "doc", "word-word": "word"}
+    return {"nodes": nodes, "edges": [
+        {"a": f"{first[kind]}:{a}", "b": f"word:{b}", "w": w, "kind": kind} for a, b, w, kind in edges
+    ]}
+
+
+def reference_salience_dot(doc_nodes, word_nodes, edges) -> str:
+    """salience.dot written line by line from the salience_json ids."""
+    def quote(name):
+        return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    first = {"doc-word": "doc", "word-word": "word"}
+    lines = ["graph salience {"]
+    for doc in doc_nodes:
+        lines.append(f"  {quote('doc:' + doc)} [label={quote(doc)}, shape=box, color=red];")
+    for word in word_nodes:
+        lines.append(f"  {quote('word:' + word)} [label={quote(word)}, shape=ellipse, color=green];")
+    for a, b, w, kind in edges:
+        lines.append(
+            f"  {quote(first[kind] + ':' + a)} -- {quote('word:' + b)} "
+            f'[weight={w:.6g}, label="{w:.3g}", kind="{kind}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def explicit_node_features(features) -> np.ndarray:
     """The X a NodeFeatures stands for, built in full.
 

@@ -11,6 +11,7 @@ import sys
 import numpy as np
 import pytest
 
+import oracles
 from stressgraph import cli, convnet, gcn, graph, prompting
 from stressgraph.corpus import load_split, load_tokenized, save_split, save_tokenized
 from stressgraph.manifest import RunManifest, read_manifest, sha256_file, write_json, write_manifest
@@ -282,6 +283,17 @@ def test_train_gcn_non_finite_embedding_is_data_error(pipeline, tmp_path, capsys
     ]))
     assert rc == cli.EXIT_DATA
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", [".csv", ".bin"])
+def test_train_gcn_embedding_row_count_mismatch_is_data_error(pipeline, tmp_path, capsys, suffix):
+    rows = graph.read_embeddings_csv(pipeline["embeddings"]).values[:-1]
+    path = tmp_path / f"emb{suffix}"
+    write = graph.write_embeddings_csv if suffix == ".csv" else graph.write_embeddings
+    write(path, graph.EmbeddingMatrix(values=rows))
+    args = train_gcn_args(pipeline, tmp_path / "run", ["--embeddings", str(path), "--seeds", "0"])
+    assert cli.main(args) == cli.EXIT_DATA
+    assert f"embedding rows ({N_DOCS - 1}) do not match" in capsys.readouterr().err
 
 
 def test_train_gcn_misaligned_split_rejected(pipeline, tmp_path, capsys):
@@ -1059,6 +1071,78 @@ def test_misaligned_graph_is_data_error(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     n_docs, n_words = data["n_docs"], data["n_words"]
     assert "does not align" in err and f"({n_docs}x{n_words} vs {n_docs}x{n_words + 1})" in err
+
+
+def graph_args(command, pipeline, tokenized, graph_path, out) -> list:
+    """train-gcn, ablate or export --graph over tokenized and graph_path."""
+    if command == "export":
+        return ["export", "--tokenized", str(tokenized), "--graph", str(graph_path),
+                "--docs", "3", "--out", str(out)]
+    base = train_gcn_args if command == "train-gcn" else ablate_args
+    args = base(pipeline, out, ["--identity", "--lambda", "1", "--epochs", "1", "--seeds", "0"]
+                if command == "train-gcn" else ["--grid", "1", "--seeds", "0", "--epochs", "1"])
+    args[args.index("--tokenized") + 1] = str(tokenized)
+    args[args.index("--graph") + 1] = str(graph_path)
+    return args
+
+
+@pytest.mark.parametrize("command", ["train-gcn", "ablate", "export"])
+def test_graph_of_a_reordered_corpus_is_data_error(pipeline, tmp_path, capsys, command):
+    # The same documents ingested in another order: the graph has the right
+    # shape, but its rows belong to other documents.
+    lines = pipeline["corpus"].read_text(encoding="utf-8").splitlines(keepends=True)
+    shuffled = tmp_path / "shuffled.jsonl"
+    shuffled.write_text("".join(lines[1:] + lines[:1]), encoding="utf-8")
+    assert cli.main(["ingest", "--corpus", str(shuffled), "--min-df", "1", "--keep-stopwords",
+                     "--out", str(tmp_path / "ing")]) == 0
+    tokenized = tmp_path / "ing" / "tokenized.json"
+    assert cli.main(["split", "--tokenized", str(tokenized), "--out", str(tmp_path / "sp")]) == 0
+    corpus = load_tokenized(tokenized)
+    assert corpus.n_docs == N_DOCS and len(corpus.vocab) == 12
+    args = graph_args(command, pipeline, tokenized, pipeline["graph"], tmp_path / "run")
+    if command != "export":
+        args[args.index("--split") + 1] = str(tmp_path / "sp" / "split.jsonl")
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "data error: graph node 0 is {'id': 'd00', 'kind': 'doc'}, the corpus has doc 'd01'" in err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train-gcn", "ablate", "export"])
+@pytest.mark.parametrize("node", [
+    "d00", None, ["d00", "doc"], {"id": "d00"}, {"kind": "doc"}, {"id": "d00", "kind": "word"},
+    {"id": "d00", "kind": "doc", "name": "d00"}, {"id": 0, "kind": "doc"},
+])
+def test_graph_with_a_malformed_node_is_data_error(pipeline, tmp_path, capsys, command, node):
+    data = json.loads(pipeline["graph"].read_text(encoding="utf-8"))
+    data["nodes"][0] = node
+    bad = tmp_path / "graph.json"
+    bad.write_text(json.dumps(data), encoding="utf-8")
+    assert cli.main(graph_args(command, pipeline, pipeline["tokenized"], bad, tmp_path / "run")) == 2
+    assert "data error: graph node 0 is" in capsys.readouterr().err
+
+
+def test_cli_artifacts_equal_reference_bytes(pipeline, tmp_path):
+    corpus = load_tokenized(pipeline["tokenized"])
+    tfidf = graph.compute_tfidf(corpus)
+    word_edges = graph.ppmi_edges(graph.slide_windows(corpus, cli.CONFIG_DEFAULTS["window"]))
+    graph_doc = oracles.reference_graph_json(corpus, tfidf, word_edges)
+    assert pipeline["graph"].read_text(encoding="utf-8") == compact_json(graph_doc)
+    for docs, k in (("24", 10), ("d05,d02,d17", 3), ("0", 10), ("5", 0), ("1", 50)):
+        out = tmp_path / f"export-{docs}-{k}"
+        assert cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--graph",
+                         str(pipeline["graph"]), "--docs", docs, "--k", str(k), "--out", str(out)]) == 0
+        doc_ids = corpus.doc_ids[:int(docs)] if docs.isdigit() else docs.split(",")
+        ref = oracles.reference_salience(corpus, doc_ids, tfidf, word_edges, k)
+        assert (out / "salience.json").read_text(encoding="utf-8") == \
+            compact_json(oracles.reference_salience_json(*ref))
+        dot = (out / "salience.dot").read_text(encoding="utf-8")
+        assert dot == oracles.reference_salience_dot(*ref)
+
+
+def compact_json(data) -> str:
+    return json.dumps(data, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 EXPORT_JSON_CASES = [

@@ -17,6 +17,7 @@ from oracles import (
     brute_tfidf_dense,
     edge_triples,
     make_corpus,
+    reference_graph_json,
     window_sets,
     word_block,
 )
@@ -504,10 +505,10 @@ def test_graph_json_roundtrip(tmp_path):
     word_edges = ppmi_edges(slide_windows(corpus, window_size=20))
     data = export_graph_json(corpus, tfidf, word_edges)
     assert data["n_docs"] == 3 and data["n_words"] == 3
-    assert [n["kind"] for n in data["nodes"]] == ["doc"] * 3 + ["word"] * 3
+    assert data["nodes"].columns["kind"] == ["doc"] * 3 + ["word"] * 3
     # Endpoints are indices into the node list, never strings.
-    for e in data["edges"]:
-        assert isinstance(e["a"], int) and isinstance(e["b"], int)
+    for end in ("a", "b"):
+        assert data["edges"].columns[end].dtype.kind == "i"
 
     path = tmp_path / "graph.json"
     save_graph_json(path, data)
@@ -517,6 +518,20 @@ def test_graph_json_roundtrip(tmp_path):
     assert isinstance(word_edges2, sp.coo_array)
     assert edge_triples(word_edges2) == edge_triples(word_edges)
     assert meta["n_docs"] == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(corpora)
+def test_graph_json_bytes_equal_reference(tmp_path_factory, case):
+    sequences, window = case
+    corpus = make_corpus(sequences, n_tokens=8)
+    tfidf = compute_tfidf(corpus)
+    word_edges = ppmi_edges(slide_windows(corpus, window_size=window))
+    path = tmp_path_factory.mktemp("graph") / "graph.json"
+    save_graph_json(path, export_graph_json(corpus, tfidf, word_edges))
+    reference = reference_graph_json(corpus, tfidf, word_edges)
+    want = json.dumps(reference, separators=(",", ":"), sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
 
 
 def graph_doc(edges, n_docs=2, n_words=3) -> dict:

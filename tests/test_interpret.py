@@ -1,14 +1,22 @@
 """Tests for interpretability exports: frequencies, top-k words, salience graph."""
 
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from oracles import make_corpus, word_block
+from oracles import (
+    make_corpus,
+    reference_salience,
+    reference_salience_dot,
+    reference_salience_json,
+    word_block,
+)
+from stressgraph.corpus import TokenizedCorpus
 from stressgraph.graph import compute_tfidf, ppmi_edges, slide_windows
 from stressgraph.interpret import (
     FrequencyTable,
-    SalienceEdge,
     SalienceGraph,
     build_salience_graph,
     frequency_to_json,
@@ -18,6 +26,7 @@ from stressgraph.interpret import (
     salience_to_json,
     top_k_words,
 )
+from stressgraph.manifest import json_text
 
 
 def labeled_corpus():
@@ -112,17 +121,39 @@ def salience_setup(n_docs: int = 10, k: int = 5):
     return corpus, tfidf, word_edges, k
 
 
+def doc_word_edges(graph):
+    """(doc name, word name) of each doc-word edge, in edge order."""
+    nodes = graph.doc_nodes + graph.word_nodes
+    return [(nodes[a], nodes[b]) for a, b, ww in zip(graph.a, graph.b, graph.word_word) if not ww]
+
+
+def word_word_edges(graph):
+    nodes = graph.doc_nodes + graph.word_nodes
+    return [(nodes[a], nodes[b]) for a, b, ww in zip(graph.a, graph.b, graph.word_word) if ww]
+
+
+def assert_same_graph(x, y):
+    assert (x.doc_nodes, x.word_nodes) == (y.doc_nodes, y.word_nodes)
+    for column in ("a", "b", "w", "word_word"):
+        np.testing.assert_array_equal(getattr(x, column), getattr(y, column), strict=True)
+
+
+def parsed(payload) -> dict:
+    """A salience_to_json payload as salience.json parses back."""
+    return json.loads(json_text(payload))
+
+
 def test_salience_degree_bound_and_coverage():
     corpus, tfidf, word_edges, k = salience_setup()
     graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_edges, k)
-    doc_word = [e for e in graph.edges if e.kind == "doc-word"]
+    doc_word = doc_word_edges(graph)
     assert len(doc_word) <= len(corpus.doc_ids) * k
     per_doc = {}
-    for e in doc_word:
-        per_doc[e.a] = per_doc.get(e.a, 0) + 1
+    for a, _ in doc_word:
+        per_doc[a] = per_doc.get(a, 0) + 1
     assert all(count <= k for count in per_doc.values())
     # Every word node is referenced by at least one edge (graph invariant).
-    referenced = {e.b for e in doc_word}
+    referenced = {b for _, b in doc_word}
     assert set(graph.word_nodes) == referenced
 
 
@@ -130,7 +161,7 @@ def test_salience_clamps_sparse_docs():
     corpus = make_corpus([[0, 0], [1]], labels=[1, 0])
     tfidf = compute_tfidf(corpus)
     graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_block([], 2), k=5)
-    doc_word = [e for e in graph.edges if e.kind == "doc-word"]
+    doc_word = doc_word_edges(graph)
     # Each doc has a single distinct word, so one edge apiece despite k=5.
     assert len(doc_word) == 2
 
@@ -139,9 +170,8 @@ def test_salience_word_word_filter():
     corpus, tfidf, word_edges, k = salience_setup()
     graph = build_salience_graph(corpus, corpus.doc_ids[:3], tfidf, word_edges, 2)
     words = set(graph.word_nodes)
-    for e in graph.edges:
-        if e.kind == "word-word":
-            assert e.a in words and e.b in words
+    for a, b in word_word_edges(graph):
+        assert a in words and b in words
 
 
 def test_salience_subset_of_documents():
@@ -149,7 +179,7 @@ def test_salience_subset_of_documents():
     chosen = corpus.doc_ids[2:5]
     graph = build_salience_graph(corpus, chosen, tfidf, word_edges, k)
     assert graph.doc_nodes == tuple(chosen)
-    assert {e.a for e in graph.edges if e.kind == "doc-word"} <= set(chosen)
+    assert {a for a, _ in doc_word_edges(graph)} <= set(chosen)
 
 
 def test_salience_unknown_doc_id():
@@ -158,38 +188,38 @@ def test_salience_unknown_doc_id():
         build_salience_graph(corpus, ["nope"], tfidf, word_edges, k)
 
 
+def edge_columns(*edges):
+    """SalienceGraph edge keywords from (a, b, w, word_word) tuples."""
+    a, b, w, word_word = zip(*edges) if edges else ((), (), (), ())
+    return {"a": a, "b": b, "w": w, "word_word": word_word}
+
+
 def test_salience_graph_rejects_orphan_words():
     with pytest.raises(ValueError):
-        SalienceGraph(doc_nodes=("d0",), word_nodes=("lonely",), edges=())
-    with pytest.raises(ValueError):
-        SalienceGraph(
-            doc_nodes=("d0",),
-            word_nodes=("w",),
-            edges=(SalienceEdge("d0", "w", 1.0, "doc-doc"),),
-        )
-    # Edges whose ends are not nodes of the kinds their edge kind joins.
-    for edge in (SalienceEdge("d9", "w", 1.0, "doc-word"), SalienceEdge("w", "w", 1.0, "doc-word"),
-                 SalienceEdge("w", "d0", 1.0, "word-word")):
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("lonely",), **edge_columns())
+    # Edges whose ends are not nodes of the kinds their edge kind joins: an
+    # index past the nodes, a word where the document goes, a document as a
+    # word-word end. Nodes: d0 is 0, w is 1.
+    for edge in ((5, 1, 1.0, False), (1, 1, 1.0, False), (1, 0, 1.0, True), (0, 1, 1.0, True)):
         with pytest.raises(ValueError, match="ends outside the graph"):
-            SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), edges=(edge,))
+            SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), **edge_columns(edge))
 
 
 def test_salience_graph_rejects_repeated_nodes():
-    edge = SalienceEdge("d0", "w", 1.0, "doc-word")
     with pytest.raises(ValueError, match=r"repeated doc nodes \['d0'\]"):
-        SalienceGraph(doc_nodes=("d0", "d0"), word_nodes=("w",), edges=(edge,))
+        SalienceGraph(doc_nodes=("d0", "d0"), word_nodes=("w",), **edge_columns((0, 2, 1.0, False)))
     with pytest.raises(ValueError, match=r"repeated word nodes \['w'\]"):
-        SalienceGraph(doc_nodes=("d0",), word_nodes=("w", "w"), edges=(edge,))
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("w", "w"), **edge_columns((0, 1, 1.0, False)))
 
 
 def test_salience_json_roundtrip():
     corpus, tfidf, word_edges, k = salience_setup()
     graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_edges, k)
-    payload = salience_to_json(graph)
+    payload = parsed(salience_to_json(graph))
     for node in payload["nodes"]:
         assert node["kind"] in ("doc", "word")
     back = salience_from_json(payload)
-    assert back == graph
+    assert_same_graph(back, graph)
 
 
 def test_salience_dot_output():
@@ -207,24 +237,21 @@ def test_salience_dot_output():
 
 def test_salience_doc_and_word_of_one_name_stay_two_nodes():
     # A document "dog" next to a token "dog": doc-word and word-word edges
-    # must name different nodes in both exports.
+    # must name different nodes in both exports. Nodes: doc dog 0, cat 1,
+    # word dog 2, fish 3.
     graph = SalienceGraph(
         doc_nodes=("dog",),
         word_nodes=("cat", "dog", "fish"),
-        edges=(
-            SalienceEdge("dog", "cat", 1.0, "doc-word"),
-            SalienceEdge("dog", "dog", 0.5, "doc-word"),
-            SalienceEdge("dog", "fish", 0.25, "word-word"),
-        ),
+        **edge_columns((0, 1, 1.0, False), (0, 2, 0.5, False), (2, 3, 0.25, True)),
     )
-    payload = salience_to_json(graph)
+    payload = parsed(salience_to_json(graph))
     ids = [n["id"] for n in payload["nodes"]]
     assert ids == ["doc:dog", "word:cat", "word:dog", "word:fish"]
     assert [n["name"] for n in payload["nodes"]] == ["dog", "cat", "dog", "fish"]
     assert [(e["a"], e["b"]) for e in payload["edges"]] == [
         ("doc:dog", "word:cat"), ("doc:dog", "word:dog"), ("word:dog", "word:fish"),
     ]
-    assert salience_from_json(payload) == graph
+    assert_same_graph(salience_from_json(payload), graph)
 
     dot = salience_to_dot(graph)
     assert '"doc:dog" [label="dog", shape=box, color=red];' in dot
@@ -239,7 +266,127 @@ def test_salience_dot_quotes_special_characters():
     graph = SalienceGraph(
         doc_nodes=('doc "quoted"',),
         word_nodes=("w",),
-        edges=(SalienceEdge('doc "quoted"', "w", 1.0, "doc-word"),),
+        **edge_columns((0, 1, 1.0, False)),
     )
     dot = salience_to_dot(graph)
     assert '"doc \\"quoted\\""' in dot
+
+
+# The nodes and edges of a valid payload: doc d0 and words x, y.
+GOOD_NODES = [
+    {"id": "doc:d0", "kind": "doc", "name": "d0"},
+    {"id": "word:x", "kind": "word", "name": "x"},
+    {"id": "word:y", "kind": "word", "name": "y"},
+]
+GOOD_EDGES = [
+    {"a": "doc:d0", "b": "word:x", "w": 1.5, "kind": "doc-word"},
+    {"a": "word:x", "b": "word:y", "w": 0.25, "kind": "word-word"},
+]
+
+
+def extra_node(node) -> dict:
+    return {"nodes": GOOD_NODES + [node], "edges": GOOD_EDGES}
+
+
+def extra_edge(edge=None, drop=(), **fields) -> dict:
+    """The valid payload plus one edge: d0 to y unless edge or fields say otherwise."""
+    if edge is None:
+        edge = {"a": "doc:d0", "b": "word:y", "w": 1.0, "kind": "doc-word"} | fields
+        edge = {k: v for k, v in edge.items() if k not in drop}
+    return {"nodes": GOOD_NODES, "edges": GOOD_EDGES + [edge]}
+
+
+@pytest.mark.parametrize("payload", [
+    # Not an object, or without its lists.
+    [], "salience", None,
+    {"nodes": GOOD_NODES}, {"edges": GOOD_EDGES},
+    {"nodes": None, "edges": GOOD_EDGES}, {"nodes": GOOD_NODES, "edges": 5},
+    # Nodes that are not objects, miss a key, have an unknown kind or repeat an id.
+    extra_node("word:z"), extra_node(7),
+    extra_node({"id": "word:z", "kind": "word"}), extra_node({"id": "word:z", "name": "z"}),
+    extra_node({"id": "x:z", "kind": "phrase", "name": "z"}),
+    extra_node({"id": ["z"], "kind": "word", "name": "z"}),
+    extra_node({"id": "word:x", "kind": "word", "name": "z"}),
+    # Edges that are not objects, miss a key, name an unknown id or kind, or
+    # join nodes of the wrong kinds.
+    extra_edge([0, 1]), extra_edge("edge"),
+    extra_edge(drop=("kind",)), extra_edge(drop=("w",)), extra_edge(drop=("a",)),
+    extra_edge(a="doc:d9"), extra_edge(b="y"),
+    extra_edge(kind="doc-doc"), extra_edge(kind=None), extra_edge(kind=["x"]),
+    extra_edge(w=None), extra_edge(a="word:y", b="doc:d0"), extra_edge(kind="word-word"),
+    # A word without an edge.
+    {"nodes": GOOD_NODES, "edges": GOOD_EDGES[:1]},
+])
+def test_salience_from_json_rejects_malformed_payload(payload):
+    with pytest.raises(ValueError):
+        salience_from_json(payload)
+
+
+def test_salience_from_json_reads_the_valid_payload():
+    assert_same_graph(
+        salience_from_json({"nodes": GOOD_NODES, "edges": GOOD_EDGES}),
+        SalienceGraph(("d0",), ("x", "y"), **edge_columns((0, 1, 1.5, False), (1, 2, 0.25, True))),
+    )
+
+
+# --------------------------------------- salience bytes against the oracle
+
+
+def salience_files(graph) -> tuple:
+    return json_text(salience_to_json(graph)), salience_to_dot(graph)
+
+
+def reference_files(corpus, doc_ids, tfidf, word_edges, k) -> tuple:
+    ref = reference_salience(corpus, doc_ids, tfidf, word_edges, k)
+    text = json.dumps(reference_salience_json(*ref), separators=(",", ":"), sort_keys=True)
+    return text, reference_salience_dot(*ref)
+
+
+@pytest.mark.parametrize("n_docs, k, window", [(10, 5, 4), (12, 3, 2), (25, 8, 6), (6, 20, 3)])
+def test_salience_files_equal_reference_bytes(n_docs, k, window):
+    corpus, tfidf, _, _ = salience_setup(n_docs=n_docs, k=k)
+    word_edges = ppmi_edges(slide_windows(corpus, window_size=window))
+    for doc_ids in (corpus.doc_ids, corpus.doc_ids[::-3], corpus.doc_ids[1:2]):
+        graph = build_salience_graph(corpus, doc_ids, tfidf, word_edges, k)
+        assert salience_files(graph) == reference_files(corpus, doc_ids, tfidf, word_edges, k)
+
+
+def test_salience_names_that_need_escaping_equal_reference_bytes():
+    base = make_corpus([[0, 1, 2], [1, 2, 3], [0, 3]], labels=[1, 0, 1])
+    base.vocab.tokens = ['q"uote', "back\\slash", "café", "tab\tnew\nline"]
+    base.vocab.index = {t: i for i, t in enumerate(base.vocab.tokens)}
+    corpus = TokenizedCorpus(['d"0', "d\\1", "dé2"], base.sequences, base.vocab, base.labels)
+    tfidf = compute_tfidf(corpus)
+    word_edges = word_block([(0, 1, 0.5), (1, 3, 1e-05), (2, 3, 2.0)], 4)
+    graph = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_edges, 3)
+    assert salience_files(graph) == reference_files(corpus, corpus.doc_ids, tfidf, word_edges, 3)
+
+
+def test_salience_edge_cases_equal_reference_bytes():
+    # d0's words all occur in every document, so its TF-IDF row is empty.
+    corpus = make_corpus([[0, 1], [0, 1, 2, 3, 3], [0, 1, 2, 4]], labels=[1, 0, 1])
+    tfidf = compute_tfidf(corpus)
+    assert tfidf.indptr[1] == tfidf.indptr[0]
+    word_edges = word_block([(2, 3, 0.5), (2, 4, 0.75), (3, 4, 0.25)], 5)
+    cases = [
+        ([], 5),  # export --docs 0
+        (corpus.doc_ids, 0),  # export --k 0
+        (["d0"], 5),  # the empty row alone
+        (corpus.doc_ids, 50),  # k larger than every row
+        (["d2", "d0", "d1"], 1),
+    ]
+    for doc_ids, k in cases:
+        graph = build_salience_graph(corpus, doc_ids, tfidf, word_edges, k)
+        assert salience_files(graph) == reference_files(corpus, doc_ids, tfidf, word_edges, k)
+        assert len(graph.doc_nodes) == len(doc_ids)
+    empty = build_salience_graph(corpus, [], tfidf, word_edges, 5)
+    assert json_text(salience_to_json(empty)) == '{"edges":[],"nodes":[]}'
+    assert salience_to_dot(empty) == "graph salience {\n}\n"
+    no_words = build_salience_graph(corpus, corpus.doc_ids, tfidf, word_edges, 0)
+    assert no_words.word_nodes == () and len(no_words.w) == 0
+
+
+def test_salience_repeated_doc_id_is_value_error():
+    corpus, tfidf, word_edges, k = salience_setup()
+    with pytest.raises(ValueError, match=r"repeated doc nodes \['d0'\]"):
+        build_salience_graph(corpus, ["d0", "d0"], tfidf, word_edges, k)
