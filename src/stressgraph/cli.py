@@ -209,6 +209,8 @@ def _load_split_for(corpus, path):
 
 def _training_inputs(args):
     """Shared artifact loading for train-gcn and ablate."""
+    if bool(args.embeddings) == args.identity:
+        raise ValueError("pass exactly one of --embeddings FILE and --identity")
     corpus = load_tokenized(args.tokenized)
     tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
     adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
@@ -222,8 +224,6 @@ def _training_inputs(args):
     if args.embeddings:
         csv_file = str(args.embeddings).endswith(".csv")
         embeddings = (graph.read_embeddings_csv if csv_file else graph.read_embeddings)(args.embeddings)
-    elif not args.identity:
-        raise ValueError("provide --embeddings FILE or pass --identity")
     for name in SPLIT_NAMES:
         rows = np.flatnonzero(masks[name])
         unlabeled = [corpus.doc_ids[i] for i in rows if corpus.labels[i] is None]

@@ -14,13 +14,16 @@ import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import evaluation
 from .graph import EmbeddingMatrix, NodeFeatures
 from .manifest import atomic_write, pack_name, read_binary, write_binary
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOSS_EPS = 1e-12
 

@@ -9,11 +9,16 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .manifest import Columns, atomic_write, read_binary, write_binary, write_json
+
+# scipy.sparse is imported in the functions that build sparse matrices: it adds
+# about 0.13 s to the package import, and most commands never build one.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 DEFAULT_WINDOW_SIZE = 20
 
@@ -24,6 +29,12 @@ EMBEDDING_VERSION = 1
 # whose token count times the window size stays within this bound (at least
 # one document per run), so the memory of one run is bounded.
 _WINDOW_CHUNK_ENTRIES = 1 << 18
+
+
+def _no_pair_counts() -> sp.csr_array:
+    import scipy.sparse as sp
+
+    return sp.csr_array((0, 0), dtype=np.int64)
 
 
 @dataclass
@@ -39,9 +50,7 @@ class WindowStats:
     window_size: int
     total_windows: int = 0
     token_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    pair_counts: sp.csr_array = field(
-        default_factory=lambda: sp.csr_array((0, 0), dtype=np.int64)
-    )
+    pair_counts: sp.csr_array = field(default_factory=_no_pair_counts)
 
 
 @dataclass
@@ -94,6 +103,8 @@ def compute_tfidf(corpus, vocab=None) -> sp.csr_array:
     present in every document contributes no entry at all. The CSR has one
     row per document with sorted word ids.
     """
+    import scipy.sparse as sp
+
     vocab = vocab if vocab is not None else corpus.vocab
     n_docs = vocab.n_docs
     indptr, cols, vals = [0], [], []
@@ -126,6 +137,8 @@ def _document_runs(sequences, window_size: int):
 
 def _window_incidence(sequences, window_size: int, n_tokens: int) -> sp.csr_array:
     """0/1 window x token presence matrix of consecutive documents' stride-1 windows."""
+    import scipy.sparse as sp
+
     lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     n_windows = np.maximum(1, lengths - window_size + 1)
     tokens = np.fromiter(chain.from_iterable(sequences), np.int64, count=int(lengths.sum()))
@@ -158,6 +171,8 @@ def slide_windows(corpus, window_size: int = DEFAULT_WINDOW_SIZE) -> WindowStats
     With B the 0/1 window x token incidence, token counts are the column sums
     of B and pair counts the strict upper triangle of B^T B.
     """
+    import scipy.sparse as sp
+
     if window_size < 1:
         raise ValueError("window_size must be >= 1")
     n_tokens = len(corpus.vocab)
@@ -203,6 +218,8 @@ def ppmi_edges(stats: WindowStats) -> sp.coo_array:
     for T windows, so below 2**53 they are exact in float64 and the quotient
     is the correctly rounded one Python's integer division gives.
     """
+    import scipy.sparse as sp
+
     total = stats.total_windows
     if total * total >= 2**53:
         raise ValueError(f"{total} windows are too many for exact float64 PPMI ratios")
@@ -234,6 +251,8 @@ def assemble_adjacency(
     (each word pair stored once) on the word-word block; the off-diagonal
     doc-doc block stays empty.
     """
+    import scipy.sparse as sp
+
     if tfidf.shape != (n_docs, n_words) or ppmi.shape != (n_words, n_words):
         raise ValueError("tfidf or ppmi shape does not match n_docs and n_words")
     tfidf, ppmi = tfidf.tocoo(), ppmi.tocoo()
@@ -261,6 +280,8 @@ def normalize_adjacency(adj: sp.sparray) -> sp.csr_array:
     factors, which commutes, so a symmetric adj gives an exactly symmetric
     result: A_hat[i, j] == A_hat[j, i] bit for bit.
     """
+    import scipy.sparse as sp
+
     adj = adj.tocoo()
     degree = np.bincount(adj.row, weights=adj.data, minlength=adj.shape[0])
     if np.any(degree <= 0):
@@ -387,6 +408,8 @@ def load_graph_json(data: dict) -> tuple[sp.csr_array, sp.coo_array, dict]:
     endpoint pair as written. Any malformed document raises ValueError (see
     _graph_edges).
     """
+    import scipy.sparse as sp
+
     n_docs, n_words, doc_word, a, b, w = _graph_edges(data)
     word = ~doc_word
     tfidf = sp.coo_array(

@@ -7,12 +7,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import TokenizedCorpus
 from .manifest import Columns
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,8 @@ class SalienceGraph:
     """Documents, their top-k words, and word-word links among those words.
 
     Edge k joins nodes a[k] and b[k] (indices into doc_nodes + word_nodes) with
-    weight w[k]: two words where word_word[k] is set, else a document and a word."""
+    finite positive weight w[k]: two words where word_word[k] is set, else a
+    document and a word."""
 
     doc_nodes: tuple
     word_nodes: tuple
@@ -65,6 +69,8 @@ class SalienceGraph:
         inside = np.where(self.word_word, a_word, a_doc) & (self.b >= n_docs) & (self.b < n)
         if not inside.all():
             raise ValueError(f"edge {int(np.argmin(inside))} ends outside the graph")
+        if not np.all(np.isfinite(self.w) & (self.w > 0.0)):
+            raise ValueError("edge weights must be finite and positive")
         referenced = np.zeros(n, dtype=bool)
         referenced[self.b] = referenced[self.a[self.word_word]] = True
         orphans = [w for w, seen in zip(self.word_nodes, referenced[n_docs:]) if not seen]
@@ -166,10 +172,12 @@ def salience_from_json(payload) -> SalienceGraph:
         if len(index) != len(order):
             raise ValueError("repeated node ids")
         kind = dict(zip(_EDGE_KINDS, (False, True)))
-        edges = [(index[e["a"]], index[e["b"]], float(e["w"]), kind[e["kind"]]) for e in payload["edges"]]
+        edges = [(index[e["a"]], index[e["b"]], e["w"], kind[e["kind"]]) for e in payload["edges"]]
         a, b, w, ww = zip(*edges) if edges else ((), (), (), ())
+        if not set(map(type, w)) <= {int, float}:
+            raise ValueError("edge weights must be numbers")
         return SalienceGraph([n for _, n in nodes["doc"]], [n for _, n in nodes["word"]], a, b, w, ww)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed salience payload: {type(exc).__name__} {exc}") from None
 
 

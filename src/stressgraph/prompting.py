@@ -13,8 +13,6 @@ import hashlib
 import json
 import os
 import time
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
@@ -258,6 +256,10 @@ class HTTPChatClient(CompletionClient):
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
+        # Imported here: this is the only code that sends a request.
+        import urllib.error
+        import urllib.request
+
         payload = json.dumps(
             {
                 "model": self.model_tag,

@@ -244,6 +244,16 @@ def test_train_gcn_requires_feature_source(pipeline, tmp_path, capsys):
     assert "--embeddings" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train-gcn", "ablate"])
+def test_identity_and_embeddings_together_rejected(pipeline, tmp_path, capsys, command):
+    out = tmp_path / "run"
+    flags = ["--identity", "--embeddings", str(pipeline["embeddings"]),
+             "--epochs", "1", "--seeds", "0", "--hidden-dim", "4"]
+    assert cli.main([command, *train_gcn_args(pipeline, out, flags)[1:]]) == cli.EXIT_DATA
+    assert "exactly one of --embeddings FILE and --identity" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_gcn_zero_hidden_units_is_data_error(pipeline, tmp_path, capsys):
     out = tmp_path / "run"
     extra = ["--identity", "--lambda", "1", "--hidden-dim", "0"]

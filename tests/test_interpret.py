@@ -316,6 +316,9 @@ def extra_edge(edge=None, drop=(), **fields) -> dict:
     extra_edge(w=None), extra_edge(a="word:y", b="doc:d0"), extra_edge(kind="word-word"),
     # A word without an edge.
     {"nodes": GOOD_NODES, "edges": GOOD_EDGES[:1]},
+    # Weights that are not finite positive numbers, or too large for a float.
+    extra_edge(w=float("nan")), extra_edge(w="2.5"), extra_edge(w=True), extra_edge(w=-1.0),
+    extra_edge(w=10**400),
 ])
 def test_salience_from_json_rejects_malformed_payload(payload):
     with pytest.raises(ValueError):
