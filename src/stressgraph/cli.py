@@ -195,10 +195,10 @@ def cmd_build_graph(args, config: dict, man: RunManifest) -> None:
     )
 
 
-def _load_split_for(corpus, path):
+def _load_split_for(doc_ids, path):
     split = load_split(path)
-    missing = set(corpus.doc_ids) - set(split.assignment)
-    extra = set(split.assignment) - set(corpus.doc_ids)
+    missing = set(doc_ids) - set(split.assignment)
+    extra = set(split.assignment) - set(doc_ids)
     if missing or extra:
         raise ValueError(
             f"split does not align with the corpus ({len(missing)} unassigned, "
@@ -215,7 +215,7 @@ def _training_inputs(args):
     tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
     adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
     adj_norm = graph.normalize_adjacency(adjacency)
-    split = _load_split_for(corpus, args.split)
+    split = _load_split_for(corpus.doc_ids, args.split)
     masks = {
         name: np.asarray(split.mask(corpus.doc_ids, name), dtype=bool)
         for name in SPLIT_NAMES
@@ -242,6 +242,8 @@ def _run_seeds(man: RunManifest, seeds, jobs: int, run_one, prefix: str):
     once the pool is done, so the bytes do not depend on jobs. Returns the
     aggregate written to <prefix>aggregate.json.
     """
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must not repeat, got {seeds}")
     with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -280,7 +282,7 @@ def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
 
 def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
     corpus = load_tokenized(args.tokenized)
-    split = _load_split_for(corpus, args.split)
+    split = _load_split_for(corpus.doc_ids, args.split)
 
     base = convnet.ConvHeadConfig(
         **{key: config[key] for key in CONV_FIELDS}, epochs=config["conv_epochs"]
@@ -342,7 +344,7 @@ def cmd_prompts(args, config: dict, man: RunManifest) -> None:
     spec = prompting.PromptSpec()
 
     if args.split:
-        split = load_split(args.split)
+        split = _load_split_for([d.id for d in docs], args.split)
         target_name = config["target_split"]
         if target_name not in SPLIT_NAMES:
             raise ValueError(f"unknown target split {target_name!r}")
@@ -404,7 +406,7 @@ def _eval_predictions(args) -> tuple:
                 raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
             preds_by_id[row[0]] = int(row[1])
     if args.split:
-        split = _load_split_for(corpus, args.split)
+        split = _load_split_for(corpus.doc_ids, args.split)
         eval_ids = [
             d for d in corpus.doc_ids
             if split.assignment.get(d) == args.eval_split
@@ -427,7 +429,7 @@ def _eval_predictions(args) -> tuple:
 def _eval_transcripts(args) -> tuple:
     corpus = load_tokenized(args.tokenized)
     store = prompting.load_transcript_store(args.transcripts)
-    gold, transcripts = [], []
+    gold, transcripts, seen = [], [], set()
     with open(args.prompts, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -442,6 +444,9 @@ def _eval_transcripts(args) -> tuple:
             ):
                 raise ValueError(f"prompts file line {line_no}: expected an object with "
                                  "string id and prompt_sha256")
+            if record["id"] in seen:
+                raise ValueError(f"prompts file line {line_no}: repeated prompt id {record['id']!r}")
+            seen.add(record["id"])
             label = corpus.labels[corpus.row_of(record["id"])]
             if label is None:
                 raise ValueError(f"document {record['id']!r} is unlabeled")

@@ -107,15 +107,6 @@ class ConvHeadParams:
     def concat_dim(self) -> int:
         return sum(k.shape[2] for k in self.kernels)
 
-    def copy(self) -> "ConvHeadParams":
-        return ConvHeadParams(
-            kernels=self.kernels,
-            conv_bias=tuple(b.copy() for b in self.conv_bias),
-            dense_W=self.dense_W.copy(),
-            dense_b=self.dense_b.copy(),
-            dropout=self.dropout,
-        )
-
 
 @dataclass
 class ConvTrainResult:
@@ -155,24 +146,14 @@ def _bank_views(stacked: np.ndarray, shapes) -> tuple:
     return tuple(views)
 
 
-def _stack_kernels(params: ConvHeadParams) -> np.ndarray:
-    """Every bank's kernel offsets side by side: a d x sum(k * F) view, no copy.
-
-    Bank b's offset j occupies the F columns starting at
-    sum(k_c * F for c < b) + j * F.
-    """
-    return params.stacked.T
-
-
 def _forward_batch(
     sequences,
     params: ConvHeadParams,
-    w_all: np.ndarray,
     dropout_masks=None,
 ) -> tuple[list, dict]:
     """Logits of a minibatch from one GEMM over its concatenated padded rows.
 
-    With X the padded sequences stacked row-wise and Y = X @ w_all, bank b's
+    With X the padded sequences stacked row-wise and Y = X @ stacked.T, bank b's
     conv output at row r is sum_j Y[r + j, block(b, j)] (summed left to right)
     plus the bias; a document starting at row s with padded length L owns
     rows s .. s + L - k of it. The cache feeds batch_loss_and_gradients.
@@ -182,7 +163,7 @@ def _forward_batch(
     lengths = np.array([m.shape[0] for m in padded])
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     x = np.concatenate(padded, dtype=np.float64)
-    y = x @ w_all
+    y = x @ params.stacked.T
     bank_convs = []
     col = 0
     for kernel, bias in zip(params.kernels, params.conv_bias):
@@ -223,17 +204,16 @@ def conv_forward(
         if rng is None:
             raise ValueError("dropout during training requires an rng")
         masks = [_dropout_mask(rng, params.concat_dim, params.dropout)]
-    logits, _ = _forward_batch([seq], params, _stack_kernels(params), masks)
+    logits, _ = _forward_batch([seq], params, masks)
     return logits[0]
 
 
 def conv_logits(sequences, params: ConvHeadParams, batch_size: int) -> list:
     """Inference logits for many sequences, batch_size sequences per GEMM."""
     sequences = list(sequences)
-    w_all = _stack_kernels(params)
     logits = []
     for start in range(0, len(sequences), batch_size):
-        logits.extend(_forward_batch(sequences[start:start + batch_size], params, w_all)[0])
+        logits.extend(_forward_batch(sequences[start:start + batch_size], params)[0])
     return logits
 
 
@@ -289,7 +269,7 @@ def batch_loss_and_gradients(
 
     if not sequences:
         raise ValueError("empty batch")
-    logits, cache = _forward_batch(sequences, params, _stack_kernels(params), dropout_masks)
+    logits, cache = _forward_batch(sequences, params, dropout_masks)
     bank_offsets = np.cumsum([0] + [kernel.shape[2] for kernel in params.kernels])
     bias_grads = [np.zeros_like(bias) for bias in params.conv_bias]
     dense_w = np.zeros_like(params.dense_W)

@@ -237,8 +237,10 @@ def bonferroni(p_value: float, n_comparisons: int) -> float:
 def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
     """Two-tailed paired t-test with Bonferroni correction over comparisons.
 
-    Zero-variance differences short-circuit: identical sequences give t=0,
-    p=1; a constant non-zero gap gives t=+/-inf, p=0.
+    t = mean / sqrt(var / n) with var the ddof=1 variance of the differences,
+    in scipy's order of operations. Zero-variance differences short-circuit:
+    identical sequences give t=0, p=1; a constant non-zero gap gives
+    t=+/-inf, p=0.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -249,15 +251,15 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
         raise ValueError("paired t-test needs at least two pairs")
     diffs = np.asarray(a) - np.asarray(b)
     mean = float(diffs.mean())
-    sd = float(diffs.std(ddof=1))
+    var = float(diffs.var(ddof=1))
     df = n - 1
-    if sd == 0.0:
+    if var == 0.0:
         if mean == 0.0:
             t, p = 0.0, 1.0
         else:
             t, p = math.copysign(math.inf, mean), 0.0
     else:
-        t = mean / (sd / math.sqrt(n))
+        t = mean / math.sqrt(var / n)
         p = student_t_sf2(t, df)
     return TTestResult(
         statistic=t, df=df, p_value=p,

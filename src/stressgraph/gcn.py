@@ -183,29 +183,9 @@ def _check_finite(name: str, layer: int, arr: np.ndarray) -> None:
         raise FloatingPointError(f"non-finite values in {name} (layer {layer})")
 
 
-@dataclass(frozen=True)
-class _Propagation:
-    """The normalized adjacency in the slices the document rows need.
-
-    Only document rows are scored, so layer 2 reads A[docs, :]. In embedding
-    mode X is zero outside the document rows, so layer 1 reads only A[:, docs],
-    taken as the transpose of A[docs, :] (a CSC view, no copy). This requires
-    adj_norm to be exactly symmetric, as normalize_adjacency returns it.
-    Identity mode propagates every node at layer 1 and keeps the full matrix.
-    """
-
-    doc_rows: sp.csr_array  # A[docs, :]
-    full: sp.csr_array | None  # A, identity mode only
-
-
-def _plan(features: NodeFeatures, adj_norm: sp.csr_array) -> _Propagation:
-    full = adj_norm if features.mode == "identity" else None
-    return _Propagation(adj_norm[:features.n_docs], full)
-
-
 def _forward_pass(
     features: NodeFeatures,
-    plan: _Propagation,
+    adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
@@ -215,19 +195,25 @@ def _forward_pass(
 ) -> dict:
     """Run both branches and the fusion, keeping activations for backprop.
 
+    Only document rows are scored, so layer 2 reads A[docs, :]. In embedding
+    mode X is zero outside the document rows, so layer 1 reads only A[:, docs],
+    taken as the transpose of A[docs, :] (a CSC view, no copy). This requires
+    adj_norm to be exactly symmetric, as normalize_adjacency returns it.
+
     h_pre, when given, is the layer-1 pre-activation A X W1 + b1 of exactly
     these gcn parameters, computed by an earlier pass.
     """
+    doc_rows = adj_norm[:features.n_docs]
     if h_pre is None:
-        if plan.full is not None:
-            propagated_x = plan.full @ gcn.W1  # A @ X @ W1 with X = I
+        if features.doc_embeddings is None:
+            propagated_x = adj_norm @ gcn.W1  # A @ X @ W1 with X = I
         else:
-            propagated_x = plan.doc_rows.T @ (features.doc_embeddings @ gcn.W1)
+            propagated_x = doc_rows.T @ (features.doc_embeddings @ gcn.W1)
         h_pre = propagated_x + gcn.b1
         _check_finite("hidden pre-activation", 1, h_pre)
     hidden = np.maximum(h_pre, 0.0)
     h_drop = hidden * dropout_mask if dropout_mask is not None else hidden
-    propagated = plan.doc_rows @ h_drop
+    propagated = doc_rows @ h_drop
     logits = propagated @ gcn.W2 + gcn.b2
     _check_finite("output logits", 2, logits)
     z_g = _softmax(logits)
@@ -243,6 +229,7 @@ def _forward_pass(
             raise ValueError("without embeddings the model is GCN-only; lam must be 1")
         z_final = z_g
     return {
+        "doc_rows": doc_rows,
         "h_pre": h_pre,
         "propagated": propagated,
         "z_g": z_g,
@@ -271,7 +258,7 @@ def gcn_forward(
             rng = np.random.default_rng(rng)
         hidden_shape = (adj_norm.shape[0], params.W1.shape[1])
         mask = _dropout_mask(rng, hidden_shape, dropout)
-    cache = _forward_pass(features, _plan(features, adj_norm), params, None, None, 1.0, mask)
+    cache = _forward_pass(features, adj_norm, params, None, None, 1.0, mask)
     return ProbabilityMatrix(cache["z_g"])
 
 
@@ -337,17 +324,14 @@ def loss_and_gradients(
     lam: float,
     weight_decay: float = 0.0,
     dropout_mask: np.ndarray | None = None,
-    plan: _Propagation | None = None,
     h_pre: np.ndarray | None = None,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward pass plus analytic reverse-mode gradients for every parameter.
 
-    plan is the propagation built once by train(); it is built from adj_norm
-    when omitted. h_pre is the layer-1 pre-activation of these parameters
-    when train() already has it from the validation pass.
+    h_pre is the layer-1 pre-activation of these parameters when train()
+    already has it from the validation pass.
     """
-    plan = plan if plan is not None else _plan(features, adj_norm)
-    cache = _forward_pass(features, plan, gcn, head, embeddings, lam, dropout_mask, h_pre)
+    cache = _forward_pass(features, adj_norm, gcn, head, embeddings, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
     labels_arr = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
     loss = nll_loss(cache["z_final"], labels_arr, mask)
@@ -363,14 +347,14 @@ def loss_and_gradients(
     grads["gcn.b2"] = d_logits.sum(axis=0)
     grads["gcn.W2"] = cache["propagated"].T @ d_logits
     d_propagated = d_logits @ gcn.W2.T
-    d_h_drop = plan.doc_rows.T @ d_propagated
+    d_h_drop = cache["doc_rows"].T @ d_propagated
     d_hidden = d_h_drop * dropout_mask if dropout_mask is not None else d_h_drop
     d_h_pre = d_hidden * (cache["h_pre"] > 0.0)
     grads["gcn.b1"] = d_h_pre.sum(axis=0)
-    if plan.full is not None:
-        grads["gcn.W1"] = plan.full.T @ d_h_pre
+    if features.doc_embeddings is None:
+        grads["gcn.W1"] = adj_norm.T @ d_h_pre
     else:
-        grads["gcn.W1"] = features.doc_embeddings.T @ (plan.doc_rows @ d_h_pre)
+        grads["gcn.W1"] = features.doc_embeddings.T @ (cache["doc_rows"] @ d_h_pre)
 
     if head is not None:
         d_head_logits = _softmax_backward(cache["z_b"], (1.0 - lam) * d_final)
@@ -399,9 +383,7 @@ def compute_loss(
     dropout_mask: np.ndarray | None = None,
 ) -> float:
     """Loss only, on the exact forward path used by loss_and_gradients."""
-    cache = _forward_pass(
-        features, _plan(features, adj_norm), gcn, head, embeddings, lam, dropout_mask
-    )
+    cache = _forward_pass(features, adj_norm, gcn, head, embeddings, lam, dropout_mask)
     loss = nll_loss(cache["z_final"], labels, train_mask)
     if weight_decay:
         loss += _l2_penalty(gcn, head, weight_decay)
@@ -463,15 +445,13 @@ def fused_probabilities(
     head: LinearHead | None,
     embeddings: EmbeddingMatrix | None,
     lam: float,
-    plan: _Propagation | None = None,
     layer1: dict | None = None,
 ) -> ProbabilityMatrix:
     """Inference-mode fused prediction (no dropout).
 
     layer1, when given, receives the layer-1 pre-activation under "h_pre".
     """
-    plan = plan if plan is not None else _plan(features, adj_norm)
-    cache = _forward_pass(features, plan, gcn, head, embeddings, lam, None)
+    cache = _forward_pass(features, adj_norm, gcn, head, embeddings, lam, None)
     if layer1 is not None:
         layer1["h_pre"] = cache["h_pre"]
     return ProbabilityMatrix(cache["z_final"])
@@ -486,11 +466,10 @@ def evaluate(
     lam: float,
     labels,
     mask,
-    plan: _Propagation | None = None,
     layer1: dict | None = None,
 ) -> evaluation.MetricsReport:
     """Weighted metrics of the fused prediction on the masked documents."""
-    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam, plan, layer1)
+    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam, layer1)
     preds = predict(probs)
     mask = np.asarray(mask, dtype=bool)
     gold = [labels[i] for i in np.flatnonzero(mask)]
@@ -529,7 +508,6 @@ def train(
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
-    plan = _plan(features, adj_norm)
     params = param_blocks(gcn, head)
     hidden_shape = (features.n_docs + features.n_words, config.hidden_dim)
 
@@ -548,7 +526,7 @@ def train(
             mask = _dropout_mask(rng, hidden_shape, config.dropout)
         loss, grads = loss_and_gradients(
             features, adj_norm, gcn, head, embeddings, labels, train_mask,
-            config.lam, config.weight_decay, mask, plan=plan, h_pre=h_pre,
+            config.lam, config.weight_decay, mask, h_pre=h_pre,
         )
         if not math.isfinite(loss):
             raise DivergenceError(epoch)
@@ -558,7 +536,7 @@ def train(
         if val_mask.any():
             layer1 = {}
             report = evaluate(
-                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask, plan,
+                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask,
                 layer1=layer1,
             )
             h_pre = layer1["h_pre"]
@@ -602,9 +580,13 @@ def ablate_lambda(
     grid = sorted(grid)
     if any(not 0.0 <= lam <= 1.0 for lam in grid):
         raise ValueError("every grid value must lie in [0, 1]")
+    if not grid:
+        raise ValueError("the grid must hold at least one value")
     if len(set(grid)) != len(grid):
         raise ValueError(f"grid values must not repeat, got {grid}")
     seeds = list(seeds)
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must not repeat, got {seeds}")
 

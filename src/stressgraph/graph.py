@@ -85,9 +85,12 @@ class NodeFeatures:
     """
 
     doc_embeddings: np.ndarray | None
-    mode: str  # "external-embeddings" | "identity"
     n_docs: int
     n_words: int
+
+    @property
+    def mode(self) -> str:
+        return "identity" if self.doc_embeddings is None else "external-embeddings"
 
     @property
     def dim(self) -> int:
@@ -298,12 +301,12 @@ def build_node_features(
 ) -> NodeFeatures:
     """Document embeddings over implicit zero word rows, or the implicit identity."""
     if embeddings is None:
-        return NodeFeatures(None, "identity", n_docs, n_words)
+        return NodeFeatures(None, n_docs, n_words)
     if embeddings.n_docs != n_docs:
         raise ValueError(
             f"embedding rows ({embeddings.n_docs}) do not match corpus size ({n_docs})"
         )
-    return NodeFeatures(embeddings.values, "external-embeddings", n_docs, n_words)
+    return NodeFeatures(embeddings.values, n_docs, n_words)
 
 
 def write_embeddings(path, embeddings: EmbeddingMatrix) -> None:

@@ -804,6 +804,20 @@ def test_prompts_rejects_non_string_split_ids(pipeline, tmp_path, capsys):
     assert "not a string" in capsys.readouterr().err
 
 
+def test_prompts_split_must_cover_the_corpus(pipeline, tmp_path, capsys):
+    split = load_split(pipeline["split"])
+    partial = tmp_path / "partial.jsonl"
+    with open(partial, "w", encoding="utf-8") as fh:
+        for doc_id in sorted(split.assignment)[:10]:
+            fh.write(json.dumps({"id": doc_id, "split": split.assignment[doc_id]}) + "\n")
+    out = tmp_path / "prompts"
+    rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--split", str(partial),
+                   "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert "split does not align with the corpus" in capsys.readouterr().err
+    assert not (out / "prompts.jsonl").exists()
+
+
 def test_prompts_few_shot_draws_from_train(pipeline, tmp_path):
     out = tmp_path / "prompts"
     rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
@@ -941,6 +955,32 @@ def test_eval_transcripts_malformed_prompts_line_is_data_error(pipeline, tmp_pat
                    "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
     assert "prompts file line 2" in capsys.readouterr().err
+
+
+def test_eval_transcripts_repeated_prompt_id_is_data_error(pipeline, tmp_path, capsys):
+    prompts_out = tmp_path / "prompts"
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--target-split", "test",
+                     "--out", str(prompts_out)]) == 0
+    prompts_path = prompts_out / "prompts.jsonl"
+    lines = prompts_path.read_text(encoding="utf-8").splitlines()
+    prompts_path.write_text("\n".join([*lines, lines[0]]) + "\n", encoding="utf-8")
+    spec = prompting.PromptSpec()
+    store_path = tmp_path / "transcripts.jsonl"
+    for line in lines:
+        prompt = json.loads(line)["prompt"]
+        prompting.append_transcript(store_path, prompting.CompletionTranscript(
+            prompt=prompt, response=spec.category_for(1), label=1, meta={},
+        ))
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--transcripts", str(store_path), "--prompts", str(prompts_path),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    repeated = json.loads(lines[0])["id"]
+    assert f"prompts file line {len(lines) + 1}: repeated prompt id {repeated!r}" in (
+        capsys.readouterr().err
+    )
+    assert not (out / "report.json").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -1393,6 +1433,24 @@ def test_repeated_seeds_or_grid_values_are_data_errors(pipeline, tmp_path, monke
     assert rc == cli.EXIT_DATA
     assert f"{word} must not repeat" in capsys.readouterr().err
     assert calls == []
+    assert not out.exists() or not [p for p in os.listdir(out) if p != "manifest.json"]
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("ablate", ["--grid", "", "--seeds", "0"]),
+    ("ablate", ["--grid", "0,1", "--seeds", ""]),
+    ("train-gcn", ["--seeds", ""]),
+], ids=["ablate-grid", "ablate-seeds", "train-gcn-seeds"])
+def test_empty_seeds_or_grid_are_data_errors(pipeline, tmp_path, capsys, command, extra):
+    out = tmp_path / "run"
+    if command == "ablate":
+        args = ablate_args(pipeline, out)
+    else:
+        args = train_gcn_args(pipeline, out, ["--embeddings", str(pipeline["embeddings"]),
+                                              "--epochs", "1"])
+    rc = cli.main(args + extra)
+    assert rc == cli.EXIT_DATA
+    assert "must hold at least one" in capsys.readouterr().err
     assert not out.exists() or not [p for p in os.listdir(out) if p != "manifest.json"]
 
 

@@ -15,7 +15,6 @@ from stressgraph.convnet import (
     ConvHeadParams,
     TokenEmbeddingSequence,
     _forward_batch,
-    _stack_kernels,
     batch_loss_and_gradients,
     bce_with_logits,
     classify,
@@ -136,15 +135,12 @@ def test_mixed_float32_batch_matches_float64_bit_for_bit():
 
 def test_kernels_and_their_gradients_are_views_of_one_array_each():
     params = init_conv_params(ConvHeadConfig(**SMALL, seed=5))
-    w_all = _stack_kernels(params)
-    assert np.shares_memory(w_all, _stack_kernels(params))
+    w_all = params.stacked.T
     assert all(np.shares_memory(w_all, kernel) for kernel in params.kernels)
     # An in-place update of a bank, as Adam makes, reaches the GEMM operand:
     # bank 1 (k = 3) starts after bank 0's 2 x 4 columns, offset 2 after 2 x 4 more.
     params.kernels[1][2, 0, 3] += 1.0
     assert w_all[0, 8 + 8 + 3] == params.kernels[1][2, 0, 3]
-    # copy() stacks afresh.
-    assert not np.shares_memory(params.copy().kernels[0], w_all)
     rng = np.random.default_rng(5)
     sequences = [seq(f"d{i}", rng.normal(size=(n, 3))) for i, n in enumerate((4, 6))]
     _, grads = batch_loss_and_gradients(sequences, [1, 0], params)
@@ -159,7 +155,7 @@ def test_stacked_gemm_operand_matches_contiguous_matrix_bits(rows):
     # BLAS whose result then differs from that of the contiguous d x sum(k F)
     # matrix would move every conv-head digest, so it fails here instead.
     params = init_conv_params(ConvHeadConfig(seed=rows))
-    w_all = _stack_kernels(params)
+    w_all = params.stacked.T
     filled = np.concatenate([k.transpose(1, 0, 2).reshape(k.shape[1], -1) for k in params.kernels], axis=1)
     assert np.array_equal(w_all, filled)
     x = np.random.default_rng(rows).normal(size=(rows, 768)).astype(np.float32).astype(np.float64)
@@ -349,10 +345,10 @@ def assert_bank_liveness(spec, grads):
 
 def batch_conv_pre(cache, params):
     """Each document's per-bank conv pre-activations, summed as _forward_batch sums
-    them: with Y = X @ w_all over the batch's padded rows, bank b's output at row r
+    them: with Y = X @ stacked.T over the batch's padded rows, bank b's output at row r
     is sum_j Y[r + j, block(b, j)] left to right, plus the bias."""
     x, starts = cache["x"], cache["starts"]
-    y = x @ _stack_kernels(params)
+    y = x @ params.stacked.T
     ends = np.append(starts[1:], x.shape[0])
     out = [[] for _ in starts]
     col = 0
@@ -378,7 +374,7 @@ def test_gather_backward_matches_dense_reference(case):
     params, sequences, labels, masks = conv_reference_case(spec, len(case))
 
     loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
-    _, cache = _forward_batch(sequences, params, _stack_kernels(params), masks)
+    _, cache = _forward_batch(sequences, params, masks)
     conv_pre = batch_conv_pre(cache, params)
     ref_loss, ref_grads = dense_conv_gradients(sequences, labels, params, conv_pre, masks)
     assert loss == ref_loss
