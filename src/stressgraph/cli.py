@@ -230,7 +230,7 @@ def _training_inputs(args):
         if unlabeled:
             raise ValueError(f"{len(unlabeled)} {name} documents are unlabeled")
     features = graph.build_node_features(embeddings, corpus.n_docs, len(corpus.vocab))
-    return corpus, adj_norm, features, embeddings, masks
+    return corpus, adj_norm, features, masks
 
 
 def _run_seeds(man: RunManifest, seeds, jobs: int, run_one, prefix: str):
@@ -263,15 +263,12 @@ def _run_seeds(man: RunManifest, seeds, jobs: int, run_one, prefix: str):
 
 def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
     base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
-    corpus, adj_norm, features, embeddings, masks = _training_inputs(args)
+    corpus, adj_norm, features, masks = _training_inputs(args)
 
     def run_one(seed: int):
-        result = gcn.train(
-            features, adj_norm, embeddings, corpus.labels, masks, replace(base, seed=seed)
-        )
+        result = gcn.train(features, adj_norm, corpus.labels, masks, replace(base, seed=seed))
         report = gcn.evaluate(
-            features, adj_norm, result.gcn, result.head, embeddings,
-            base.lam, corpus.labels, masks["test"],
+            features, adj_norm, result.gcn, result.head, base.lam, corpus.labels, masks["test"]
         )
         blocks = gcn.param_blocks(result.gcn, result.head)
         return blocks, result.history, report, {"best_epoch": result.best_epoch}
@@ -322,9 +319,9 @@ def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
 
 def cmd_ablate(args, config: dict, man: RunManifest) -> None:
     base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
-    corpus, adj_norm, features, embeddings, masks = _training_inputs(args)
+    corpus, adj_norm, features, masks = _training_inputs(args)
     rows = gcn.ablate_lambda(
-        config["grid"], base, features, adj_norm, embeddings, corpus.labels, masks, config["seeds"],
+        config["grid"], base, features, adj_norm, corpus.labels, masks, config["seeds"],
         jobs=config["jobs"],
     )
     gcn.write_ablation_csv(man.output("ablation.csv"), rows)
@@ -393,7 +390,7 @@ def _eval_counts(path) -> evaluation.ConfusionMatrix:
 
 def _eval_predictions(args) -> tuple:
     corpus = load_tokenized(args.tokenized)
-    preds_by_id = {}
+    known, preds_by_id = set(corpus.doc_ids), {}
     with open(args.pred, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -404,6 +401,8 @@ def _eval_predictions(args) -> tuple:
                 raise ValueError(f"malformed prediction row: {row}")
             if row[0] in preds_by_id:
                 raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
+            if row[0] not in known:
+                raise ValueError(f"line {reader.line_num}: prediction id {row[0]!r} is not in the corpus")
             preds_by_id[row[0]] = int(row[1])
     if args.split:
         split = _load_split_for(corpus.doc_ids, args.split)

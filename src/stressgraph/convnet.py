@@ -81,7 +81,7 @@ class ConvHeadConfig:
 
 @dataclass
 class ConvHeadParams:
-    """Filter banks plus the dense output layer; dropout rate rides along.
+    """Filter banks plus the dense output layer.
 
     The banks are copied into `stacked`, a sum(k * F) x d float64 matrix with bank b's
     offset-j weights of filter f in row (b, j, f); kernels[b] are (k, d, F) views of it.
@@ -91,7 +91,6 @@ class ConvHeadParams:
     conv_bias: tuple
     dense_W: np.ndarray
     dense_b: np.ndarray
-    dropout: float = 0.5
     stacked: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -125,7 +124,6 @@ def init_conv_params(config: ConvHeadConfig) -> ConvHeadParams:
         conv_bias=tuple(np.zeros(n_filters) for _ in kernels),
         dense_W=_glorot(rng, concat, 1).ravel(),
         dense_b=np.zeros(1),
-        dropout=config.dropout,
     )
 
 
@@ -192,19 +190,9 @@ def _forward_batch(
     return logits, cache
 
 
-def conv_forward(
-    seq: TokenEmbeddingSequence,
-    params: ConvHeadParams,
-    training: bool = False,
-    rng: np.random.Generator | None = None,
-) -> float:
-    """Scalar logit for one sequence; dropout only fires when training."""
-    masks = None
-    if training and params.dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout during training requires an rng")
-        masks = [_dropout_mask(rng, params.concat_dim, params.dropout)]
-    logits, _ = _forward_batch([seq], params, masks)
+def conv_forward(seq: TokenEmbeddingSequence, params: ConvHeadParams) -> float:
+    """Inference-mode scalar logit for one sequence (no dropout)."""
+    logits, _ = _forward_batch([seq], params)
     return logits[0]
 
 
@@ -388,7 +376,7 @@ def train_conv(
     return ConvTrainResult(params=params, history=history)
 
 
-def params_from_blocks(blocks: dict, dropout: float = 0.5) -> ConvHeadParams:
+def params_from_blocks(blocks: dict) -> ConvHeadParams:
     """Conv-head parameters from checkpoint blocks; ValueError names a missing or mis-shaped one.
 
     Bank i has kernel conv.K<i> (k x d x F_i) and bias conv.b<i> (F_i,);
@@ -406,7 +394,6 @@ def params_from_blocks(blocks: dict, dropout: float = 0.5) -> ConvHeadParams:
         conv_bias=tuple(blocks[f"conv.b{i}"] for i in range(n_banks)),
         dense_W=blocks["dense.W"],
         dense_b=blocks["dense.b"],
-        dropout=dropout,
     )
 
 

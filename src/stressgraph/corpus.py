@@ -292,6 +292,8 @@ def stratified_split(
         raise ValueError("doc_ids and labels must have equal length")
     if any(lab is None for lab in labels):
         raise ValueError("every document must be labeled for a stratified split")
+    if not all(0.0 <= r <= 1.0 for r in ratios):
+        raise ValueError(f"split ratios must lie in [0, 1], got {ratios}")
     if abs(sum(ratios) - 1.0) > 1e-9:
         raise ValueError(f"split ratios must sum to 1, got {ratios}")
     if len(ratios) != len(SPLIT_NAMES):

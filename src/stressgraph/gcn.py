@@ -188,7 +188,6 @@ def _forward_pass(
     adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
-    embeddings: EmbeddingMatrix | None,
     lam: float,
     dropout_mask: np.ndarray | None,
     h_pre: np.ndarray | None = None,
@@ -220,9 +219,9 @@ def _forward_pass(
 
     z_b = None
     if head is not None:
-        if embeddings is None:
+        if features.doc_embeddings is None:
             raise ValueError("a linear head requires document embeddings")
-        z_b = _softmax(embeddings.values @ head.W + head.b)
+        z_b = _softmax(features.doc_embeddings @ head.W + head.b)
         z_final = lam * z_g + (1.0 - lam) * z_b
     else:
         if lam != 1.0:
@@ -239,27 +238,10 @@ def _forward_pass(
 
 
 def gcn_forward(
-    features: NodeFeatures,
-    adj_norm: sp.csr_array,
-    params: GCNParameters,
-    dropout: float = 0.0,
-    rng: np.random.Generator | int | None = None,
-    training: bool = False,
+    features: NodeFeatures, adj_norm: sp.csr_array, params: GCNParameters
 ) -> ProbabilityMatrix:
-    """Graph-branch prediction Z_G over document rows.
-
-    Dropout hits the hidden layer only, and only when training.
-    """
-    mask = None
-    if training and dropout > 0.0:
-        if rng is None:
-            raise ValueError("dropout during training requires an rng or seed")
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        hidden_shape = (adj_norm.shape[0], params.W1.shape[1])
-        mask = _dropout_mask(rng, hidden_shape, dropout)
-    cache = _forward_pass(features, adj_norm, params, None, None, 1.0, mask)
-    return ProbabilityMatrix(cache["z_g"])
+    """Inference-mode graph-branch prediction Z_G over document rows (no dropout)."""
+    return ProbabilityMatrix(_forward_pass(features, adj_norm, params, None, 1.0, None)["z_g"])
 
 
 def linear_forward(embeddings: EmbeddingMatrix, head: LinearHead) -> ProbabilityMatrix:
@@ -318,7 +300,6 @@ def loss_and_gradients(
     adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
-    embeddings: EmbeddingMatrix | None,
     labels,
     train_mask,
     lam: float,
@@ -331,7 +312,7 @@ def loss_and_gradients(
     h_pre is the layer-1 pre-activation of these parameters when train()
     already has it from the validation pass.
     """
-    cache = _forward_pass(features, adj_norm, gcn, head, embeddings, lam, dropout_mask, h_pre)
+    cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
     labels_arr = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
     loss = nll_loss(cache["z_final"], labels_arr, mask)
@@ -358,7 +339,7 @@ def loss_and_gradients(
 
     if head is not None:
         d_head_logits = _softmax_backward(cache["z_b"], (1.0 - lam) * d_final)
-        grads["head.W"] = embeddings.values.T @ d_head_logits
+        grads["head.W"] = features.doc_embeddings.T @ d_head_logits
         grads["head.b"] = d_head_logits.sum(axis=0)
 
     if weight_decay:
@@ -375,7 +356,6 @@ def compute_loss(
     adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
-    embeddings: EmbeddingMatrix | None,
     labels,
     train_mask,
     lam: float,
@@ -383,7 +363,7 @@ def compute_loss(
     dropout_mask: np.ndarray | None = None,
 ) -> float:
     """Loss only, on the exact forward path used by loss_and_gradients."""
-    cache = _forward_pass(features, adj_norm, gcn, head, embeddings, lam, dropout_mask)
+    cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask)
     loss = nll_loss(cache["z_final"], labels, train_mask)
     if weight_decay:
         loss += _l2_penalty(gcn, head, weight_decay)
@@ -443,7 +423,6 @@ def fused_probabilities(
     adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
-    embeddings: EmbeddingMatrix | None,
     lam: float,
     layer1: dict | None = None,
 ) -> ProbabilityMatrix:
@@ -451,7 +430,7 @@ def fused_probabilities(
 
     layer1, when given, receives the layer-1 pre-activation under "h_pre".
     """
-    cache = _forward_pass(features, adj_norm, gcn, head, embeddings, lam, None)
+    cache = _forward_pass(features, adj_norm, gcn, head, lam, None)
     if layer1 is not None:
         layer1["h_pre"] = cache["h_pre"]
     return ProbabilityMatrix(cache["z_final"])
@@ -462,14 +441,13 @@ def evaluate(
     adj_norm: sp.csr_array,
     gcn: GCNParameters,
     head: LinearHead | None,
-    embeddings: EmbeddingMatrix | None,
     lam: float,
     labels,
     mask,
     layer1: dict | None = None,
 ) -> evaluation.MetricsReport:
     """Weighted metrics of the fused prediction on the masked documents."""
-    probs = fused_probabilities(features, adj_norm, gcn, head, embeddings, lam, layer1)
+    probs = fused_probabilities(features, adj_norm, gcn, head, lam, layer1)
     preds = predict(probs)
     mask = np.asarray(mask, dtype=bool)
     gold = [labels[i] for i in np.flatnonzero(mask)]
@@ -480,7 +458,6 @@ def evaluate(
 def train(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
-    embeddings: EmbeddingMatrix | None,
     labels,
     masks: dict,
     config: TrainingConfig,
@@ -497,9 +474,7 @@ def train(
     train_mask = np.asarray(masks["train"], dtype=bool)
     val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)
     n_classes = 2
-    embedding_dim = embeddings.dim if embeddings is not None else None
-    if embeddings is not None and embeddings.n_docs != features.n_docs:
-        raise ValueError("embedding rows do not match the corpus document count")
+    embedding_dim = None if features.doc_embeddings is None else features.dim
     gcn, head = init_parameters(
         features.dim, config.hidden_dim, n_classes, embedding_dim, config.seed
     )
@@ -525,7 +500,7 @@ def train(
         if config.dropout > 0.0:
             mask = _dropout_mask(rng, hidden_shape, config.dropout)
         loss, grads = loss_and_gradients(
-            features, adj_norm, gcn, head, embeddings, labels, train_mask,
+            features, adj_norm, gcn, head, labels, train_mask,
             config.lam, config.weight_decay, mask, h_pre=h_pre,
         )
         if not math.isfinite(loss):
@@ -536,7 +511,7 @@ def train(
         if val_mask.any():
             layer1 = {}
             report = evaluate(
-                features, adj_norm, gcn, head, embeddings, config.lam, labels, val_mask,
+                features, adj_norm, gcn, head, config.lam, labels, val_mask,
                 layer1=layer1,
             )
             h_pre = layer1["h_pre"]
@@ -566,7 +541,6 @@ def ablate_lambda(
     base_config: TrainingConfig,
     features: NodeFeatures,
     adj_norm: sp.csr_array,
-    embeddings: EmbeddingMatrix | None,
     labels,
     masks: dict,
     seeds,
@@ -592,14 +566,8 @@ def ablate_lambda(
 
     def run_cell(cell):
         lam, seed = cell
-        result = train(
-            features, adj_norm, embeddings, labels, masks,
-            replace(base_config, lam=lam, seed=seed),
-        )
-        report = evaluate(
-            features, adj_norm, result.gcn, result.head, embeddings, lam,
-            labels, masks["test"],
-        )
+        result = train(features, adj_norm, labels, masks, replace(base_config, lam=lam, seed=seed))
+        report = evaluate(features, adj_norm, result.gcn, result.head, lam, labels, masks["test"])
         return report.accuracy, report.f1
 
     with ThreadPoolExecutor(max_workers=jobs) as pool:

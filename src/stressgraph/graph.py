@@ -99,7 +99,7 @@ class NodeFeatures:
         return self.doc_embeddings.shape[1]
 
 
-def compute_tfidf(corpus, vocab=None) -> sp.csr_array:
+def compute_tfidf(corpus) -> sp.csr_array:
     """Doc-word TF-IDF matrix: tf(w, d) * ln(n_docs / df(w)), zeros omitted.
 
     tf is the raw in-document count and idf uses the natural log, so a word
@@ -108,7 +108,7 @@ def compute_tfidf(corpus, vocab=None) -> sp.csr_array:
     """
     import scipy.sparse as sp
 
-    vocab = vocab if vocab is not None else corpus.vocab
+    vocab = corpus.vocab
     n_docs = vocab.n_docs
     indptr, cols, vals = [0], [], []
     for seq in corpus.sequences:

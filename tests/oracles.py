@@ -394,7 +394,7 @@ class ReferenceAdam:
             params[name] -= lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-def reference_train(features, adj_norm, embeddings, labels, masks, config):
+def reference_train(features, adj_norm, labels, masks, config):
     """gcn.train's loop on public calls only: every epoch computes layer 1 itself.
 
     Returns (history, gcn, head, best_epoch), with history as
@@ -404,7 +404,7 @@ def reference_train(features, adj_norm, embeddings, labels, masks, config):
     val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)
     params, head = init_parameters(
         features.dim, config.hidden_dim, 2,
-        embeddings.dim if embeddings is not None else None, config.seed,
+        features.dim if features.doc_embeddings is not None else None, config.seed,
     )
     rng = np.random.default_rng(config.seed)
     adam = ReferenceAdam(0.9, 0.999, 1e-8)
@@ -418,14 +418,13 @@ def reference_train(features, adj_norm, embeddings, labels, masks, config):
         if config.dropout > 0.0:
             mask = (rng.random(shape) >= config.dropout) / (1.0 - config.dropout)
         loss, grads = loss_and_gradients(
-            features, adj_norm, params, head, embeddings, labels, train_mask,
+            features, adj_norm, params, head, labels, train_mask,
             config.lam, config.weight_decay, mask,
         )
         adam.step(refs, grads, config.learning_rate)
         val_acc = val_f1 = 0.0
         if val_mask.any():
-            report = evaluate(features, adj_norm, params, head, embeddings, config.lam,
-                              labels, val_mask)
+            report = evaluate(features, adj_norm, params, head, config.lam, labels, val_mask)
             val_acc, val_f1 = report.accuracy, report.f1
         history.append((epoch, loss, val_acc, val_f1))
         if val_mask.any() and val_f1 >= best_f1:

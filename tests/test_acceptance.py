@@ -117,7 +117,7 @@ def trained_toy_state(lam: float, seed: int = 0, epochs: int = 25):
         "test": np.array([i >= 9 for i in range(n_docs)]),
     }
     config = TrainingConfig(lam=lam, epochs=epochs, hidden_dim=8, seed=seed)
-    result = gcn.train(features, adj, embeddings, labels, masks, config)
+    result = gcn.train(features, adj, labels, masks, config)
     return features, adj, embeddings, labels, masks, config, result
 
 
@@ -212,12 +212,12 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
                 arr += rng.normal(scale=0.05, size=arr.shape)
 
             _, grads = gcn.loss_and_gradients(
-                features, adj, params, head, embeddings, labels, train_mask, lam,
+                features, adj, params, head, labels, train_mask, lam,
                 weight_decay=weight_decay, dropout_mask=dropout_mask,
             )
             fd = fd_gradients(
                 lambda: gcn.compute_loss(
-                    features, adj, params, head, embeddings, labels, train_mask,
+                    features, adj, params, head, labels, train_mask,
                     lam, weight_decay=weight_decay, dropout_mask=dropout_mask,
                 ),
                 arrays,
@@ -271,25 +271,25 @@ def test_acceptance_04_interpolation_boundary_identities(announce):
 
         z_b = gcn.linear_forward(embeddings, result.head)
         z_g = gcn.gcn_forward(features, adj, result.gcn)
-        fused_0 = gcn.fused_probabilities(features, adj, result.gcn, result.head, embeddings, 0.0)
-        fused_1 = gcn.fused_probabilities(features, adj, result.gcn, result.head, embeddings, 1.0)
+        fused_0 = gcn.fused_probabilities(features, adj, result.gcn, result.head, 0.0)
+        fused_1 = gcn.fused_probabilities(features, adj, result.gcn, result.head, 1.0)
         assert np.array_equal(gcn.predict(fused_0), gcn.predict(z_b))
         assert np.array_equal(gcn.predict(fused_1), gcn.predict(z_g))
 
         seeds = [0, 1]
         base = replace(config, lam=0.5, epochs=15)
         rows = gcn.ablate_lambda(
-            [0.0, 1.0], base, features, adj, embeddings, labels, masks, seeds
+            [0.0, 1.0], base, features, adj, labels, masks, seeds
         )
         for row in rows:
             accs, f1s = [], []
             for seed in seeds:
                 single = gcn.train(
-                    features, adj, embeddings, labels, masks,
+                    features, adj, labels, masks,
                     replace(base, lam=row.lam, seed=seed),
                 )
                 report = gcn.evaluate(
-                    features, adj, single.gcn, single.head, embeddings, row.lam,
+                    features, adj, single.gcn, single.head, row.lam,
                     labels, masks["test"],
                 )
                 accs.append(report.accuracy)
@@ -333,9 +333,9 @@ def test_acceptance_05_synthetic_end_to_end_learning(announce):
         features_id = build_node_features(None, n_docs, 2 * per_topic)
         for seed in range(5):
             config = TrainingConfig(lam=1.0, epochs=200, dropout=0.5, hidden_dim=200, seed=seed)
-            result = gcn.train(features_id, adj, None, noisy, masks, config)
+            result = gcn.train(features_id, adj, noisy, masks, config)
             report = gcn.evaluate(
-                features_id, adj, result.gcn, result.head, None, 1.0, labels, masks["test"]
+                features_id, adj, result.gcn, result.head, 1.0, labels, masks["test"]
             )
             assert report.f1 >= 0.95, f"seed {seed}: graph-only F1 {report.f1:.4f}"
 
@@ -349,9 +349,9 @@ def test_acceptance_05_synthetic_end_to_end_learning(announce):
             per_seed = []
             for seed in range(5):
                 config = TrainingConfig(lam=lam, epochs=100, dropout=0.5, hidden_dim=100, seed=seed)
-                result = gcn.train(features_ext, adj, embeddings, noisy, masks, config)
+                result = gcn.train(features_ext, adj, noisy, masks, config)
                 report = gcn.evaluate(
-                    features_ext, adj, result.gcn, result.head, embeddings, lam,
+                    features_ext, adj, result.gcn, result.head, lam,
                     labels, masks["test"],
                 )
                 per_seed.append(report.f1)
@@ -420,7 +420,7 @@ def test_acceptance_07_stratification_and_test_isolation(announce):
         flipped = [
             1 - lab if masks["test"][i] else lab for i, lab in enumerate(labels)
         ]
-        again = gcn.train(features, adj, embeddings, flipped, masks, config)
+        again = gcn.train(features, adj, flipped, masks, config)
         for name in ("W1", "b1", "W2", "b2"):
             assert getattr(result.gcn, name).tobytes() == getattr(again.gcn, name).tobytes()
         assert result.head.W.tobytes() == again.head.W.tobytes()

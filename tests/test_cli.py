@@ -146,6 +146,19 @@ def test_split_rejects_unlabeled_corpus(tmp_path, capsys):
     assert "labeled" in capsys.readouterr().err
 
 
+def test_split_non_finite_ratios_are_data_error(pipeline, tmp_path, capsys):
+    out = tmp_path / "sp"
+    rc = cli.main(["split", "--tokenized", str(pipeline["tokenized"]), "--ratios", "inf,-inf,1",
+                   "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("data error:")] == [
+        "data error: split ratios must lie in [0, 1], got (inf, -inf, 1.0)"
+    ]
+    assert "Traceback" not in err
+    assert not (out / "split.jsonl").exists()
+
+
 def test_ingest_csv_format(tmp_path):
     corpus_path = tmp_path / "c.csv"
     corpus_path.write_text(
@@ -393,7 +406,7 @@ def test_ablate_csv_matches_library_sweep(pipeline, tmp_path):
     masks = {name: np.asarray(split.mask(corpus.doc_ids, name)) for name in ("train", "val", "test")}
     rows = gcn.ablate_lambda(
         [1.0, 0.0, 0.5], gcn.TrainingConfig(epochs=3, hidden_dim=4), features, adj,
-        embeddings, corpus.labels, masks, [0, 1],
+        corpus.labels, masks, [0, 1],
     )
     expected = tmp_path / "expected.csv"
     gcn.write_ablation_csv(expected, rows)
@@ -770,6 +783,21 @@ def test_eval_predictions_repeated_id_is_data_error(pipeline, tmp_path, capsys):
                    "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "rep")])
     assert rc == cli.EXIT_DATA
     assert "line 4: repeated prediction id 'd00'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("with_split", [False, True])
+def test_eval_predictions_unknown_id_is_data_error(pipeline, tmp_path, capsys, with_split):
+    corpus = load_tokenized(pipeline["tokenized"])
+    pred_path = tmp_path / "pred.csv"
+    rows = [f"{doc_id},{corpus.labels[i]}\n" for i, doc_id in enumerate(corpus.doc_ids)]
+    pred_path.write_text("id,pred\n" + "".join(rows) + "nosuchdoc,1\n", encoding="utf-8")
+    args = ["eval", "--pred", str(pred_path), "--tokenized", str(pipeline["tokenized"]),
+            "--out", str(tmp_path / "rep")]
+    if with_split:
+        args += ["--split", str(pipeline["split"])]
+    assert cli.main(args) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"line {N_DOCS + 2}: prediction id 'nosuchdoc' is not in the corpus" in err
 
 
 # ---------------------------------------------------------------------------

@@ -188,15 +188,6 @@ def test_forward_padding_invariance():
         assert conv_forward(seq("a", padded), params) == pytest.approx(reference, abs=1e-12)
 
 
-def test_forward_dropout_needs_rng():
-    params = init_conv_params(ConvHeadConfig(**SMALL))
-    s = seq("a", np.ones((3, 3)))
-    with pytest.raises(ValueError):
-        conv_forward(s, params, training=True)
-    # Inference never applies dropout.
-    assert conv_forward(s, params) == conv_forward(s, params, training=False)
-
-
 def test_forward_known_tiny_instance():
     # One filter of size 1 acting as a column sum makes the logit computable by hand.
     params = ConvHeadParams(
@@ -204,7 +195,6 @@ def test_forward_known_tiny_instance():
         conv_bias=(np.zeros(1),),
         dense_W=np.array([2.0]),
         dense_b=np.array([0.5]),
-        dropout=0.0,
     )
     # Rows sum to 3.0, -1.0; ReLU then max picks 3.0; logit = 2 * 3 + 0.5.
     logit = conv_forward(seq("a", [[1.0, 2.0], [-3.0, 2.0]]), params)
@@ -695,7 +685,7 @@ def test_conv_checkpoint_roundtrip(tmp_path):
     params = init_conv_params(ConvHeadConfig(**SMALL, seed=11))
     path = tmp_path / "conv.bin"
     save_parameter_blocks(path, param_blocks(params))
-    back = params_from_blocks(load_parameter_blocks(path), dropout=params.dropout)
+    back = params_from_blocks(load_parameter_blocks(path))
     assert back.kernel_sizes == params.kernel_sizes
     for got, want in zip(back.kernels, params.kernels):
         np.testing.assert_array_equal(got, want)

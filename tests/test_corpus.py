@@ -357,6 +357,11 @@ def test_split_bad_ratios_raise():
         stratified_split(ids, labels, ratios=(0.5, 0.2, 0.2), seed=0)
     with pytest.raises(ValueError):
         stratified_split(ids, labels, ratios=(0.5, 0.5), seed=0)
+    # Each ratio must be finite and lie in [0, 1], whatever the others sum to.
+    for ratios in [(math.inf, -math.inf, 1.0), (0.5, 0.6, -0.1), (1.2, -0.1, -0.1),
+                   (math.nan, 0.5, 0.5)]:
+        with pytest.raises(ValueError, match=r"split ratios must lie in \[0, 1\]"):
+            stratified_split(ids, labels, ratios=ratios, seed=0)
 
 
 def test_split_unlabeled_rejected():

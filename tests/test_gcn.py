@@ -40,6 +40,7 @@ from stressgraph.gcn import (
     load_parameter_blocks,
     loss_and_gradients,
     nll_loss,
+    param_blocks,
     predict,
     save_checkpoint,
     train,
@@ -122,27 +123,6 @@ def test_gcn_forward_identity_matches_explicit_eye():
         [True] * features.n_docs,
     )
     np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-15)
-
-
-def test_gcn_forward_dropout_requires_rng():
-    features, adj, _, _, _ = pipeline_setup(4)
-    gcn, _ = init_parameters(features.dim, 4, 2, None, seed=0)
-    with pytest.raises(ValueError):
-        gcn_forward(features, adj, gcn, dropout=0.5, training=True)
-    # Inference ignores the dropout rate entirely.
-    a = gcn_forward(features, adj, gcn, dropout=0.5, training=False)
-    b = gcn_forward(features, adj, gcn)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
-def test_gcn_forward_dropout_deterministic_per_seed():
-    features, adj, _, _, _ = pipeline_setup(5)
-    gcn, _ = init_parameters(features.dim, 4, 2, None, seed=0)
-    a = gcn_forward(features, adj, gcn, dropout=0.5, rng=7, training=True)
-    b = gcn_forward(features, adj, gcn, dropout=0.5, rng=7, training=True)
-    c = gcn_forward(features, adj, gcn)
-    np.testing.assert_array_equal(a.values, b.values)
-    assert not np.array_equal(a.values, c.values)
 
 
 def test_linear_forward_example():
@@ -264,8 +244,9 @@ def test_gradients_match_finite_differences(case):
     identity = case % 2 == 1
     weight_decay = 0.07 if case % 4 >= 2 else 0.0
     features, adj, embeddings, labels, rng = pipeline_setup(100 + case, identity=identity)
-    lam = [0.0, 0.2, 0.5, 1.0][case % 4] if not identity else [0.2, 0.7][case % 2]
-    gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=case)
+    # Identity features carry no document embeddings, so that model is GCN-only.
+    lam = 1.0 if identity else [0.0, 0.2, 0.5, 1.0][case % 4]
+    gcn, head = init_parameters(features.dim, 3, 2, None if identity else embeddings.dim, seed=case)
     train_mask = np.zeros(4, dtype=bool)
     train_mask[: 2 + case % 3] = True
 
@@ -275,14 +256,13 @@ def test_gradients_match_finite_differences(case):
         dropout_mask = (rng.random((n, 3)) >= 0.5) / 0.5
 
     _, grads = loss_and_gradients(
-        features, adj, gcn, head, embeddings, labels, train_mask, lam,
+        features, adj, gcn, head, labels, train_mask, lam,
         weight_decay=weight_decay, dropout_mask=dropout_mask,
     )
-    arrays = {"gcn.W1": gcn.W1, "gcn.b1": gcn.b1, "gcn.W2": gcn.W2, "gcn.b2": gcn.b2,
-              "head.W": head.W, "head.b": head.b}
+    arrays = param_blocks(gcn, head)
     fd = fd_gradients(
         lambda: compute_loss(
-            features, adj, gcn, head, embeddings, labels, train_mask, lam,
+            features, adj, gcn, head, labels, train_mask, lam,
             weight_decay=weight_decay, dropout_mask=dropout_mask,
         ),
         arrays,
@@ -295,7 +275,7 @@ def test_lambda_zero_gives_exactly_zero_gcn_gradients():
     features, adj, embeddings, labels, _ = pipeline_setup(42)
     gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
     _, grads = loss_and_gradients(
-        features, adj, gcn, head, embeddings, labels, [True] * 4, lam=0.0
+        features, adj, gcn, head, labels, [True] * 4, lam=0.0
     )
     assert np.all(grads["gcn.W1"] == 0.0)
     assert np.all(grads["gcn.W2"] == 0.0)
@@ -308,7 +288,7 @@ def test_lambda_one_gives_exactly_zero_head_gradients():
     features, adj, embeddings, labels, _ = pipeline_setup(43)
     gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
     _, grads = loss_and_gradients(
-        features, adj, gcn, head, embeddings, labels, [True] * 4, lam=1.0
+        features, adj, gcn, head, labels, [True] * 4, lam=1.0
     )
     assert np.all(grads["head.W"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
@@ -317,7 +297,7 @@ def test_lambda_one_gives_exactly_zero_head_gradients():
 def test_weight_decay_adds_to_loss_and_gradients():
     features, adj, embeddings, labels, _ = pipeline_setup(44)
     gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
-    args = (features, adj, gcn, head, embeddings, labels, [True] * 4, 0.2)
+    args = (features, adj, gcn, head, labels, [True] * 4, 0.2)
     loss0, grads0 = loss_and_gradients(*args, weight_decay=0.0)
     loss1, grads1 = loss_and_gradients(*args, weight_decay=0.1)
     norm2 = (gcn.W1 ** 2).sum() + (gcn.W2 ** 2).sum() + (head.W ** 2).sum()
@@ -331,24 +311,26 @@ def test_weight_decay_adds_to_loss_and_gradients():
 @pytest.mark.parametrize("layout", ["embedding", "identity"])
 def test_fused_pass_matches_dense_reference(layout, seed):
     # Embedding features take the document-row slice and its transpose;
-    # identity features take the full adjacency.
+    # identity features take the full adjacency and, carrying no document
+    # embeddings, a GCN-only model.
+    identity = layout == "identity"
     features, adj, embeddings, labels, rng = pipeline_setup(
-        200 + seed, n_docs=6, n_tokens=5, identity=layout == "identity"
+        200 + seed, n_docs=6, n_tokens=5, identity=identity
     )
-    gcn, head = init_parameters(features.dim, 4, 2, embeddings.dim, seed=seed)
+    gcn, head = init_parameters(features.dim, 4, 2, None if identity else embeddings.dim, seed=seed)
     train_mask = np.arange(features.n_docs) % 3 != 2
     dropout_mask = (rng.random((adj.shape[0], 4)) >= 0.5) / 0.5
-    lam = 0.3
+    lam = 1.0 if identity else 0.3
     reference = (adj.toarray(), explicit_node_features(features), features.n_docs, gcn, head,
-                 embeddings.values, lam, labels, train_mask)
+                 features.doc_embeddings, lam, labels, train_mask)
 
     want_z, _, _ = dense_fused_reference(*reference)
-    got_z = fused_probabilities(features, adj, gcn, head, embeddings, lam)
+    got_z = fused_probabilities(features, adj, gcn, head, lam)
     np.testing.assert_allclose(got_z.values, want_z, rtol=0, atol=1e-12)
 
     _, want_loss, want_grads = dense_fused_reference(*reference, dropout_mask=dropout_mask)
     loss, grads = loss_and_gradients(
-        features, adj, gcn, head, embeddings, labels, train_mask, lam, dropout_mask=dropout_mask
+        features, adj, gcn, head, labels, train_mask, lam, dropout_mask=dropout_mask
     )
     assert loss == pytest.approx(want_loss, rel=1e-12)
     assert grads.keys() == want_grads.keys()
@@ -461,7 +443,7 @@ def separable_setup(n_docs: int = 12):
 def test_train_zero_epochs_returns_init():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=0, seed=3)
-    result = train(features, adj, embeddings, labels, masks, config)
+    result = train(features, adj, labels, masks, config)
     gcn0, head0 = init_parameters(features.dim, config.hidden_dim, 2, embeddings.dim, 3)
     np.testing.assert_array_equal(result.gcn.W1, gcn0.W1)
     np.testing.assert_array_equal(result.head.W, head0.W)
@@ -472,8 +454,8 @@ def test_train_zero_epochs_returns_init():
 def test_train_is_deterministic():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=12, seed=5)
-    a = train(features, adj, embeddings, labels, masks, config)
-    b = train(features, adj, embeddings, labels, masks, config)
+    a = train(features, adj, labels, masks, config)
+    b = train(features, adj, labels, masks, config)
     np.testing.assert_array_equal(a.gcn.W1, b.gcn.W1)
     np.testing.assert_array_equal(a.gcn.W2, b.gcn.W2)
     np.testing.assert_array_equal(a.head.W, b.head.W)
@@ -485,7 +467,7 @@ def test_train_is_deterministic():
 def test_train_loss_improves_without_dropout():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=60, dropout=0.0, seed=0)
-    result = train(features, adj, embeddings, labels, masks, config)
+    result = train(features, adj, labels, masks, config)
     assert result.history[-1].loss < result.history[0].loss
 
 
@@ -493,16 +475,26 @@ def test_train_requires_lam_one_without_embeddings():
     features, adj, _, labels, masks = separable_setup()
     identity = build_node_features(None, features.n_docs, features.n_words)
     with pytest.raises(ValueError):
-        train(identity, adj, None, labels, masks, TrainingConfig(lam=0.5, epochs=1))
-    result = train(identity, adj, None, labels, masks, TrainingConfig(lam=1.0, epochs=2))
+        train(identity, adj, labels, masks, TrainingConfig(lam=0.5, epochs=1))
+    result = train(identity, adj, labels, masks, TrainingConfig(lam=1.0, epochs=2))
     assert result.head is None
+
+
+def test_identity_features_reject_a_linear_head():
+    # Identity features carry no document embeddings for the head to read.
+    features, adj, _, labels, _ = pipeline_setup(45, identity=True)
+    gcn, head = init_parameters(features.dim, 3, 2, 3, seed=0)
+    with pytest.raises(ValueError, match="a linear head requires document embeddings"):
+        loss_and_gradients(features, adj, gcn, head, labels, [True] * 4, 0.5)
+    with pytest.raises(ValueError, match="a linear head requires document embeddings"):
+        fused_probabilities(features, adj, gcn, head, 0.5)
 
 
 def test_train_best_epoch_prefers_latest_tie():
     # Once validation F1 saturates, continued training keeps the newest weights.
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=40, dropout=0.0, seed=0)
-    result = train(features, adj, embeddings, labels, masks, config)
+    result = train(features, adj, labels, masks, config)
     best = max(h.val_f1 for h in result.history)
     assert result.history[-1].val_f1 == best
     assert result.best_epoch == result.history[-1].epoch
@@ -511,7 +503,7 @@ def test_train_best_epoch_prefers_latest_tie():
 def test_train_patience_stops_early():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=500, dropout=0.0, seed=0, patience=5)
-    result = train(features, adj, embeddings, labels, masks, config)
+    result = train(features, adj, labels, masks, config)
     assert len(result.history) < 500
     assert result.best_epoch == result.history[-1].epoch
 
@@ -540,11 +532,8 @@ def test_train_matches_reference_loop(case):
         lam=spec["lam"], epochs=25, hidden_dim=8, learning_rate=0.05, weight_decay=1e-3,
         patience=spec["patience"], seed=len(case),
     )
-    emb = None if spec["identity"] else embeddings
-    result = train(features, adj, emb, labels, masks, config)
-    history, ref_gcn, ref_head, best_epoch = reference_train(
-        features, adj, emb, labels, masks, config
-    )
+    result = train(features, adj, labels, masks, config)
+    history, ref_gcn, ref_head, best_epoch = reference_train(features, adj, labels, masks, config)
     assert [(h.epoch, h.loss, h.val_acc, h.val_f1) for h in result.history] == history
     assert result.best_epoch == best_epoch
     if spec["patience"] is not None:
@@ -561,9 +550,9 @@ def test_train_matches_reference_loop(case):
 def test_train_never_reads_test_labels():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=10, seed=1)
-    a = train(features, adj, embeddings, labels, masks, config)
+    a = train(features, adj, labels, masks, config)
     flipped = [1 - lab if masks["test"][i] else lab for i, lab in enumerate(labels)]
-    b = train(features, adj, embeddings, flipped, masks, config)
+    b = train(features, adj, flipped, masks, config)
     np.testing.assert_array_equal(a.gcn.W1, b.gcn.W1)
     np.testing.assert_array_equal(a.gcn.W2, b.gcn.W2)
     np.testing.assert_array_equal(a.head.W, b.head.W)
@@ -574,9 +563,9 @@ def test_train_never_reads_test_labels():
 def test_train_val_labels_do_not_touch_loss():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=10, seed=1)
-    a = train(features, adj, embeddings, labels, masks, config)
+    a = train(features, adj, labels, masks, config)
     flipped = [1 - lab if masks["val"][i] else lab for i, lab in enumerate(labels)]
-    b = train(features, adj, embeddings, flipped, masks, config)
+    b = train(features, adj, flipped, masks, config)
     assert [h.loss for h in a.history] == [h.loss for h in b.history]
 
 
@@ -584,15 +573,15 @@ def test_train_divergence_reports_epoch():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=5, weight_decay=1e308, seed=0)
     with pytest.raises(DivergenceError) as exc:
-        train(features, adj, embeddings, labels, masks, config)
+        train(features, adj, labels, masks, config)
     assert exc.value.epoch == 0
 
 
 def test_evaluate_returns_weighted_report():
     features, adj, embeddings, labels, masks = separable_setup()
-    result = train(features, adj, embeddings, labels, masks, TrainingConfig(epochs=30, dropout=0.0))
+    result = train(features, adj, labels, masks, TrainingConfig(epochs=30, dropout=0.0))
     report = evaluate(
-        features, adj, result.gcn, result.head, embeddings, 0.2, labels, masks["test"]
+        features, adj, result.gcn, result.head, 0.2, labels, masks["test"]
     )
     assert isinstance(report, MetricsReport)
     assert report.averaging == "weighted"
@@ -605,11 +594,11 @@ def test_evaluate_returns_weighted_report():
 
 def test_fused_boundaries_match_single_branches():
     features, adj, embeddings, labels, masks = separable_setup()
-    result = train(features, adj, embeddings, labels, masks, TrainingConfig(epochs=8))
+    result = train(features, adj, labels, masks, TrainingConfig(epochs=8))
     z_g = gcn_forward(features, adj, result.gcn)
     z_b = linear_forward(embeddings, result.head)
-    only_gcn = fused_probabilities(features, adj, result.gcn, result.head, embeddings, 1.0)
-    only_head = fused_probabilities(features, adj, result.gcn, result.head, embeddings, 0.0)
+    only_gcn = fused_probabilities(features, adj, result.gcn, result.head, 1.0)
+    only_head = fused_probabilities(features, adj, result.gcn, result.head, 0.0)
     np.testing.assert_array_equal(only_gcn.values, z_g.values)
     np.testing.assert_array_equal(only_head.values, z_b.values)
 
@@ -619,7 +608,7 @@ def test_ablate_matches_individual_runs():
     base = TrainingConfig(epochs=6, dropout=0.0)
     grid = [1.0, 0.0, 0.5]
     seeds = [0, 1]
-    rows = ablate_lambda(grid, base, features, adj, embeddings, labels, masks, seeds)
+    rows = ablate_lambda(grid, base, features, adj, labels, masks, seeds)
     assert [r.lam for r in rows] == [0.0, 0.5, 1.0]
     from dataclasses import replace
 
@@ -627,9 +616,9 @@ def test_ablate_matches_individual_runs():
         accs, f1s = [], []
         for seed in seeds:
             cfg = replace(base, lam=row.lam, seed=seed)
-            result = train(features, adj, embeddings, labels, masks, cfg)
+            result = train(features, adj, labels, masks, cfg)
             rep = evaluate(
-                features, adj, result.gcn, result.head, embeddings, row.lam, labels, masks["test"]
+                features, adj, result.gcn, result.head, row.lam, labels, masks["test"]
             )
             accs.append(rep.accuracy)
             f1s.append(rep.f1)
@@ -650,7 +639,7 @@ def test_ablate_rejects_out_of_range_grid_before_training(monkeypatch):
     monkeypatch.setattr(gcn_module, "train", counting_train)
     with pytest.raises(ValueError, match="grid"):
         ablate_lambda(
-            [0.2, 1.5], TrainingConfig(epochs=1), features, adj, embeddings, labels, masks, [0]
+            [0.2, 1.5], TrainingConfig(epochs=1), features, adj, labels, masks, [0]
         )
     assert calls == []
 
@@ -660,7 +649,7 @@ def test_ablate_rejects_out_of_range_grid_before_training(monkeypatch):
 
 def test_checkpoint_roundtrip(tmp_path):
     features, adj, embeddings, labels, masks = separable_setup()
-    result = train(features, adj, embeddings, labels, masks, TrainingConfig(epochs=4))
+    result = train(features, adj, labels, masks, TrainingConfig(epochs=4))
     path = tmp_path / "model.bin"
     save_checkpoint(path, result.gcn, result.head)
     gcn, head = load_checkpoint(path)
@@ -838,7 +827,7 @@ def test_identity_features_are_never_materialized():
 
 def test_history_csv_format(tmp_path):
     features, adj, embeddings, labels, masks = separable_setup()
-    result = train(features, adj, embeddings, labels, masks, TrainingConfig(epochs=3))
+    result = train(features, adj, labels, masks, TrainingConfig(epochs=3))
     path = tmp_path / "history.csv"
     write_history_csv(path, result.history)
     with open(path, newline="") as fh:
@@ -851,7 +840,7 @@ def test_history_csv_format(tmp_path):
 def test_ablation_csv_format(tmp_path):
     features, adj, embeddings, labels, masks = separable_setup()
     rows_in = ablate_lambda(
-        [0.0, 1.0], TrainingConfig(epochs=2), features, adj, embeddings, labels, masks, [0]
+        [0.0, 1.0], TrainingConfig(epochs=2), features, adj, labels, masks, [0]
     )
     path = tmp_path / "ablation.csv"
     write_ablation_csv(path, rows_in)
