@@ -207,6 +207,13 @@ def _load_split_for(doc_ids, path):
     return split
 
 
+def _require_train_and_test(masks) -> None:
+    """Refuse a split that leaves nothing to train on or to score, before any seed trains."""
+    for name in ("train", "test"):
+        if not any(masks[name]):
+            raise ValueError(f"the split has no {name} documents")
+
+
 def _training_inputs(args):
     """Shared artifact loading for train-gcn and ablate."""
     if bool(args.embeddings) == args.identity:
@@ -220,6 +227,7 @@ def _training_inputs(args):
         name: np.asarray(split.mask(corpus.doc_ids, name), dtype=bool)
         for name in SPLIT_NAMES
     }
+    _require_train_and_test(masks)
     embeddings = None
     if args.embeddings:
         csv_file = str(args.embeddings).endswith(".csv")
@@ -300,6 +308,7 @@ def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
         name: [split.assignment.get(corpus.doc_ids[i]) == name for i in rows]
         for name in SPLIT_NAMES
     }
+    _require_train_and_test(masks)
 
     def run_one(seed: int):
         result = convnet.train_conv(aligned, labels, masks, replace(base, seed=seed))
@@ -398,12 +407,18 @@ def _eval_predictions(args) -> tuple:
             raise ValueError(f"expected prediction header id,pred, got {header}")
         for row in reader:
             if len(row) != 2:
-                raise ValueError(f"malformed prediction row: {row}")
+                raise ValueError(f"line {reader.line_num}: malformed prediction row: {row}")
             if row[0] in preds_by_id:
                 raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
             if row[0] not in known:
                 raise ValueError(f"line {reader.line_num}: prediction id {row[0]!r} is not in the corpus")
-            preds_by_id[row[0]] = int(row[1])
+            try:
+                pred = int(row[1])
+            except ValueError:
+                pred = None
+            if pred not in (0, 1):
+                raise ValueError(f"line {reader.line_num}: prediction {row[1]!r} is not 0 or 1")
+            preds_by_id[row[0]] = pred
     if args.split:
         split = _load_split_for(corpus.doc_ids, args.split)
         eval_ids = [
@@ -489,6 +504,8 @@ def cmd_eval(args, config: dict, man: RunManifest) -> None:
 def cmd_export(args, config: dict, man: RunManifest) -> None:
     if args.docs is None and args.label is None:
         raise UsageError("nothing to export: pass --docs and/or --label")
+    if args.docs is not None and not args.graph:
+        raise UsageError("--docs needs --graph, the graph.json that build-graph wrote")
     corpus = load_tokenized(args.tokenized)
 
     if args.label is not None:
@@ -498,11 +515,7 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
         print(f"label {args.label}: {len(table.entries)} ranked tokens")
 
     if args.docs is not None:
-        if args.graph:
-            tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
-        else:
-            tfidf = graph.compute_tfidf(corpus)
-            ppmi = graph.ppmi_edges(graph.slide_windows(corpus, config["window"]))
+        tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
         if args.docs.isdigit():
             doc_ids = corpus.doc_ids[: int(args.docs)]
         else:
@@ -625,14 +638,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--averaging", choices=list(evaluation.AVERAGING_MODES))
 
-    p = command("export", cmd_export, ("window",), ("tokenized", "graph"),
+    p = command("export", cmd_export, (), ("tokenized", "graph"),
                 help="interpretability exports (frequencies, salience)")
     p.add_argument("--tokenized", required=True)
-    p.add_argument("--graph", help="reuse a built graph instead of recomputing")
+    p.add_argument("--graph", help="graph.json from build-graph (required with --docs)")
     p.add_argument("--label", type=int, choices=[0, 1], help="word-frequency export label")
     p.add_argument("--docs", help="document count (first N) or comma-separated ids")
     p.add_argument("--k", dest="top_k", type=int, default=5, help="salient words per document")
-    p.add_argument("--window", type=int)
 
     return parser
 

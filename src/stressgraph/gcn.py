@@ -351,25 +351,6 @@ def loss_and_gradients(
     return loss, grads
 
 
-def compute_loss(
-    features: NodeFeatures,
-    adj_norm: sp.csr_array,
-    gcn: GCNParameters,
-    head: LinearHead | None,
-    labels,
-    train_mask,
-    lam: float,
-    weight_decay: float = 0.0,
-    dropout_mask: np.ndarray | None = None,
-) -> float:
-    """Loss only, on the exact forward path used by loss_and_gradients."""
-    cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask)
-    loss = nll_loss(cache["z_final"], labels, train_mask)
-    if weight_decay:
-        loss += _l2_penalty(gcn, head, weight_decay)
-    return loss
-
-
 @dataclass
 class AdamState:
     """Per-parameter first/second moment accumulators."""

@@ -141,16 +141,11 @@ class CompletionTranscript:
 
 def build_zero_shot(text: str, spec: PromptSpec = PromptSpec()) -> str:
     """Instruction, the input text, and an empty Output section."""
-    if not text:
-        raise ValueError("cannot build a prompt from empty text")
-    return f"{spec.task_line}\n\nInput Text:\n{text}\n\nOutput:\n"
+    return build_few_shot(ShotSet(shots=()), text, spec)
 
 
 def build_few_shot(shots: ShotSet, text: str, spec: PromptSpec = PromptSpec()) -> str:
-    """Exemplar Input/Output pairs in shot order, then the query.
-
-    An empty shot set degenerates to the zero-shot prompt.
-    """
+    """Exemplar Input/Output pairs in shot order, then the query."""
     if not text:
         raise ValueError("cannot build a prompt from empty text")
     parts = [spec.task_line, ""]

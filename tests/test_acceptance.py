@@ -216,10 +216,10 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
                 weight_decay=weight_decay, dropout_mask=dropout_mask,
             )
             fd = fd_gradients(
-                lambda: gcn.compute_loss(
+                lambda: gcn.loss_and_gradients(
                     features, adj, params, head, labels, train_mask,
                     lam, weight_decay=weight_decay, dropout_mask=dropout_mask,
-                ),
+                )[0],
                 arrays,
             )
             for name in arrays:

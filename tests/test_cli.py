@@ -785,6 +785,21 @@ def test_eval_predictions_repeated_id_is_data_error(pipeline, tmp_path, capsys):
     assert "line 4: repeated prediction id 'd00'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, message", [
+    ("d01,1,0", "line 3: malformed prediction row: ['d01', '1', '0']"),
+    ("d01,abc", "line 3: prediction 'abc' is not 0 or 1"),
+    ("d01,2", "line 3: prediction '2' is not 0 or 1"),
+], ids=["field-count", "not-an-integer", "not-0-or-1"])
+def test_eval_predictions_malformed_row_names_its_line(pipeline, tmp_path, capsys, row, message):
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text(f"id,pred\nd00,0\n{row}\nd02,1\n", encoding="utf-8")
+    rc = cli.main(["eval", "--pred", str(pred_path),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "rep")])
+    assert rc == cli.EXIT_DATA
+    assert f"data error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 @pytest.mark.parametrize("with_split", [False, True])
 def test_eval_predictions_unknown_id_is_data_error(pipeline, tmp_path, capsys, with_split):
     corpus = load_tokenized(pipeline["tokenized"])
@@ -1061,14 +1076,17 @@ def test_export_salience_explicit_ids(pipeline, tmp_path):
     assert docs == ["d03", "d10"]
 
 
-def test_export_recompute_matches_prebuilt_graph(pipeline, tmp_path):
-    out_prebuilt, out_fresh = tmp_path / "prebuilt", tmp_path / "fresh"
-    base = ["export", "--tokenized", str(pipeline["tokenized"]), "--docs", "3"]
-    assert cli.main(base + ["--graph", str(pipeline["graph"]),
-                            "--out", str(out_prebuilt)]) == 0
-    assert cli.main(base + ["--out", str(out_fresh)]) == 0
-    assert (out_prebuilt / "salience.json").read_bytes() == \
-        (out_fresh / "salience.json").read_bytes()
+def test_export_docs_without_graph_is_usage_error(pipeline, tmp_path, capsys):
+    # The salience export reads the graph build-graph wrote; it builds none of its own.
+    out = tmp_path / "out"
+    base = ["export", "--tokenized", str(pipeline["tokenized"]), "--docs", "3", "--label", "1"]
+    assert cli.main(base + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert "--docs needs --graph" in capsys.readouterr().err
+    assert not out.exists()
+    assert cli.main(base + ["--graph", str(pipeline["graph"]), "--window", "5",
+                            "--out", str(out)]) == cli.EXIT_USAGE
+    assert "unrecognized arguments: --window 5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_export_unknown_doc_id_is_data_error(pipeline, tmp_path, capsys):
@@ -1482,6 +1500,34 @@ def test_empty_seeds_or_grid_are_data_errors(pipeline, tmp_path, capsys, command
     assert not out.exists() or not [p for p in os.listdir(out) if p != "manifest.json"]
 
 
+@pytest.mark.parametrize("empty, ratios", [("test", "0.8,0.2,0"), ("train", "0,0.5,0.5")])
+@pytest.mark.parametrize("command", ["train-gcn", "ablate", "train-conv"])
+def test_split_without_train_or_test_documents_is_refused_before_training(
+        pipeline, tmp_path, monkeypatch, capsys, command, empty, ratios):
+    assert cli.main(["split", "--tokenized", str(pipeline["tokenized"]), "--ratios", ratios,
+                     "--out", str(tmp_path / "sp")]) == 0
+    split_path = str(tmp_path / "sp" / "split.jsonl")
+    calls = []
+    for module, name in ((gcn, "train"), (convnet, "train_conv")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(1))
+    out = tmp_path / "run"
+    if command == "train-conv":
+        seq_path = tmp_path / "sequences.bin"
+        write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
+        args = ["train-conv", "--tokenized", str(pipeline["tokenized"]), "--split", split_path,
+                "--sequences", str(seq_path), "--embedding-dim", "8", "--out", str(out)]
+    else:
+        base = train_gcn_args if command == "train-gcn" else ablate_args
+        args = base(pipeline, out, ["--embeddings", str(pipeline["embeddings"])]
+                    if command == "train-gcn" else [])
+        args[args.index("--split") + 1] = split_path
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_DATA
+    assert f"data error: the split has no {empty} documents" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # crash-safe writers
 
@@ -1504,7 +1550,8 @@ def _writers(pipeline, tmp_path) -> dict:
         "prompts.jsonl": lambda: cli.main(["prompts", "--corpus", str(pipeline["corpus"]), *out]),
         "report.txt": lambda: cli.main(["eval", "--counts", str(counts), *out]),
         "salience.dot": lambda: cli.main(
-            ["export", "--tokenized", str(pipeline["tokenized"]), "--docs", "3", *out]
+            ["export", "--tokenized", str(pipeline["tokenized"]), "--graph", str(pipeline["graph"]),
+             "--docs", "3", *out]
         ),
     }
 

@@ -29,7 +29,6 @@ from stressgraph.gcn import (
     ProbabilityMatrix,
     TrainingConfig,
     ablate_lambda,
-    compute_loss,
     evaluate,
     fused_probabilities,
     gcn_forward,
@@ -261,10 +260,10 @@ def test_gradients_match_finite_differences(case):
     )
     arrays = param_blocks(gcn, head)
     fd = fd_gradients(
-        lambda: compute_loss(
+        lambda: loss_and_gradients(
             features, adj, gcn, head, labels, train_mask, lam,
             weight_decay=weight_decay, dropout_mask=dropout_mask,
-        ),
+        )[0],
         arrays,
     )
     for name in arrays:

@@ -1,9 +1,11 @@
-"""The README's "Library use" block runs as written, and its defaults table is complete."""
+"""The README's "Library use" block runs as written, its shell walkthrough
+parses, and its defaults table is complete."""
 
 import os
 import re
+import shlex
 
-from stressgraph.cli import CONFIG_DEFAULTS
+from stressgraph.cli import CONFIG_DEFAULTS, build_parser
 from test_cli import write_corpus
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
@@ -37,3 +39,24 @@ def test_readme_defaults_table_lists_every_config_key():
     keys = re.findall(r"\| `(\w+)`", table)
     assert len(keys) == len(set(keys))
     assert set(keys) == set(CONFIG_DEFAULTS)
+
+
+def walkthrough_commands() -> list:
+    """The argv of every `stressgraph ...` command in the README's shell blocks,
+    with backslash continuations joined and comments dropped."""
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme_text(), re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["stressgraph"]:
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_walkthrough_commands_parse():
+    commands = walkthrough_commands()
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    subcommands = parser._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in commands} == set(subcommands)
