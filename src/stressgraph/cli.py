@@ -123,7 +123,7 @@ def _has_default_type(value, default) -> bool:
 
 
 def resolve_config(args, keys) -> dict:
-    """Layer defaults, then the config file, then explicit CLI flags."""
+    """Layer defaults, then the config file, then explicit CLI flags; check jobs, seeds, grid."""
     resolved = {key: CONFIG_DEFAULTS[key] for key in keys}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -147,6 +147,20 @@ def resolve_config(args, keys) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             resolved[key] = value
+    # Checked before any input is hashed or read; a command without a grid or seeds has [0].
+    grid, seeds = sorted(resolved.get("grid", [0])), resolved.get("seeds", [0])
+    if resolved.get("jobs", 1) < 1:
+        raise ValueError("jobs must be at least 1")
+    if any(not 0.0 <= lam <= 1.0 for lam in grid):
+        raise ValueError("every grid value must lie in [0, 1]")
+    if not grid:
+        raise ValueError("the grid must hold at least one value")
+    if len(set(grid)) != len(grid):
+        raise ValueError(f"grid values must not repeat, got {grid}")
+    if not seeds:
+        raise ValueError("seeds must hold at least one seed")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"seeds must not repeat, got {seeds}")
     return resolved
 
 
@@ -241,21 +255,37 @@ def _training_inputs(args):
     return corpus, adj_norm, features, masks
 
 
+def _gcn_cell(args, config: dict):
+    """Load the train-gcn/ablate inputs; returns run_cell((lam, seed)) -> (result, test report)."""
+    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
+    corpus, adj_norm, features, masks = _training_inputs(args)
+
+    def run_cell(cell):
+        lam, seed = cell
+        cell_config = replace(base, lam=lam, seed=seed)
+        result = gcn.train(features, adj_norm, corpus.labels, masks, cell_config)
+        return result, gcn.evaluate(
+            features, adj_norm, result.gcn, result.head, lam, corpus.labels, masks["test"]
+        )
+
+    return run_cell
+
+
+def _run_cells(run_cell, cells, jobs: int) -> list:
+    """run_cell over cells on jobs threads; results in cell order, so they do not depend on jobs."""
+    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(run_cell, cells))
+
+
 def _run_seeds(man: RunManifest, seeds, jobs: int, run_one, prefix: str):
-    """Train every seed on one pool, then write the per-seed files and the aggregate.
+    """Train every seed through _run_cells, then write the per-seed files and the aggregate.
 
     run_one(seed) returns (parameter blocks, history, test report, extra
-    metrics fields), written as <prefix>checkpoint-seed<N>.bin,
-    <prefix>history-seed<N>.csv and <prefix>metrics-seed<N>.json in seed order
-    once the pool is done, so the bytes do not depend on jobs. Returns the
-    aggregate written to <prefix>aggregate.json.
+    metrics fields), written in seed order as <prefix>checkpoint-seed<N>.bin,
+    <prefix>history-seed<N>.csv and <prefix>metrics-seed<N>.json. Returns the
+    aggregate, also written to <prefix>aggregate.json.
     """
-    if not seeds:
-        raise ValueError("seeds must hold at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must not repeat, got {seeds}")
-    with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(run_one, seeds))
+    outcomes = _run_cells(run_one, seeds, jobs)
     for seed, (blocks, history, report, extra) in zip(seeds, outcomes):
         gcn.save_parameter_blocks(man.output(f"{prefix}checkpoint-seed{seed}.bin"), blocks)
         gcn.write_history_csv(man.output(f"{prefix}history-seed{seed}.csv"), history)
@@ -270,14 +300,10 @@ def _run_seeds(man: RunManifest, seeds, jobs: int, run_one, prefix: str):
 
 
 def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
-    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
-    corpus, adj_norm, features, masks = _training_inputs(args)
+    run_cell = _gcn_cell(args, config)
 
     def run_one(seed: int):
-        result = gcn.train(features, adj_norm, corpus.labels, masks, replace(base, seed=seed))
-        report = gcn.evaluate(
-            features, adj_norm, result.gcn, result.head, base.lam, corpus.labels, masks["test"]
-        )
+        result, report = run_cell((config["lam"], seed))
         blocks = gcn.param_blocks(result.gcn, result.head)
         return blocks, result.history, report, {"best_epoch": result.best_epoch}
 
@@ -327,18 +353,23 @@ def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
 
 
 def cmd_ablate(args, config: dict, man: RunManifest) -> None:
-    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
-    corpus, adj_norm, features, masks = _training_inputs(args)
-    rows = gcn.ablate_lambda(
-        config["grid"], base, features, adj_norm, corpus.labels, masks, config["seeds"],
-        jobs=config["jobs"],
-    )
-    gcn.write_ablation_csv(man.output("ablation.csv"), rows)
-    table = evaluation.render_table(
-        ["lambda", "accuracy", "f1", "acc_std", "f1_std"],
-        [[f"{r.lam:g}", f"{r.accuracy:.4f}", f"{r.f1:.4f}",
-          f"{r.acc_std:.4f}", f"{r.f1_std:.4f}"] for r in rows],
-    )
+    run_cell = _gcn_cell(args, config)
+    grid, seeds = sorted(config["grid"]), config["seeds"]
+    cells = [(lam, seed) for lam in grid for seed in seeds]
+    reports = _run_cells(lambda cell: run_cell(cell)[1], cells, config["jobs"])
+    rows = []
+    for pos, lam in enumerate(grid):
+        stats = evaluation.aggregate(reports[pos * len(seeds):(pos + 1) * len(seeds)]).stats
+        (accuracy, acc_std), (f1, f1_std) = stats["accuracy"], stats["f1"]
+        rows.append((lam, accuracy, f1, acc_std, f1_std))
+
+    def formatted(spec):
+        return [[f"{lam:g}", *(format(v, spec) for v in rest)] for lam, *rest in rows]
+
+    header = ["lambda", "accuracy", "f1", "acc_std", "f1_std"]
+    with atomic_write(man.output("ablation.csv")) as fh:
+        csv.writer(fh).writerows([header, *formatted(".17g")])
+    table = evaluation.render_table(header, formatted(".4f"))
     with atomic_write(man.output("ablation.txt")) as fh:
         fh.write(table)
     print(table, end="")
@@ -443,7 +474,7 @@ def _eval_predictions(args) -> tuple:
 def _eval_transcripts(args) -> tuple:
     corpus = load_tokenized(args.tokenized)
     store = prompting.load_transcript_store(args.transcripts)
-    gold, transcripts, seen = [], [], set()
+    known, gold, transcripts, seen = set(corpus.doc_ids), [], [], set()
     with open(args.prompts, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -461,6 +492,9 @@ def _eval_transcripts(args) -> tuple:
             if record["id"] in seen:
                 raise ValueError(f"prompts file line {line_no}: repeated prompt id {record['id']!r}")
             seen.add(record["id"])
+            if record["id"] not in known:
+                raise ValueError(f"prompts file line {line_no}: prompt id {record['id']!r} "
+                                 "is not in the corpus")
             label = corpus.labels[corpus.row_of(record["id"])]
             if label is None:
                 raise ValueError(f"document {record['id']!r} is unlabeled")
@@ -688,7 +722,8 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message; print the message itself.
+        print(f"data error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return EXIT_DATA
 
 

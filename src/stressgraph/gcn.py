@@ -12,8 +12,7 @@ from __future__ import annotations
 import csv as _csv
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -135,15 +134,6 @@ class TrainResult:
     head: LinearHead | None
     history: list[EpochStats]
     best_epoch: int | None
-
-
-@dataclass
-class AblationRow:
-    lam: float
-    accuracy: float
-    f1: float
-    acc_std: float
-    f1_std: float
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -517,68 +507,12 @@ def train(
     return TrainResult(gcn=gcn, head=head, history=history, best_epoch=best_epoch)
 
 
-def ablate_lambda(
-    grid,
-    base_config: TrainingConfig,
-    features: NodeFeatures,
-    adj_norm: sp.csr_array,
-    labels,
-    masks: dict,
-    seeds,
-    jobs: int = 1,
-) -> list[AblationRow]:
-    """Train/evaluate once per (lam, seed); report test-set means over seeds.
-
-    The (lam, seed) cells run on a pool of jobs threads; each cell is
-    deterministic, so the rows do not depend on jobs.
-    """
-    grid = sorted(grid)
-    if any(not 0.0 <= lam <= 1.0 for lam in grid):
-        raise ValueError("every grid value must lie in [0, 1]")
-    if not grid:
-        raise ValueError("the grid must hold at least one value")
-    if len(set(grid)) != len(grid):
-        raise ValueError(f"grid values must not repeat, got {grid}")
-    seeds = list(seeds)
-    if not seeds:
-        raise ValueError("seeds must hold at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError(f"seeds must not repeat, got {seeds}")
-
-    def run_cell(cell):
-        lam, seed = cell
-        result = train(features, adj_norm, labels, masks, replace(base_config, lam=lam, seed=seed))
-        report = evaluate(features, adj_norm, result.gcn, result.head, lam, labels, masks["test"])
-        return report.accuracy, report.f1
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        scores = list(pool.map(run_cell, [(lam, seed) for lam in grid for seed in seeds]))
-    rows = []
-    for pos, lam in enumerate(grid):
-        cells = scores[pos * len(seeds):(pos + 1) * len(seeds)]
-        accuracy, acc_std = evaluation.mean_std([acc for acc, _ in cells])
-        f1, f1_std = evaluation.mean_std([f1 for _, f1 in cells])
-        rows.append(AblationRow(float(lam), accuracy, f1, acc_std, f1_std))
-    return rows
-
-
 def write_history_csv(path, history: list[EpochStats]) -> None:
     with atomic_write(path) as fh:
         writer = _csv.writer(fh)
         writer.writerow(["epoch", "loss", "val_acc", "val_f1"])
         for row in history:
             writer.writerow([row.epoch, f"{row.loss:.17g}", f"{row.val_acc:.17g}", f"{row.val_f1:.17g}"])
-
-
-def write_ablation_csv(path, rows: list[AblationRow]) -> None:
-    with atomic_write(path) as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["lambda", "accuracy", "f1", "acc_std", "f1_std"])
-        for row in rows:
-            writer.writerow(
-                [f"{row.lam:g}", f"{row.accuracy:.17g}", f"{row.f1:.17g}",
-                 f"{row.acc_std:.17g}", f"{row.f1_std:.17g}"]
-            )
 
 
 def save_parameter_blocks(path, blocks: dict) -> None:

@@ -6,12 +6,13 @@ shares none of its structure.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
 from stressgraph.corpus import TokenizedCorpus, Vocabulary
-from stressgraph.gcn import evaluate, init_parameters, loss_and_gradients
+from stressgraph.gcn import evaluate, init_parameters, loss_and_gradients, train
 
 
 def make_corpus(sequences, n_tokens=None, labels=None) -> TokenizedCorpus:
@@ -438,3 +439,25 @@ def reference_train(features, adj_norm, labels, masks, config):
     if best is not None:
         params, head = best
     return history, params, head, best_epoch
+
+
+def reference_ablation(grid, base, features, adj_norm, labels, masks, seeds):
+    """The lambda sweep one cell at a time: per sorted lam, (lam, accuracy, f1, acc_std,
+    f1_std) over seeds, as np.mean and np.std(ddof=1) of the test reports (std 0 for one seed).
+    """
+    rows = []
+    for lam in sorted(grid):
+        accs, f1s = [], []
+        for seed in seeds:
+            result = train(features, adj_norm, labels, masks, replace(base, lam=lam, seed=seed))
+            report = evaluate(features, adj_norm, result.gcn, result.head, lam, labels,
+                              masks["test"])
+            accs.append(report.accuracy)
+            f1s.append(report.f1)
+        rows.append((lam, float(np.mean(accs)), float(np.mean(f1s)),
+                     _sample_std(accs), _sample_std(f1s)))
+    return rows
+
+
+def _sample_std(values) -> float:
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0

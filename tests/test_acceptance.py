@@ -6,6 +6,7 @@ the contract and are asserted, not just observed.
 """
 
 import contextlib
+import csv
 import json
 import time
 from dataclasses import replace
@@ -18,17 +19,26 @@ from oracles import brute_normalize_dense, edge_triples, make_corpus, window_set
 from test_cli import artifact_digests, write_corpus
 
 from stressgraph import cli, convnet, evaluation, gcn, prompting
-from stressgraph.corpus import SPLIT_NAMES, stratified_split
+from stressgraph.corpus import (
+    SPLIT_NAMES,
+    SplitAssignment,
+    save_split,
+    save_tokenized,
+    stratified_split,
+)
 from stressgraph.gcn import TrainingConfig
 from stressgraph.graph import (
     EmbeddingMatrix,
     assemble_adjacency,
     build_node_features,
     compute_tfidf,
+    export_graph_json,
     normalize_adjacency,
     ppmi,
     ppmi_edges,
+    save_graph_json,
     slide_windows,
+    write_embeddings,
     write_embeddings_csv,
 )
 
@@ -93,8 +103,8 @@ def assert_per_coordinate_close(analytic: np.ndarray, fd: np.ndarray, context: s
     assert worst < 1e-4, f"{context}: worst per-coordinate relative error {worst:.3e}"
 
 
-def trained_toy_state(lam: float, seed: int = 0, epochs: int = 25):
-    """Small separable corpus trained through the real trainer."""
+def toy_inputs(seed: int = 0):
+    """Small separable corpus: (corpus, tfidf, word_edges, embeddings, masks)."""
     rng = np.random.default_rng(40 + seed)
     n_docs = 12
     sequences, labels = [], []
@@ -105,17 +115,23 @@ def trained_toy_state(lam: float, seed: int = 0, epochs: int = 25):
     corpus = make_corpus(sequences, n_tokens=6, labels=labels)
     tfidf = compute_tfidf(corpus)
     word_edges = ppmi_edges(slide_windows(corpus, 4))
-    adj = normalize_adjacency(assemble_adjacency(tfidf, word_edges, n_docs, 6))
     emb = np.zeros((n_docs, 2))
     emb[np.arange(n_docs), labels] = 1.0
     emb += rng.normal(scale=0.1, size=emb.shape)
-    embeddings = EmbeddingMatrix(emb)
-    features = build_node_features(embeddings, n_docs, 6)
     masks = {
         "train": np.array([i < 6 for i in range(n_docs)]),
         "val": np.array([6 <= i < 9 for i in range(n_docs)]),
         "test": np.array([i >= 9 for i in range(n_docs)]),
     }
+    return corpus, tfidf, word_edges, EmbeddingMatrix(emb), masks
+
+
+def trained_toy_state(lam: float, seed: int = 0, epochs: int = 25):
+    """Small separable corpus trained through the real trainer."""
+    corpus, tfidf, word_edges, embeddings, masks = toy_inputs(seed)
+    n_docs, labels = corpus.n_docs, corpus.labels
+    adj = normalize_adjacency(assemble_adjacency(tfidf, word_edges, n_docs, 6))
+    features = build_node_features(embeddings, n_docs, 6)
     config = TrainingConfig(lam=lam, epochs=epochs, hidden_dim=8, seed=seed)
     result = gcn.train(features, adj, labels, masks, config)
     return features, adj, embeddings, labels, masks, config, result
@@ -265,7 +281,7 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
         assert time.perf_counter() - start < 30.0
 
 
-def test_acceptance_04_interpolation_boundary_identities(announce):
+def test_acceptance_04_interpolation_boundary_identities(announce, tmp_path):
     with announce(4, "interpolation boundaries reduce to the single branches"):
         features, adj, embeddings, labels, masks, config, result = trained_toy_state(lam=0.5)
 
@@ -276,26 +292,41 @@ def test_acceptance_04_interpolation_boundary_identities(announce):
         assert np.array_equal(gcn.predict(fused_0), gcn.predict(z_b))
         assert np.array_equal(gcn.predict(fused_1), gcn.predict(z_g))
 
+        # The sweep runs through the ablate command on the same inputs, written out.
+        corpus, tfidf, word_edges, _, _ = toy_inputs()
+        save_tokenized(tmp_path / "tokenized.json", corpus)
+        save_graph_json(tmp_path / "graph.json", export_graph_json(corpus, tfidf, word_edges))
+        save_split(tmp_path / "split.jsonl", SplitAssignment({
+            doc_id: next(name for name in SPLIT_NAMES if masks[name][i])
+            for i, doc_id in enumerate(corpus.doc_ids)
+        }))
+        write_embeddings(tmp_path / "embeddings.bin", embeddings)
         seeds = [0, 1]
         base = replace(config, lam=0.5, epochs=15)
-        rows = gcn.ablate_lambda(
-            [0.0, 1.0], base, features, adj, labels, masks, seeds
-        )
-        for row in rows:
+        assert cli.main([
+            "ablate", "--tokenized", str(tmp_path / "tokenized.json"),
+            "--graph", str(tmp_path / "graph.json"), "--split", str(tmp_path / "split.jsonl"),
+            "--embeddings", str(tmp_path / "embeddings.bin"), "--grid", "0,1",
+            "--seeds", "0,1", "--epochs", "15", "--hidden-dim", "8", "--out", str(tmp_path / "abl"),
+        ]) == 0
+        with open(tmp_path / "abl" / "ablation.csv", "r", encoding="utf-8", newline="") as fh:
+            rows = [[float(cell) for cell in row] for row in list(csv.reader(fh))[1:]]
+        assert [row[0] for row in rows] == [0.0, 1.0]
+        for lam, accuracy, f1, _, _ in rows:
             accs, f1s = [], []
             for seed in seeds:
                 single = gcn.train(
                     features, adj, labels, masks,
-                    replace(base, lam=row.lam, seed=seed),
+                    replace(base, lam=lam, seed=seed),
                 )
                 report = gcn.evaluate(
-                    features, adj, single.gcn, single.head, row.lam,
+                    features, adj, single.gcn, single.head, lam,
                     labels, masks["test"],
                 )
                 accs.append(report.accuracy)
                 f1s.append(report.f1)
-            assert abs(row.accuracy - float(np.mean(accs))) < 1e-12
-            assert abs(row.f1 - float(np.mean(f1s))) < 1e-12
+            assert abs(accuracy - float(np.mean(accs))) < 1e-12
+            assert abs(f1 - float(np.mean(f1s))) < 1e-12
 
 
 def test_acceptance_05_synthetic_end_to_end_learning(announce):

@@ -1,6 +1,7 @@
 """End-to-end command-line tests: artifacts, exit codes, determinism."""
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -389,10 +390,8 @@ def test_ablate_worker_pool_matches_serial(pipeline, tmp_path):
         assert (out_serial / name).read_bytes() == (out_pool / name).read_bytes()
 
 
-def test_ablate_csv_matches_library_sweep(pipeline, tmp_path):
-    out = tmp_path / "abl"
-    assert cli.main(ablate_args(pipeline, out)) == 0
-
+def pipeline_training_inputs(pipeline):
+    """(features, adj, labels, masks) of the pipeline's embedding-mode inputs, built by hand."""
     corpus = load_tokenized(pipeline["tokenized"])
     with open(pipeline["graph"], "r", encoding="utf-8") as fh:
         tfidf, word_edges, _ = graph.load_graph_json(json.load(fh))
@@ -404,13 +403,81 @@ def test_ablate_csv_matches_library_sweep(pipeline, tmp_path):
     features = graph.build_node_features(embeddings, corpus.n_docs, n_words)
     split = load_split(pipeline["split"])
     masks = {name: np.asarray(split.mask(corpus.doc_ids, name)) for name in ("train", "val", "test")}
-    rows = gcn.ablate_lambda(
+    return features, adj, corpus.labels, masks
+
+
+def read_ablation_rows(out) -> list:
+    with open(out / "ablation.csv", "r", encoding="utf-8", newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def test_ablate_csv_matches_library_sweep(pipeline, tmp_path):
+    out = tmp_path / "abl"
+    assert cli.main(ablate_args(pipeline, out)) == 0
+
+    features, adj, labels, masks = pipeline_training_inputs(pipeline)
+    rows = oracles.reference_ablation(
         [1.0, 0.0, 0.5], gcn.TrainingConfig(epochs=3, hidden_dim=4), features, adj,
-        corpus.labels, masks, [0, 1],
+        labels, masks, [0, 1],
     )
-    expected = tmp_path / "expected.csv"
-    gcn.write_ablation_csv(expected, rows)
-    assert (out / "ablation.csv").read_bytes() == expected.read_bytes()
+    expected = "lambda,accuracy,f1,acc_std,f1_std\r\n" + "".join(
+        f"{lam:g},{acc:.17g},{f1:.17g},{acc_std:.17g},{f1_std:.17g}\r\n"
+        for lam, acc, f1, acc_std, f1_std in rows
+    )
+    assert (out / "ablation.csv").read_bytes() == expected.encode("utf-8")
+
+
+def test_ablate_matches_individual_runs(pipeline, tmp_path):
+    out = tmp_path / "abl"
+    assert cli.main(ablate_args(pipeline, out)[:-2] + [
+        "--grid", "1,0,0.5", "--seeds", "0,1", "--epochs", "6", "--dropout", "0",
+        "--hidden-dim", "200", "--out", str(out),
+    ]) == 0
+    rows = [[float(cell) for cell in row] for row in read_ablation_rows(out)[1:]]
+    assert [r[0] for r in rows] == [0.0, 0.5, 1.0]
+
+    features, adj, labels, masks = pipeline_training_inputs(pipeline)
+    for lam, accuracy, f1, acc_std, _ in rows:
+        accs, f1s = [], []
+        for seed in (0, 1):
+            cfg = gcn.TrainingConfig(epochs=6, dropout=0.0, lam=lam, seed=seed)
+            result = gcn.train(features, adj, labels, masks, cfg)
+            rep = gcn.evaluate(features, adj, result.gcn, result.head, lam, labels, masks["test"])
+            accs.append(rep.accuracy)
+            f1s.append(rep.f1)
+        assert abs(accuracy - np.mean(accs)) < 1e-12
+        assert abs(f1 - np.mean(f1s)) < 1e-12
+        assert abs(acc_std - np.std(accs, ddof=1)) < 1e-12
+
+
+def test_ablate_rejects_out_of_range_grid_before_training(pipeline, tmp_path, monkeypatch,
+                                                          capsys):
+    calls = []
+    real_train = gcn.train
+
+    def counting_train(*args, **kwargs):
+        calls.append(1)
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(gcn, "train", counting_train)
+    out = tmp_path / "abl"
+    rc = cli.main(ablate_args(pipeline, out)[:-2] + [
+        "--grid", "0.2,1.5", "--epochs", "1", "--seeds", "0", "--out", str(out),
+    ])
+    assert rc == cli.EXIT_DATA
+    assert "grid" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_ablation_csv_format(pipeline, tmp_path):
+    out = tmp_path / "abl"
+    assert cli.main(ablate_args(pipeline, out)[:-2] + [
+        "--grid", "0,1", "--epochs", "2", "--seeds", "0", "--hidden-dim", "200",
+        "--out", str(out),
+    ]) == 0
+    rows = read_ablation_rows(out)
+    assert rows[0] == ["lambda", "accuracy", "f1", "acc_std", "f1_std"]
+    assert [r[0] for r in rows[1:]] == ["0", "1"]
 
 
 # ---------------------------------------------------------------------------
@@ -1026,6 +1093,27 @@ def test_eval_transcripts_repeated_prompt_id_is_data_error(pipeline, tmp_path, c
     assert not (out / "report.json").exists()
 
 
+def test_eval_transcripts_unknown_prompt_id_is_data_error(pipeline, tmp_path, capsys):
+    prompts_out = tmp_path / "prompts"
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--target-split", "test",
+                     "--out", str(prompts_out)]) == 0
+    prompts_path = prompts_out / "prompts.jsonl"
+    lines = prompts_path.read_text(encoding="utf-8").splitlines()
+    unknown = json.dumps({"id": "zz", "prompt_sha256": json.loads(lines[0])["prompt_sha256"]})
+    prompts_path.write_text("\n".join([lines[0], unknown, *lines[1:]]) + "\n", encoding="utf-8")
+    store_path = tmp_path / "transcripts.jsonl"
+    store_path.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--transcripts", str(store_path), "--prompts", str(prompts_path),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: prompts file line 2: prompt id 'zz' is not in the corpus\n"
+    )
+    assert not (out / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # export
 
@@ -1094,6 +1182,7 @@ def test_export_unknown_doc_id_is_data_error(pipeline, tmp_path, capsys):
                    "--graph", str(pipeline["graph"]), "--docs", "zz9",
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: unknown document id: 'zz9'\n"
 
 
 def test_export_repeated_doc_id_is_data_error(pipeline, tmp_path, capsys):
@@ -1482,6 +1571,27 @@ def test_repeated_seeds_or_grid_values_are_data_errors(pipeline, tmp_path, monke
     assert not out.exists() or not [p for p in os.listdir(out) if p != "manifest.json"]
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "0"], "jobs must be at least 1"),
+    (["--seeds", "0,0"], "seeds must not repeat, got [0, 0]"),
+], ids=["jobs-0", "seeds-repeat"])
+@pytest.mark.parametrize("command", ["train-gcn", "train-conv", "ablate"])
+def test_bad_jobs_or_seeds_are_reported_before_any_input_is_read(pipeline, tmp_path, capsys,
+                                                                 command, flags, message):
+    out, missing = tmp_path / "run", str(tmp_path / "missing.bin")
+    if command == "train-conv":
+        args = ["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                "--split", str(pipeline["split"]), "--sequences", missing, "--out", str(out)]
+    else:
+        base = train_gcn_args if command == "train-gcn" else ablate_args
+        args = base(pipeline, out, ["--embeddings", str(pipeline["embeddings"])]
+                    if command == "train-gcn" else [])
+        args[args.index("--graph") + 1] = missing
+    assert cli.main(args + flags) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, extra", [
     ("ablate", ["--grid", "", "--seeds", "0"]),
     ("ablate", ["--grid", "0,1", "--seeds", ""]),
@@ -1553,12 +1663,13 @@ def _writers(pipeline, tmp_path) -> dict:
             ["export", "--tokenized", str(pipeline["tokenized"]), "--graph", str(pipeline["graph"]),
              "--docs", "3", *out]
         ),
+        "ablation.csv": lambda: cli.main(ablate_args(pipeline, tmp_path)),
     }
 
 
 @pytest.mark.parametrize("name", [
     "tokenized.json", "split.jsonl", "emb.bin", "emb.csv", "seqs.bin",
-    "vocab.csv", "prompts.jsonl", "report.txt", "salience.dot",
+    "vocab.csv", "prompts.jsonl", "report.txt", "salience.dot", "ablation.csv",
 ])
 def test_failed_write_keeps_old_artifact(pipeline, tmp_path, monkeypatch, name):
     # The rename of the new file fails: the old one stays and no temp file is left.

@@ -28,7 +28,6 @@ from stressgraph.gcn import (
     LinearHead,
     ProbabilityMatrix,
     TrainingConfig,
-    ablate_lambda,
     evaluate,
     fused_probabilities,
     gcn_forward,
@@ -43,7 +42,6 @@ from stressgraph.gcn import (
     predict,
     save_checkpoint,
     train,
-    write_ablation_csv,
     write_history_csv,
 )
 from stressgraph.graph import (
@@ -588,7 +586,7 @@ def test_evaluate_returns_weighted_report():
     assert report.total == int(np.sum(masks["test"]))
 
 
-# ------------------------------------------------------- fusion/ablation
+# ---------------------------------------------------------------- fusion
 
 
 def test_fused_boundaries_match_single_branches():
@@ -600,47 +598,6 @@ def test_fused_boundaries_match_single_branches():
     only_head = fused_probabilities(features, adj, result.gcn, result.head, 0.0)
     np.testing.assert_array_equal(only_gcn.values, z_g.values)
     np.testing.assert_array_equal(only_head.values, z_b.values)
-
-
-def test_ablate_matches_individual_runs():
-    features, adj, embeddings, labels, masks = separable_setup()
-    base = TrainingConfig(epochs=6, dropout=0.0)
-    grid = [1.0, 0.0, 0.5]
-    seeds = [0, 1]
-    rows = ablate_lambda(grid, base, features, adj, labels, masks, seeds)
-    assert [r.lam for r in rows] == [0.0, 0.5, 1.0]
-    from dataclasses import replace
-
-    for row in rows:
-        accs, f1s = [], []
-        for seed in seeds:
-            cfg = replace(base, lam=row.lam, seed=seed)
-            result = train(features, adj, labels, masks, cfg)
-            rep = evaluate(
-                features, adj, result.gcn, result.head, row.lam, labels, masks["test"]
-            )
-            accs.append(rep.accuracy)
-            f1s.append(rep.f1)
-        assert abs(row.accuracy - np.mean(accs)) < 1e-12
-        assert abs(row.f1 - np.mean(f1s)) < 1e-12
-        assert abs(row.acc_std - np.std(accs, ddof=1)) < 1e-12
-
-
-def test_ablate_rejects_out_of_range_grid_before_training(monkeypatch):
-    features, adj, embeddings, labels, masks = separable_setup()
-    calls = []
-    real_train = gcn_module.train
-
-    def counting_train(*args, **kwargs):
-        calls.append(1)
-        return real_train(*args, **kwargs)
-
-    monkeypatch.setattr(gcn_module, "train", counting_train)
-    with pytest.raises(ValueError, match="grid"):
-        ablate_lambda(
-            [0.2, 1.5], TrainingConfig(epochs=1), features, adj, labels, masks, [0]
-        )
-    assert calls == []
 
 
 # ------------------------------------------------------------------- I/O
@@ -768,7 +725,6 @@ def _failing_writes(tmp_path):
     """(path, good write, failing write) per writer; the failing one raises midway."""
     gcn, _ = init_parameters(3, 2, 2, None, seed=0)
     history = [gcn_module.EpochStats(0, 0.5, 1.0, 1.0)]
-    rows = [gcn_module.AblationRow(0.5, 1.0, 1.0, 0.0, 0.0)]
     return {
         "checkpoint": (
             tmp_path / "model.bin",
@@ -781,16 +737,10 @@ def _failing_writes(tmp_path):
             lambda p: write_history_csv(p, [gcn_module.EpochStats(0, 0.25, 0.5, 0.5),
                                             gcn_module.EpochStats(1, "x", 0, 0)]),
         ),
-        "ablation": (
-            tmp_path / "ablation.csv",
-            lambda p: write_ablation_csv(p, rows),
-            lambda p: write_ablation_csv(p, [gcn_module.AblationRow(0.25, 0.5, 0.5, 0.0, 0.0),
-                                             gcn_module.AblationRow("x", 0, 0, 0, 0)]),
-        ),
     }
 
 
-@pytest.mark.parametrize("writer", ["checkpoint", "history", "ablation"])
+@pytest.mark.parametrize("writer", ["checkpoint", "history"])
 def test_failed_write_keeps_old_file(tmp_path, writer):
     path, good, bad = _failing_writes(tmp_path)[writer]
     good(path)
@@ -834,16 +784,3 @@ def test_history_csv_format(tmp_path):
     assert rows[0] == ["epoch", "loss", "val_acc", "val_f1"]
     assert len(rows) == 4
     assert float(rows[1][1]) == pytest.approx(result.history[0].loss)
-
-
-def test_ablation_csv_format(tmp_path):
-    features, adj, embeddings, labels, masks = separable_setup()
-    rows_in = ablate_lambda(
-        [0.0, 1.0], TrainingConfig(epochs=2), features, adj, labels, masks, [0]
-    )
-    path = tmp_path / "ablation.csv"
-    write_ablation_csv(path, rows_in)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["lambda", "accuracy", "f1", "acc_std", "f1_std"]
-    assert [r[0] for r in rows[1:]] == ["0", "1"]
