@@ -17,22 +17,22 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import convnet, evaluation, gcn, graph, interpret, prompting
 from .corpus import (
     DEFAULT_SPLIT_RATIOS,
     SPLIT_NAMES,
     TokenizerRules,
+    gold_labels,
     load_corpus,
     load_split,
     load_tokenized,
     save_split,
     save_tokenized,
+    split_masks,
     stratified_split,
     tokenize_corpus,
 )
-from .manifest import RunManifest, atomic_write, sha256_file, write_json, write_manifest
+from .manifest import RunManifest, atomic_write, read_json, sha256_file, write_json, write_manifest
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,8 +127,7 @@ def resolve_config(args, keys) -> dict:
     resolved = {key: CONFIG_DEFAULTS[key] for key in keys}
     config_path = getattr(args, "config", None)
     if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            file_config = json.load(fh)
+        file_config = read_json(config_path)
         if type(file_config) is not dict:
             raise ValueError("config file must hold a JSON object")
         unknown = set(file_config) - set(CONFIG_DEFAULTS)
@@ -161,6 +160,8 @@ def resolve_config(args, keys) -> dict:
         raise ValueError("seeds must hold at least one seed")
     if len(set(seeds)) != len(seeds):
         raise ValueError(f"seeds must not repeat, got {seeds}")
+    if min(seeds) < 0:
+        raise ValueError(f"seeds must not be negative, got {seeds}")
     return resolved
 
 
@@ -187,8 +188,6 @@ def cmd_ingest(args, config: dict, man: RunManifest) -> None:
 
 def cmd_split(args, config: dict, man: RunManifest) -> None:
     corpus = load_tokenized(args.tokenized)
-    if any(lab is None for lab in corpus.labels):
-        raise ValueError("stratified split requires a fully labeled corpus")
     split = stratified_split(
         corpus.doc_ids, corpus.labels, tuple(config["ratios"]), config["split_seed"]
     )
@@ -209,63 +208,29 @@ def cmd_build_graph(args, config: dict, man: RunManifest) -> None:
     )
 
 
-def _load_split_for(doc_ids, path):
-    split = load_split(path)
-    missing = set(doc_ids) - set(split.assignment)
-    extra = set(split.assignment) - set(doc_ids)
-    if missing or extra:
-        raise ValueError(
-            f"split does not align with the corpus ({len(missing)} unassigned, "
-            f"{len(extra)} unknown ids)"
-        )
-    return split
-
-
-def _require_train_and_test(masks) -> None:
-    """Refuse a split that leaves nothing to train on or to score, before any seed trains."""
-    for name in ("train", "test"):
-        if not any(masks[name]):
-            raise ValueError(f"the split has no {name} documents")
-
-
-def _training_inputs(args):
-    """Shared artifact loading for train-gcn and ablate."""
+def _gcn_cell(args, config: dict):
+    """Load the train-gcn/ablate inputs; returns run_cell((lam, seed)) -> (result, test report)."""
+    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
     if bool(args.embeddings) == args.identity:
         raise ValueError("pass exactly one of --embeddings FILE and --identity")
     corpus = load_tokenized(args.tokenized)
     tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
     adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
     adj_norm = graph.normalize_adjacency(adjacency)
-    split = _load_split_for(corpus.doc_ids, args.split)
-    masks = {
-        name: np.asarray(split.mask(corpus.doc_ids, name), dtype=bool)
-        for name in SPLIT_NAMES
-    }
-    _require_train_and_test(masks)
+    masks = split_masks(load_split(args.split).aligned(corpus.doc_ids), corpus.doc_ids)
     embeddings = None
     if args.embeddings:
         csv_file = str(args.embeddings).endswith(".csv")
         embeddings = (graph.read_embeddings_csv if csv_file else graph.read_embeddings)(args.embeddings)
-    for name in SPLIT_NAMES:
-        rows = np.flatnonzero(masks[name])
-        unlabeled = [corpus.doc_ids[i] for i in rows if corpus.labels[i] is None]
-        if unlabeled:
-            raise ValueError(f"{len(unlabeled)} {name} documents are unlabeled")
+    labels = gold_labels(corpus, corpus.doc_ids)
     features = graph.build_node_features(embeddings, corpus.n_docs, len(corpus.vocab))
-    return corpus, adj_norm, features, masks
-
-
-def _gcn_cell(args, config: dict):
-    """Load the train-gcn/ablate inputs; returns run_cell((lam, seed)) -> (result, test report)."""
-    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
-    corpus, adj_norm, features, masks = _training_inputs(args)
 
     def run_cell(cell):
         lam, seed = cell
         cell_config = replace(base, lam=lam, seed=seed)
-        result = gcn.train(features, adj_norm, corpus.labels, masks, cell_config)
+        result = gcn.train(features, adj_norm, labels, masks, cell_config)
         return result, gcn.evaluate(
-            features, adj_norm, result.gcn, result.head, lam, corpus.labels, masks["test"]
+            features, adj_norm, result.gcn, result.head, lam, labels, masks["test"]
         )
 
     return run_cell
@@ -313,39 +278,19 @@ def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
 
 def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
     corpus = load_tokenized(args.tokenized)
-    split = _load_split_for(corpus.doc_ids, args.split)
-
+    split = load_split(args.split).aligned(corpus.doc_ids)
     base = convnet.ConvHeadConfig(
         **{key: config[key] for key in CONV_FIELDS}, epochs=config["conv_epochs"]
     )
     sequences = convnet.load_token_embeddings(args.sequences, base, known_ids=corpus.doc_ids)
-    by_id = {seq.doc_id: seq for seq in sequences}
-    missing = set(split.ids_in("train")) - set(by_id)
-    if missing:
-        raise ValueError(f"{len(missing)} train documents lack token sequences")
-    rows = [i for i, doc_id in enumerate(corpus.doc_ids) if doc_id in by_id]
-    aligned = [by_id[corpus.doc_ids[i]] for i in rows]
-    labels = []
-    for i in rows:
-        if corpus.labels[i] is None:
-            raise ValueError(f"document {corpus.doc_ids[i]!r} is unlabeled")
-        labels.append(int(corpus.labels[i]))
-    masks = {
-        name: [split.assignment.get(corpus.doc_ids[i]) == name for i in rows]
-        for name in SPLIT_NAMES
-    }
-    _require_train_and_test(masks)
+    aligned, labels, masks = convnet.align_sequences(sequences, corpus, split)
+    test_rows = [i for i, flag in enumerate(masks["test"]) if flag]
 
     def run_one(seed: int):
         result = convnet.train_conv(aligned, labels, masks, replace(base, seed=seed))
-        test_rows = [i for i, flag in enumerate(masks["test"]) if flag]
-        test_seqs = [aligned[i] for i in test_rows]
-        preds = [
-            convnet.classify(z)
-            for z in convnet.conv_logits(test_seqs, result.params, base.batch_size)
-        ]
-        gold = [labels[i] for i in test_rows]
-        report = evaluation.metrics(evaluation.confusion(preds, gold))
+        logits = convnet.conv_logits([aligned[i] for i in test_rows], result.params, base.batch_size)
+        preds = [convnet.classify(z) for z in logits]
+        report = evaluation.metrics(evaluation.confusion(preds, [labels[i] for i in test_rows]))
         return convnet.param_blocks(result.params), result.history, report, {}
 
     agg = _run_seeds(man, config["seeds"], config["jobs"], run_one, "conv-")
@@ -381,12 +326,13 @@ def cmd_prompts(args, config: dict, man: RunManifest) -> None:
     spec = prompting.PromptSpec()
 
     if args.split:
-        split = _load_split_for([d.id for d in docs], args.split)
+        split = load_split(args.split).aligned([d.id for d in docs])
         target_name = config["target_split"]
         if target_name not in SPLIT_NAMES:
             raise ValueError(f"unknown target split {target_name!r}")
-        targets = [d for d in docs if split.assignment.get(d.id) == target_name]
-        pool_docs = [d for d in docs if split.assignment.get(d.id) == "train"]
+        by_id = {d.id: d for d in docs}
+        targets = [by_id[doc_id] for doc_id in split.ids_in(target_name)]
+        pool_docs = [by_id[doc_id] for doc_id in split.ids_in("train")]
     else:
         if k > 0:
             raise UsageError("few-shot prompts need --split to draw exemplars from")
@@ -416,96 +362,31 @@ def cmd_prompts(args, config: dict, man: RunManifest) -> None:
     print(f"wrote {len(targets)} prompts ({k}-shot)")
 
 
-def _eval_counts(path) -> evaluation.ConfusionMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    names = ("tn", "fp", "fn", "tp")
-    if type(payload) is not dict:
-        raise ValueError("counts file must hold a JSON object with tn/fp/fn/tp")
-    for name in names:
-        if type(payload.get(name)) is not int:
-            raise ValueError(f"counts file {name} must be an integer, not {payload.get(name)!r}")
-    return evaluation.ConfusionMatrix(**{name: payload[name] for name in names})
-
-
 def _eval_predictions(args) -> tuple:
     corpus = load_tokenized(args.tokenized)
-    known, preds_by_id = set(corpus.doc_ids), {}
-    with open(args.pred, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["id", "pred"]:
-            raise ValueError(f"expected prediction header id,pred, got {header}")
-        for row in reader:
-            if len(row) != 2:
-                raise ValueError(f"line {reader.line_num}: malformed prediction row: {row}")
-            if row[0] in preds_by_id:
-                raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
-            if row[0] not in known:
-                raise ValueError(f"line {reader.line_num}: prediction id {row[0]!r} is not in the corpus")
-            try:
-                pred = int(row[1])
-            except ValueError:
-                pred = None
-            if pred not in (0, 1):
-                raise ValueError(f"line {reader.line_num}: prediction {row[1]!r} is not 0 or 1")
-            preds_by_id[row[0]] = pred
+    preds = evaluation.read_predictions(args.pred, corpus.doc_ids)
     if args.split:
-        split = _load_split_for(corpus.doc_ids, args.split)
-        eval_ids = [
-            d for d in corpus.doc_ids
-            if split.assignment.get(d) == args.eval_split
-        ]
+        eval_ids = load_split(args.split).aligned(corpus.doc_ids).ids_in(args.eval_split)
     else:
-        eval_ids = [d for d in corpus.doc_ids if d in preds_by_id]
-    missing = [d for d in eval_ids if d not in preds_by_id]
+        eval_ids = [d for d in corpus.doc_ids if d in preds]
+    missing = [d for d in eval_ids if d not in preds]
     if missing:
         raise ValueError(f"{len(missing)} evaluated documents lack predictions")
-    preds, gold = [], []
-    for doc_id in eval_ids:
-        row = corpus.row_of(doc_id)
-        if corpus.labels[row] is None:
-            raise ValueError(f"document {doc_id!r} is unlabeled")
-        preds.append(preds_by_id[doc_id])
-        gold.append(corpus.labels[row])
-    return evaluation.confusion(preds, gold), {"n_eval": len(eval_ids)}
+    gold = gold_labels(corpus, eval_ids)
+    return evaluation.confusion([preds[d] for d in eval_ids], gold), {"n_eval": len(eval_ids)}
 
 
 def _eval_transcripts(args) -> tuple:
     corpus = load_tokenized(args.tokenized)
     store = prompting.load_transcript_store(args.transcripts)
-    known, gold, transcripts, seen = set(corpus.doc_ids), [], [], set()
-    with open(args.prompts, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                record = None
-            if type(record) is not dict or not all(
-                type(record.get(key)) is str for key in ("id", "prompt_sha256")
-            ):
-                raise ValueError(f"prompts file line {line_no}: expected an object with "
-                                 "string id and prompt_sha256")
-            if record["id"] in seen:
-                raise ValueError(f"prompts file line {line_no}: repeated prompt id {record['id']!r}")
-            seen.add(record["id"])
-            if record["id"] not in known:
-                raise ValueError(f"prompts file line {line_no}: prompt id {record['id']!r} "
-                                 "is not in the corpus")
-            label = corpus.labels[corpus.row_of(record["id"])]
-            if label is None:
-                raise ValueError(f"document {record['id']!r} is unlabeled")
-            gold.append(label)
-            transcripts.append(store.get(record["prompt_sha256"]))
+    records = prompting.read_prompt_records(args.prompts, corpus.doc_ids)
+    gold = gold_labels(corpus, [doc_id for doc_id, _ in records])
+    transcripts = [store.get(sha) for _, sha in records]
     scored, failures = prompting.transcript_predictions(transcripts, args.failures_as_negative)
     if not scored:
         raise ValueError("no evaluable transcripts (all missing or unparsed)")
-    preds = [label for _, label in scored]
     meta = {"n_prompts": len(transcripts), "parse_failures": failures}
-    return evaluation.confusion(preds, [gold[idx] for idx, _ in scored]), meta
+    return evaluation.confusion([label for _, label in scored], [gold[i] for i, _ in scored]), meta
 
 
 def cmd_eval(args, config: dict, man: RunManifest) -> None:
@@ -518,7 +399,7 @@ def cmd_eval(args, config: dict, man: RunManifest) -> None:
         raise UsageError("--transcripts needs --prompts")
     meta = {}
     if args.counts:
-        cm = _eval_counts(args.counts)
+        cm = evaluation.read_counts(args.counts)
     elif args.pred:
         cm, meta = _eval_predictions(args)
     else:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import gold_labels, split_masks
 from .gcn import AdamState, DivergenceError, EpochStats, _dropout_mask, _glorot, check_block_shapes
 from .manifest import pack_name, read_binary, write_binary
 from . import evaluation
@@ -433,3 +434,15 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
                 matrix = matrix[:config.max_len].copy()
             out[doc_id] = TokenEmbeddingSequence(doc_id=doc_id, matrix=matrix)
     return list(out.values())
+
+
+def align_sequences(sequences, corpus, split) -> tuple[list, list, dict]:
+    """The corpus documents' sequences in corpus order, their gold labels and their split_masks
+    (split aligned with the corpus); ValueError when a train document has no sequence."""
+    by_id = {seq.doc_id: seq for seq in sequences}
+    missing = set(split.ids_in("train")) - set(by_id)
+    if missing:
+        raise ValueError(f"{len(missing)} train documents lack token sequences")
+    ids = [doc_id for doc_id in corpus.doc_ids if doc_id in by_id]
+    labels = gold_labels(corpus, ids)
+    return [by_id[doc_id] for doc_id in ids], labels, split_masks(split, ids)

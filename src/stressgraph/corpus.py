@@ -11,7 +11,7 @@ from itertools import chain
 
 import numpy as np
 
-from .manifest import atomic_write, write_json
+from .manifest import atomic_write, load_json, read_json, write_json
 
 # Classic English stopword list (NLTK lineage), inlined so tokenization has no
 # runtime data dependency.
@@ -136,6 +136,34 @@ class SplitAssignment:
     def mask(self, doc_ids: list[str], split: str) -> list[bool]:
         return [self.assignment.get(d) == split for d in doc_ids]
 
+    def aligned(self, doc_ids: list[str]) -> SplitAssignment:
+        """This split keyed in doc_ids' order, so ids_in lists ids in that order;
+        ValueError unless it assigns exactly the ids in doc_ids."""
+        missing = set(doc_ids) - set(self.assignment)
+        extra = set(self.assignment) - set(doc_ids)
+        if missing or extra:
+            raise ValueError(f"split does not align with the corpus ({len(missing)} unassigned, "
+                             f"{len(extra)} unknown ids)")
+        return SplitAssignment({d: self.assignment[d] for d in doc_ids}, self.ratios, self.seed)
+
+
+def split_masks(split: SplitAssignment, doc_ids: list[str]) -> dict:
+    """Per split name, which of doc_ids it holds; ValueError when train or test
+    holds none of them, so nothing trains that could not be scored."""
+    masks = {name: split.mask(doc_ids, name) for name in SPLIT_NAMES}
+    for name in ("train", "test"):
+        if not any(masks[name]):
+            raise ValueError(f"the split has no {name} documents")
+    return masks
+
+
+def gold_labels(corpus: TokenizedCorpus, ids: list[str]) -> list[int]:
+    """The labels of the documents ids, in order; ValueError naming the first unlabeled one."""
+    labels = [corpus.labels[corpus.row_of(doc_id)] for doc_id in ids]
+    if None in labels:
+        raise ValueError(f"document {ids[labels.index(None)]!r} is unlabeled")
+    return labels
+
 
 def _parse_label(value, line_no: int | None) -> int | None:
     if value is None or value == "":
@@ -165,7 +193,7 @@ def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
                 if not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
+                    rec = load_json(line)
                 except json.JSONDecodeError as exc:
                     raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no)
                 if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
@@ -339,8 +367,7 @@ def save_tokenized(path, corpus: TokenizedCorpus) -> None:
 
 
 def load_tokenized(path) -> TokenizedCorpus:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     try:
         tokens = list(payload["vocab"]["tokens"])
         vocab = Vocabulary(
@@ -428,7 +455,7 @@ def load_split(path) -> SplitAssignment:
             if not line:
                 continue
             try:
-                record = json.loads(line)
+                record = load_json(line)
                 doc_id, name = record["id"], record["split"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise CorpusFormatError(f"malformed split record: {exc}", line_no) from exc

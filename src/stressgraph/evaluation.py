@@ -8,10 +8,13 @@ zero for a single run).
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .manifest import read_json
 
 _VALID_LABELS = (0, 1)
 
@@ -123,6 +126,49 @@ def confusion(predicted, gold) -> ConfusionMatrix:
     return ConfusionMatrix(
         tn=counts[(0, 0)], fp=counts[(1, 0)], fn=counts[(0, 1)], tp=counts[(1, 1)]
     )
+
+
+def read_counts(path) -> ConfusionMatrix:
+    """The confusion matrix of a JSON file holding an object with integer tn, fp, fn and tp."""
+    payload = read_json(path)
+    names = ("tn", "fp", "fn", "tp")
+    if type(payload) is not dict:
+        raise ValueError("counts file must hold a JSON object with tn/fp/fn/tp")
+    for name in names:
+        if type(payload.get(name)) is not int:
+            raise ValueError(f"counts file {name} must be an integer, not {payload.get(name)!r}")
+    return ConfusionMatrix(**{name: payload[name] for name in names})
+
+
+def read_predictions(path, known_ids) -> dict:
+    """id -> 0/1 from a CSV file with the header id,pred. A malformed row, a
+    repeated id and an id outside known_ids raise ValueError naming the line."""
+    known, preds = set(known_ids), {}
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != ["id", "pred"]:
+                raise ValueError(f"expected prediction header id,pred, got {header}")
+            for row in reader:
+                if len(row) != 2:
+                    raise ValueError(f"line {reader.line_num}: malformed prediction row: {row}")
+                if row[0] in preds:
+                    raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
+                if row[0] not in known:
+                    raise ValueError(
+                        f"line {reader.line_num}: prediction id {row[0]!r} is not in the corpus")
+                try:
+                    pred = int(row[1])
+                except ValueError:
+                    pred = None
+                if pred not in (0, 1):
+                    raise ValueError(f"line {reader.line_num}: prediction {row[1]!r} is not 0 or 1")
+                preds[row[0]] = pred
+        except csv.Error as exc:
+            # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
+            raise ValueError(f"line {reader.line_num}: invalid CSV ({exc})") from None
+    return preds
 
 
 def _ratio(num: int, den: int) -> tuple[float, bool]:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 import struct
@@ -13,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .manifest import Columns, atomic_write, read_binary, write_binary, write_json
+from .manifest import Columns, atomic_write, read_binary, read_json, write_binary, write_json
 
 # scipy.sparse is imported in the functions that build sparse matrices: it adds
 # about 0.13 s to the package import, and most commands never build one.
@@ -425,8 +424,7 @@ def load_graph_json(data: dict) -> tuple[sp.csr_array, sp.coo_array, dict]:
 def read_graph_json(path, corpus) -> tuple[sp.csr_array, sp.coo_array]:
     """The (tfidf, ppmi) blocks of the graph file at path; ValueError unless it loads
     (see load_graph_json) and its nodes are corpus.doc_ids, then corpus.vocab.tokens."""
-    with open(path, "r", encoding="utf-8") as fh:
-        tfidf, ppmi, data = load_graph_json(json.load(fh))
+    tfidf, ppmi, data = load_graph_json(read_json(path))
     if tfidf.shape != (corpus.n_docs, len(corpus.vocab)):
         raise ValueError("graph artifact does not align with the corpus ({}x{} vs {}x{})".format(
             *tfidf.shape, corpus.n_docs, len(corpus.vocab)))

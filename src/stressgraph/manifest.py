@@ -131,6 +131,21 @@ def json_text(data, indent=None) -> str:
     return json.dumps(data, indent=indent, separators=separators, sort_keys=True)
 
 
+def load_json(text: str):
+    """json.loads(text); text nested too deep for the parser raises
+    json.JSONDecodeError, as any other malformed JSON does."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("JSON nested too deeply", text, 0) from None
+
+
+def read_json(path):
+    """load_json of the UTF-8 file at path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return load_json(fh.read())
+
+
 def write_json(path, data, indent=None) -> None:
     """Write json_text(data, indent) plus a newline, replacing path atomically."""
     text = json_text(data, indent)
@@ -210,8 +225,7 @@ def write_manifest(path, manifest: RunManifest) -> None:
 
 
 def read_manifest(path) -> RunManifest:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(path)
     return RunManifest(
         command=payload["command"],
         config=payload["config"],

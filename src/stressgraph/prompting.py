@@ -18,6 +18,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from .manifest import load_json
+
 TASK_TEMPLATE = (
     "Task: Classify the following input text into one of the following "
     "two categories: [{categories}]"
@@ -270,7 +272,7 @@ class HTTPChatClient(CompletionClient):
         )
         try:
             with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                body = json.loads(reply.read().decode("utf-8"))
+                body = load_json(reply.read().decode("utf-8"))
         except (urllib.error.URLError, json.JSONDecodeError, TimeoutError) as exc:
             raise RuntimeError(f"completion request failed: {exc}") from exc
         try:
@@ -281,7 +283,7 @@ class HTTPChatClient(CompletionClient):
 
 def _decode_transcript(line: bytes) -> CompletionTranscript:
     """One store line as a transcript; ValueError when it is not a well-typed record."""
-    payload = json.loads(line.decode("utf-8"))
+    payload = load_json(line.decode("utf-8"))
     if (not isinstance(payload, dict) or not isinstance(payload.get("prompt"), str)
             or not isinstance(payload.get("meta", {}), dict)):
         raise ValueError("not a transcript record (an object with a string prompt)")
@@ -315,6 +317,35 @@ def load_transcript_store(path) -> dict:
                 raise ValueError(f"transcript store line {line_no}: {exc}") from None
             store[store_entry.prompt_sha256] = store_entry
     return store
+
+
+def read_prompt_records(path, known_ids) -> list:
+    """The (id, prompt_sha256) pairs of a prompts.jsonl file, in file order. A line that
+    is not an object with a string id and prompt_sha256, a repeated id and an id
+    outside known_ids raise ValueError naming the line."""
+    known, records = set(known_ids), {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = load_json(line)
+            except json.JSONDecodeError:
+                record = None
+            if type(record) is not dict or not all(
+                type(record.get(key)) is str for key in ("id", "prompt_sha256")
+            ):
+                raise ValueError(f"prompts file line {line_no}: expected an object with "
+                                 "string id and prompt_sha256")
+            doc_id = record["id"]
+            if doc_id in records:
+                raise ValueError(f"prompts file line {line_no}: repeated prompt id {doc_id!r}")
+            if doc_id not in known:
+                raise ValueError(f"prompts file line {line_no}: prompt id {doc_id!r} "
+                                 "is not in the corpus")
+            records[doc_id] = record["prompt_sha256"]
+    return list(records.items())
 
 
 def append_transcript(path, transcript: CompletionTranscript) -> None:

@@ -703,6 +703,33 @@ def test_missing_input_file_is_data_error(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["config", "corpus", "tokenized", "split", "graph", "counts",
+                                  "prompts", "transcripts"])
+def test_deeply_nested_json_input_is_data_error(pipeline, tmp_path, capsys, name):
+    # Deeper than the JSON parser's recursion limit; every other input is valid.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "\n", encoding="utf-8")
+    counts, empty = tmp_path / "counts.json", tmp_path / "empty.jsonl"
+    counts.write_text('{"tn": 1, "fp": 0, "fn": 0, "tp": 1}', encoding="utf-8")
+    empty.write_text("", encoding="utf-8")
+    tokenized = pipeline["tokenized"]
+    args = {
+        "config": ["eval", "--counts", counts, "--config", deep],
+        "corpus": ["ingest", "--corpus", deep],
+        "tokenized": ["split", "--tokenized", deep],
+        "split": ["prompts", "--corpus", pipeline["corpus"], "--split", deep],
+        "graph": ["export", "--tokenized", tokenized, "--graph", deep, "--docs", "1"],
+        "counts": ["eval", "--counts", deep],
+        "prompts": ["eval", "--transcripts", empty, "--prompts", deep, "--tokenized", tokenized],
+        "transcripts": ["eval", "--transcripts", deep, "--prompts", empty, "--tokenized", tokenized],
+    }[name]
+    out = tmp_path / "out"
+    assert cli.main([*map(str, args), "--out", str(out)]) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_build_graph_out_of_range_token_id_is_data_error(tmp_path, capsys):
     tokenized = tmp_path / "tokenized.json"
     tokenized.write_text(json.dumps({
@@ -880,6 +907,19 @@ def test_eval_predictions_unknown_id_is_data_error(pipeline, tmp_path, capsys, w
     assert cli.main(args) == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert f"line {N_DOCS + 2}: prediction id 'nosuchdoc' is not in the corpus" in err
+
+
+def test_eval_predictions_invalid_csv_names_its_line(pipeline, tmp_path, capsys):
+    # A field over csv.field_size_limit() is a csv.Error (so is a NUL byte before Python 3.11).
+    limit = csv.field_size_limit()
+    pred_path = tmp_path / "pred.csv"
+    pred_path.write_text("id,pred\nd00,0\nd01," + "1" * (limit + 1) + "\n", encoding="utf-8")
+    rc = cli.main(["eval", "--pred", str(pred_path),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "rep")])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: line 3: invalid CSV (field larger than field limit ({limit}))\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1589,6 +1629,72 @@ def test_bad_jobs_or_seeds_are_reported_before_any_input_is_read(pipeline, tmp_p
         args[args.index("--graph") + 1] = missing
     assert cli.main(args + flags) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"data error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command", ["train-gcn", "train-conv", "ablate"])
+def test_negative_seed_is_refused_before_any_input_is_read(pipeline, tmp_path, monkeypatch, capsys,
+                                                           command, via):
+    out, seq_path = tmp_path / "run", tmp_path / "sequences.bin"
+    write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
+    calls = []
+    for module, name in ((gcn, "train"), (convnet, "train_conv"), (cli, "load_tokenized")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    if command == "train-conv":
+        args = ["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+                "--embedding-dim", "8", "--epochs", "1", "--out", str(out)]
+    elif command == "train-gcn":
+        args = train_gcn_args(pipeline, out, ["--embeddings", str(pipeline["embeddings"]),
+                                              "--epochs", "1"])
+    else:
+        args = ablate_args(pipeline, out)
+        del args[args.index("--seeds"):args.index("--seeds") + 2]
+    if via == "flag":
+        args, seeds = args + ["--seeds", "-1"], [-1]
+    else:
+        seeds = [2, -1]
+        (tmp_path / "config.json").write_text(json.dumps({"seeds": seeds}), encoding="utf-8")
+        args += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(args) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: seeds must not be negative, got {seeds}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train-gcn", "ablate", "train-conv", "eval-pred",
+                                     "eval-transcripts"])
+def test_unlabeled_scored_document_is_named(pipeline, tmp_path, capsys, command):
+    corpus = load_tokenized(pipeline["tokenized"])
+    unlabeled = load_split(pipeline["split"]).ids_in("test")[1]
+    corpus.labels[corpus.row_of(unlabeled)] = None
+    tokenized, seq_path = tmp_path / "tokenized.json", tmp_path / "sequences.bin"
+    save_tokenized(tokenized, corpus)
+    write_sequences(seq_path, corpus)
+    pred_path, store = tmp_path / "pred.csv", tmp_path / "store.jsonl"
+    pred_path.write_text("id,pred\n" + "".join(f"{d},1\n" for d in corpus.doc_ids), encoding="utf-8")
+    store.write_text("", encoding="utf-8")
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"]),
+                     "--out", str(tmp_path / "prompts")]) == 0
+    out = tmp_path / "run"
+    args = {
+        "train-gcn": train_gcn_args(pipeline, out, ["--identity", "--lambda", "1"]),
+        "ablate": ablate_args(pipeline, out),
+        "train-conv": ["train-conv", "--tokenized", "", "--split", str(pipeline["split"]),
+                       "--sequences", str(seq_path), "--embedding-dim", "8", "--out", str(out)],
+        "eval-pred": ["eval", "--pred", str(pred_path), "--tokenized", "",
+                      "--split", str(pipeline["split"]), "--out", str(out)],
+        "eval-transcripts": ["eval", "--transcripts", str(store), "--tokenized", "",
+                             "--prompts", str(tmp_path / "prompts" / "prompts.jsonl"),
+                             "--out", str(out)],
+    }[command]
+    args[args.index("--tokenized") + 1] = str(tokenized)
+    capsys.readouterr()
+    assert cli.main(args) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: document {unlabeled!r} is unlabeled\n"
     assert not out.exists()
 
 

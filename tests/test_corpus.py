@@ -18,11 +18,13 @@ from stressgraph.corpus import (
     TokenizedCorpus,
     TokenizerRules,
     build_vocabulary,
+    gold_labels,
     load_corpus,
     load_split,
     load_tokenized,
     save_split,
     save_tokenized,
+    split_masks,
     stratified_split,
     tokenize,
     tokenize_corpus,
@@ -617,6 +619,33 @@ def test_split_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     except ValueError:
         return
     assert all(type(i) is str and name in SPLIT_NAMES for i, name in split.assignment.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | split_lines, st.lists(st.sampled_from(["a", "b", "", "0"]), unique=True))
+@example(b'{"id": "b", "split": "test"}\n{"id": "a", "split": "train"}', ["a", "b"])
+@example(b'{"id": "a", "split": "train"}', ["a", "b"])
+def test_split_alignment_fuzz_aligns_or_raises_value_error(tmp_path_factory, data, doc_ids):
+    path = tmp_path_factory.mktemp("split") / "split.jsonl"
+    path.write_bytes(data)
+    try:
+        split = load_split(path).aligned(doc_ids)
+        masks = split_masks(split, doc_ids)
+    except ValueError:
+        return
+    assert list(split.assignment) == doc_ids
+    assert [split.ids_in(name) for name in SPLIT_NAMES] == [
+        [d for d, flag in zip(doc_ids, masks[name]) if flag] for name in SPLIT_NAMES
+    ]
+    assert any(masks["train"]) and any(masks["test"])
+
+
+def test_gold_labels_name_the_first_unlabeled_document():
+    vocab = build_vocabulary([["x"]], min_df=1)
+    corpus = TokenizedCorpus(["a", "b", "c"], [[0], [0], [0]], vocab, labels=[1, None, None])
+    assert gold_labels(corpus, ["a", "a"]) == [1, 1]
+    with pytest.raises(ValueError, match="^document 'c' is unlabeled$"):
+        gold_labels(corpus, ["a", "c", "b"])
 
 
 def test_split_load_rejects_duplicates(tmp_path):

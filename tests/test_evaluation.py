@@ -1,5 +1,7 @@
 """Tests for metrics, seed aggregation, and the paired t-test machinery."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -21,6 +23,8 @@ from stressgraph.evaluation import (
     mean_std,
     metrics,
     paired_ttest,
+    read_counts,
+    read_predictions,
     regularized_incomplete_beta,
     render_aggregate,
     render_metrics,
@@ -339,3 +343,62 @@ def test_render_aggregate_mean_std_cells():
     text = render_aggregate({"model": agg})
     assert "0.8500+/-0.0707" in text
     assert "model" in text
+
+
+# ------------------------------------------------------------- file readers
+
+# Arbitrary JSON over the counts keys, and arbitrary bytes.
+count_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 10**20) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["tn", "fp", "fn", "tp"]) | st.text(max_size=2),
+                      inner, max_size=5),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | count_values.map(lambda v: json.dumps(v).encode()))
+@example(b'{"tn": 0, "fp": 0, "fn": 0, "tp": 0}')
+@example(b'{"tn": -1, "fp": 0, "fn": 0, "tp": 1}')
+@example(b"[" * 100_000)
+def test_counts_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("counts") / "counts.json"
+    path.write_bytes(data)
+    try:
+        cm = read_counts(path)
+    except ValueError:
+        return
+    assert all(type(getattr(cm, name)) is int for name in ("tn", "fp", "fn", "tp"))
+    assert cm.total > 0
+
+
+KNOWN_IDS = ["d0", "d1", "d2"]
+# id,pred rows over near-valid fields, and arbitrary bytes.
+prediction_fields = st.sampled_from(KNOWN_IDS + ["0", "1", "2", "-1", " 1", "x", '"', ""]) | st.text(max_size=3)
+prediction_files = st.lists(st.lists(prediction_fields, max_size=3).map(",".join), max_size=5).map(
+    lambda rows: "\n".join(["id,pred", *rows]).encode()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | prediction_files)
+@example(b"id,pred\nd0,1\nd0,0\n")
+@example(b'id,pred\n"d1\n')
+@example(b"id,pred\nd1,\x00\n")
+def test_predictions_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("pred") / "pred.csv"
+    path.write_bytes(data)
+    try:
+        preds = read_predictions(path, KNOWN_IDS)
+    except ValueError:
+        return
+    assert set(preds) <= set(KNOWN_IDS)
+    assert all(type(pred) is int and pred in (0, 1) for pred in preds.values())
+
+
+def test_predictions_field_over_the_csv_limit_names_its_line(tmp_path):
+    path = tmp_path / "pred.csv"
+    path.write_text("id,pred\nd0,0\nd1," + "1" * (csv.field_size_limit() + 1) + "\n")
+    with pytest.raises(ValueError, match=r"^line 3: invalid CSV \(field larger than field limit"):
+        read_predictions(path, KNOWN_IDS)

@@ -21,6 +21,7 @@ from stressgraph.prompting import (
     compose_shots,
     load_transcript_store,
     parse_label,
+    read_prompt_records,
     run_batch,
     transcript_predictions,
 )
@@ -538,3 +539,34 @@ def test_transcript_predictions_modes():
     # A missing transcript (None) is a failure too.
     assert transcript_predictions([None, *transcripts[:1]]) == ([(1, 1)], 1)
     assert transcript_predictions([None], failures_as_negative=True) == ([(0, 0)], 1)
+
+
+# Arbitrary JSON lines over the prompt record keys, and arbitrary bytes.
+PROMPT_IDS = ["d0", "d1", "d2"]
+prompt_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3) | st.sampled_from(PROMPT_IDS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["id", "prompt", "prompt_sha256"]) | st.text(max_size=2),
+                      inner, max_size=4),
+    max_leaves=8,
+)
+prompt_lines = st.lists(
+    prompt_values.map(lambda v: json.dumps(v).encode()) | st.binary(max_size=16), max_size=5
+).map(b"\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.binary(max_size=64) | prompt_lines)
+@example(b'{"id": "d0", "prompt_sha256": "a"}\n{"id": "d1", "prompt_sha256": "a"}\n')
+@example(b'{"id": "d0", "prompt_sha256": "a"}\n{"id": "d0", "prompt_sha256": "b"}\n')
+@example(b"[" * 100_000)
+def test_prompt_records_fuzz_load_or_raise_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("prompts") / "prompts.jsonl"
+    path.write_bytes(data)
+    try:
+        records = read_prompt_records(path, PROMPT_IDS)
+    except ValueError:
+        return
+    ids = [doc_id for doc_id, _ in records]
+    assert len(set(ids)) == len(ids) and set(ids) <= set(PROMPT_IDS)
+    assert all(type(sha) is str for _, sha in records)
