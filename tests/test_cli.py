@@ -721,7 +721,8 @@ def test_deeply_nested_json_input_is_data_error(pipeline, tmp_path, capsys, name
         "graph": ["export", "--tokenized", tokenized, "--graph", deep, "--docs", "1"],
         "counts": ["eval", "--counts", deep],
         "prompts": ["eval", "--transcripts", empty, "--prompts", deep, "--tokenized", tokenized],
-        "transcripts": ["eval", "--transcripts", deep, "--prompts", empty, "--tokenized", tokenized],
+        "transcripts": ["eval", "--transcripts", deep, "--prompts", empty,
+                        "--tokenized", tokenized],
     }[name]
     out = tmp_path / "out"
     assert cli.main([*map(str, args), "--out", str(out)]) == cli.EXIT_DATA
@@ -1675,10 +1676,11 @@ def test_unlabeled_scored_document_is_named(pipeline, tmp_path, capsys, command)
     save_tokenized(tokenized, corpus)
     write_sequences(seq_path, corpus)
     pred_path, store = tmp_path / "pred.csv", tmp_path / "store.jsonl"
-    pred_path.write_text("id,pred\n" + "".join(f"{d},1\n" for d in corpus.doc_ids), encoding="utf-8")
+    pred_path.write_text("id,pred\n" + "".join(f"{d},1\n" for d in corpus.doc_ids),
+                         encoding="utf-8")
     store.write_text("", encoding="utf-8")
-    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"]),
-                     "--out", str(tmp_path / "prompts")]) == 0
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--out", str(tmp_path / "prompts")]) == 0
     out = tmp_path / "run"
     args = {
         "train-gcn": train_gcn_args(pipeline, out, ["--identity", "--lambda", "1"]),

@@ -622,7 +622,8 @@ def test_split_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.binary(max_size=64) | split_lines, st.lists(st.sampled_from(["a", "b", "", "0"]), unique=True))
+@given(st.binary(max_size=64) | split_lines,
+       st.lists(st.sampled_from(["a", "b", "", "0"]), unique=True))
 @example(b'{"id": "b", "split": "test"}\n{"id": "a", "split": "train"}', ["a", "b"])
 @example(b'{"id": "a", "split": "train"}', ["a", "b"])
 def test_split_alignment_fuzz_aligns_or_raises_value_error(tmp_path_factory, data, doc_ids):

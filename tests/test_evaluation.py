@@ -375,7 +375,8 @@ def test_counts_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
 
 KNOWN_IDS = ["d0", "d1", "d2"]
 # id,pred rows over near-valid fields, and arbitrary bytes.
-prediction_fields = st.sampled_from(KNOWN_IDS + ["0", "1", "2", "-1", " 1", "x", '"', ""]) | st.text(max_size=3)
+prediction_fields = (st.sampled_from(KNOWN_IDS + ["0", "1", "2", "-1", " 1", "x", '"', ""])
+                     | st.text(max_size=3))
 prediction_files = st.lists(st.lists(prediction_fields, max_size=3).map(",".join), max_size=5).map(
     lambda rows: "\n".join(["id,pred", *rows]).encode()
 )
