@@ -162,6 +162,9 @@ def resolve_config(args, keys) -> dict:
         raise ValueError(f"seeds must not repeat, got {seeds}")
     if min(seeds) < 0:
         raise ValueError(f"seeds must not be negative, got {seeds}")
+    for key in ("split_seed", "prompt_seed"):
+        if resolved.get(key, 0) < 0:
+            raise ValueError(f"{key} must not be negative, got {resolved[key]}")
     return resolved
 
 
@@ -277,20 +280,21 @@ def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
 
 
 def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
-    corpus = load_tokenized(args.tokenized)
-    split = load_split(args.split).aligned(corpus.doc_ids)
     base = convnet.ConvHeadConfig(
         **{key: config[key] for key in CONV_FIELDS}, epochs=config["conv_epochs"]
     )
+    corpus = load_tokenized(args.tokenized)
+    split = load_split(args.split).aligned(corpus.doc_ids)
     sequences = convnet.load_token_embeddings(args.sequences, base, known_ids=corpus.doc_ids)
     aligned, labels, masks = convnet.align_sequences(sequences, corpus, split)
-    test_rows = [i for i, flag in enumerate(masks["test"]) if flag]
+    test_seqs = [seq for seq, flag in zip(aligned, masks["test"]) if flag]
+    test_gold = labels[masks["test"]]
 
     def run_one(seed: int):
         result = convnet.train_conv(aligned, labels, masks, replace(base, seed=seed))
-        logits = convnet.conv_logits([aligned[i] for i in test_rows], result.params, base.batch_size)
+        logits = convnet.conv_logits(test_seqs, result.params, base.batch_size)
         preds = [convnet.classify(z) for z in logits]
-        report = evaluation.metrics(evaluation.confusion(preds, [labels[i] for i in test_rows]))
+        report = evaluation.metrics(evaluation.confusion(preds, test_gold))
         return convnet.param_blocks(result.params), result.history, report, {}
 
     agg = _run_seeds(man, config["seeds"], config["jobs"], run_one, "conv-")

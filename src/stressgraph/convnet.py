@@ -72,8 +72,8 @@ class ConvHeadConfig:
             raise ValueError("batch size must be positive")
         if self.epochs < 0:
             raise ValueError(f"epochs must not be negative, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.embedding_dim < 1:
             raise ValueError("embedding_dim must be positive")
         if self.max_len < 1:
@@ -321,9 +321,10 @@ def train_conv(
     the epoch's mean train loss and validation accuracy / weighted F1.
     """
     sequences = list(sequences)
-    labels = [int(lab) for lab in labels]
+    labels = np.asarray(labels, dtype=np.int64)
     train_idx = np.flatnonzero(np.asarray(masks["train"], dtype=bool))
     val_idx = np.flatnonzero(np.asarray(masks.get("val", []), dtype=bool))
+    val_seqs, val_gold = [sequences[i] for i in val_idx], labels[val_idx]
     if not len(train_idx):
         raise ValueError("training mask selects no sequences")
     for idx in train_idx:
@@ -344,15 +345,13 @@ def train_conv(
         batch_losses = []
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
-            batch_seqs = [sequences[i] for i in batch]
-            batch_labels = [labels[i] for i in batch]
             dropout_masks = None
             if config.dropout > 0.0:
                 dropout_masks = [
                     _dropout_mask(rng, params.concat_dim, config.dropout) for _ in batch
                 ]
             loss, grads = batch_loss_and_gradients(
-                batch_seqs, batch_labels, params, dropout_masks
+                [sequences[i] for i in batch], labels[batch].tolist(), params, dropout_masks
             )
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)
@@ -361,10 +360,8 @@ def train_conv(
 
         val_acc = val_f1 = 0.0
         if len(val_idx):
-            val_seqs = [sequences[i] for i in val_idx]
             preds = [classify(z) for z in conv_logits(val_seqs, params, config.batch_size)]
-            gold = [labels[i] for i in val_idx]
-            report = evaluation.metrics(evaluation.confusion(preds, gold))
+            report = evaluation.metrics(evaluation.confusion(preds, val_gold))
             val_acc, val_f1 = report.accuracy, report.f1
         history.append(
             EpochStats(
@@ -436,7 +433,7 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
     return list(out.values())
 
 
-def align_sequences(sequences, corpus, split) -> tuple[list, list, dict]:
+def align_sequences(sequences, corpus, split) -> tuple[list, np.ndarray, dict]:
     """The corpus documents' sequences in corpus order, their gold labels and their split_masks
     (split aligned with the corpus); ValueError when a train document has no sequence."""
     by_id = {seq.doc_id: seq for seq in sequences}

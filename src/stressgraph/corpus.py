@@ -148,21 +148,21 @@ class SplitAssignment:
 
 
 def split_masks(split: SplitAssignment, doc_ids: list[str]) -> dict:
-    """Per split name, which of doc_ids it holds; ValueError when train or test
-    holds none of them, so nothing trains that could not be scored."""
-    masks = {name: split.mask(doc_ids, name) for name in SPLIT_NAMES}
+    """Per split name, a bool array of which of doc_ids it holds; ValueError when
+    train or test holds none of them, so nothing trains that could not be scored."""
+    masks = {name: np.array(split.mask(doc_ids, name), dtype=bool) for name in SPLIT_NAMES}
     for name in ("train", "test"):
-        if not any(masks[name]):
+        if not masks[name].any():
             raise ValueError(f"the split has no {name} documents")
     return masks
 
 
-def gold_labels(corpus: TokenizedCorpus, ids: list[str]) -> list[int]:
-    """The labels of the documents ids, in order; ValueError naming the first unlabeled one."""
+def gold_labels(corpus: TokenizedCorpus, ids: list[str]) -> np.ndarray:
+    """The labels of the documents ids as int64, in order; ValueError naming the first unlabeled."""
     labels = [corpus.labels[corpus.row_of(doc_id)] for doc_id in ids]
     if None in labels:
         raise ValueError(f"document {ids[labels.index(None)]!r} is unlabeled")
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def _parse_label(value, line_no: int | None) -> int | None:

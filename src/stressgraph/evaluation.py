@@ -129,7 +129,7 @@ def confusion(predicted, gold) -> ConfusionMatrix:
 
 
 def read_counts(path) -> ConfusionMatrix:
-    """The confusion matrix of a JSON file holding an object with integer tn, fp, fn and tp."""
+    """The confusion matrix of a JSON object of integer tn, fp, fn and tp totalling at most 2**53."""
     payload = read_json(path)
     names = ("tn", "fp", "fn", "tp")
     if type(payload) is not dict:
@@ -137,7 +137,10 @@ def read_counts(path) -> ConfusionMatrix:
     for name in names:
         if type(payload.get(name)) is not int:
             raise ValueError(f"counts file {name} must be an integer, not {payload.get(name)!r}")
-    return ConfusionMatrix(**{name: payload[name] for name in names})
+    cm = ConfusionMatrix(**{name: payload[name] for name in names})
+    if cm.total > 2**53:
+        raise ValueError("counts file tn + fp + fn + tp must not exceed 2**53")
+    return cm
 
 
 def read_predictions(path, known_ids) -> dict:

@@ -88,36 +88,18 @@ class TrainingConfig:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {self.lam}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must lie in [0, 1)")
         if self.epochs < 0:
             raise ValueError(f"epochs must not be negative, got {self.epochs}")
         if self.hidden_dim < 1:
             raise ValueError(f"hidden_dim must be positive, got {self.hidden_dim}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must not be negative, got {self.weight_decay}")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError(f"weight_decay must be finite and not negative, got {self.weight_decay}")
         if self.patience is not None and self.patience < 0:
             raise ValueError(f"patience must not be negative, got {self.patience}")
-
-
-@dataclass
-class ProbabilityMatrix:
-    """Row-stochastic class probabilities over documents."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValueError("probability matrix must be 2-D")
-        if len(self.values):
-            row_sums = self.values.sum(axis=1)
-            if not np.allclose(row_sums, 1.0, atol=1e-9, rtol=0.0):
-                raise ValueError("probability rows must sum to 1")
-            if self.values.min() < -1e-12 or self.values.max() > 1.0 + 1e-12:
-                raise ValueError("probabilities must lie in [0, 1]")
 
 
 @dataclass
@@ -229,43 +211,46 @@ def _forward_pass(
 
 def gcn_forward(
     features: NodeFeatures, adj_norm: sp.csr_array, params: GCNParameters
-) -> ProbabilityMatrix:
-    """Inference-mode graph-branch prediction Z_G over document rows (no dropout)."""
-    return ProbabilityMatrix(_forward_pass(features, adj_norm, params, None, 1.0, None)["z_g"])
+) -> np.ndarray:
+    """Inference-mode graph-branch prediction Z_G, n_docs x 2 (no dropout)."""
+    return _forward_pass(features, adj_norm, params, None, 1.0, None)["z_g"]
 
 
-def linear_forward(embeddings: EmbeddingMatrix, head: LinearHead) -> ProbabilityMatrix:
-    """Embedding-branch prediction Z_B: row softmax of Z_doc W + b."""
+def linear_forward(embeddings: EmbeddingMatrix, head: LinearHead) -> np.ndarray:
+    """Embedding-branch prediction Z_B, n_docs x 2: row softmax of Z_doc W + b."""
     if embeddings.dim != head.W.shape[0]:
         raise ValueError(
             f"embedding dim {embeddings.dim} does not match head input {head.W.shape[0]}"
         )
-    return ProbabilityMatrix(_softmax(embeddings.values @ head.W + head.b))
+    return _softmax(embeddings.values @ head.W + head.b)
 
 
-def interpolate(z_g: ProbabilityMatrix, z_b: ProbabilityMatrix, lam: float) -> ProbabilityMatrix:
+def interpolate(z_g: np.ndarray, z_b: np.ndarray, lam: float) -> np.ndarray:
     """Fused prediction lam * Z_G + (1 - lam) * Z_B."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if z_g.values.shape != z_b.values.shape:
+    if np.shape(z_g) != np.shape(z_b):
         raise ValueError("prediction matrices must share a shape")
-    return ProbabilityMatrix(lam * z_g.values + (1.0 - lam) * z_b.values)
+    return lam * np.asarray(z_g) + (1.0 - lam) * np.asarray(z_b)
 
 
-def nll_loss(z_final: ProbabilityMatrix | np.ndarray, labels, mask) -> float:
-    """Mean negative log likelihood -ln(p[label] + eps) over masked documents."""
-    values = z_final.values if isinstance(z_final, ProbabilityMatrix) else z_final
-    mask = np.asarray(mask, dtype=bool)
+def _nll(z_final: np.ndarray, mask: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray]:
+    """nll_loss given gold, the masked documents' labels, and their probabilities of those."""
     if not mask.any():
         raise ValueError("loss mask selects no documents")
-    labels = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
-    picked = values[mask, labels[mask]]
-    return float(-np.log(picked + LOSS_EPS).mean())
+    picked = z_final[mask, gold]
+    return float(-np.log(picked + LOSS_EPS).mean()), picked
 
 
-def predict(z_final: ProbabilityMatrix) -> np.ndarray:
+def nll_loss(z_final, labels, mask) -> float:
+    """Mean negative log likelihood -ln(p[label] + eps) over masked documents."""
+    mask = np.asarray(mask, dtype=bool)
+    return _nll(np.asarray(z_final), mask, np.asarray(labels)[mask].astype(np.int64))[0]
+
+
+def predict(z_final) -> np.ndarray:
     """Argmax label per document; ties break toward the lower class index."""
-    return np.argmax(z_final.values, axis=1)
+    return np.argmax(z_final, axis=1)
 
 
 def _dropout_mask(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
@@ -304,14 +289,11 @@ def loss_and_gradients(
     """
     cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
-    labels_arr = np.asarray([0 if lab is None else lab for lab in labels], dtype=np.int64)
-    loss = nll_loss(cache["z_final"], labels_arr, mask)
+    gold = np.asarray(labels)[mask].astype(np.int64)  # labels outside the mask may be None
+    loss, picked = _nll(cache["z_final"], mask, gold)
 
-    n_classes = gcn.W2.shape[1]
-    n_masked = int(mask.sum())
-    d_final = np.zeros((features.n_docs, n_classes))
-    picked = cache["z_final"][mask, labels_arr[mask]]
-    d_final[mask, labels_arr[mask]] = -1.0 / (n_masked * (picked + LOSS_EPS))
+    d_final = np.zeros((features.n_docs, gcn.W2.shape[1]))
+    d_final[mask, gold] = -1.0 / (len(picked) * (picked + LOSS_EPS))
 
     d_logits = _softmax_backward(cache["z_g"], lam * d_final)
     grads: dict[str, np.ndarray] = {}
@@ -396,15 +378,15 @@ def fused_probabilities(
     head: LinearHead | None,
     lam: float,
     layer1: dict | None = None,
-) -> ProbabilityMatrix:
-    """Inference-mode fused prediction (no dropout).
+) -> np.ndarray:
+    """Inference-mode fused prediction, n_docs x 2 (no dropout).
 
     layer1, when given, receives the layer-1 pre-activation under "h_pre".
     """
     cache = _forward_pass(features, adj_norm, gcn, head, lam, None)
     if layer1 is not None:
         layer1["h_pre"] = cache["h_pre"]
-    return ProbabilityMatrix(cache["z_final"])
+    return cache["z_final"]
 
 
 def evaluate(
@@ -418,12 +400,9 @@ def evaluate(
     layer1: dict | None = None,
 ) -> evaluation.MetricsReport:
     """Weighted metrics of the fused prediction on the masked documents."""
-    probs = fused_probabilities(features, adj_norm, gcn, head, lam, layer1)
-    preds = predict(probs)
+    preds = predict(fused_probabilities(features, adj_norm, gcn, head, lam, layer1))
     mask = np.asarray(mask, dtype=bool)
-    gold = [labels[i] for i in np.flatnonzero(mask)]
-    cm = evaluation.confusion(preds[mask].tolist(), gold)
-    return evaluation.metrics(cm)
+    return evaluation.metrics(evaluation.confusion(preds[mask], np.asarray(labels)[mask]))
 
 
 def train(
@@ -436,7 +415,8 @@ def train(
     """Full-batch Adam training of both branches against the fused loss.
 
     Only train-mask labels contribute to the loss; validation labels drive
-    best-epoch selection and test labels are never read. Selection keeps the
+    best-epoch selection and test labels are never read. A train or val
+    document labeled None raises ValueError naming its row. Selection keeps the
     highest validation weighted F1, latest epoch on ties: discrete metrics
     saturate early on small validation sets, and continued training at equal
     validation quality is preferred. Patience counts epochs without a strict
@@ -444,6 +424,11 @@ def train(
     """
     train_mask = np.asarray(masks["train"], dtype=bool)
     val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)
+    unlabeled = np.equal(np.asarray(labels), None)
+    for name, read in (("train", train_mask & unlabeled), ("val", val_mask & unlabeled)):
+        if read.any():
+            raise ValueError(f"{name} document {np.argmax(read)} is unlabeled")
+    labels = np.where(unlabeled, -1, labels).astype(np.int64)  # test labels are never read
     n_classes = 2
     embedding_dim = None if features.doc_embeddings is None else features.dim
     gcn, head = init_parameters(

@@ -812,6 +812,18 @@ def test_eval_counts_rejects_malformed_file(tmp_path, capsys, payload, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tn", [2**53 + 1, 10**400], ids=["2**53+1", "10**400"])
+def test_eval_counts_total_beyond_float_precision_is_data_error(tmp_path, capsys, tn):
+    # 10**400 overflowed to a traceback in the metrics' float arithmetic.
+    counts, out = tmp_path / "counts.json", tmp_path / "report"
+    counts.write_text(f'{{"tn": {tn}, "fp": 0, "fn": 0, "tp": 0}}', encoding="utf-8")
+    assert cli.main(["eval", "--counts", str(counts), "--out", str(out)]) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: counts file tn + fp + fn + tp must not exceed 2**53\n"
+    )
+    assert not out.exists()
+
+
 def test_eval_predictions_on_test_split(pipeline, tmp_path):
     corpus = load_tokenized(pipeline["tokenized"])
     split = load_split(pipeline["split"])
@@ -1662,6 +1674,73 @@ def test_negative_seed_is_refused_before_any_input_is_read(pipeline, tmp_path, m
         args += ["--config", str(tmp_path / "config.json")]
     assert cli.main(args) == cli.EXIT_DATA
     assert capsys.readouterr().err == f"data error: seeds must not be negative, got {seeds}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, key", [("split", "split_seed"), ("prompts", "prompt_seed")])
+def test_negative_split_or_prompt_seed_is_refused_before_any_input_is_read(
+        pipeline, tmp_path, monkeypatch, capsys, command, key, via):
+    calls = []
+    for name in ("load_tokenized", "load_corpus"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    out = tmp_path / "run"
+    args = {
+        "split": ["split", "--tokenized", str(pipeline["tokenized"])],
+        "prompts": ["prompts", "--corpus", str(pipeline["corpus"]),
+                    "--split", str(pipeline["split"]), "--k", "3"],
+    }[command] + ["--out", str(out)]
+    if via == "flag":
+        args += ["--seed", "-1"]
+    else:
+        (tmp_path / "config.json").write_text(json.dumps({key: -1}), encoding="utf-8")
+        args += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(args) == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {key} must not be negative, got -1\n"
+    assert calls == []
+    assert not out.exists()
+
+
+NON_FINITE_MESSAGES = {
+    "learning_rate": "learning_rate must be positive and finite, got {}",
+    "weight_decay": "weight_decay must be finite and not negative, got {}",
+}
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, key", [
+    ("train-gcn", "learning_rate"), ("train-gcn", "weight_decay"),
+    ("ablate", "learning_rate"), ("ablate", "weight_decay"), ("train-conv", "learning_rate"),
+])
+def test_non_finite_learning_rate_or_weight_decay_is_a_config_error(
+        pipeline, tmp_path, monkeypatch, capsys, command, key, value, via):
+    out, seq_path = tmp_path / "run", tmp_path / "sequences.bin"
+    write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
+    calls = []
+    for module, name in ((gcn, "train"), (convnet, "train_conv"), (cli, "load_tokenized")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, _real=real, **k: calls.append(1) or _real(*a, **k))
+    args = {
+        "train-gcn": train_gcn_args(pipeline, out, ["--embeddings", str(pipeline["embeddings"]),
+                                                    "--epochs", "1"]),
+        "ablate": ablate_args(pipeline, out),
+        "train-conv": ["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                       "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+                       "--embedding-dim", "8", "--epochs", "1", "--out", str(out)],
+    }[command]
+    if via == "flag":
+        args += ["--" + key.replace("_", "-"), value]
+    else:
+        # json.dumps writes NaN and Infinity, which json.loads reads back.
+        (tmp_path / "config.json").write_text(json.dumps({key: float(value)}), encoding="utf-8")
+        args += ["--config", str(tmp_path / "config.json")]
+    assert cli.main(args) == cli.EXIT_DATA
+    message = NON_FINITE_MESSAGES[key].format(float(value))
+    assert capsys.readouterr().err == f"data error: {message}\n"
     assert calls == []
     assert not out.exists()
 

@@ -80,6 +80,12 @@ def test_config_rejects_out_of_range_field(field, value):
         ConvHeadConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_config_rejects_a_non_finite_learning_rate(value):
+    with pytest.raises(ValueError, match="^learning_rate must be positive and finite"):
+        ConvHeadConfig(learning_rate=value)
+
+
 def test_init_shapes_and_bounds():
     config = ConvHeadConfig(**SMALL)
     params = init_conv_params(config)

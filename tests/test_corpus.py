@@ -644,7 +644,8 @@ def test_split_alignment_fuzz_aligns_or_raises_value_error(tmp_path_factory, dat
 def test_gold_labels_name_the_first_unlabeled_document():
     vocab = build_vocabulary([["x"]], min_df=1)
     corpus = TokenizedCorpus(["a", "b", "c"], [[0], [0], [0]], vocab, labels=[1, None, None])
-    assert gold_labels(corpus, ["a", "a"]) == [1, 1]
+    labels = gold_labels(corpus, ["a", "a"])
+    assert labels.dtype == "int64" and labels.tolist() == [1, 1]
     with pytest.raises(ValueError, match="^document 'c' is unlabeled$"):
         gold_labels(corpus, ["a", "c", "b"])
 

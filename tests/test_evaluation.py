@@ -362,6 +362,8 @@ count_values = st.recursive(
 @example(b'{"tn": 0, "fp": 0, "fn": 0, "tp": 0}')
 @example(b'{"tn": -1, "fp": 0, "fn": 0, "tp": 1}')
 @example(b"[" * 100_000)
+@example(b'{"tn": 9007199254740992, "fp": 0, "fn": 0, "tp": 0}')
+@example(b'{"tn": 1' + b"0" * 400 + b', "fp": 0, "fn": 0, "tp": 0}')
 def test_counts_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("counts") / "counts.json"
     path.write_bytes(data)
@@ -371,6 +373,8 @@ def test_counts_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
         return
     assert all(type(getattr(cm, name)) is int for name in ("tn", "fp", "fn", "tp"))
     assert cm.total > 0
+    for averaging in AVERAGING_MODES:
+        assert metrics(cm, averaging).total == cm.total
 
 
 KNOWN_IDS = ["d0", "d1", "d2"]

@@ -26,7 +26,6 @@ from stressgraph.gcn import (
     DivergenceError,
     GCNParameters,
     LinearHead,
-    ProbabilityMatrix,
     TrainingConfig,
     evaluate,
     fused_probabilities,
@@ -88,24 +87,24 @@ def test_gcn_forward_single_node_example():
     )
     probs = gcn_forward(feats, identity_adj(1), params)
     want = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()
-    np.testing.assert_allclose(probs.values, [want], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(probs.values, [[0.8808, 0.1192]], rtol=0, atol=5e-5)
+    np.testing.assert_allclose(probs, [want], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probs, [[0.8808, 0.1192]], rtol=0, atol=5e-5)
 
 
 def test_gcn_forward_zero_weights_uniform():
     feats = build_node_features(EmbeddingMatrix(np.ones((2, 3))), n_docs=2, n_words=1)
     params = GCNParameters(W1=np.zeros((3, 4)), b1=np.zeros(4), W2=np.zeros((4, 2)), b2=np.zeros(2))
     probs = gcn_forward(feats, identity_adj(3), params)
-    np.testing.assert_allclose(probs.values, 0.5, rtol=0, atol=0)
+    np.testing.assert_allclose(probs, 0.5, rtol=0, atol=0)
 
 
 def test_gcn_forward_rows_are_stochastic():
     features, adj, _, _, rng = pipeline_setup(0)
     gcn, _ = init_parameters(features.dim, 5, 2, None, seed=1)
     probs = gcn_forward(features, adj, gcn)
-    assert probs.values.shape == (4, 2)
-    np.testing.assert_allclose(probs.values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    assert np.all(probs.values >= 0.0)
+    assert probs.shape == (4, 2)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+    assert np.all(probs >= 0.0)
 
 
 def test_gcn_forward_identity_matches_explicit_eye():
@@ -119,7 +118,7 @@ def test_gcn_forward_identity_matches_explicit_eye():
         adj.toarray(), explicit, features.n_docs, gcn, None, None, 1.0, labels,
         [True] * features.n_docs,
     )
-    np.testing.assert_allclose(got.values, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
 
 
 def test_linear_forward_example():
@@ -127,8 +126,8 @@ def test_linear_forward_example():
     head = LinearHead(W=np.array([[1.0, 0.0]]), b=np.zeros(2))
     probs = linear_forward(emb, head)
     # Shift-stable softmax survives huge logits.
-    np.testing.assert_allclose(probs.values[0], [1.0, 0.0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(probs.values[1], [0.5, 0.5], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probs[0], [1.0, 0.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probs[1], [0.5, 0.5], rtol=0, atol=1e-12)
 
 
 def test_linear_forward_dim_mismatch():
@@ -137,29 +136,22 @@ def test_linear_forward_dim_mismatch():
 
 
 def test_interpolate_example_and_boundaries():
-    z_g = ProbabilityMatrix(np.array([[0.7, 0.3]]))
-    z_b = ProbabilityMatrix(np.array([[0.1, 0.9]]))
+    z_g = np.array([[0.7, 0.3]])
+    z_b = np.array([[0.1, 0.9]])
     fused = interpolate(z_g, z_b, 0.2)
-    np.testing.assert_allclose(fused.values, [[0.22, 0.78]], rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(interpolate(z_g, z_b, 1.0).values, z_g.values)
-    np.testing.assert_array_equal(interpolate(z_g, z_b, 0.0).values, z_b.values)
+    np.testing.assert_allclose(fused, [[0.22, 0.78]], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(interpolate(z_g, z_b, 1.0), z_g)
+    np.testing.assert_array_equal(interpolate(z_g, z_b, 0.0), z_b)
 
 
 def test_interpolate_validates_lam_and_shape():
-    z = ProbabilityMatrix(np.array([[0.5, 0.5]]))
+    z = np.array([[0.5, 0.5]])
     with pytest.raises(ValueError):
         interpolate(z, z, 1.5)
     with pytest.raises(ValueError):
         interpolate(z, z, -0.1)
     with pytest.raises(ValueError):
-        interpolate(z, ProbabilityMatrix(np.array([[0.5, 0.5], [0.5, 0.5]])), 0.5)
-
-
-def test_probability_matrix_validates_rows():
-    with pytest.raises(ValueError):
-        ProbabilityMatrix(np.array([[0.5, 0.6]]))
-    with pytest.raises(ValueError):
-        ProbabilityMatrix(np.array([0.5, 0.5]))
+        interpolate(z, np.array([[0.5, 0.5], [0.5, 0.5]]), 0.5)
 
 
 def test_nll_loss_values():
@@ -172,8 +164,21 @@ def test_nll_loss_values():
         nll_loss(probs, [0, 1], [False, False])
 
 
+def test_labels_outside_the_loss_mask_may_be_none():
+    features, adj, _, labels, _ = pipeline_setup(46, identity=True)
+    gcn, _ = init_parameters(features.dim, 3, 2, None, seed=0)
+    mask = [True, True, False, False]
+    unlabeled = labels[:2] + [None, None]
+    probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.1, 0.9], [0.6, 0.4]])
+    assert nll_loss(probs, unlabeled, mask) == nll_loss(probs, labels, mask)
+    loss, grads = loss_and_gradients(features, adj, gcn, None, unlabeled, mask, 1.0)
+    want_loss, want_grads = loss_and_gradients(features, adj, gcn, None, labels, mask, 1.0)
+    assert loss == want_loss
+    assert all(np.array_equal(grads[name], want_grads[name]) for name in want_grads)
+
+
 def test_predict_breaks_ties_low():
-    probs = ProbabilityMatrix(np.array([[0.5, 0.5], [0.2, 0.8]]))
+    probs = np.array([[0.5, 0.5], [0.2, 0.8]])
     np.testing.assert_array_equal(predict(probs), [0, 1])
 
 
@@ -193,6 +198,13 @@ def test_training_config_validation():
 ])
 def test_training_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field):
+        TrainingConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["learning_rate", "weight_decay"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_training_config_rejects_non_finite_rates(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be .*finite"):
         TrainingConfig(**{field: value})
 
 
@@ -323,7 +335,7 @@ def test_fused_pass_matches_dense_reference(layout, seed):
 
     want_z, _, _ = dense_fused_reference(*reference)
     got_z = fused_probabilities(features, adj, gcn, head, lam)
-    np.testing.assert_allclose(got_z.values, want_z, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got_z, want_z, rtol=0, atol=1e-12)
 
     _, want_loss, want_grads = dense_fused_reference(*reference, dropout_mask=dropout_mask)
     loss, grads = loss_and_gradients(
@@ -363,7 +375,7 @@ def test_ppmi_reweighting_with_fixed_row_sums_leaves_prediction(seed, delta):
     features = build_node_features(embeddings, n_docs, n_words)
     gcn, _ = init_parameters(features.dim, 4, 2, None, seed=seed)
     np.testing.assert_allclose(
-        gcn_forward(features, moved, gcn).values, gcn_forward(features, base, gcn).values,
+        gcn_forward(features, moved, gcn), gcn_forward(features, base, gcn),
         rtol=0, atol=1e-12,
     )
 
@@ -557,6 +569,25 @@ def test_train_never_reads_test_labels():
     assert [h.val_f1 for h in a.history] == [h.val_f1 for h in b.history]
 
 
+def test_train_refuses_an_unlabeled_train_or_val_document():
+    # An unlabeled train document was once trained as class 0.
+    features, adj, embeddings, labels, masks = separable_setup()
+    config = TrainingConfig(epochs=3, seed=1)
+
+    def without_label(row):
+        return [None if i == row else lab for i, lab in enumerate(labels)]
+
+    for name in ("train", "val"):
+        row = int(np.flatnonzero(masks[name])[1])
+        with pytest.raises(ValueError, match=f"^{name} document {row} is unlabeled$"):
+            train(features, adj, without_label(row), masks, config)
+    # Test labels are never read, so an unlabeled test document changes nothing.
+    a = train(features, adj, labels, masks, config)
+    b = train(features, adj, without_label(int(np.flatnonzero(masks["test"])[0])), masks, config)
+    assert [(h.loss, h.val_f1) for h in a.history] == [(h.loss, h.val_f1) for h in b.history]
+    np.testing.assert_array_equal(a.gcn.W1, b.gcn.W1)
+
+
 def test_train_val_labels_do_not_touch_loss():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=10, seed=1)
@@ -596,8 +627,8 @@ def test_fused_boundaries_match_single_branches():
     z_b = linear_forward(embeddings, result.head)
     only_gcn = fused_probabilities(features, adj, result.gcn, result.head, 1.0)
     only_head = fused_probabilities(features, adj, result.gcn, result.head, 0.0)
-    np.testing.assert_array_equal(only_gcn.values, z_g.values)
-    np.testing.assert_array_equal(only_head.values, z_b.values)
+    np.testing.assert_array_equal(only_gcn, z_g)
+    np.testing.assert_array_equal(only_head, z_b)
 
 
 # ------------------------------------------------------------------- I/O
@@ -770,7 +801,7 @@ def test_identity_features_are_never_materialized():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert probs.values.shape == (n_docs, 2)
+    assert probs.shape == (n_docs, 2)
     assert peak < 32 * 2**20
 
 
