@@ -292,8 +292,7 @@ def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
 
     def run_one(seed: int):
         result = convnet.train_conv(aligned, labels, masks, replace(base, seed=seed))
-        logits = convnet.conv_logits(test_seqs, result.params, base.batch_size)
-        preds = [convnet.classify(z) for z in logits]
+        preds = convnet.classify(convnet.conv_logits(test_seqs, result.params, base.batch_size))
         report = evaluation.metrics(evaluation.confusion(preds, test_gold))
         return convnet.param_blocks(result.params), result.history, report, {}
 

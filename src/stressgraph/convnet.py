@@ -149,13 +149,16 @@ def _forward_batch(
     sequences,
     params: ConvHeadParams,
     dropout_masks=None,
-) -> tuple[list, dict]:
-    """Logits of a minibatch from one GEMM over its concatenated padded rows.
+) -> tuple[np.ndarray, dict]:
+    """The (n,) logits of a minibatch from one GEMM over its concatenated padded rows.
 
     With X the padded sequences stacked row-wise and Y = X @ stacked.T, bank b's
     conv output at row r is sum_j Y[r + j, block(b, j)] (summed left to right)
     plus the bias; a document starting at row s with padded length L owns
-    rows s .. s + L - k of it. The cache feeds batch_loss_and_gradients.
+    rows s .. s + L - k of it. Pooling gathers each document's windows into an
+    (n, T, F) array, its last window repeated up to the longest, so argmax keeps
+    the first maximum. dropout_masks is (n, F); the cache's (n, F) concat,
+    dropped and argmax arrays feed batch_loss_and_gradients.
     """
     min_len = max(params.kernel_sizes)
     padded = [pad_sequence(seq.matrix, min_len) for seq in sequences]
@@ -163,7 +166,7 @@ def _forward_batch(
     starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
     x = np.concatenate(padded, dtype=np.float64)
     y = x @ params.stacked.T
-    bank_convs = []
+    pooled, argmaxes = [], []
     col = 0
     for kernel, bias in zip(params.kernels, params.conv_bias):
         k, _, n_filters = kernel.shape
@@ -171,39 +174,33 @@ def _forward_batch(
         conv = y[:rows, col:col + n_filters]
         for j in range(1, k):
             conv = conv + y[j:j + rows, col + j * n_filters:col + (j + 1) * n_filters]
-        bank_convs.append(conv + bias)
+        last = lengths - k  # each document's last window, counted from its first
+        act = np.maximum(conv + bias, 0.0)
+        windows = act[starts[:, None] + np.minimum(np.arange(last.max() + 1), last[:, None])]
+        argmax = windows.argmax(axis=1)
+        pooled.append(act[starts[:, None] + argmax, np.arange(n_filters)])
+        argmaxes.append(argmax)
         col += k * n_filters
-    logits = []
-    cache = {"x": x, "starts": starts, "argmax": [], "concat": [], "dropped": []}
-    for pos, (start, length) in enumerate(zip(starts, lengths)):
-        pooled_parts, argmaxes = [], []
-        for kernel, conv in zip(params.kernels, bank_convs):
-            act = np.maximum(conv[start:start + length - kernel.shape[0] + 1], 0.0)
-            argmax = act.argmax(axis=0)
-            pooled_parts.append(act[argmax, np.arange(kernel.shape[2])])
-            argmaxes.append(argmax)
-        concat = np.concatenate(pooled_parts)
-        dropped = concat * dropout_masks[pos] if dropout_masks is not None else concat
-        logits.append(float(dropped @ params.dense_W + params.dense_b[0]))
-        cache["argmax"].append(np.concatenate(argmaxes))
-        cache["concat"].append(concat)
-        cache["dropped"].append(dropped)
+    concat = np.concatenate(pooled, axis=1)
+    dropped = concat * dropout_masks if dropout_masks is not None else concat
+    # One 1-D dot per document: a matrix-vector product may sum in another order.
+    logits = np.array([row @ params.dense_W for row in dropped]) + params.dense_b[0]
+    cache = {"x": x, "starts": starts, "argmax": np.concatenate(argmaxes, axis=1),
+             "concat": concat, "dropped": dropped}
     return logits, cache
 
 
 def conv_forward(seq: TokenEmbeddingSequence, params: ConvHeadParams) -> float:
     """Inference-mode scalar logit for one sequence (no dropout)."""
-    logits, _ = _forward_batch([seq], params)
-    return logits[0]
+    return float(_forward_batch([seq], params)[0][0])
 
 
-def conv_logits(sequences, params: ConvHeadParams, batch_size: int) -> list:
-    """Inference logits for many sequences, batch_size sequences per GEMM."""
+def conv_logits(sequences, params: ConvHeadParams, batch_size: int) -> np.ndarray:
+    """Inference logits (n,) for many sequences, batch_size sequences per GEMM."""
     sequences = list(sequences)
-    logits = []
-    for start in range(0, len(sequences), batch_size):
-        logits.extend(_forward_batch(sequences[start:start + batch_size], params)[0])
-    return logits
+    chunks = [_forward_batch(sequences[start:start + batch_size], params)[0]
+              for start in range(0, len(sequences), batch_size)]
+    return np.concatenate([np.empty(0), *chunks])
 
 
 def bce_with_logits(logit: float, label: int) -> float:
@@ -221,9 +218,9 @@ def sigmoid(z: float) -> float:
     return ez / (1.0 + ez)
 
 
-def classify(logit: float) -> int:
-    """sigmoid(logit) >= 0.5 maps to 1; the 0.5 boundary counts as positive."""
-    return 1 if logit >= 0.0 else 0
+def classify(logits) -> np.ndarray:
+    """int64 labels: sigmoid(logit) >= 0.5 maps to 1; the 0.5 boundary counts as positive."""
+    return (np.asarray(logits) >= 0.0).astype(np.int64)
 
 
 def param_blocks(params: ConvHeadParams) -> dict:
@@ -251,7 +248,8 @@ def batch_loss_and_gradients(
     each document's d_conv for bank b's filter f at column start + argmax + j,
     in document order. Per element that sums the same products in the same
     order as the im2col product windows.T @ d_conv accumulated one document
-    at a time.
+    at a time, and the loss and the other gradients are sums in document order.
+    dropout_masks is None or one row per document.
     """
     # Imported here: scipy.sparse adds about 0.13 s to the package import.
     import scipy.sparse as sp
@@ -259,29 +257,17 @@ def batch_loss_and_gradients(
     if not sequences:
         raise ValueError("empty batch")
     logits, cache = _forward_batch(sequences, params, dropout_masks)
+    n = len(sequences)
+    loss = _sum_rows(np.array([bce_with_logits(z, y) for z, y in zip(logits, labels)])) / n
+    # dL/dz for BCE-with-logits is sigmoid(z) - y.
+    d_logits = np.array([sigmoid(z) - y for z, y in zip(logits, labels)])[:, None]
+    d_concat = d_logits * params.dense_W
+    if dropout_masks is not None:
+        d_concat = d_concat * dropout_masks
+    d_convs = d_concat * (cache["concat"] > 0.0)
+    d_bias = _sum_rows(d_convs)
     bank_offsets = np.cumsum([0] + [kernel.shape[2] for kernel in params.kernels])
-    bias_grads = [np.zeros_like(bias) for bias in params.conv_bias]
-    dense_w = np.zeros_like(params.dense_W)
-    dense_b = np.zeros_like(params.dense_b)
-    d_convs = []
-    total = 0.0
-    for pos, (logit, label) in enumerate(zip(logits, labels)):
-        total += bce_with_logits(logit, label)
-        # dL/dz for BCE-with-logits is sigmoid(z) - y.
-        d_logit = sigmoid(logit) - label
-        dense_w += d_logit * cache["dropped"][pos]
-        dense_b += d_logit
-        d_concat = d_logit * params.dense_W
-        if dropout_masks is not None:
-            d_concat = d_concat * dropout_masks[pos]
-        d_conv = d_concat * (cache["concat"][pos] > 0.0)
-        for idx, grad in enumerate(bias_grads):
-            grad += d_conv[bank_offsets[idx]:bank_offsets[idx + 1]]
-        d_convs.append(d_conv)
-
-    d_convs = np.array(d_convs)
-    argmax = np.array(cache["argmax"])
-    x, starts = cache["x"], cache["starts"]
+    x, starts, argmax = cache["x"], cache["starts"], cache["argmax"]
     rows, cols, vals = [], [], []
     row = 0
     for idx, kernel in enumerate(params.kernels):
@@ -297,16 +283,21 @@ def batch_loss_and_gradients(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(row, x.shape[0]),
     )
-    n = len(sequences)
     g_all = s_all @ x
     g_all /= n
     grads = {}
     for idx, grad in enumerate(_bank_views(g_all, [kernel.shape for kernel in params.kernels])):
         grads[f"conv.K{idx}"] = grad
-        grads[f"conv.b{idx}"] = bias_grads[idx] / n
-    grads["dense.W"] = dense_w / n
-    grads["dense.b"] = dense_b / n
-    return total / n, grads
+        grads[f"conv.b{idx}"] = d_bias[bank_offsets[idx]:bank_offsets[idx + 1]] / n
+    grads["dense.W"] = _sum_rows(d_logits * cache["dropped"]) / n
+    grads["dense.b"] = _sum_rows(d_logits) / n
+    return float(loss), grads
+
+
+def _sum_rows(a: np.ndarray) -> np.ndarray:
+    """The sum over axis 0 of 0.0 and then each row in turn (np.sum may add in pairs along a
+    contiguous axis); the final + 0.0 turns -0.0 into 0.0, as a sum started at 0.0 does."""
+    return np.cumsum(a, axis=0)[-1] + 0.0
 
 
 def train_conv(
@@ -347,9 +338,8 @@ def train_conv(
             batch = order[start:start + config.batch_size]
             dropout_masks = None
             if config.dropout > 0.0:
-                dropout_masks = [
-                    _dropout_mask(rng, params.concat_dim, config.dropout) for _ in batch
-                ]
+                # One row per document: the draws of one mask per document, in order.
+                dropout_masks = _dropout_mask(rng, (len(batch), params.concat_dim), config.dropout)
             loss, grads = batch_loss_and_gradients(
                 [sequences[i] for i in batch], labels[batch].tolist(), params, dropout_masks
             )
@@ -360,7 +350,7 @@ def train_conv(
 
         val_acc = val_f1 = 0.0
         if len(val_idx):
-            preds = [classify(z) for z in conv_logits(val_seqs, params, config.batch_size)]
+            preds = classify(conv_logits(val_seqs, params, config.batch_size))
             report = evaluation.metrics(evaluation.confusion(preds, val_gold))
             val_acc, val_f1 = report.accuracy, report.f1
         history.append(

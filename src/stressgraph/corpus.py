@@ -168,6 +168,8 @@ def gold_labels(corpus: TokenizedCorpus, ids: list[str]) -> np.ndarray:
 def _parse_label(value, line_no: int | None) -> int | None:
     if value is None or value == "":
         return None
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise CorpusFormatError(f"label {value!r} is not an integer", line_no)
     try:
         label = int(value)
     except (TypeError, ValueError, OverflowError):

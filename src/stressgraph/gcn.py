@@ -242,10 +242,18 @@ def _nll(z_final: np.ndarray, mask: np.ndarray, gold: np.ndarray) -> tuple[float
     return float(-np.log(picked + LOSS_EPS).mean()), picked
 
 
+def _gold(labels, mask: np.ndarray, name: str) -> np.ndarray:
+    """The labels under mask as int64; ValueError naming the first one that is None."""
+    labels = np.asarray(labels)
+    if labels.dtype == object and np.equal(labels[mask], None).any():
+        raise ValueError(f"{name} document {np.argmax(mask & np.equal(labels, None))} is unlabeled")
+    return labels[mask].astype(np.int64)
+
+
 def nll_loss(z_final, labels, mask) -> float:
     """Mean negative log likelihood -ln(p[label] + eps) over masked documents."""
     mask = np.asarray(mask, dtype=bool)
-    return _nll(np.asarray(z_final), mask, np.asarray(labels)[mask].astype(np.int64))[0]
+    return _nll(np.asarray(z_final), mask, _gold(labels, mask, "masked"))[0]
 
 
 def predict(z_final) -> np.ndarray:
@@ -289,7 +297,7 @@ def loss_and_gradients(
     """
     cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
-    gold = np.asarray(labels)[mask].astype(np.int64)  # labels outside the mask may be None
+    gold = _gold(labels, mask, "train")  # labels outside the mask may be None
     loss, picked = _nll(cache["z_final"], mask, gold)
 
     d_final = np.zeros((features.n_docs, gcn.W2.shape[1]))
@@ -424,11 +432,10 @@ def train(
     """
     train_mask = np.asarray(masks["train"], dtype=bool)
     val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)
-    unlabeled = np.equal(np.asarray(labels), None)
-    for name, read in (("train", train_mask & unlabeled), ("val", val_mask & unlabeled)):
-        if read.any():
-            raise ValueError(f"{name} document {np.argmax(read)} is unlabeled")
-    labels = np.where(unlabeled, -1, labels).astype(np.int64)  # test labels are never read
+    for name, mask in (("train", train_mask), ("val", val_mask)):
+        _gold(labels, mask, name)
+    # Test labels are never read; a None there becomes -1.
+    labels = np.where(np.equal(np.asarray(labels), None), -1, labels).astype(np.int64)
     n_classes = 2
     embedding_dim = None if features.doc_embeddings is None else features.dim
     gcn, head = init_parameters(

@@ -388,14 +388,17 @@ def run_batch(
 
     Prompts whose stored transcript holds a response (parsed or not) are not
     re-sent, so an interrupted run resumes where it stopped. rate caps
-    dispatch at that many requests per second; a transport failure that
-    survives all retries still yields a transcript (response None, failure
-    recorded in meta), which is sent again on resume, its stored attempts
-    added to the new ones.
+    dispatch at that many requests per second; None or 0 means no cap, and
+    a negative or NaN rate is a ValueError before any request. A transport
+    failure that survives all retries still yields a transcript (response
+    None, failure recorded in meta), which is sent again on resume, its
+    stored attempts added to the new ones.
     """
     prompts = list(prompts)
     if not prompts:
         raise ValueError("no prompts to run")
+    if rate is not None and not rate >= 0:
+        raise ValueError(f"rate must be a non-negative number of requests per second, not {rate}")
     store = load_transcript_store(store_path) if store_path else {}
     min_interval = 1.0 / rate if rate else 0.0
     last_dispatch = None

@@ -173,6 +173,35 @@ def test_ingest_csv_format(tmp_path):
     assert load_tokenized(out / "tokenized.json").n_docs == 2
 
 
+@pytest.mark.parametrize("label, shown", [
+    ("1.5", "1.5"), ("true", "True"), ("0.99", "0.99"), ("-0.5", "-0.5"), ("false", "False"),
+])
+def test_ingest_label_neither_0_nor_1_is_data_error(tmp_path, capsys, label, shown):
+    # int() used to truncate each of these JSON labels to 0 or 1.
+    corpus_path = tmp_path / "c.jsonl"
+    corpus_path.write_text('{"id": "a", "text": "sunny garden walk", "label": 0}\n'
+                           f'{{"id": "b", "text": "anxious walk", "label": {label}}}\n',
+                           encoding="utf-8")
+    rc = cli.main(["ingest", "--corpus", str(corpus_path), "--min-df", "1",
+                   "--out", str(tmp_path / "ing")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("data error:")] == [
+        f"data error: line 2: label {shown} is not an integer"
+    ]
+
+
+def test_ingest_keeps_integral_json_labels(tmp_path):
+    corpus_path = tmp_path / "c.jsonl"
+    labels = ["0", "1", "0.0", "1.0", '"0"', '"1"']
+    lines = [f'{{"id": "d{i}", "text": "walk", "label": {label}}}\n' for i, label in enumerate(labels)]
+    corpus_path.write_text("".join(lines), encoding="utf-8")
+    out = tmp_path / "ing"
+    rc = cli.main(["ingest", "--corpus", str(corpus_path), "--min-df", "1", "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    assert load_tokenized(out / "tokenized.json").labels == [0, 1, 0, 1, 0, 1]
+
+
 def test_build_graph_artifact(pipeline):
     with open(pipeline["graph"], "r", encoding="utf-8") as fh:
         data = json.load(fh)
@@ -1891,3 +1920,17 @@ def test_module_entry_point_prints_help():
     )
     assert proc.returncode == 0
     assert b"ingest" in proc.stdout and b"export" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# module layout
+
+
+def test_cli_stays_under_its_line_cap_and_reads_no_file_itself():
+    # cli.py holds the parser, the handlers' wiring and main; every input file
+    # is read by the module that owns its format, where it can be fuzzed.
+    with open(cli.__file__, encoding="utf-8") as fh:
+        source = fh.read()
+    assert len(source.splitlines()) <= 632
+    for call in ("open(", "json.load", "json.loads", "csv.reader"):
+        assert call not in source, call

@@ -130,7 +130,7 @@ def test_mixed_float32_batch_matches_float64_bit_for_bit():
              for i, m in enumerate(matrices)]
     wide = [seq(f"d{i}", m) for i, m in enumerate(matrices)]
     assert [s.matrix.dtype for s in mixed] == [np.float64, np.float32] * 2
-    assert conv_logits(mixed, params, 3) == conv_logits(wide, params, 3)
+    assert np.array_equal(conv_logits(mixed, params, 3), conv_logits(wide, params, 3))
     labels = [1, 0, 0, 1]
     loss, grads = batch_loss_and_gradients(mixed, labels, params)
     ref_loss, ref_grads = batch_loss_and_gradients(wide, labels, params)
@@ -243,6 +243,12 @@ def test_classify_boundary():
     assert classify(0.0) == 1
     assert classify(3.0) == 1
     assert classify(-3.0) == 0
+
+
+def test_classify_maps_an_array():
+    labels = classify(np.array([-0.5, 0.0, 2.0, -0.0, -1e-300]))
+    assert labels.dtype == np.int64
+    np.testing.assert_array_equal(labels, [0, 1, 1, 1, 0])
 
 
 def fd_gradients(loss_fn, arrays: dict, h: float = 1e-5) -> dict:
@@ -422,7 +428,42 @@ def test_conv_logits_matches_single_document_forward():
         logits = conv_logits(sequences, params, batch_size)
         assert len(logits) == len(sequences)
         np.testing.assert_allclose(logits, singles, rtol=1e-12, atol=1e-12)
-    assert conv_logits([], params, 4) == []
+    assert conv_logits([], params, 4).shape == (0,)
+
+
+def test_conv_logits_is_a_float64_array():
+    params = init_conv_params(ConvHeadConfig(**SMALL))
+    sequences = [seq(f"d{i}", np.full((i + 1, 3), 0.1 * i)) for i in range(5)]
+    for got, n in ((conv_logits(sequences, params, 2), 5), (conv_logits([], params, 2), 0)):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (n,)
+
+
+@pytest.mark.parametrize("n", [1, 7, 8])
+def test_batch_sums_run_in_document_order(n):
+    # np.sum adds a 1-D array in pairs from 8 terms on. The loss and the dense.W,
+    # dense.b and conv bias gradients must equal a per-document accumulation.
+    rng = np.random.default_rng(30 + n)
+    config = ConvHeadConfig(kernel_sizes=(2, 3), n_filters=5, embedding_dim=4, seed=n)
+    params = init_conv_params(config)
+    for arr in param_blocks(params).values():
+        arr += rng.normal(scale=0.5, size=arr.shape)
+    sequences = [seq(f"d{i}", rng.normal(size=(int(rng.integers(1, 9)), 4))) for i in range(n)]
+    labels = [int(v) for v in rng.integers(0, 2, size=n)]
+    masks = (rng.random((n, params.concat_dim)) >= 0.5) / 0.5
+    loss, grads = batch_loss_and_gradients(sequences, labels, params, masks)
+    logits, cache = _forward_batch(sequences, params, masks)
+    total, dense_b = 0.0, 0.0
+    dense_w, bias = np.zeros(params.concat_dim), np.zeros(params.concat_dim)
+    for pos, label in enumerate(labels):
+        total += bce_with_logits(logits[pos], label)
+        d_logit = sigmoid(logits[pos]) - label
+        dense_w += d_logit * cache["dropped"][pos]
+        dense_b += d_logit
+        bias += d_logit * params.dense_W * masks[pos] * (cache["concat"][pos] > 0.0)
+    assert loss == total / n
+    assert grads["dense.b"].tolist() == [dense_b / n]
+    assert np.array_equal(grads["dense.W"], dense_w / n)
+    assert np.array_equal(np.concatenate([grads["conv.b0"], grads["conv.b1"]]), bias / n)
 
 
 # -------------------------------------------------------------- training

@@ -6,7 +6,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.special
 import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -25,12 +24,10 @@ from stressgraph.evaluation import (
     paired_ttest,
     read_counts,
     read_predictions,
-    regularized_incomplete_beta,
     render_aggregate,
     render_metrics,
     render_table,
     report_as_dict,
-    student_t_sf2,
 )
 
 # Counts from the published confusion matrix used as the reference example.
@@ -57,6 +54,15 @@ def test_confusion_validation():
         confusion([2], [0])
     with pytest.raises(ValueError):
         confusion([0], ["x"])
+
+
+def test_confusion_counts_numpy_arrays_and_names_a_bad_label():
+    cm = confusion(np.array([1, 1, 0, 0, 1]), np.array([True, False, False, True, True]))
+    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (2, 1, 1, 1)
+    assert all(type(count) is int for count in (cm.tp, cm.fp, cm.fn, cm.tn))
+    with pytest.raises(ValueError) as exc:
+        confusion(np.array([0, 1]), np.array([0, -1]))
+    assert str(exc.value) == "labels must be 0 or 1, got pred=1 gold=-1 at position 1"
 
 
 def test_confusion_matrix_type_checks():
@@ -182,37 +188,6 @@ def test_aggregate_single_run_has_zero_std():
 def test_aggregate_empty_raises():
     with pytest.raises(ValueError):
         aggregate([])
-
-
-# ------------------------------------------------------ incomplete beta
-
-
-def test_incomplete_beta_against_scipy():
-    for df in list(range(1, 31)) + [50, 100]:
-        for x in np.linspace(0.001, 0.999, 21):
-            got = regularized_incomplete_beta(df / 2.0, 0.5, float(x))
-            want = scipy.special.betainc(df / 2.0, 0.5, x)
-            assert abs(got - want) < 1e-10, (df, x)
-
-
-def test_incomplete_beta_boundaries_and_validation():
-    assert regularized_incomplete_beta(2.0, 0.5, 0.0) == 0.0
-    assert regularized_incomplete_beta(2.0, 0.5, 1.0) == 1.0
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(0.0, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        regularized_incomplete_beta(1.0, 0.5, 1.5)
-
-
-def test_student_t_tail_against_scipy():
-    for df in (1, 2, 4, 9, 29):
-        for t in (-5.0, -2.1, -0.3, 0.0, 0.7, 2.4494897, 4.9):
-            got = student_t_sf2(t, df)
-            want = 2.0 * scipy.stats.t.sf(abs(t), df)
-            assert abs(got - want) < 1e-10, (t, df)
-    assert student_t_sf2(math.inf, 3) == 0.0
-    with pytest.raises(ValueError):
-        student_t_sf2(1.0, 0)
 
 
 # ---------------------------------------------------------------- t-test

@@ -177,6 +177,19 @@ def test_labels_outside_the_loss_mask_may_be_none():
     assert all(np.array_equal(grads[name], want_grads[name]) for name in want_grads)
 
 
+def test_a_none_label_under_the_loss_mask_is_named():
+    # A None label under the mask used to surface as int()'s TypeError.
+    features, adj, _, labels, _ = pipeline_setup(46, identity=True)
+    gcn, _ = init_parameters(features.dim, 3, 2, None, seed=0)
+    mask = [True, True, True, False]
+    unlabeled = [labels[0], None, None, labels[3]]
+    probs = np.full((4, 2), 0.5)
+    with pytest.raises(ValueError, match="^masked document 1 is unlabeled$"):
+        nll_loss(probs, unlabeled, mask)
+    with pytest.raises(ValueError, match="^train document 1 is unlabeled$"):
+        loss_and_gradients(features, adj, gcn, None, unlabeled, mask, 1.0)
+
+
 def test_predict_breaks_ties_low():
     probs = np.array([[0.5, 0.5], [0.2, 0.8]])
     np.testing.assert_array_equal(predict(probs), [0, 1])

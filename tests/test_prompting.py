@@ -412,6 +412,15 @@ def test_run_batch_requires_prompts():
         run_batch(CannedClient("x"), [])
 
 
+@pytest.mark.parametrize("rate", [-1.0, float("nan")])
+def test_run_batch_refuses_a_negative_or_nan_rate_before_sending(rate):
+    # Both used to send every request with no cap.
+    client = CannedClient("minority stress")
+    with pytest.raises(ValueError, match="^rate must be a non-negative number"):
+        run_batch(client, [build_zero_shot("text")], rate=rate)
+    assert client.calls == 0
+
+
 def test_run_batch_persists_and_resumes(tmp_path):
     store = tmp_path / "transcripts.jsonl"
     client = CannedClient("no minority stress")
@@ -522,6 +531,14 @@ def test_run_batch_rate_limit_uses_injected_clock():
     # A frozen clock forces the full 0.5 s gap before every later dispatch.
     assert len(sleeps) == 3
     assert all(abs(s - 0.5) < 1e-9 for s in sleeps)
+
+
+@pytest.mark.parametrize("rate", [None, 0, 0.0])
+def test_run_batch_none_or_zero_rate_means_no_cap(rate):
+    sleeps = []
+    run_batch(CannedClient("minority stress"), ["a", "b", "c"], rate=rate,
+              sleep=sleeps.append, clock=lambda: 0.0)
+    assert sleeps == []
 
 
 def test_transcript_predictions_modes():

@@ -1,6 +1,7 @@
 """Start-up cost: commands that build no sparse matrix and send no request never
-import scipy.sparse or urllib.request. Each case runs in a fresh interpreter,
-because pytest itself has loaded scipy.sparse by the time a test runs."""
+import scipy.sparse or urllib.request, and no command imports scipy.special or
+scipy.stats (only the t-test loads scipy.special). Each case runs in a fresh
+interpreter, because pytest itself has loaded scipy.sparse by the time a test runs."""
 
 import json
 import os
@@ -14,7 +15,7 @@ from stressgraph.corpus import load_tokenized
 from test_cli import artifact_digests, write_corpus, write_sequences
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(stressgraph.__file__)))
-WATCHED = ("scipy.sparse", "urllib.request")
+WATCHED = ("scipy.sparse", "urllib.request", "scipy.special", "scipy.stats")
 
 # Runs the cli.main argument lists of argv[1] (JSON) in order, then prints their
 # exit codes and which of the modules named by argv[2:] are loaded.
