@@ -190,11 +190,6 @@ def _forward_batch(
     return logits, cache
 
 
-def conv_forward(seq: TokenEmbeddingSequence, params: ConvHeadParams) -> float:
-    """Inference-mode scalar logit for one sequence (no dropout)."""
-    return float(_forward_batch([seq], params)[0][0])
-
-
 def conv_logits(sequences, params: ConvHeadParams, batch_size: int) -> np.ndarray:
     """Inference logits (n,) for many sequences, batch_size sequences per GEMM."""
     sequences = list(sequences)
@@ -204,10 +199,11 @@ def conv_logits(sequences, params: ConvHeadParams, batch_size: int) -> np.ndarra
 
 
 def bce_with_logits(logit: float, label: int) -> float:
-    """Numerically stable max(z,0) - z*y + ln(1 + e^(-|z|))."""
+    """Numerically stable max(z,0) - z*y + ln(1 + e^(-|z|)), in Python float arithmetic
+    for any integer label type: a numpy label would warn on an infinite logit."""
     if label not in (0, 1):
         raise ValueError(f"label must be 0 or 1, got {label!r}")
-    z = float(logit)
+    label, z = int(label), float(logit)
     return max(z, 0.0) - z * label + math.log1p(math.exp(-abs(z)))
 
 
@@ -341,7 +337,7 @@ def train_conv(
                 # One row per document: the draws of one mask per document, in order.
                 dropout_masks = _dropout_mask(rng, (len(batch), params.concat_dim), config.dropout)
             loss, grads = batch_loss_and_gradients(
-                [sequences[i] for i in batch], labels[batch].tolist(), params, dropout_masks
+                [sequences[i] for i in batch], labels[batch], params, dropout_masks
             )
             if not math.isfinite(loss):
                 raise DivergenceError(epoch)

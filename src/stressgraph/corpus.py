@@ -120,15 +120,9 @@ class TokenizedCorpus:
 
 @dataclass
 class SplitAssignment:
-    """Partition of document ids into train/val/test.
-
-    ratios/seed are None when the assignment was loaded from a file that
-    records only the mapping.
-    """
+    """Partition of document ids into train/val/test."""
 
     assignment: dict[str, str]
-    ratios: tuple[float, ...] | None = None
-    seed: int | None = None
 
     def ids_in(self, split: str) -> list[str]:
         return [d for d, s in self.assignment.items() if s == split]
@@ -144,7 +138,7 @@ class SplitAssignment:
         if missing or extra:
             raise ValueError(f"split does not align with the corpus ({len(missing)} unassigned, "
                              f"{len(extra)} unknown ids)")
-        return SplitAssignment({d: self.assignment[d] for d in doc_ids}, self.ratios, self.seed)
+        return SplitAssignment({d: self.assignment[d] for d in doc_ids})
 
 
 def split_masks(split: SplitAssignment, doc_ids: list[str]) -> dict:
@@ -350,7 +344,7 @@ def stratified_split(
             for i in members[start : start + quota]:
                 assignment[doc_ids[i]] = split
             start += quota
-    return SplitAssignment(assignment=assignment, ratios=tuple(ratios), seed=seed)
+    return SplitAssignment(assignment=assignment)
 
 
 def save_tokenized(path, corpus: TokenizedCorpus) -> None:

@@ -262,9 +262,11 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
     """Two-tailed paired t-test with Bonferroni correction over comparisons.
 
     t = mean / sqrt(var / n) with var the ddof=1 variance of the differences,
-    in scipy's order of operations. Zero-variance differences short-circuit:
-    identical sequences give t=0, p=1; a constant non-zero gap gives
-    t=+/-inf, p=0.
+    in scipy's order of operations, computed on the differences scaled by the
+    power of two that brings the largest into [0.5, 1). That scaling is exact,
+    so t keeps its bits wherever the unscaled arithmetic neither underflows
+    nor overflows. Differences that are all equal short-circuit: identical
+    sequences give t=0, p=1; a constant non-zero gap gives t=+/-inf, p=0.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
@@ -274,19 +276,18 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
     if n < 2:
         raise ValueError("paired t-test needs at least two pairs")
     diffs = np.asarray(a) - np.asarray(b)
-    mean = float(diffs.mean())
-    var = float(diffs.var(ddof=1))
     df = n - 1
-    if var == 0.0:
-        if mean == 0.0:
+    if np.all(diffs == diffs[0]):
+        if diffs[0] == 0.0:
             t, p = 0.0, 1.0
         else:
-            t, p = math.copysign(math.inf, mean), 0.0
+            t, p = math.copysign(math.inf, diffs[0]), 0.0
     else:
         # Imported here: scipy.special adds about 0.1 s to the package import.
         from scipy.special import stdtr
 
-        t = mean / math.sqrt(var / n)
+        scaled = np.ldexp(diffs, -math.frexp(float(np.abs(diffs).max()))[1])
+        t = float(scaled.mean()) / math.sqrt(float(scaled.var(ddof=1)) / n)
         p = float(2.0 * stdtr(df, -abs(t)))  # scipy.stats.t.sf(|t|, df) is stdtr(df, -|t|)
     return TTestResult(
         statistic=t, df=df, p_value=p,

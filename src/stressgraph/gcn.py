@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import evaluation
-from .graph import EmbeddingMatrix, NodeFeatures
+from .graph import NodeFeatures
 from .manifest import atomic_write, pack_name, read_binary, write_binary
 
 if TYPE_CHECKING:
@@ -209,51 +209,12 @@ def _forward_pass(
     }
 
 
-def gcn_forward(
-    features: NodeFeatures, adj_norm: sp.csr_array, params: GCNParameters
-) -> np.ndarray:
-    """Inference-mode graph-branch prediction Z_G, n_docs x 2 (no dropout)."""
-    return _forward_pass(features, adj_norm, params, None, 1.0, None)["z_g"]
-
-
-def linear_forward(embeddings: EmbeddingMatrix, head: LinearHead) -> np.ndarray:
-    """Embedding-branch prediction Z_B, n_docs x 2: row softmax of Z_doc W + b."""
-    if embeddings.dim != head.W.shape[0]:
-        raise ValueError(
-            f"embedding dim {embeddings.dim} does not match head input {head.W.shape[0]}"
-        )
-    return _softmax(embeddings.values @ head.W + head.b)
-
-
-def interpolate(z_g: np.ndarray, z_b: np.ndarray, lam: float) -> np.ndarray:
-    """Fused prediction lam * Z_G + (1 - lam) * Z_B."""
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    if np.shape(z_g) != np.shape(z_b):
-        raise ValueError("prediction matrices must share a shape")
-    return lam * np.asarray(z_g) + (1.0 - lam) * np.asarray(z_b)
-
-
-def _nll(z_final: np.ndarray, mask: np.ndarray, gold: np.ndarray) -> tuple[float, np.ndarray]:
-    """nll_loss given gold, the masked documents' labels, and their probabilities of those."""
-    if not mask.any():
-        raise ValueError("loss mask selects no documents")
-    picked = z_final[mask, gold]
-    return float(-np.log(picked + LOSS_EPS).mean()), picked
-
-
 def _gold(labels, mask: np.ndarray, name: str) -> np.ndarray:
     """The labels under mask as int64; ValueError naming the first one that is None."""
     labels = np.asarray(labels)
     if labels.dtype == object and np.equal(labels[mask], None).any():
         raise ValueError(f"{name} document {np.argmax(mask & np.equal(labels, None))} is unlabeled")
     return labels[mask].astype(np.int64)
-
-
-def nll_loss(z_final, labels, mask) -> float:
-    """Mean negative log likelihood -ln(p[label] + eps) over masked documents."""
-    mask = np.asarray(mask, dtype=bool)
-    return _nll(np.asarray(z_final), mask, _gold(labels, mask, "masked"))[0]
 
 
 def predict(z_final) -> np.ndarray:
@@ -297,8 +258,12 @@ def loss_and_gradients(
     """
     cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
+    if not mask.any():
+        raise ValueError("loss mask selects no documents")
     gold = _gold(labels, mask, "train")  # labels outside the mask may be None
-    loss, picked = _nll(cache["z_final"], mask, gold)
+    # The mean negative log likelihood -ln(p[label] + eps) over the train documents.
+    picked = cache["z_final"][mask, gold]
+    loss = float(-np.log(picked + LOSS_EPS).mean())
 
     d_final = np.zeros((features.n_docs, gcn.W2.shape[1]))
     d_final[mask, gold] = -1.0 / (len(picked) * (picked + LOSS_EPS))
@@ -530,10 +495,6 @@ def load_parameter_blocks(path) -> dict:
             shape = reader.unpack(f"<{ndim}Q", f"checkpoint shape of block {name!r}")
             blocks[name] = reader.array(shape, "<f8", f"checkpoint block {name!r}").astype(np.float64)
     return blocks
-
-
-def save_checkpoint(path, gcn: GCNParameters, head: LinearHead | None) -> None:
-    save_parameter_blocks(path, param_blocks(gcn, head))
 
 
 def check_block_shapes(blocks: dict, dims: dict) -> None:

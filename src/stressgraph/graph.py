@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .manifest import Columns, atomic_write, read_binary, read_json, write_binary, write_json
+from .manifest import Columns, read_binary, read_json, write_binary, write_json
 
 # scipy.sparse is imported in the functions that build sparse matrices: it adds
 # about 0.13 s to the package import, and most commands never build one.
@@ -86,10 +86,6 @@ class NodeFeatures:
     doc_embeddings: np.ndarray | None
     n_docs: int
     n_words: int
-
-    @property
-    def mode(self) -> str:
-        return "identity" if self.doc_embeddings is None else "external-embeddings"
 
     @property
     def dim(self) -> int:
@@ -323,14 +319,14 @@ def read_embeddings(path) -> EmbeddingMatrix:
 
 
 def read_embeddings_csv(path) -> EmbeddingMatrix:
-    """CSV fallback: one embedding row per document, corpus order."""
-    values = np.loadtxt(path, delimiter=",", ndmin=2, dtype=np.float64)
+    """CSV fallback: one embedding row per document, corpus order; ValueError when no line
+    holds data (np.loadtxt would only warn)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not any(line.split("#", 1)[0].strip() for line in lines):
+        raise ValueError(f"embedding file {path} holds no rows")
+    values = np.loadtxt(lines, delimiter=",", ndmin=2, dtype=np.float64)
     return EmbeddingMatrix(values=values)
-
-
-def write_embeddings_csv(path, embeddings: EmbeddingMatrix) -> None:
-    with atomic_write(path) as fh:
-        np.savetxt(fh, embeddings.values, delimiter=",", fmt="%.17g")
 
 
 def export_graph_json(corpus, tfidf: sp.sparray, ppmi: sp.coo_array) -> dict:

@@ -161,26 +161,6 @@ def salience_to_json(graph: SalienceGraph) -> dict:
     return {"nodes": nodes, "edges": Columns({**ends, "kind": _edge_kinds(graph), "w": graph.w})}
 
 
-def salience_from_json(payload) -> SalienceGraph:
-    """The graph of a parsed salience.json; a malformed payload raises ValueError."""
-    try:
-        nodes = {"doc": [], "word": []}
-        for node in payload["nodes"]:
-            nodes[node["kind"]].append((node["id"], node["name"]))
-        order = nodes["doc"] + nodes["word"]
-        index = {node_id: i for i, (node_id, _) in enumerate(order)}
-        if len(index) != len(order):
-            raise ValueError("repeated node ids")
-        kind = dict(zip(_EDGE_KINDS, (False, True)))
-        edges = [(index[e["a"]], index[e["b"]], e["w"], kind[e["kind"]]) for e in payload["edges"]]
-        a, b, w, ww = zip(*edges) if edges else ((), (), (), ())
-        if not set(map(type, w)) <= {int, float}:
-            raise ValueError("edge weights must be numbers")
-        return SalienceGraph([n for _, n in nodes["doc"]], [n for _, n in nodes["word"]], a, b, w, ww)
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed salience payload: {type(exc).__name__} {exc}") from None
-
-
 def _dot_quote(name: str) -> str:
     escaped = name.replace("\\", "\\\\").replace('"', '\\"')
     return f'"{escaped}"'

@@ -222,16 +222,3 @@ def read_binary(path, magic: bytes, version: int, kind: str):
 
 def write_manifest(path, manifest: RunManifest) -> None:
     write_json(path, manifest.as_dict(), indent=2)
-
-
-def read_manifest(path) -> RunManifest:
-    payload = read_json(path)
-    return RunManifest(
-        command=payload["command"],
-        config=payload["config"],
-        seeds=list(payload["seeds"]),
-        inputs=dict(payload["inputs"]),
-        outputs=dict(payload["outputs"]),
-        wall_clock_seconds=float(payload["wall_clock_seconds"]),
-        thread_count=int(payload["thread_count"]),
-    )

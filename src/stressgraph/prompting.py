@@ -141,13 +141,9 @@ class CompletionTranscript:
         )
 
 
-def build_zero_shot(text: str, spec: PromptSpec = PromptSpec()) -> str:
-    """Instruction, the input text, and an empty Output section."""
-    return build_few_shot(ShotSet(shots=()), text, spec)
-
-
 def build_few_shot(shots: ShotSet, text: str, spec: PromptSpec = PromptSpec()) -> str:
-    """Exemplar Input/Output pairs in shot order, then the query."""
+    """Exemplar Input/Output pairs in shot order, then the query; with no shots, the
+    zero-shot prompt: the instruction, the input text and an empty Output section."""
     if not text:
         raise ValueError("cannot build a prompt from empty text")
     parts = [spec.task_line, ""]

@@ -13,6 +13,8 @@ import scipy.sparse as sp
 
 from stressgraph.corpus import TokenizedCorpus, Vocabulary
 from stressgraph.gcn import evaluate, init_parameters, loss_and_gradients, train
+from stressgraph.interpret import SalienceGraph
+from stressgraph.manifest import RunManifest, read_json
 
 
 def make_corpus(sequences, n_tokens=None, labels=None) -> TokenizedCorpus:
@@ -159,6 +161,23 @@ def reference_salience_json(doc_nodes, word_nodes, edges) -> dict:
     ]}
 
 
+def salience_graph_from_json(payload) -> SalienceGraph:
+    """The SalienceGraph a parsed salience.json describes, read without checks of its own."""
+    names = {node["id"]: node["name"] for node in payload["nodes"]}
+    order = [node["id"] for kind in ("doc", "word") for node in payload["nodes"] if node["kind"] == kind]
+    index = {node_id: i for i, node_id in enumerate(order)}
+    n_docs = sum(node["kind"] == "doc" for node in payload["nodes"])
+    edges = payload["edges"]
+    return SalienceGraph(
+        doc_nodes=[names[i] for i in order[:n_docs]],
+        word_nodes=[names[i] for i in order[n_docs:]],
+        a=[index[e["a"]] for e in edges],
+        b=[index[e["b"]] for e in edges],
+        w=[e["w"] for e in edges],
+        word_word=[e["kind"] == "word-word" for e in edges],
+    )
+
+
 def reference_salience_dot(doc_nodes, word_nodes, edges) -> str:
     """salience.dot written line by line from the salience_json ids."""
     def quote(name):
@@ -199,6 +218,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
         e = np.exp(row - row.max())
         out[i] = e / e.sum()
     return out
+
+
+def head_probabilities(embeddings: np.ndarray, head) -> np.ndarray:
+    """The embedding head's prediction Z_B: the row softmax of E @ W + b."""
+    return _softmax_rows(embeddings @ head.W + head.b)
 
 
 def _softmax_rows_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -461,3 +485,13 @@ def reference_ablation(grid, base, features, adj_norm, labels, masks, seeds):
 
 def _sample_std(values) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
+def read_manifest(path) -> RunManifest:
+    """A written manifest.json as a RunManifest; a missing or extra key is a TypeError."""
+    return RunManifest(**read_json(path))
+
+
+def write_embeddings_csv(path, embeddings) -> None:
+    """An EmbeddingMatrix as a CSV embedding input: one row per document, every digit kept."""
+    np.savetxt(path, embeddings.values, delimiter=",", fmt="%.17g")

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from oracles import brute_normalize_dense, edge_triples, make_corpus, window_sets
+from oracles import (
+    brute_normalize_dense,
+    edge_triples,
+    head_probabilities,
+    make_corpus,
+    window_sets,
+    write_embeddings_csv,
+)
 from test_cli import artifact_digests, write_corpus
 
 from stressgraph import cli, convnet, evaluation, gcn, prompting
@@ -39,7 +46,6 @@ from stressgraph.graph import (
     save_graph_json,
     slide_windows,
     write_embeddings,
-    write_embeddings_csv,
 )
 
 EXAMPLE_TEXT = (
@@ -285,8 +291,8 @@ def test_acceptance_04_interpolation_boundary_identities(announce, tmp_path):
     with announce(4, "interpolation boundaries reduce to the single branches"):
         features, adj, embeddings, labels, masks, config, result = trained_toy_state(lam=0.5)
 
-        z_b = gcn.linear_forward(embeddings, result.head)
-        z_g = gcn.gcn_forward(features, adj, result.gcn)
+        z_b = head_probabilities(embeddings.values, result.head)
+        z_g = gcn.fused_probabilities(features, adj, result.gcn, None, 1.0)
         fused_0 = gcn.fused_probabilities(features, adj, result.gcn, result.head, 0.0)
         fused_1 = gcn.fused_probabilities(features, adj, result.gcn, result.head, 1.0)
         assert np.array_equal(gcn.predict(fused_0), gcn.predict(z_b))
@@ -482,7 +488,7 @@ def test_acceptance_09_prompt_byte_exactness(announce, tmp_path):
 
         golden_dir = os.path.join(os.path.dirname(__file__), "golden")
         with open(os.path.join(golden_dir, "zero_shot.txt"), "rb") as fh:
-            assert prompting.build_zero_shot(EXAMPLE_TEXT).encode("utf-8") == fh.read()
+            assert prompting.build_few_shot(prompting.ShotSet(shots=()), EXAMPLE_TEXT).encode("utf-8") == fh.read()
 
         words = ["zero", "one", "two", "three", "four"]
         shots = []

@@ -13,9 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import read_manifest, write_embeddings_csv
 from stressgraph import cli, convnet, gcn, graph, prompting
 from stressgraph.corpus import load_split, load_tokenized, save_split, save_tokenized
-from stressgraph.manifest import RunManifest, read_manifest, sha256_file, write_json, write_manifest
+from stressgraph.manifest import RunManifest, sha256_file, write_json, write_manifest
 
 N_DOCS = 24
 
@@ -67,7 +68,7 @@ def pipeline(tmp_path_factory):
     for i, label in enumerate(corpus.labels):
         rows[i, int(label)] += 1.0
     emb_path = root / "embeddings.csv"
-    graph.write_embeddings_csv(emb_path, graph.EmbeddingMatrix(values=rows))
+    write_embeddings_csv(emb_path, graph.EmbeddingMatrix(values=rows))
 
     return {
         "root": root,
@@ -342,7 +343,7 @@ def test_train_gcn_non_finite_embedding_is_data_error(pipeline, tmp_path, capsys
 def test_train_gcn_embedding_row_count_mismatch_is_data_error(pipeline, tmp_path, capsys, suffix):
     rows = graph.read_embeddings_csv(pipeline["embeddings"]).values[:-1]
     path = tmp_path / f"emb{suffix}"
-    write = graph.write_embeddings_csv if suffix == ".csv" else graph.write_embeddings
+    write = write_embeddings_csv if suffix == ".csv" else graph.write_embeddings
     write(path, graph.EmbeddingMatrix(values=rows))
     args = train_gcn_args(pipeline, tmp_path / "run", ["--embeddings", str(path), "--seeds", "0"])
     assert cli.main(args) == cli.EXIT_DATA
@@ -1870,7 +1871,6 @@ def _writers(pipeline, tmp_path) -> dict:
         "tokenized.json": lambda: save_tokenized(tmp_path / "tokenized.json", corpus),
         "split.jsonl": lambda: save_split(tmp_path / "split.jsonl", load_split(pipeline["split"])),
         "emb.bin": lambda: graph.write_embeddings(tmp_path / "emb.bin", emb),
-        "emb.csv": lambda: graph.write_embeddings_csv(tmp_path / "emb.csv", emb),
         "seqs.bin": lambda: convnet.write_token_embeddings(tmp_path / "seqs.bin", seqs),
         "vocab.csv": lambda: cli.main(["ingest", "--corpus", str(pipeline["corpus"]), *out]),
         "prompts.jsonl": lambda: cli.main(["prompts", "--corpus", str(pipeline["corpus"]), *out]),
@@ -1884,7 +1884,7 @@ def _writers(pipeline, tmp_path) -> dict:
 
 
 @pytest.mark.parametrize("name", [
-    "tokenized.json", "split.jsonl", "emb.bin", "emb.csv", "seqs.bin",
+    "tokenized.json", "split.jsonl", "emb.bin", "seqs.bin",
     "vocab.csv", "prompts.jsonl", "report.txt", "salience.dot", "ablation.csv",
 ])
 def test_failed_write_keeps_old_artifact(pipeline, tmp_path, monkeypatch, name):

@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from stressgraph.convnet import (
     batch_loss_and_gradients,
     bce_with_logits,
     classify,
-    conv_forward,
     conv_logits,
     init_conv_params,
     load_token_embeddings,
@@ -37,6 +37,11 @@ SMALL = dict(kernel_sizes=(2, 3), n_filters=4, embedding_dim=3, max_len=16)
 
 def seq(doc_id: str, matrix) -> TokenEmbeddingSequence:
     return TokenEmbeddingSequence(doc_id=doc_id, matrix=np.asarray(matrix, dtype=np.float64))
+
+
+def conv_forward(sequence: TokenEmbeddingSequence, params: ConvHeadParams) -> float:
+    """One sequence's inference logit: conv_logits over a batch of one."""
+    return float(conv_logits([sequence], params, 1)[0])
 
 
 # ----------------------------------------------------------- data types
@@ -208,6 +213,15 @@ def test_forward_known_tiny_instance():
 
 
 # ------------------------------------------------------- loss and grads
+
+
+def test_bce_with_a_numpy_label_and_an_infinite_logit_does_not_warn():
+    # z * label in numpy scalar arithmetic warned "invalid value encountered
+    # in multiply" on an infinite logit; the loss is NaN either way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(bce_with_logits(math.inf, np.int64(0)))
+        assert bce_with_logits(0.0, np.int64(1)) == bce_with_logits(0.0, 1)
 
 
 def test_bce_known_values():

@@ -556,17 +556,11 @@ def test_tokenized_load_accepts_all_empty_sequences(tmp_path):
 
 
 def test_split_roundtrip(tmp_path):
-    split = SplitAssignment(
-        assignment={"a": "train", "b": "val", "c": "test", "d": "train"},
-        ratios=DEFAULT_SPLIT_RATIOS,
-        seed=3,
-    )
+    split = SplitAssignment(assignment={"a": "train", "b": "val", "c": "test", "d": "train"})
     path = tmp_path / "split.jsonl"
     save_split(path, split)
     back = load_split(path)
     assert back.assignment == split.assignment
-    # File-backed assignments do not record provenance.
-    assert back.ratios is None and back.seed is None
     # One JSON object per line.
     lines = path.read_text().strip().split("\n")
     assert len(lines) == 4

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -216,18 +217,23 @@ def test_paired_ttest_reference_example():
         max_size=12,
     )
 )
-# Differences whose variance is at rounding level give a statistic near
-# 1e16, where a different order of operations moves it by an ulp.
+# Equal differences (here all -0.5 + 1e-12) whose variance scipy computes at
+# rounding level, giving a statistic near -1.27e16: the package takes its
+# constant-gap convention instead.
 @example(pairs=[(float(np.float32(1e-12)), 0.5)] * 3)
 def test_paired_ttest_matches_scipy(pairs):
     a = [p for p, _ in pairs]
     b = [q for _, q in pairs]
     result = paired_ttest(a, b)
     want = scipy.stats.ttest_rel(a, b)
-    if math.isnan(want.statistic):
-        # scipy emits NaN for zero-variance differences; the package picks
-        # the documented convention instead.
-        assert result.p_value in (0.0, 1.0)
+    gap = a[0] - b[0]
+    if all(p - q == gap for p, q in pairs):
+        # scipy gives NaN or a rounding artifact for equal differences; the
+        # package gives the documented convention.
+        if gap == 0.0:
+            assert (result.statistic, result.p_value) == (0.0, 1.0)
+        else:
+            assert (result.statistic, result.p_value) == (math.copysign(math.inf, gap), 0.0)
     else:
         assert result.statistic == pytest.approx(want.statistic, abs=1e-8)
         assert result.p_value == pytest.approx(want.pvalue, abs=1e-8)
@@ -246,6 +252,19 @@ def test_paired_ttest_constant_nonzero_gap():
     assert result.p_value == 0.0
     down = paired_ttest([0.0, 0.0], [1.0, 1.0])
     assert down.statistic == -math.inf
+
+
+def test_paired_ttest_scale_keeps_t_where_the_variance_would_under_or_overflow():
+    # Differences scaled by a power of two have the same t. Unscaled, the
+    # variance of the first two underflows or overflows (t = 0, p = 1), and
+    # that of 1e-310 underflows to 0 while its mean does not (t = inf).
+    want = paired_ttest([1.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    for tiny_or_huge in (2.0**-1074, 2.0**1000):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = paired_ttest([tiny_or_huge, 0.0, 0.0], [0.0, 0.0, 0.0])
+        assert got == want
+    assert paired_ttest([1e-310, 0.0, 0.0], [0.0, 0.0, 0.0]).statistic == pytest.approx(1.0, abs=1e-12)
 
 
 def test_paired_ttest_antisymmetric():

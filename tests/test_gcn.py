@@ -15,6 +15,7 @@ from oracles import (
     ReferenceAdam,
     dense_fused_reference,
     explicit_node_features,
+    head_probabilities,
     make_corpus,
     reference_train,
     word_block,
@@ -29,17 +30,13 @@ from stressgraph.gcn import (
     TrainingConfig,
     evaluate,
     fused_probabilities,
-    gcn_forward,
     init_parameters,
-    interpolate,
-    linear_forward,
     load_checkpoint,
     load_parameter_blocks,
     loss_and_gradients,
-    nll_loss,
     param_blocks,
     predict,
-    save_checkpoint,
+    save_parameter_blocks,
     train,
     write_history_csv,
 )
@@ -76,6 +73,22 @@ def pipeline_setup(seed: int, n_docs: int = 4, n_tokens: int = 4, identity: bool
     return features, adj, embeddings, labels, rng
 
 
+def graph_branch(features, adj, gcn):
+    """The GCN branch's prediction Z_G: the fused forward with no head at lam = 1."""
+    return fused_probabilities(features, adj, gcn, None, 1.0)
+
+
+def one_hot_model(g_logits, b_logits):
+    """(features, adjacency, gcn, head) over len(g_logits) documents and no words, whose
+    GCN branch predicts softmax(g_logits) and whose head predicts softmax(b_logits):
+    one-hot embeddings, an identity adjacency and identity W1 keep every product exact."""
+    n = len(g_logits)
+    eye = np.eye(n)
+    features = build_node_features(EmbeddingMatrix(eye), n, 0)
+    gcn = GCNParameters(W1=eye, b1=np.zeros(n), W2=np.array(g_logits, dtype=float), b2=np.zeros(2))
+    return features, identity_adj(n), gcn, LinearHead(W=np.array(b_logits, dtype=float), b=np.zeros(2))
+
+
 # --------------------------------------------------------------- forward
 
 
@@ -85,7 +98,7 @@ def test_gcn_forward_single_node_example():
     params = GCNParameters(
         W1=np.array([[1.0]]), b1=np.zeros(1), W2=np.array([[2.0, 0.0]]), b2=np.zeros(2)
     )
-    probs = gcn_forward(feats, identity_adj(1), params)
+    probs = graph_branch(feats, identity_adj(1), params)
     want = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()
     np.testing.assert_allclose(probs, [want], rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, [[0.8808, 0.1192]], rtol=0, atol=5e-5)
@@ -94,14 +107,14 @@ def test_gcn_forward_single_node_example():
 def test_gcn_forward_zero_weights_uniform():
     feats = build_node_features(EmbeddingMatrix(np.ones((2, 3))), n_docs=2, n_words=1)
     params = GCNParameters(W1=np.zeros((3, 4)), b1=np.zeros(4), W2=np.zeros((4, 2)), b2=np.zeros(2))
-    probs = gcn_forward(feats, identity_adj(3), params)
+    probs = graph_branch(feats, identity_adj(3), params)
     np.testing.assert_allclose(probs, 0.5, rtol=0, atol=0)
 
 
 def test_gcn_forward_rows_are_stochastic():
     features, adj, _, _, rng = pipeline_setup(0)
     gcn, _ = init_parameters(features.dim, 5, 2, None, seed=1)
-    probs = gcn_forward(features, adj, gcn)
+    probs = graph_branch(features, adj, gcn)
     assert probs.shape == (4, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(probs >= 0.0)
@@ -113,7 +126,7 @@ def test_gcn_forward_identity_matches_explicit_eye():
     explicit = explicit_node_features(features)  # full identity over docs and words
     assert np.array_equal(explicit, np.eye(n))
     gcn, _ = init_parameters(n, 4, 2, None, seed=2)
-    got = gcn_forward(features, adj, gcn)
+    got = graph_branch(features, adj, gcn)
     want, _, _ = dense_fused_reference(
         adj.toarray(), explicit, features.n_docs, gcn, None, None, 1.0, labels,
         [True] * features.n_docs,
@@ -122,46 +135,38 @@ def test_gcn_forward_identity_matches_explicit_eye():
 
 
 def test_linear_forward_example():
-    emb = EmbeddingMatrix(np.array([[1000.0], [0.0]]))
-    head = LinearHead(W=np.array([[1.0, 0.0]]), b=np.zeros(2))
-    probs = linear_forward(emb, head)
+    # The head's logits are [1000, 0] and [0, 0]; at lam = 0 the fused prediction is the head's.
+    features, adj, gcn, head = one_hot_model(np.zeros((2, 2)), [[1000.0, 0.0], [0.0, 0.0]])
+    probs = fused_probabilities(features, adj, gcn, head, 0.0)
     # Shift-stable softmax survives huge logits.
     np.testing.assert_allclose(probs[0], [1.0, 0.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs[1], [0.5, 0.5], rtol=0, atol=1e-12)
 
 
-def test_linear_forward_dim_mismatch():
-    with pytest.raises(ValueError):
-        linear_forward(EmbeddingMatrix(np.zeros((2, 3))), LinearHead(W=np.zeros((4, 2)), b=np.zeros(2)))
-
-
 def test_interpolate_example_and_boundaries():
-    z_g = np.array([[0.7, 0.3]])
-    z_b = np.array([[0.1, 0.9]])
-    fused = interpolate(z_g, z_b, 0.2)
+    # Z_G = [0.7, 0.3] and Z_B = [0.1, 0.9], up to the rounding of the softmax.
+    features, adj, gcn, head = one_hot_model(np.log([[0.7, 0.3]]), np.log([[0.1, 0.9]]))
+    fused = fused_probabilities(features, adj, gcn, head, 0.2)
     np.testing.assert_allclose(fused, [[0.22, 0.78]], rtol=0, atol=1e-15)
-    np.testing.assert_array_equal(interpolate(z_g, z_b, 1.0), z_g)
-    np.testing.assert_array_equal(interpolate(z_g, z_b, 0.0), z_b)
-
-
-def test_interpolate_validates_lam_and_shape():
-    z = np.array([[0.5, 0.5]])
-    with pytest.raises(ValueError):
-        interpolate(z, z, 1.5)
-    with pytest.raises(ValueError):
-        interpolate(z, z, -0.1)
-    with pytest.raises(ValueError):
-        interpolate(z, np.array([[0.5, 0.5], [0.5, 0.5]]), 0.5)
+    z_g = graph_branch(features, adj, gcn)
+    z_b = head_probabilities(features.doc_embeddings, head)
+    np.testing.assert_array_equal(fused_probabilities(features, adj, gcn, head, 1.0), z_g)
+    np.testing.assert_array_equal(fused_probabilities(features, adj, gcn, head, 0.0), z_b)
 
 
 def test_nll_loss_values():
-    probs = np.array([[0.5, 0.5], [0.25, 0.75]])
+    # The head predicts [0.5, 0.5] and [0.25, 0.75], and lam = 0 makes that the fused prediction.
+    features, adj, gcn, head = one_hot_model(np.zeros((2, 2)), [[0.0, 0.0], [0.0, math.log(3)]])
+
+    def loss(mask):
+        return loss_and_gradients(features, adj, gcn, head, [0, 1], mask, 0.0)[0]
+
     # Uniform row: -ln(1/2 + eps), which is ln 2 up to the 1e-12 stabilizer.
-    assert nll_loss(probs, [0, 1], [True, False]) == pytest.approx(math.log(2), abs=1e-10)
+    assert loss([True, False]) == pytest.approx(math.log(2), abs=1e-10)
     want = -(math.log(0.5) + math.log(0.75)) / 2
-    assert nll_loss(probs, [0, 1], [True, True]) == pytest.approx(want, abs=1e-10)
+    assert loss([True, True]) == pytest.approx(want, abs=1e-10)
     with pytest.raises(ValueError):
-        nll_loss(probs, [0, 1], [False, False])
+        loss([False, False])
 
 
 def test_labels_outside_the_loss_mask_may_be_none():
@@ -169,8 +174,6 @@ def test_labels_outside_the_loss_mask_may_be_none():
     gcn, _ = init_parameters(features.dim, 3, 2, None, seed=0)
     mask = [True, True, False, False]
     unlabeled = labels[:2] + [None, None]
-    probs = np.array([[0.5, 0.5], [0.25, 0.75], [0.1, 0.9], [0.6, 0.4]])
-    assert nll_loss(probs, unlabeled, mask) == nll_loss(probs, labels, mask)
     loss, grads = loss_and_gradients(features, adj, gcn, None, unlabeled, mask, 1.0)
     want_loss, want_grads = loss_and_gradients(features, adj, gcn, None, labels, mask, 1.0)
     assert loss == want_loss
@@ -183,9 +186,6 @@ def test_a_none_label_under_the_loss_mask_is_named():
     gcn, _ = init_parameters(features.dim, 3, 2, None, seed=0)
     mask = [True, True, True, False]
     unlabeled = [labels[0], None, None, labels[3]]
-    probs = np.full((4, 2), 0.5)
-    with pytest.raises(ValueError, match="^masked document 1 is unlabeled$"):
-        nll_loss(probs, unlabeled, mask)
     with pytest.raises(ValueError, match="^train document 1 is unlabeled$"):
         loss_and_gradients(features, adj, gcn, None, unlabeled, mask, 1.0)
 
@@ -388,7 +388,7 @@ def test_ppmi_reweighting_with_fixed_row_sums_leaves_prediction(seed, delta):
     features = build_node_features(embeddings, n_docs, n_words)
     gcn, _ = init_parameters(features.dim, 4, 2, None, seed=seed)
     np.testing.assert_allclose(
-        gcn_forward(features, moved, gcn), gcn_forward(features, base, gcn),
+        graph_branch(features, moved, gcn), graph_branch(features, base, gcn),
         rtol=0, atol=1e-12,
     )
 
@@ -636,8 +636,8 @@ def test_evaluate_returns_weighted_report():
 def test_fused_boundaries_match_single_branches():
     features, adj, embeddings, labels, masks = separable_setup()
     result = train(features, adj, labels, masks, TrainingConfig(epochs=8))
-    z_g = gcn_forward(features, adj, result.gcn)
-    z_b = linear_forward(embeddings, result.head)
+    z_g = graph_branch(features, adj, result.gcn)
+    z_b = head_probabilities(embeddings.values, result.head)
     only_gcn = fused_probabilities(features, adj, result.gcn, result.head, 1.0)
     only_head = fused_probabilities(features, adj, result.gcn, result.head, 0.0)
     np.testing.assert_array_equal(only_gcn, z_g)
@@ -651,7 +651,7 @@ def test_checkpoint_roundtrip(tmp_path):
     features, adj, embeddings, labels, masks = separable_setup()
     result = train(features, adj, labels, masks, TrainingConfig(epochs=4))
     path = tmp_path / "model.bin"
-    save_checkpoint(path, result.gcn, result.head)
+    save_parameter_blocks(path, param_blocks(result.gcn, result.head))
     gcn, head = load_checkpoint(path)
     for got, want in (
         (gcn.W1, result.gcn.W1), (gcn.b1, result.gcn.b1),
@@ -664,7 +664,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_roundtrip_without_head(tmp_path):
     gcn, _ = init_parameters(4, 3, 2, None, seed=0)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, gcn, None)
+    save_parameter_blocks(path, param_blocks(gcn, None))
     back, head = load_checkpoint(path)
     assert head is None
     np.testing.assert_array_equal(back.W1, gcn.W1)
@@ -693,7 +693,7 @@ def test_checkpoint_rejects_truncation(tmp_path, cut):
     # payload all raise ValueError; the 5-byte file is the magic plus 1 byte.
     gcn, _ = init_parameters(3, 2, 2, None, seed=0)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, gcn, None)
+    save_parameter_blocks(path, param_blocks(gcn, None))
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(ValueError, match="truncated checkpoint"):
         load_parameter_blocks(path)
@@ -702,7 +702,7 @@ def test_checkpoint_rejects_truncation(tmp_path, cut):
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     gcn, _ = init_parameters(3, 2, 2, None, seed=0)
     path = tmp_path / "model.bin"
-    save_checkpoint(path, gcn, None)
+    save_parameter_blocks(path, param_blocks(gcn, None))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_parameter_blocks(path)
@@ -734,7 +734,7 @@ GCN_BLOCKS = gcn_module.param_blocks(*init_parameters(3, 2, 2, None, seed=0))
 def test_load_checkpoint_rejects_missing_or_misshaped_blocks(tmp_path, blocks, message):
     # Well-formed TGCK files whose blocks do not make a model.
     path = tmp_path / "model.bin"
-    gcn_module.save_parameter_blocks(path, blocks)
+    save_parameter_blocks(path, blocks)
     with pytest.raises(ValueError, match=message):
         load_checkpoint(path)
 
@@ -772,8 +772,8 @@ def _failing_writes(tmp_path):
     return {
         "checkpoint": (
             tmp_path / "model.bin",
-            lambda p: save_checkpoint(p, gcn, None),
-            lambda p: gcn_module.save_parameter_blocks(p, {"gcn.W1": gcn.W1, "bad": "x"}),
+            lambda p: save_parameter_blocks(p, param_blocks(gcn, None)),
+            lambda p: save_parameter_blocks(p, {"gcn.W1": gcn.W1, "bad": "x"}),
         ),
         "history": (
             tmp_path / "history.csv",
@@ -810,7 +810,7 @@ def test_identity_features_are_never_materialized():
     tracemalloc.start()
     try:
         features = build_node_features(None, n_docs, n_words)
-        probs = gcn_forward(features, adj, gcn)
+        probs = graph_branch(features, adj, gcn)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,6 +3,7 @@
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from oracles import (
     reference_graph_json,
     window_sets,
     word_block,
+    write_embeddings_csv,
 )
 from stressgraph import graph
 from stressgraph.graph import (
@@ -38,7 +40,6 @@ from stressgraph.graph import (
     save_graph_json,
     slide_windows,
     write_embeddings,
-    write_embeddings_csv,
 )
 
 # Shared hypothesis strategy: small random corpora plus a window size.
@@ -394,14 +395,12 @@ def test_pipeline_structure_properties(case):
 def test_node_features_stacks_embeddings_over_zero_words():
     emb = EmbeddingMatrix(np.array([[1.0, 0.0], [0.0, 1.0]]))
     feats = build_node_features(emb, n_docs=2, n_words=1)
-    assert feats.mode == "external-embeddings"
     assert feats.doc_embeddings is emb.values  # the document rows, not copied
     assert (feats.n_docs, feats.n_words, feats.dim) == (2, 1, 2)
 
 
 def test_node_features_identity_mode():
     feats = build_node_features(None, n_docs=2, n_words=3)
-    assert feats.mode == "identity"
     assert feats.doc_embeddings is None
     assert (feats.n_docs, feats.n_words, feats.dim) == (2, 3, 5)
 
@@ -497,6 +496,18 @@ def test_embedding_csv_roundtrip(tmp_path):
     write_embeddings_csv(path, emb)
     back = read_embeddings_csv(path)
     np.testing.assert_allclose(back.values, emb.values, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("text", ["", "\n", "  \n\t\n", "# a comment\n\n"])
+def test_embedding_csv_without_rows_is_value_error(tmp_path, text):
+    # np.loadtxt only warns on such a file ("input contained no data"); the reader
+    # refuses it before loadtxt runs.
+    path = tmp_path / "emb.csv"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^embedding file .* holds no rows$"):
+            read_embeddings_csv(path)
 
 
 def test_graph_json_roundtrip(tmp_path):

@@ -11,6 +11,7 @@ from oracles import (
     reference_salience,
     reference_salience_dot,
     reference_salience_json,
+    salience_graph_from_json,
     word_block,
 )
 from stressgraph.corpus import TokenizedCorpus
@@ -21,7 +22,6 @@ from stressgraph.interpret import (
     build_salience_graph,
     frequency_to_json,
     label_word_frequencies,
-    salience_from_json,
     salience_to_dot,
     salience_to_json,
     top_k_words,
@@ -197,12 +197,21 @@ def edge_columns(*edges):
 def test_salience_graph_rejects_orphan_words():
     with pytest.raises(ValueError):
         SalienceGraph(doc_nodes=("d0",), word_nodes=("lonely",), **edge_columns())
+    with pytest.raises(ValueError, match=r"word nodes without any edge: \['y'\]"):
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("x", "y"), **edge_columns((0, 1, 1.5, False)))
     # Edges whose ends are not nodes of the kinds their edge kind joins: an
     # index past the nodes, a word where the document goes, a document as a
     # word-word end. Nodes: d0 is 0, w is 1.
-    for edge in ((5, 1, 1.0, False), (1, 1, 1.0, False), (1, 0, 1.0, True), (0, 1, 1.0, True)):
+    for edge in ((5, 1, 1.0, False), (1, 1, 1.0, False), (1, 0, 1.0, False), (1, 0, 1.0, True),
+                 (0, 1, 1.0, True)):
         with pytest.raises(ValueError, match="ends outside the graph"):
             SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), **edge_columns(edge))
+
+
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_salience_graph_rejects_a_weight_that_is_not_finite_and_positive(weight):
+    with pytest.raises(ValueError, match="^edge weights must be finite and positive$"):
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), **edge_columns((0, 1, weight, False)))
 
 
 def test_salience_graph_rejects_repeated_nodes():
@@ -218,7 +227,7 @@ def test_salience_json_roundtrip():
     payload = parsed(salience_to_json(graph))
     for node in payload["nodes"]:
         assert node["kind"] in ("doc", "word")
-    back = salience_from_json(payload)
+    back = salience_graph_from_json(payload)
     assert_same_graph(back, graph)
 
 
@@ -251,7 +260,7 @@ def test_salience_doc_and_word_of_one_name_stay_two_nodes():
     assert [(e["a"], e["b"]) for e in payload["edges"]] == [
         ("doc:dog", "word:cat"), ("doc:dog", "word:dog"), ("word:dog", "word:fish"),
     ]
-    assert_same_graph(salience_from_json(payload), graph)
+    assert_same_graph(salience_graph_from_json(payload), graph)
 
     dot = salience_to_dot(graph)
     assert '"doc:dog" [label="dog", shape=box, color=red];' in dot
@@ -284,52 +293,10 @@ GOOD_EDGES = [
 ]
 
 
-def extra_node(node) -> dict:
-    return {"nodes": GOOD_NODES + [node], "edges": GOOD_EDGES}
-
-
-def extra_edge(edge=None, drop=(), **fields) -> dict:
-    """The valid payload plus one edge: d0 to y unless edge or fields say otherwise."""
-    if edge is None:
-        edge = {"a": "doc:d0", "b": "word:y", "w": 1.0, "kind": "doc-word"} | fields
-        edge = {k: v for k, v in edge.items() if k not in drop}
-    return {"nodes": GOOD_NODES, "edges": GOOD_EDGES + [edge]}
-
-
-@pytest.mark.parametrize("payload", [
-    # Not an object, or without its lists.
-    [], "salience", None,
-    {"nodes": GOOD_NODES}, {"edges": GOOD_EDGES},
-    {"nodes": None, "edges": GOOD_EDGES}, {"nodes": GOOD_NODES, "edges": 5},
-    # Nodes that are not objects, miss a key, have an unknown kind or repeat an id.
-    extra_node("word:z"), extra_node(7),
-    extra_node({"id": "word:z", "kind": "word"}), extra_node({"id": "word:z", "name": "z"}),
-    extra_node({"id": "x:z", "kind": "phrase", "name": "z"}),
-    extra_node({"id": ["z"], "kind": "word", "name": "z"}),
-    extra_node({"id": "word:x", "kind": "word", "name": "z"}),
-    # Edges that are not objects, miss a key, name an unknown id or kind, or
-    # join nodes of the wrong kinds.
-    extra_edge([0, 1]), extra_edge("edge"),
-    extra_edge(drop=("kind",)), extra_edge(drop=("w",)), extra_edge(drop=("a",)),
-    extra_edge(a="doc:d9"), extra_edge(b="y"),
-    extra_edge(kind="doc-doc"), extra_edge(kind=None), extra_edge(kind=["x"]),
-    extra_edge(w=None), extra_edge(a="word:y", b="doc:d0"), extra_edge(kind="word-word"),
-    # A word without an edge.
-    {"nodes": GOOD_NODES, "edges": GOOD_EDGES[:1]},
-    # Weights that are not finite positive numbers, or too large for a float.
-    extra_edge(w=float("nan")), extra_edge(w="2.5"), extra_edge(w=True), extra_edge(w=-1.0),
-    extra_edge(w=10**400),
-])
-def test_salience_from_json_rejects_malformed_payload(payload):
-    with pytest.raises(ValueError):
-        salience_from_json(payload)
-
-
-def test_salience_from_json_reads_the_valid_payload():
-    assert_same_graph(
-        salience_from_json({"nodes": GOOD_NODES, "edges": GOOD_EDGES}),
-        SalienceGraph(("d0",), ("x", "y"), **edge_columns((0, 1, 1.5, False), (1, 2, 0.25, True))),
-    )
+def test_salience_to_json_writes_the_valid_payload():
+    graph = SalienceGraph(("d0",), ("x", "y"), **edge_columns((0, 1, 1.5, False), (1, 2, 0.25, True)))
+    assert parsed(salience_to_json(graph)) == {"nodes": GOOD_NODES, "edges": GOOD_EDGES}
+    assert_same_graph(salience_graph_from_json(parsed(salience_to_json(graph))), graph)
 
 
 # --------------------------------------- salience bytes against the oracle

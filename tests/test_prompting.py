@@ -17,7 +17,6 @@ from stressgraph.prompting import (
     ShotSet,
     append_transcript,
     build_few_shot,
-    build_zero_shot,
     compose_shots,
     load_transcript_store,
     parse_label,
@@ -32,6 +31,11 @@ EXAMPLE_TEXT = (
     "I have to be straight if I want things in life. Being a lesbian will "
     "mean having a life where everything I want will be extremely hard to get."
 )
+
+
+def zero_shot(text: str) -> str:
+    """The zero-shot prompt: build_few_shot with no shots."""
+    return build_few_shot(ShotSet(shots=()), text)
 
 
 def golden(name: str) -> str:
@@ -52,23 +56,23 @@ def ten_shots() -> ShotSet:
 
 
 def test_zero_shot_matches_golden_bytes():
-    assert build_zero_shot(EXAMPLE_TEXT) == golden("zero_shot.txt")
+    assert zero_shot(EXAMPLE_TEXT) == golden("zero_shot.txt")
 
 
 def test_zero_shot_substitution_and_determinism():
-    prompt = build_zero_shot("x")
+    prompt = zero_shot("x")
     assert prompt == (
         "Task: Classify the following input text into one of the following "
         "two categories: [minority stress, no minority stress]\n\n"
         "Input Text:\nx\n\nOutput:\n"
     )
-    assert build_zero_shot("x") == prompt
+    assert zero_shot("x") == prompt
     with pytest.raises(ValueError):
-        build_zero_shot("")
+        zero_shot("")
 
 
 def test_zero_shot_canonical_newlines():
-    prompt = build_zero_shot(EXAMPLE_TEXT)
+    prompt = zero_shot(EXAMPLE_TEXT)
     assert "\r" not in prompt
     assert prompt.endswith("Output:\n")
     assert not any(line != line.rstrip() for line in prompt.split("\n"))
@@ -80,7 +84,9 @@ def test_few_shot_matches_golden_bytes():
 
 
 def test_few_shot_empty_set_is_zero_shot():
-    assert build_few_shot(ShotSet(shots=()), "hello") == build_zero_shot("hello")
+    assert build_few_shot(ShotSet(shots=()), "hello") == (
+        PromptSpec().task_line + "\n\nInput Text:\nhello\n\nOutput:\n"
+    )
 
 
 def test_few_shot_exemplar_count():
@@ -398,7 +404,7 @@ def test_http_client_wraps_transport_errors():
 
 def test_run_batch_all_positive():
     client = CannedClient("minority stress")
-    prompts = [build_zero_shot(f"text {i}") for i in range(5)]
+    prompts = [zero_shot(f"text {i}") for i in range(5)]
     transcripts = run_batch(client, prompts)
     assert len(transcripts) == 5
     assert [t.prompt for t in transcripts] == prompts
@@ -417,7 +423,7 @@ def test_run_batch_refuses_a_negative_or_nan_rate_before_sending(rate):
     # Both used to send every request with no cap.
     client = CannedClient("minority stress")
     with pytest.raises(ValueError, match="^rate must be a non-negative number"):
-        run_batch(client, [build_zero_shot("text")], rate=rate)
+        run_batch(client, [zero_shot("text")], rate=rate)
     assert client.calls == 0
 
 
