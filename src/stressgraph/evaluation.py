@@ -263,10 +263,11 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
 
     t = mean / sqrt(var / n) with var the ddof=1 variance of the differences,
     in scipy's order of operations, computed on the differences scaled by the
-    power of two that brings the largest into [0.5, 1). That scaling is exact,
-    so t keeps its bits wherever the unscaled arithmetic neither underflows
-    nor overflows. Differences that are all equal short-circuit: identical
-    sequences give t=0, p=1; a constant non-zero gap gives t=+/-inf, p=0.
+    power of two that brings the largest |difference| into [0.5, 1). That
+    scaling is exact, so t keeps its bits wherever the unscaled arithmetic
+    neither underflows nor overflows. Differences that are all equal
+    short-circuit: identical sequences give t=0, p=1; a constant non-zero gap
+    gives t=+/-inf, p=0.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]

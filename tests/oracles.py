@@ -163,14 +163,13 @@ def reference_salience_json(doc_nodes, word_nodes, edges) -> dict:
 
 def salience_graph_from_json(payload) -> SalienceGraph:
     """The SalienceGraph a parsed salience.json describes, read without checks of its own."""
-    names = {node["id"]: node["name"] for node in payload["nodes"]}
-    order = [node["id"] for kind in ("doc", "word") for node in payload["nodes"] if node["kind"] == kind]
-    index = {node_id: i for i, node_id in enumerate(order)}
-    n_docs = sum(node["kind"] == "doc" for node in payload["nodes"])
+    docs = [node for node in payload["nodes"] if node["kind"] == "doc"]
+    words = [node for node in payload["nodes"] if node["kind"] == "word"]
+    index = {node["id"]: i for i, node in enumerate(docs + words)}
     edges = payload["edges"]
     return SalienceGraph(
-        doc_nodes=[names[i] for i in order[:n_docs]],
-        word_nodes=[names[i] for i in order[n_docs:]],
+        doc_nodes=[node["name"] for node in docs],
+        word_nodes=[node["name"] for node in words],
         a=[index[e["a"]] for e in edges],
         b=[index[e["b"]] for e in edges],
         w=[e["w"] for e in edges],

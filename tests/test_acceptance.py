@@ -488,7 +488,8 @@ def test_acceptance_09_prompt_byte_exactness(announce, tmp_path):
 
         golden_dir = os.path.join(os.path.dirname(__file__), "golden")
         with open(os.path.join(golden_dir, "zero_shot.txt"), "rb") as fh:
-            assert prompting.build_few_shot(prompting.ShotSet(shots=()), EXAMPLE_TEXT).encode("utf-8") == fh.read()
+            zero_shot = prompting.build_few_shot(prompting.ShotSet(shots=()), EXAMPLE_TEXT)
+            assert zero_shot.encode("utf-8") == fh.read()
 
         words = ["zero", "one", "two", "three", "four"]
         shots = []
