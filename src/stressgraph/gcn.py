@@ -354,8 +354,11 @@ def fused_probabilities(
 ) -> np.ndarray:
     """Inference-mode fused prediction, n_docs x 2 (no dropout).
 
-    layer1, when given, receives the layer-1 pre-activation under "h_pre".
+    lam outside [0, 1] raises ValueError, as in TrainingConfig. layer1, when
+    given, receives the layer-1 pre-activation under "h_pre".
     """
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lam must lie in [0, 1], got {lam}")
     cache = _forward_pass(features, adj_norm, gcn, head, lam, None)
     if layer1 is not None:
         layer1["h_pre"] = cache["h_pre"]

@@ -715,6 +715,20 @@ def test_few_shot_prompts_need_split(pipeline, tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize("command, flag, text, kind", [
+    ("train-gcn", "--seeds", "1,x", "integers"),
+    ("ablate", "--seeds", "0,1e3", "integers"),
+    ("train-conv", "--kernel-sizes", "3,4.5", "integers"),
+    ("split", "--ratios", "0.8,0.1,a", "numbers"),
+    ("ablate", "--grid", "0.2,lots", "numbers"),
+], ids=["train-gcn-seeds", "ablate-seeds", "train-conv-kernel-sizes", "split-ratios", "ablate-grid"])
+def test_malformed_number_list_is_usage_error(tmp_path, capsys, command, flag, text, kind):
+    out = tmp_path / "out"
+    assert cli.main([command, flag, text, "--out", str(out)]) == cli.EXIT_USAGE
+    assert f"expected comma-separated {kind}, got {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_malformed_corpus_reports_line_number(tmp_path, capsys):
     corpus_path = tmp_path / "bad.jsonl"
     with open(corpus_path, "w", encoding="utf-8") as fh:
@@ -1011,6 +1025,31 @@ def test_prompts_split_must_cover_the_corpus(pipeline, tmp_path, capsys):
     assert not (out / "prompts.jsonl").exists()
 
 
+def test_prompts_config_target_split_must_name_a_split(pipeline, tmp_path, capsys):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"target_split": "holdout"}), encoding="utf-8")
+    out = tmp_path / "prompts"
+    rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--split", str(pipeline["split"]),
+                   "--config", str(config_path), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: unknown target split 'holdout'\n"
+    assert not (out / "prompts.jsonl").exists()
+
+
+@pytest.mark.parametrize("target, ratios", [("test", "0.8,0.2,0"), ("val", "0.8,0,0.2")])
+def test_prompts_for_an_empty_target_split_is_data_error(pipeline, tmp_path, capsys, target, ratios):
+    assert cli.main(["split", "--tokenized", str(pipeline["tokenized"]), "--ratios", ratios,
+                     "--out", str(tmp_path / "sp")]) == 0
+    out = tmp_path / "prompts"
+    capsys.readouterr()
+    rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                   "--split", str(tmp_path / "sp" / "split.jsonl"), "--target-split", target,
+                   "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: no target documents to build prompts for\n"
+    assert not (out / "prompts.jsonl").exists()
+
+
 def test_prompts_few_shot_draws_from_train(pipeline, tmp_path):
     out = tmp_path / "prompts"
     rc = cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
@@ -1114,6 +1153,31 @@ def test_eval_transcripts_failure_handling(pipeline, tmp_path):
         payload = json.load(fh)
     assert payload["parse_failures"] == 1
     assert payload["total"] == 4
+
+
+@pytest.mark.parametrize("store", ["unparsed", "missing"])
+def test_eval_transcripts_with_none_evaluable_is_data_error(pipeline, tmp_path, capsys, store):
+    prompts_out = tmp_path / "prompts"
+    assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]),
+                     "--split", str(pipeline["split"]), "--target-split", "test",
+                     "--out", str(prompts_out)]) == 0
+    store_path = tmp_path / "transcripts.jsonl"
+    store_path.write_text("", encoding="utf-8")  # every prompt's transcript is missing
+    if store == "unparsed":
+        for line in (prompts_out / "prompts.jsonl").read_text(encoding="utf-8").splitlines():
+            prompting.append_transcript(store_path, prompting.CompletionTranscript(
+                prompt=json.loads(line)["prompt"], response="no idea", label=None, meta={},
+            ))
+    out = tmp_path / "report"
+    capsys.readouterr()
+    rc = cli.main(["eval", "--transcripts", str(store_path),
+                   "--prompts", str(prompts_out / "prompts.jsonl"),
+                   "--tokenized", str(pipeline["tokenized"]), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: no evaluable transcripts (all missing or unparsed)\n"
+    )
+    assert not (out / "report.json").exists()
 
 
 def test_eval_transcripts_mistyped_record_is_data_error(pipeline, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import struct
 import tracemalloc
 
@@ -152,6 +153,38 @@ def test_interpolate_example_and_boundaries():
     z_b = head_probabilities(features.doc_embeddings, head)
     np.testing.assert_array_equal(fused_probabilities(features, adj, gcn, head, 1.0), z_g)
     np.testing.assert_array_equal(fused_probabilities(features, adj, gcn, head, 0.0), z_b)
+
+
+@pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
+def test_fused_probabilities_validates_lam(lam):
+    features, adj, gcn, head = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match=r"^lam must lie in \[0, 1\]"):
+        fused_probabilities(features, adj, gcn, head, lam)
+
+
+@pytest.mark.parametrize("rows, classes", [(2, 2), (1, 3)], ids=["input-dim", "class-count"])
+def test_fused_probabilities_rejects_a_head_of_another_shape(rows, classes):
+    # The model has 1-dimensional embeddings and 2 classes.
+    features, adj, gcn, _ = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    head = LinearHead(W=np.zeros((rows, classes)), b=np.zeros(classes))
+    with pytest.raises(ValueError):
+        fused_probabilities(features, adj, gcn, head, 0.5)
+
+
+def test_a_model_without_a_head_is_gcn_only():
+    features, adj, gcn, _ = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    with pytest.raises(ValueError, match="GCN-only; lam must be 1$"):
+        fused_probabilities(features, adj, gcn, None, 0.5)
+
+
+@pytest.mark.parametrize("bias, where", [
+    ("b1", "hidden pre-activation (layer 1)"), ("b2", "output logits (layer 2)"),
+])
+def test_non_finite_activations_are_floating_point_errors(bias, where):
+    features, adj, gcn, head = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    setattr(gcn, bias, np.full_like(getattr(gcn, bias), np.inf))
+    with pytest.raises(FloatingPointError, match=rf"^non-finite values in {re.escape(where)}$"):
+        fused_probabilities(features, adj, gcn, head, 0.5)
 
 
 def test_nll_loss_values():

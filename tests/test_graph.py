@@ -413,6 +413,12 @@ def test_embedding_matrix_rejects_non_finite_values(bad):
         EmbeddingMatrix(values)
 
 
+@pytest.mark.parametrize("values", [5.0, np.ones(3), np.ones((2, 3, 1))], ids=["0-D", "1-D", "3-D"])
+def test_embedding_matrix_rejects_values_that_are_not_2_d(values):
+    with pytest.raises(ValueError, match="^embedding matrix must be 2-D$"):
+        EmbeddingMatrix(values)
+
+
 def test_node_features_row_mismatch():
     emb = EmbeddingMatrix(np.zeros((3, 4)))
     with pytest.raises(ValueError):

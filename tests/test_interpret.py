@@ -214,6 +214,22 @@ def test_salience_graph_rejects_a_weight_that_is_not_finite_and_positive(weight)
         SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), **edge_columns((0, 1, weight, False)))
 
 
+@pytest.mark.parametrize("edge", [(-1, 1, 1.0, False), (0, -1, 1.0, False), (-1, 1, 1.0, True)],
+                         ids=["doc-end", "word-end", "word-word-end"])
+def test_salience_graph_rejects_a_negative_edge_end(edge):
+    # Numpy would read -1 as the last node, here the word w.
+    with pytest.raises(ValueError, match="^edge 0 ends outside the graph$"):
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("w",), **edge_columns(edge))
+
+
+@pytest.mark.parametrize("short", ["a", "b", "w", "word_word"])
+def test_salience_graph_rejects_edge_columns_of_different_lengths(short):
+    columns = edge_columns((0, 1, 1.0, False), (0, 2, 2.0, False))
+    columns[short] = columns[short][:1]
+    with pytest.raises(ValueError, match="^edge columns differ in length$"):
+        SalienceGraph(doc_nodes=("d0",), word_nodes=("x", "y"), **columns)
+
+
 def test_salience_graph_rejects_repeated_nodes():
     with pytest.raises(ValueError, match=r"repeated doc nodes \['d0'\]"):
         SalienceGraph(doc_nodes=("d0", "d0"), word_nodes=("w",), **edge_columns((0, 2, 1.0, False)))

@@ -1,5 +1,6 @@
-"""Tests for the column-table JSON encoder of manifest.write_json."""
+"""Tests for the column-table JSON encoder of manifest.write_json and the bounded binary reader."""
 
+import io
 import json
 import math
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stressgraph.manifest import Columns, json_text, write_json
+from stressgraph.manifest import BinaryReader, Columns, json_text, write_json
 
 
 def as_dicts(columns: dict) -> list:
@@ -91,3 +92,10 @@ def test_write_json_with_columns_matches_dumps(tmp_path):
     assert path.read_text(encoding="utf-8") == dumps(want) + "\n"
     with pytest.raises(TypeError):
         write_json(path, data, indent=2)
+
+
+def test_binary_reader_names_a_read_that_comes_back_short():
+    # A file cut after its size was taken: 8 bytes were promised, 2 remain.
+    reader = BinaryReader(io.BytesIO(b"\x01\x02"), left=8)
+    with pytest.raises(ValueError, match="^truncated header$"):
+        reader.unpack("<I", "header")

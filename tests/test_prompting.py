@@ -393,6 +393,25 @@ def test_http_client_request_shape(monkeypatch):
     assert captured["headers"].get("Authorization") == "Bearer sekrit"
 
 
+@pytest.mark.parametrize("body", [{}, {"choices": []}, [], {"choices": [{"message": None}]}],
+                         ids=["no-choices", "empty-choices", "not-an-object", "null-message"])
+def test_http_client_names_a_malformed_completion_payload(monkeypatch, body):
+    class FakeReply:
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *args):
+            return False
+
+        def read(self):
+            return json.dumps(body).encode()
+
+    monkeypatch.setattr("urllib.request.urlopen", lambda request, timeout: FakeReply())
+    client = HTTPChatClient(endpoint="http://example.test/v1/chat", model_tag="t")
+    with pytest.raises(RuntimeError, match="^malformed completion payload: "):
+        client.complete("x")
+
+
 def test_http_client_wraps_transport_errors():
     client = HTTPChatClient(endpoint="http://127.0.0.1:9/unreachable", model_tag="t", timeout=0.2)
     with pytest.raises(RuntimeError):
