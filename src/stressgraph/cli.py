@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from . import convnet, evaluation, gcn, graph, interpret, prompting
 from .corpus import (
@@ -63,7 +63,6 @@ CONFIG_DEFAULTS = {
     "grid": list(DEFAULT_GRID),
     "kernel_sizes": [3, 4, 5],
     "n_filters": 100,
-    "embedding_dim": 768,
     "max_len": 512,
     "conv_epochs": 10,
     "batch_size": 32,
@@ -74,11 +73,6 @@ CONFIG_DEFAULTS = {
     "jobs": 1,
 }
 
-# Config keys named as the gcn.TrainingConfig fields they fill.
-GCN_FIELDS = ("lam", "learning_rate", "epochs", "dropout", "hidden_dim", "weight_decay", "patience")
-# Config keys named as the convnet.ConvHeadConfig fields they fill; conv_epochs fills epochs.
-CONV_FIELDS = ("kernel_sizes", "n_filters", "embedding_dim", "max_len", "dropout", "batch_size",
-               "learning_rate")
 # Dests of the input file flags train-gcn and ablate share.
 GCN_INPUTS = ("tokenized", "graph", "split", "embeddings")
 
@@ -122,12 +116,14 @@ def _has_default_type(value, default) -> bool:
     return type(value) is type(default)
 
 
-def resolve_config(args, keys) -> dict:
-    """Layer defaults, then the config file, then explicit CLI flags; check jobs, seeds, grid."""
-    resolved = {key: CONFIG_DEFAULTS[key] for key in keys}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        file_config = read_json(config_path)
+def resolve_config(args) -> dict:
+    """Layer defaults, then the config file, then explicit CLI flags; check jobs, seeds, grid.
+
+    The command's keys are the dests of its flags that are CONFIG_DEFAULTS keys.
+    """
+    file_config = {}
+    if args.config:
+        file_config = read_json(args.config)
         if type(file_config) is not dict:
             raise ValueError("config file must hold a JSON object")
         unknown = set(file_config) - set(CONFIG_DEFAULTS)
@@ -139,13 +135,11 @@ def resolve_config(args, keys) -> dict:
         )
         if mistyped:
             raise ValueError(f"config file values of the wrong type: {mistyped}")
-        for key in keys:
-            if key in file_config:
-                resolved[key] = file_config[key]
-    for key in keys:
-        value = getattr(args, key, None)
-        if value is not None:
-            resolved[key] = value
+    resolved = {}
+    for key, default in CONFIG_DEFAULTS.items():
+        if key in vars(args):
+            flag = getattr(args, key)
+            resolved[key] = flag if flag is not None else file_config.get(key, default)
     # Checked before any input is hashed or read; a command without a grid or seeds has [0].
     grid, seeds = sorted(resolved.get("grid", [0])), resolved.get("seeds", [0])
     if resolved.get("jobs", 1) < 1:
@@ -166,6 +160,11 @@ def resolve_config(args, keys) -> dict:
         if resolved.get(key, 0) < 0:
             raise ValueError(f"{key} must not be negative, got {resolved[key]}")
     return resolved
+
+
+def _from_config(cls, config: dict, **extra):
+    """Dataclass cls with each of its fields the command's config holds, then extra."""
+    return cls(**{f.name: config[f.name] for f in fields(cls) if f.name in config}, **extra)
 
 
 def _rules(config: dict) -> TokenizerRules:
@@ -213,7 +212,7 @@ def cmd_build_graph(args, config: dict, man: RunManifest) -> None:
 
 def _gcn_cell(args, config: dict):
     """Load the train-gcn/ablate inputs; returns run_cell((lam, seed)) -> (result, test report)."""
-    base = gcn.TrainingConfig(**{key: config[key] for key in GCN_FIELDS})
+    base = _from_config(gcn.TrainingConfig, config)
     if bool(args.embeddings) == args.identity:
         raise ValueError("pass exactly one of --embeddings FILE and --identity")
     corpus = load_tokenized(args.tokenized)
@@ -280,9 +279,7 @@ def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
 
 
 def cmd_train_conv(args, config: dict, man: RunManifest) -> None:
-    base = convnet.ConvHeadConfig(
-        **{key: config[key] for key in CONV_FIELDS}, epochs=config["conv_epochs"]
-    )
+    base = _from_config(convnet.ConvHeadConfig, config, epochs=config["conv_epochs"])
     corpus = load_tokenized(args.tokenized)
     split = load_split(args.split).aligned(corpus.doc_ids)
     sequences = convnet.load_token_embeddings(args.sequences, base, known_ids=corpus.doc_ids)
@@ -450,19 +447,19 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Every subparser sets func, its cmd_* handler looked up when this runs,
-    keys, the CONFIG_DEFAULTS keys resolve_config fills for it, and inputs, the
-    dests of its flags that name input files."""
+    and inputs, the dests of its flags that name input files. The dests of its
+    other flags that are CONFIG_DEFAULTS keys are its config keys."""
     parser = _Parser(
         prog="stressgraph",
         description="Document-word graph classifier pipeline",
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, func, keys, inputs, help):
+    def command(name, func, inputs, help):
         p = sub.add_parser(name, help=help)
         p.add_argument("--out", required=True, help="output artifact directory")
         p.add_argument("--config", help="JSON config file (flags override it)")
-        p.set_defaults(func=func, keys=keys, inputs=inputs)
+        p.set_defaults(func=func, inputs=inputs)
         return p
 
     def gcn_flags(p):
@@ -483,8 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", type=_int_list)
         p.add_argument("--jobs", type=int)
 
-    p = command("ingest", cmd_ingest, ("format", "lowercase", "remove_stopwords", "min_df"),
-                ("corpus",), help="tokenize a corpus and build its vocabulary")
+    p = command("ingest", cmd_ingest, ("corpus",), help="tokenize a corpus and build its vocabulary")
     p.add_argument("--corpus", required=True, help="JSONL or CSV document file")
     p.add_argument("--format", choices=["jsonl", "csv"])
     p.add_argument("--min-df", dest="min_df", type=int)
@@ -494,30 +490,26 @@ def build_parser() -> argparse.ArgumentParser:
         default=None, help="disable stopword removal",
     )
 
-    p = command("split", cmd_split, ("ratios", "split_seed"), ("tokenized",),
-                help="stratified train/val/test assignment")
+    p = command("split", cmd_split, ("tokenized",), help="stratified train/val/test assignment")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--ratios", type=_float_list)
     p.add_argument("--seed", dest="split_seed", type=int)
 
-    p = command("build-graph", cmd_build_graph, ("window",), ("tokenized",),
-                help="TF-IDF + PPMI heterogeneous graph")
+    p = command("build-graph", cmd_build_graph, ("tokenized",), help="TF-IDF + PPMI heterogeneous graph")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--window", type=int)
 
-    p = command("train-gcn", cmd_train_gcn, GCN_FIELDS + ("seeds", "jobs"), GCN_INPUTS,
-                help="train the fused graph + head classifier")
+    p = command("train-gcn", cmd_train_gcn, GCN_INPUTS, help="train the fused graph + head classifier")
     gcn_flags(p)
     p.add_argument("--lambda", dest="lam", type=float)
 
-    p = command("train-conv", cmd_train_conv, CONV_FIELDS + ("conv_epochs", "seeds", "jobs"),
-                ("tokenized", "split", "sequences"), help="train the convolutional sequence head")
+    p = command("train-conv", cmd_train_conv, ("tokenized", "split", "sequences"),
+                help="train the convolutional sequence head")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--split", required=True)
     p.add_argument("--sequences", required=True, help="token-embedding sequence file")
     p.add_argument("--kernel-sizes", dest="kernel_sizes", type=_int_list)
     p.add_argument("--filters", dest="n_filters", type=int)
-    p.add_argument("--embedding-dim", dest="embedding_dim", type=int)
     p.add_argument("--max-len", dest="max_len", type=int)
     p.add_argument("--dropout", type=float)
     p.add_argument("--epochs", dest="conv_epochs", type=int)
@@ -526,13 +518,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", type=_int_list)
     p.add_argument("--jobs", type=int)
 
-    p = command("ablate", cmd_ablate, ("grid",) + GCN_FIELDS + ("seeds", "jobs"), GCN_INPUTS,
-                help="accuracy/F1 across an interpolation grid")
+    p = command("ablate", cmd_ablate, GCN_INPUTS, help="accuracy/F1 across an interpolation grid")
     gcn_flags(p)
     p.add_argument("--grid", type=_float_list, help="comma-separated interpolation values")
 
-    p = command("prompts", cmd_prompts, ("format", "k", "prompt_seed", "target_split"),
-                ("corpus", "split"), help="build zero- or few-shot classification prompts")
+    p = command("prompts", cmd_prompts, ("corpus", "split"),
+                help="build zero- or few-shot classification prompts")
     p.add_argument("--corpus", required=True, help="raw document file (text is needed)")
     p.add_argument("--format", choices=["jsonl", "csv"])
     p.add_argument("--split", help="split assignment file; exemplars come from train")
@@ -540,8 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", dest="prompt_seed", type=int)
     p.add_argument("--target-split", dest="target_split", choices=list(SPLIT_NAMES))
 
-    p = command("eval", cmd_eval, ("averaging",),
-                ("counts", "pred", "transcripts", "prompts", "tokenized", "split"),
+    p = command("eval", cmd_eval, ("counts", "pred", "transcripts", "prompts", "tokenized", "split"),
                 help="score predictions, counts, or transcripts")
     p.add_argument("--counts", help="JSON file with tn/fp/fn/tp")
     p.add_argument("--pred", help="CSV id,pred prediction file")
@@ -556,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--averaging", choices=list(evaluation.AVERAGING_MODES))
 
-    p = command("export", cmd_export, (), ("tokenized", "graph"),
+    p = command("export", cmd_export, ("tokenized", "graph"),
                 help="interpretability exports (frequencies, salience)")
     p.add_argument("--tokenized", required=True)
     p.add_argument("--graph", help="graph.json from build-graph (required with --docs)")
@@ -581,14 +571,13 @@ def main(argv=None) -> int:
         if getattr(args, "func", None) is None:
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        config = resolve_config(args, args.keys)
+        config = resolve_config(args)
         man = RunManifest(
             command=args.command,
             config=config,
             seeds=config.get(
                 "seeds", [config[key] for key in ("split_seed", "prompt_seed") if key in config]
             ),
-            thread_count=config.get("jobs", 1),
             out_dir=args.out,
         )
         started = time.perf_counter()

@@ -53,7 +53,6 @@ class TokenEmbeddingSequence:
 class ConvHeadConfig:
     kernel_sizes: tuple = (3, 4, 5)
     n_filters: int = 100
-    embedding_dim: int = 768
     max_len: int = 512
     dropout: float = 0.5
     epochs: int = 10
@@ -74,8 +73,6 @@ class ConvHeadConfig:
             raise ValueError(f"epochs must not be negative, got {self.epochs}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ValueError(f"learning_rate must be positive and finite, got {self.learning_rate}")
-        if self.embedding_dim < 1:
-            raise ValueError("embedding_dim must be positive")
         if self.max_len < 1:
             raise ValueError("max_len must be positive")
 
@@ -114,10 +111,10 @@ class ConvTrainResult:
     history: list
 
 
-def init_conv_params(config: ConvHeadConfig) -> ConvHeadParams:
-    """Glorot-uniform kernels and dense weights, zero biases, fixed draw order."""
+def init_conv_params(config: ConvHeadConfig, d: int) -> ConvHeadParams:
+    """Glorot-uniform kernels over d-wide rows and dense weights, zero biases, fixed draw order."""
     rng = np.random.default_rng(config.seed)
-    d, n_filters = config.embedding_dim, config.n_filters
+    n_filters = config.n_filters
     kernels = [_glorot(rng, k * d, n_filters).reshape(k, d, n_filters) for k in config.kernel_sizes]
     concat = n_filters * len(config.kernel_sizes)
     return ConvHeadParams(
@@ -296,6 +293,7 @@ def _sum_rows(a: np.ndarray) -> np.ndarray:
     return np.cumsum(a, axis=0)[-1] + 0.0
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train_conv(
     sequences,
     labels,
@@ -304,8 +302,10 @@ def train_conv(
 ) -> ConvTrainResult:
     """Minibatch Adam with seeded shuffling; loss is mean BCE on logits.
 
-    labels and masks align positionally with sequences. History rows carry
-    the epoch's mean train loss and validation accuracy / weighted F1.
+    labels and masks align positionally with sequences, which must share one
+    width, the width of the kernels. History rows carry the epoch's mean
+    train loss and validation accuracy / weighted F1. numpy's overflow and
+    invalid-value warnings are off: a non-finite loss raises DivergenceError.
     """
     sequences = list(sequences)
     labels = np.asarray(labels, dtype=np.int64)
@@ -314,14 +314,12 @@ def train_conv(
     val_seqs, val_gold = [sequences[i] for i in val_idx], labels[val_idx]
     if not len(train_idx):
         raise ValueError("training mask selects no sequences")
-    for idx in train_idx:
-        if sequences[idx].dim != config.embedding_dim:
-            raise ValueError(
-                f"sequence {sequences[idx].doc_id!r} has dim {sequences[idx].dim}, "
-                f"expected {config.embedding_dim}"
-            )
+    dim = sequences[train_idx[0]].dim
+    for seq in sequences:
+        if seq.dim != dim:
+            raise ValueError(f"sequence {seq.doc_id!r} has dim {seq.dim}, expected {dim}")
 
-    params = init_conv_params(config)
+    params = init_conv_params(config, dim)
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
     param_refs = param_blocks(params)
@@ -393,12 +391,12 @@ def write_token_embeddings(path, sequences) -> None:
 def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
     """Read a TGSE file, truncating sequences to max_len.
 
-    known_ids, when given, must cover every record id; a payload dimension
-    that disagrees with the config and a repeated id are errors. Each payload
-    stays float32, one buffer per record; a cut one is copied.
+    known_ids, when given, must cover every record id; a dimension that is 0
+    or differs from the first record's and a repeated id are errors. Each
+    payload stays float32, one buffer per record; a cut one is copied.
     """
     known = set(known_ids) if known_ids is not None else None
-    out = {}
+    out, width = {}, None
     with read_binary(path, SEQUENCE_MAGIC, SEQUENCE_VERSION, "sequence file") as reader:
         (count,) = reader.unpack("<Q", "sequence file header")
         for _ in range(count):
@@ -409,10 +407,11 @@ def load_token_embeddings(path, config: ConvHeadConfig, known_ids=None) -> list:
             matrix = reader.array((length, dim), "<f4", f"payload for sequence {doc_id!r}")
             if known is not None and doc_id not in known:
                 raise ValueError(f"sequence id {doc_id!r} does not match any document")
-            if dim != config.embedding_dim:
-                raise ValueError(
-                    f"sequence {doc_id!r} has dim {dim}, expected {config.embedding_dim}"
-                )
+            if dim < 1:
+                raise ValueError(f"sequence {doc_id!r} has dim 0")
+            if width is not None and dim != width:
+                raise ValueError(f"sequence {doc_id!r} has dim {dim}, expected {width}")
+            width = dim
             if length > config.max_len:
                 matrix = matrix[:config.max_len].copy()
             out[doc_id] = TokenEmbeddingSequence(doc_id=doc_id, matrix=matrix)

@@ -54,7 +54,6 @@ class RawDocument:
     id: str
     text: str
     label: int | None = None
-    source: str = ""
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,6 @@ def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
                         id=rec["id"],
                         text=rec["text"],
                         label=_parse_label(rec.get("label"), line_no),
-                        source=str(rec.get("source", "")),
                     )
                 )
                 _check_duplicate(docs[-1].id, seen, line_no)
@@ -227,7 +225,6 @@ def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
                             id=rec["id"],
                             text=rec["text"],
                             label=_parse_label(rec.get("label"), line_no),
-                            source=rec.get("source") or "",
                         )
                     )
                     _check_duplicate(docs[-1].id, seen, line_no)

@@ -267,10 +267,15 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
     scaling is exact, so t keeps its bits wherever the unscaled arithmetic
     neither underflows nor overflows. Differences that are all equal
     short-circuit: identical sequences give t=0, p=1; a constant non-zero gap
-    gives t=+/-inf, p=0.
+    gives t=+/-inf, p=0. A NaN or infinite score is a ValueError naming its
+    sample and position.
     """
     a = [float(v) for v in a]
     b = [float(v) for v in b]
+    for name, sample in (("a", a), ("b", b)):
+        for pos, value in enumerate(sample):
+            if not math.isfinite(value):
+                raise ValueError(f"sample {name} holds {value} at position {pos}")
     if len(a) != len(b):
         raise ValueError(f"paired samples differ in length: {len(a)} vs {len(b)}")
     n = len(a)

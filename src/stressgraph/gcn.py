@@ -381,6 +381,7 @@ def evaluate(
     return evaluation.metrics(evaluation.confusion(preds[mask], np.asarray(labels)[mask]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
@@ -396,7 +397,9 @@ def train(
     highest validation weighted F1, latest epoch on ties: discrete metrics
     saturate early on small validation sets, and continued training at equal
     validation quality is preferred. Patience counts epochs without a strict
-    F1 gain. Deterministic for a fixed config and inputs.
+    F1 gain. Deterministic for a fixed config and inputs. numpy's overflow and
+    invalid-value warnings are off: the finite checks of the forward pass and
+    the loss raise FloatingPointError or DivergenceError instead.
     """
     train_mask = np.asarray(masks["train"], dtype=bool)
     val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)

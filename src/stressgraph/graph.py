@@ -46,7 +46,6 @@ class WindowStats:
     sorted indices and no stored zeros.
     """
 
-    window_size: int
     total_windows: int = 0
     token_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     pair_counts: sp.csr_array = field(default_factory=_no_pair_counts)
@@ -175,7 +174,6 @@ def slide_windows(corpus, window_size: int = DEFAULT_WINDOW_SIZE) -> WindowStats
         raise ValueError("window_size must be >= 1")
     n_tokens = len(corpus.vocab)
     stats = WindowStats(
-        window_size=window_size,
         token_counts=np.zeros(n_tokens, dtype=np.int64),
         pair_counts=sp.csr_array((n_tokens, n_tokens), dtype=np.int64),
     )
@@ -188,33 +186,14 @@ def slide_windows(corpus, window_size: int = DEFAULT_WINDOW_SIZE) -> WindowStats
     return stats
 
 
-def ppmi(stats: WindowStats, i: int, j: int) -> float | None:
-    """Positive PMI of a word pair over sliding windows, or None when not positive.
-
-    PMI = ln(p(i,j) / (p(i) p(j))) with probabilities estimated as window
-    presence fractions. Returns None for never-co-windowed pairs and for
-    pairs whose PMI is zero or negative.
-    """
-    if i == j:
-        raise ValueError("ppmi is defined for distinct tokens only")
-    if stats.total_windows == 0:
-        raise ValueError("window statistics are empty")
-    n_ij = int(stats.pair_counts[min(i, j), max(i, j)])
-    if n_ij == 0:
-        return None
-    n_i = int(stats.token_counts[i])
-    n_j = int(stats.token_counts[j])
-    value = math.log(n_ij * stats.total_windows / (n_i * n_j))
-    return value if value > 0.0 else None
-
-
 def ppmi_edges(stats: WindowStats) -> sp.coo_array:
     """Word pairs with strictly positive PMI, as a V x V COO block with row < col.
 
-    One entry per unordered pair, in the row-major order of pair_counts.
-    Equal to ppmi() pair by pair: both products of the ratio are at most T^2
-    for T windows, so below 2**53 they are exact in float64 and the quotient
-    is the correctly rounded one Python's integer division gives.
+    One entry per unordered pair, in the row-major order of pair_counts, with
+    weight ln(n_ij T / (n_i n_j)) for T windows, equal pair by pair to that
+    ratio computed on Python ints: both products are at most T^2, so below
+    2**53 they are exact in float64 and the quotient is the correctly rounded
+    one Python's integer division gives.
     """
     import scipy.sparse as sp
 
@@ -224,7 +203,7 @@ def ppmi_edges(stats: WindowStats) -> sp.coo_array:
     pairs = stats.pair_counts.tocoo()
     counts = stats.token_counts
     ratio = (pairs.data * total) / (counts[pairs.row] * counts[pairs.col])
-    # ln(r) > 0 exactly when r > 1; scalar math.log keeps ppmi()'s last ulp.
+    # ln(r) > 0 exactly when r > 1; scalar math.log, whose last ulp np.log may not keep.
     keep = ratio > 1.0
     weights = np.fromiter(map(math.log, ratio[keep].tolist()), np.float64)
     return sp.coo_array((weights, (pairs.row[keep], pairs.col[keep])), shape=pairs.shape)

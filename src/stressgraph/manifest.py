@@ -2,8 +2,8 @@
 
 A manifest records the command, the fully resolved configuration, the seeds,
 SHA-256 digests of every input file, and the path + digest of every artifact
-the command wrote. Wall-clock time and the worker-pool width ride along for
-audit; they are the only fields that vary between identical reruns.
+the command wrote. Wall-clock time rides along for audit; it is the only field
+that varies between identical reruns.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
     wall_clock_seconds: float = 0.0
-    thread_count: int = 1
     # The command's --out directory; not part of the written manifest.
     out_dir: str = field(default="", compare=False)
 
@@ -48,7 +47,6 @@ class RunManifest:
             "inputs": dict(self.inputs),
             "outputs": dict(self.outputs),
             "wall_clock_seconds": self.wall_clock_seconds,
-            "thread_count": self.thread_count,
         }
 
 

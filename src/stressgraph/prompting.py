@@ -95,10 +95,6 @@ class ShotSet:
                     f"exemplars, got {n_pos} positive"
                 )
 
-    @property
-    def k(self) -> int:
-        return len(self.shots)
-
 
 def prompt_sha256(prompt: str) -> str:
     """Hex SHA-256 of the prompt's UTF-8 bytes: the key of a prompt in a transcript store."""
@@ -117,10 +113,6 @@ class CompletionTranscript:
     @property
     def prompt_sha256(self) -> str:
         return prompt_sha256(self.prompt)
-
-    @property
-    def failed(self) -> bool:
-        return self.label is None
 
     def as_dict(self) -> dict:
         return {

@@ -80,6 +80,26 @@ def brute_ppmi(sequences, window_size, i, j):
     return math.log(n_ij * n / (n_i * n_j))
 
 
+def ppmi(stats, i: int, j: int) -> float | None:
+    """Positive PMI of a word pair from graph.WindowStats counts, or None when not positive.
+
+    PMI = ln(p(i,j) / (p(i) p(j))) with probabilities estimated as window
+    presence fractions. Returns None for never-co-windowed pairs and for
+    pairs whose PMI is zero or negative.
+    """
+    if i == j:
+        raise ValueError("ppmi is defined for distinct tokens only")
+    if stats.total_windows == 0:
+        raise ValueError("window statistics are empty")
+    n_ij = int(stats.pair_counts[min(i, j), max(i, j)])
+    if n_ij == 0:
+        return None
+    n_i = int(stats.token_counts[i])
+    n_j = int(stats.token_counts[j])
+    value = math.log(n_ij * stats.total_windows / (n_i * n_j))
+    return value if value > 0.0 else None
+
+
 def brute_ppmi_edges(sequences, n_tokens, window_size):
     edges = []
     for i in range(n_tokens):

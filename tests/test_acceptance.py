@@ -20,6 +20,7 @@ from oracles import (
     edge_triples,
     head_probabilities,
     make_corpus,
+    ppmi,
     window_sets,
     write_embeddings_csv,
 )
@@ -41,7 +42,6 @@ from stressgraph.graph import (
     compute_tfidf,
     export_graph_json,
     normalize_adjacency,
-    ppmi,
     ppmi_edges,
     save_graph_json,
     slide_windows,
@@ -252,12 +252,12 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
             config = convnet.ConvHeadConfig(
                 kernel_sizes=(2, 3) if case % 2 else (2,),
                 n_filters=2 + case % 2,
-                embedding_dim=2 + case % 3,
                 max_len=8,
                 dropout=0.5,
                 seed=case,
             )
-            params = convnet.init_conv_params(config)
+            dim = 2 + case % 3
+            params = convnet.init_conv_params(config, dim)
             blocks = convnet.param_blocks(params)
             # Zero biases sit exactly on the ReLU/max kink; jitter off it.
             for arr in blocks.values():
@@ -265,7 +265,7 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
             docs = [
                 convnet.TokenEmbeddingSequence(
                     doc_id=f"d{i}",
-                    matrix=rng.normal(size=(int(rng.integers(1, 7)), config.embedding_dim)),
+                    matrix=rng.normal(size=(int(rng.integers(1, 7)), dim)),
                 )
                 for i in range(int(rng.integers(2, 5)))
             ]

@@ -314,6 +314,27 @@ def test_train_gcn_identity_needs_full_graph_weight(pipeline, tmp_path):
     assert rc == cli.EXIT_OK
 
 
+@pytest.mark.parametrize("command", ["train-gcn", "train-conv"])
+def test_diverging_run_prints_one_numerical_failure_line(pipeline, tmp_path, command):
+    # In a fresh interpreter, as a user runs it: numpy's overflow and invalid-value
+    # warnings would print, each with its source line, before the error line.
+    out = tmp_path / "run"
+    if command == "train-gcn":
+        argv = train_gcn_args(pipeline, out, ["--identity", "--lambda", "1", "--epochs", "3",
+                                              "--seeds", "0", "--learning-rate", "1e300"])
+    else:
+        seq_path = tmp_path / "sequences.bin"
+        write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
+        argv = ["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+                "--kernel-sizes", "2", "--filters", "2", "--epochs", "3", "--seeds", "0",
+                "--learning-rate", "1e300", "--out", str(out)]
+    proc = run_module(argv)
+    assert proc.returncode == cli.EXIT_NUMERIC
+    assert proc.stderr.startswith("numerical failure: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert not out.exists()
+
+
 def test_train_gcn_divergence_exit_code(pipeline, tmp_path, capsys):
     rc = cli.main(train_gcn_args(pipeline, tmp_path / "run", [
         "--identity", "--lambda", "1", "--epochs", "3", "--seeds", "0",
@@ -562,17 +583,13 @@ def test_config_file_wrong_types_are_data_errors(pipeline, tmp_path, capsys, com
     assert "config file" in capsys.readouterr().err
 
 
-def test_every_config_flag_is_a_key_of_its_command():
-    # resolve_config fills only a command's keys, so a flag whose dest is a
-    # config key outside them would be parsed and then silently ignored.
-    parser = cli.build_parser()
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert len(commands.choices) == 9
-    for name, sub in commands.choices.items():
-        keys = sub.get_default("keys")
-        assert set(keys) <= set(cli.CONFIG_DEFAULTS), name
-        flagged = {action.dest for action in sub._actions if action.dest in cli.CONFIG_DEFAULTS}
-        assert flagged <= set(keys), (name, flagged - set(keys))
+def test_ablate_reads_no_lam_from_its_config_file(pipeline, tmp_path):
+    # ablate's lam values come from --grid; a lam in the file is another command's key.
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"lam": 7}), encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(ablate_args(pipeline, out, ["--config", str(config_path)])) == cli.EXIT_OK
+    assert "lam" not in read_manifest(out / "manifest.json").config
 
 
 def test_manifest_seeds_and_threads_come_from_the_config(pipeline, tmp_path):
@@ -580,7 +597,7 @@ def test_manifest_seeds_and_threads_come_from_the_config(pipeline, tmp_path):
     assert cli.main(["split", "--tokenized", str(pipeline["tokenized"]), "--seed", "3",
                      "--out", str(out)]) == cli.EXIT_OK
     man = read_manifest(out / "manifest.json")
-    assert (man.command, man.seeds, man.thread_count) == ("split", [3], 1)
+    assert (man.command, man.seeds) == ("split", [3])
 
     out = tmp_path / "prompts"
     assert cli.main(["prompts", "--corpus", str(pipeline["corpus"]), "--seed", "4",
@@ -593,15 +610,14 @@ def test_manifest_seeds_and_threads_come_from_the_config(pipeline, tmp_path):
         "--seeds", "2,5", "--jobs", "2",
     ])) == cli.EXIT_OK
     man = read_manifest(out / "manifest.json")
-    assert (man.command, man.seeds, man.thread_count) == ("train-gcn", [2, 5], 2)
+    assert (man.command, man.seeds) == ("train-gcn", [2, 5])
     assert man.config["seeds"] == [2, 5] and man.config["jobs"] == 2
     assert man.wall_clock_seconds > 0.0
 
     out = tmp_path / "graph"
     assert cli.main(["build-graph", "--tokenized", str(pipeline["tokenized"]),
                      "--out", str(out)]) == cli.EXIT_OK
-    man = read_manifest(out / "manifest.json")
-    assert (man.seeds, man.thread_count) == ([], 1)
+    assert read_manifest(out / "manifest.json").seeds == []
 
 
 def manifest_runs(pipeline, tmp_path) -> dict:
@@ -620,8 +636,7 @@ def manifest_runs(pipeline, tmp_path) -> dict:
         "train-gcn": (trained, short),
         "train-conv": (
             {"tokenized": pipeline["tokenized"], "split": pipeline["split"], "sequences": sequences},
-            ["--kernel-sizes", "2", "--filters", "2", "--embedding-dim", "8", "--epochs", "1",
-             "--seeds", "0"],
+            ["--kernel-sizes", "2", "--filters", "2", "--epochs", "1", "--seeds", "0"],
         ),
         "ablate": (trained, short + ["--grid", "0,1"]),
         "prompts": ({"corpus": pipeline["corpus"], "split": pipeline["split"]}, ["--k", "3"]),
@@ -631,16 +646,36 @@ def manifest_runs(pipeline, tmp_path) -> dict:
     }
 
 
-@pytest.mark.parametrize("command", ["ingest", "split", "build-graph", "train-gcn", "train-conv",
-                                     "ablate", "prompts", "eval", "export"])
-def test_manifest_records_named_inputs_and_every_output(pipeline, tmp_path, command):
+COMMANDS = ["ingest", "split", "build-graph", "train-gcn", "train-conv", "ablate", "prompts", "eval",
+            "export"]
+
+
+def run_manifest(pipeline, tmp_path, command) -> tuple:
+    """(the files its input flags name, its manifest) of one short run of command."""
     inputs, flags = manifest_runs(pipeline, tmp_path)[command]
     out = tmp_path / "out"
     named = [arg for flag, path in inputs.items() for arg in (f"--{flag}", str(path))]
     assert cli.main([command, *named, *flags, "--out", str(out)]) == cli.EXIT_OK
-    man = read_manifest(out / "manifest.json")
+    return inputs, read_manifest(out / "manifest.json")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_records_named_inputs_and_every_output(pipeline, tmp_path, command):
+    inputs, man = run_manifest(pipeline, tmp_path, command)
+    out = tmp_path / "out"
     assert man.inputs == {str(path): sha256_file(path) for path in inputs.values()}
     assert man.outputs == {str(out / name): digest for name, digest in artifact_digests(out).items()}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_manifest_config_holds_the_config_keys_of_the_command_flags(pipeline, tmp_path, command):
+    # A key no flag of the command sets is never read by it, and a flag whose
+    # key were not resolved would be parsed and then silently ignored.
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for action in commands.choices[command]._actions}
+    _, man = run_manifest(pipeline, tmp_path, command)
+    assert set(man.config) == dests & set(cli.CONFIG_DEFAULTS)
 
 
 def test_eval_counts_records_a_stray_named_input(pipeline, tmp_path):
@@ -1621,7 +1656,7 @@ def test_train_conv_end_to_end(pipeline, tmp_path):
     rc = cli.main([
         "train-conv", "--tokenized", str(pipeline["tokenized"]),
         "--split", str(pipeline["split"]), "--sequences", str(seq_path),
-        "--kernel-sizes", "2,3", "--filters", "4", "--embedding-dim", "8",
+        "--kernel-sizes", "2,3", "--filters", "4",
         "--max-len", "16", "--epochs", "3", "--batch-size", "8", "--seeds", "0",
         "--out", str(out),
     ])
@@ -1641,6 +1676,46 @@ def test_train_conv_end_to_end(pipeline, tmp_path):
     assert agg["n_runs"] == 1
 
 
+def test_train_conv_takes_the_width_of_its_sequence_file(pipeline, tmp_path):
+    seq_path, out = tmp_path / "sequences.bin", tmp_path / "run"
+    write_sequences(seq_path, load_tokenized(pipeline["tokenized"]), dim=16)
+    assert cli.main([
+        "train-conv", "--tokenized", str(pipeline["tokenized"]),
+        "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+        "--kernel-sizes", "2,3", "--filters", "4", "--epochs", "1", "--seeds", "0",
+        "--out", str(out),
+    ]) == cli.EXIT_OK
+    blocks = gcn.load_parameter_blocks(out / "conv-checkpoint-seed0.bin")
+    assert (blocks["conv.K0"].shape, blocks["conv.K1"].shape) == ((2, 16, 4), (3, 16, 4))
+
+
+def test_train_conv_has_no_width_flag(pipeline, tmp_path, capsys):
+    rc = cli.main(["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                   "--split", str(pipeline["split"]), "--sequences", str(tmp_path / "s.bin"),
+                   "--embedding-dim", "8", "--out", str(tmp_path / "run")])
+    assert rc == cli.EXIT_USAGE
+    assert "--embedding-dim" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("width", [0, 5])
+def test_train_conv_sequence_file_holds_one_positive_width(pipeline, tmp_path, capsys, width):
+    corpus = load_tokenized(pipeline["tokenized"])
+    odd = corpus.doc_ids[2]
+    rng = np.random.default_rng(5)
+    sequences = [
+        convnet.TokenEmbeddingSequence(doc_id, rng.normal(size=(4, width if doc_id == odd else 8)))
+        for doc_id in corpus.doc_ids
+    ]
+    seq_path, out = tmp_path / "sequences.bin", tmp_path / "run"
+    convnet.write_token_embeddings(seq_path, sequences)
+    rc = cli.main(["train-conv", "--tokenized", str(pipeline["tokenized"]),
+                   "--split", str(pipeline["split"]), "--sequences", str(seq_path),
+                   "--epochs", "1", "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert f"data error: sequence {odd!r} has dim {width}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_conv_worker_pool_matches_serial(pipeline, tmp_path):
     corpus = load_tokenized(pipeline["tokenized"])
     seq_path = tmp_path / "sequences.bin"
@@ -1651,7 +1726,7 @@ def test_train_conv_worker_pool_matches_serial(pipeline, tmp_path):
         assert cli.main([
             "train-conv", "--tokenized", str(pipeline["tokenized"]),
             "--split", str(pipeline["split"]), "--sequences", str(seq_path),
-            "--kernel-sizes", "2,3", "--filters", "4", "--embedding-dim", "8",
+            "--kernel-sizes", "2,3", "--filters", "4",
             "--max-len", "16", "--epochs", "2", "--batch-size", "8", "--seeds", "0,1",
             "--jobs", jobs, "--out", str(outs[jobs]),
         ]) == 0
@@ -1674,8 +1749,8 @@ def test_train_conv_missing_train_sequences(pipeline, tmp_path, capsys):
     rc = cli.main([
         "train-conv", "--tokenized", str(pipeline["tokenized"]),
         "--split", str(pipeline["split"]), "--sequences", str(seq_path),
-        "--kernel-sizes", "2", "--filters", "2", "--embedding-dim", "8",
-        "--epochs", "1", "--seeds", "0", "--out", str(tmp_path / "run"),
+        "--kernel-sizes", "2", "--filters", "2", "--epochs", "1", "--seeds", "0",
+        "--out", str(tmp_path / "run"),
     ])
     assert rc == cli.EXIT_DATA
     assert "lack token sequences" in capsys.readouterr().err
@@ -1704,8 +1779,7 @@ def test_repeated_seeds_or_grid_values_are_data_errors(pipeline, tmp_path, monke
         write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
         args = ["train-conv", "--tokenized", str(pipeline["tokenized"]),
                 "--split", str(pipeline["split"]), "--sequences", str(seq_path),
-                "--kernel-sizes", "2", "--filters", "2", "--embedding-dim", "8",
-                "--epochs", "1", "--out", str(out)]
+                "--kernel-sizes", "2", "--filters", "2", "--epochs", "1", "--out", str(out)]
     elif command == "train-gcn":
         args = train_gcn_args(pipeline, out, ["--embeddings", str(pipeline["embeddings"]),
                                               "--epochs", "1"])
@@ -1753,7 +1827,7 @@ def test_negative_seed_is_refused_before_any_input_is_read(pipeline, tmp_path, m
     if command == "train-conv":
         args = ["train-conv", "--tokenized", str(pipeline["tokenized"]),
                 "--split", str(pipeline["split"]), "--sequences", str(seq_path),
-                "--embedding-dim", "8", "--epochs", "1", "--out", str(out)]
+                "--epochs", "1", "--out", str(out)]
     elif command == "train-gcn":
         args = train_gcn_args(pipeline, out, ["--embeddings", str(pipeline["embeddings"]),
                                               "--epochs", "1"])
@@ -1824,7 +1898,7 @@ def test_non_finite_learning_rate_or_weight_decay_is_a_config_error(
         "ablate": ablate_args(pipeline, out),
         "train-conv": ["train-conv", "--tokenized", str(pipeline["tokenized"]),
                        "--split", str(pipeline["split"]), "--sequences", str(seq_path),
-                       "--embedding-dim", "8", "--epochs", "1", "--out", str(out)],
+                       "--epochs", "1", "--out", str(out)],
     }[command]
     if via == "flag":
         args += ["--" + key.replace("_", "-"), value]
@@ -1859,7 +1933,7 @@ def test_unlabeled_scored_document_is_named(pipeline, tmp_path, capsys, command)
         "train-gcn": train_gcn_args(pipeline, out, ["--identity", "--lambda", "1"]),
         "ablate": ablate_args(pipeline, out),
         "train-conv": ["train-conv", "--tokenized", "", "--split", str(pipeline["split"]),
-                       "--sequences", str(seq_path), "--embedding-dim", "8", "--out", str(out)],
+                       "--sequences", str(seq_path), "--out", str(out)],
         "eval-pred": ["eval", "--pred", str(pred_path), "--tokenized", "",
                       "--split", str(pipeline["split"]), "--out", str(out)],
         "eval-transcripts": ["eval", "--transcripts", str(store), "--tokenized", "",
@@ -1906,7 +1980,7 @@ def test_split_without_train_or_test_documents_is_refused_before_training(
         seq_path = tmp_path / "sequences.bin"
         write_sequences(seq_path, load_tokenized(pipeline["tokenized"]))
         args = ["train-conv", "--tokenized", str(pipeline["tokenized"]), "--split", split_path,
-                "--sequences", str(seq_path), "--embedding-dim", "8", "--out", str(out)]
+                "--sequences", str(seq_path), "--out", str(out)]
     else:
         base = train_gcn_args if command == "train-gcn" else ablate_args
         args = base(pipeline, out, ["--embeddings", str(pipeline["embeddings"])]
@@ -1977,13 +2051,18 @@ def test_failed_write_keeps_old_artifact(pipeline, tmp_path, monkeypatch, name):
 # installed entry point
 
 
+def run_module(argv) -> subprocess.CompletedProcess:
+    """python -m stressgraph.cli argv in a fresh interpreter, with text output."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "stressgraph.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
 def test_module_entry_point_prints_help():
-    proc = subprocess.run(
-        [sys.executable, "-m", "stressgraph.cli", "--help"],
-        capture_output=True, timeout=60,
-    )
+    proc = run_module(["--help"])
     assert proc.returncode == 0
-    assert b"ingest" in proc.stdout and b"export" in proc.stdout
+    assert "ingest" in proc.stdout and "export" in proc.stdout
 
 
 # ---------------------------------------------------------------------------

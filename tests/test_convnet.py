@@ -32,7 +32,9 @@ from stressgraph.convnet import (
 from stressgraph.evaluation import confusion, metrics
 from stressgraph.gcn import DivergenceError, load_parameter_blocks, save_parameter_blocks
 
-SMALL = dict(kernel_sizes=(2, 3), n_filters=4, embedding_dim=3, max_len=16)
+SMALL = dict(kernel_sizes=(2, 3), n_filters=4, max_len=16)
+# The width of the sequences SMALL configs run on.
+DIM = 3
 
 
 def seq(doc_id: str, matrix) -> TokenEmbeddingSequence:
@@ -78,7 +80,7 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("epochs", -1), ("learning_rate", 0.0), ("embedding_dim", 0), ("max_len", 0),
+    ("epochs", -1), ("learning_rate", 0.0), ("max_len", 0),
 ])
 def test_config_rejects_out_of_range_field(field, value):
     with pytest.raises(ValueError, match=field):
@@ -93,7 +95,7 @@ def test_config_rejects_a_non_finite_learning_rate(value):
 
 def test_init_shapes_and_bounds():
     config = ConvHeadConfig(**SMALL)
-    params = init_conv_params(config)
+    params = init_conv_params(config, DIM)
     assert params.kernel_sizes == (2, 3)
     assert params.concat_dim == 8
     assert [k.shape for k in params.kernels] == [(2, 3, 4), (3, 3, 4)]
@@ -102,13 +104,13 @@ def test_init_shapes_and_bounds():
     for k_size, kernel in zip((2, 3), params.kernels):
         limit = math.sqrt(6.0 / (k_size * 3 + 4))
         assert np.abs(kernel).max() <= limit
-    again = init_conv_params(config)
+    again = init_conv_params(config, DIM)
     np.testing.assert_array_equal(params.kernels[0], again.kernels[0])
     np.testing.assert_array_equal(params.dense_W, again.dense_W)
 
 
 def test_default_concat_dim_is_300():
-    params = init_conv_params(ConvHeadConfig(embedding_dim=8))
+    params = init_conv_params(ConvHeadConfig(), 8)
     assert params.kernel_sizes == (3, 4, 5)
     assert params.concat_dim == 300
 
@@ -129,7 +131,7 @@ def test_mixed_float32_batch_matches_float64_bit_for_bit():
     # The batch is cast to float64 once; float32 -> float64 is exact, so every
     # logit and gradient equals that of the same values held as float64.
     rng = np.random.default_rng(12)
-    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=8, embedding_dim=6, seed=3))
+    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=8, seed=3), 6)
     matrices = [rng.normal(size=(n, 6)).astype(np.float32) for n in (1, 7, 4, 12)]
     mixed = [TokenEmbeddingSequence(f"d{i}", m if i % 2 else m.astype(np.float64))
              for i, m in enumerate(matrices)]
@@ -145,7 +147,7 @@ def test_mixed_float32_batch_matches_float64_bit_for_bit():
 
 
 def test_kernels_and_their_gradients_are_views_of_one_array_each():
-    params = init_conv_params(ConvHeadConfig(**SMALL, seed=5))
+    params = init_conv_params(ConvHeadConfig(**SMALL, seed=5), DIM)
     w_all = params.stacked.T
     assert all(np.shares_memory(w_all, kernel) for kernel in params.kernels)
     # An in-place update of a bank, as Adam makes, reaches the GEMM operand:
@@ -165,7 +167,7 @@ def test_stacked_gemm_operand_matches_contiguous_matrix_bits(rows):
     # The forward multiplies by a transposed view of the stacked kernels. A
     # BLAS whose result then differs from that of the contiguous d x sum(k F)
     # matrix would move every conv-head digest, so it fails here instead.
-    params = init_conv_params(ConvHeadConfig(seed=rows))
+    params = init_conv_params(ConvHeadConfig(seed=rows), 768)
     w_all = params.stacked.T
     filled = np.concatenate([k.transpose(1, 0, 2).reshape(k.shape[1], -1) for k in params.kernels], axis=1)
     assert np.array_equal(w_all, filled)
@@ -175,14 +177,14 @@ def test_stacked_gemm_operand_matches_contiguous_matrix_bits(rows):
 
 def test_forward_zero_input_zero_logit():
     # Zero biases: every window of a zero sequence pools to zero.
-    params = init_conv_params(ConvHeadConfig(**SMALL))
+    params = init_conv_params(ConvHeadConfig(**SMALL), DIM)
     logit = conv_forward(seq("a", np.zeros((4, 3))), params)
     assert logit == 0.0
 
 
 def test_forward_short_sequence_reaches_all_banks():
     # L = 1 is padded up to the largest kernel, so every bank produces output.
-    params = init_conv_params(ConvHeadConfig(**SMALL))
+    params = init_conv_params(ConvHeadConfig(**SMALL), DIM)
     logit = conv_forward(seq("a", [[1.0, -0.5, 0.25]]), params)
     assert math.isfinite(logit)
 
@@ -191,7 +193,7 @@ def test_forward_padding_invariance():
     # With zero conv biases, zero rows beyond the required minimum add only
     # zero-valued windows, which max-over-time ignores.
     rng = np.random.default_rng(0)
-    params = init_conv_params(ConvHeadConfig(**SMALL))
+    params = init_conv_params(ConvHeadConfig(**SMALL), DIM)
     base = rng.normal(size=(6, 3))
     reference = conv_forward(seq("a", base), params)
     for extra in (1, 3, 10):
@@ -286,7 +288,7 @@ def fd_gradients(loss_fn, arrays: dict, h: float = 1e-5) -> dict:
 def test_conv_gradients_match_finite_differences(case):
     rng = np.random.default_rng(200 + case)
     config = ConvHeadConfig(**SMALL, seed=case)
-    params = init_conv_params(config)
+    params = init_conv_params(config, DIM)
     # Zero biases put padded windows exactly on the ReLU/max kink, where finite
     # differences and subgradients legitimately disagree; jitter off the kink.
     for arr in param_blocks(params).values():
@@ -313,7 +315,7 @@ def test_conv_gradients_match_finite_differences(case):
 
 def test_batch_loss_is_mean():
     rng = np.random.default_rng(9)
-    params = init_conv_params(ConvHeadConfig(**SMALL))
+    params = init_conv_params(ConvHeadConfig(**SMALL), DIM)
     sequences = [seq(f"d{i}", rng.normal(size=(4, 3))) for i in range(3)]
     labels = [1, 0, 1]
     loss, _ = batch_loss_and_gradients(sequences, labels, params)
@@ -338,8 +340,7 @@ CONV_REFERENCE_CASES = {
 def conv_reference_case(spec, seed):
     """(params, sequences, labels, dropout masks) of one CONV_REFERENCE_CASES entry."""
     rng = np.random.default_rng(seed)
-    config = ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16, embedding_dim=24, seed=7)
-    params = init_conv_params(config)
+    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16, seed=7), 24)
     if "dead_bank" in spec:
         # Every conv value of this bank is negative: argmax 0, no gradient.
         params.conv_bias[spec["dead_bank"]][:] = -1e3
@@ -409,7 +410,7 @@ def test_batch_forward_matches_im2col_reference(case):
     if case == "bench-size":
         spec = dict(dropout=True)
         rng = np.random.default_rng(8)
-        params = init_conv_params(ConvHeadConfig(seed=3))
+        params = init_conv_params(ConvHeadConfig(seed=3), 768)
         sequences = [
             seq(f"d{i}", rng.normal(size=(int(rng.integers(20, 121)), 768))) for i in range(8)
         ]
@@ -433,8 +434,7 @@ def test_conv_logits_matches_single_document_forward():
     # Chunked scoring and the batch-of-one forward run the same arithmetic up
     # to GEMM rounding under row slicing, so compare at a tolerance.
     rng = np.random.default_rng(12)
-    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16,
-                                             embedding_dim=24, seed=2))
+    params = init_conv_params(ConvHeadConfig(kernel_sizes=(3, 4, 5), n_filters=16, seed=2), 24)
     sequences = [seq(f"d{i}", rng.normal(size=(int(n), 24)))
                  for i, n in enumerate(rng.integers(1, 12, size=7))]
     singles = [conv_forward(s, params) for s in sequences]
@@ -446,7 +446,7 @@ def test_conv_logits_matches_single_document_forward():
 
 
 def test_conv_logits_is_a_float64_array():
-    params = init_conv_params(ConvHeadConfig(**SMALL))
+    params = init_conv_params(ConvHeadConfig(**SMALL), DIM)
     sequences = [seq(f"d{i}", np.full((i + 1, 3), 0.1 * i)) for i in range(5)]
     for got, n in ((conv_logits(sequences, params, 2), 5), (conv_logits([], params, 2), 0)):
         assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (n,)
@@ -457,8 +457,7 @@ def test_batch_sums_run_in_document_order(n):
     # np.sum adds a 1-D array in pairs from 8 terms on. The loss and the dense.W,
     # dense.b and conv bias gradients must equal a per-document accumulation.
     rng = np.random.default_rng(30 + n)
-    config = ConvHeadConfig(kernel_sizes=(2, 3), n_filters=5, embedding_dim=4, seed=n)
-    params = init_conv_params(config)
+    params = init_conv_params(ConvHeadConfig(kernel_sizes=(2, 3), n_filters=5, seed=n), 4)
     for arr in param_blocks(params).values():
         arr += rng.normal(scale=0.5, size=arr.shape)
     sequences = [seq(f"d{i}", rng.normal(size=(int(rng.integers(1, 9)), 4))) for i in range(n)]
@@ -506,7 +505,7 @@ def test_train_conv_zero_epochs():
     sequences, labels, masks = conv_toy()
     config = ConvHeadConfig(**SMALL, epochs=0, seed=4)
     result = train_conv(sequences, labels, masks, config)
-    init = init_conv_params(config)
+    init = init_conv_params(config, DIM)
     np.testing.assert_array_equal(result.params.kernels[0], init.kernels[0])
     np.testing.assert_array_equal(result.params.dense_W, init.dense_W)
     assert result.history == []
@@ -535,7 +534,6 @@ def test_train_conv_learns_separable_toy():
     assert result.history[-1].val_f1 == 1.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_train_conv_divergence():
     sequences, labels, masks = conv_toy()
     config = ConvHeadConfig(**SMALL, epochs=10, learning_rate=1e160, dropout=0.0, seed=0)
@@ -548,9 +546,12 @@ def test_train_conv_validates_inputs():
     empty = {**masks, "train": np.zeros(len(sequences), dtype=bool)}
     with pytest.raises(ValueError):
         train_conv(sequences, labels, empty, ConvHeadConfig(**SMALL, epochs=1))
-    bad_dim = ConvHeadConfig(kernel_sizes=(2, 3), n_filters=4, embedding_dim=5, epochs=1)
-    with pytest.raises(ValueError):
-        train_conv(sequences, labels, masks, bad_dim)
+    # A width that differs from the first train sequence's, in a train or a val sequence.
+    for pos in (np.flatnonzero(masks["train"])[1], np.flatnonzero(masks["val"])[0]):
+        odd = [s if i != pos else seq(s.doc_id, np.zeros((2, 5))) for i, s in enumerate(sequences)]
+        message = f"^sequence '{sequences[pos].doc_id}' has dim 5, expected 3$"
+        with pytest.raises(ValueError, match=message):
+            train_conv(odd, labels, masks, ConvHeadConfig(**SMALL, epochs=1))
 
 
 # ------------------------------------------------------------------- I/O
@@ -574,7 +575,7 @@ def test_sequence_file_truncates_to_max_len(tmp_path):
     long = seq("a", np.arange(40 * 3, dtype=np.float64).reshape(40, 3))
     path = tmp_path / "seqs.bin"
     write_token_embeddings(path, [long])
-    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, embedding_dim=3, max_len=16)
+    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, max_len=16)
     back = load_token_embeddings(path, config)
     assert back[0].length == 16
     np.testing.assert_array_equal(back[0].matrix, long.matrix[:16])
@@ -599,7 +600,7 @@ def test_sequence_file_loads_float32_without_a_float64_copy(tmp_path):
     path = tmp_path / "seqs.bin"
     write_token_embeddings(path, sequences)
     payload_bytes = sum(s.length * s.dim * 4 for s in sequences)
-    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, embedding_dim=64)
+    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2)
     tracemalloc.start()
     try:
         back = load_token_embeddings(path, config)
@@ -615,16 +616,27 @@ def test_sequence_file_loads_float32_without_a_float64_copy(tmp_path):
 def test_truncated_sequence_does_not_keep_its_payload_alive(tmp_path):
     path = tmp_path / "seqs.bin"
     write_token_embeddings(path, [seq("long", np.ones((40, 3))), seq("short", np.ones((5, 3)))])
-    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, embedding_dim=3, max_len=16)
+    config = ConvHeadConfig(kernel_sizes=(2,), n_filters=2, max_len=16)
     long, short = load_token_embeddings(path, config)
     assert long.length == 16 and _buffer_bytes(long.matrix) == 16 * 3 * 4
     assert short.length == 5 and _buffer_bytes(short.matrix) == 5 * 3 * 4
 
 
-def test_sequence_file_rejects_wrong_dim(tmp_path):
+def test_sequence_file_takes_the_width_of_its_records(tmp_path):
     path = tmp_path / "seqs.bin"
-    write_token_embeddings(path, [seq("a", np.zeros((2, 4)))])
-    with pytest.raises(ValueError):
+    write_token_embeddings(path, [seq("a", np.zeros((2, 4))), seq("b", np.ones((3, 4)))])
+    assert [s.dim for s in load_token_embeddings(path, ConvHeadConfig(**SMALL))] == [4, 4]
+
+
+@pytest.mark.parametrize("widths, message", [
+    ((4, 5), "sequence 'b' has dim 5, expected 4"),
+    ((4, 0), "sequence 'b' has dim 0"),
+    ((0,), "sequence 'a' has dim 0"),
+])
+def test_sequence_file_rejects_a_second_or_zero_width(tmp_path, widths, message):
+    path = tmp_path / "seqs.bin"
+    write_token_embeddings(path, [seq(doc_id, np.zeros((2, d))) for doc_id, d in zip("ab", widths)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
         load_token_embeddings(path, ConvHeadConfig(**SMALL))
 
 
@@ -721,7 +733,8 @@ def test_sequence_file_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
         sequences = load_token_embeddings(path, ConvHeadConfig(**SMALL))
     except ValueError:
         return
-    assert all(s.dim == 3 and 1 <= s.length <= 16 for s in sequences)
+    assert len({s.dim for s in sequences}) <= 1
+    assert all(s.dim >= 1 and 1 <= s.length <= 16 for s in sequences)
     assert len({s.doc_id for s in sequences}) == len(sequences)
 
 
@@ -736,14 +749,14 @@ def test_sequence_file_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
     ({"dense.b": np.zeros(2)}, "'dense.b' has shape"),
 ])
 def test_params_from_blocks_rejects_missing_or_misshaped_blocks(change, message):
-    blocks = param_blocks(init_conv_params(ConvHeadConfig(**SMALL, seed=11)))
+    blocks = param_blocks(init_conv_params(ConvHeadConfig(**SMALL, seed=11), DIM))
     blocks = {name: arr for name, arr in {**blocks, **change}.items() if arr is not None}
     with pytest.raises(ValueError, match=message):
         params_from_blocks(blocks)
 
 
 def test_conv_checkpoint_roundtrip(tmp_path):
-    params = init_conv_params(ConvHeadConfig(**SMALL, seed=11))
+    params = init_conv_params(ConvHeadConfig(**SMALL, seed=11), DIM)
     path = tmp_path / "conv.bin"
     save_parameter_blocks(path, param_blocks(params))
     back = params_from_blocks(load_parameter_blocks(path))

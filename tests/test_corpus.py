@@ -53,7 +53,8 @@ def test_load_jsonl_roundtrip(tmp_path):
     docs = load_corpus(path)
     assert [d.id for d in docs] == ["a", "b", "c"]
     assert docs[0] == RawDocument(id="a", text="hello world", label=1)
-    assert docs[1].source == "forum"
+    # A source key is accepted and ignored.
+    assert docs[1] == RawDocument(id="b", text="second doc", label=0)
     assert docs[2].label is None
 
 

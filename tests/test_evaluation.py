@@ -283,6 +283,15 @@ def test_paired_ttest_validation():
         paired_ttest([1.0, 2.0], [0.0])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("sample", ["a", "b"])
+def test_paired_ttest_refuses_a_non_finite_score(sample, value):
+    scores = {"a": [0.5, 0.6, 0.7], "b": [0.4, 0.4, 0.5]}
+    scores[sample][1] = value
+    with pytest.raises(ValueError, match=f"^sample {sample} holds {value} at position 1$"):
+        paired_ttest(scores["a"], scores["b"])
+
+
 def test_paired_ttest_bonferroni_correction():
     result = paired_ttest([1, 0, 1, 0, 1], [0, 0, 0, 0, 0], comparisons=4)
     assert isinstance(result, TTestResult)

