@@ -231,9 +231,7 @@ def _gcn_cell(args, config: dict):
         lam, seed = cell
         cell_config = replace(base, lam=lam, seed=seed)
         result = gcn.train(features, adj_norm, labels, masks, cell_config)
-        return result, gcn.evaluate(
-            features, adj_norm, result.gcn, result.head, lam, labels, masks["test"]
-        )
+        return result, gcn.evaluate(features, adj_norm, result.params, lam, labels, masks["test"])
 
     return run_cell
 
@@ -271,8 +269,7 @@ def cmd_train_gcn(args, config: dict, man: RunManifest) -> None:
 
     def run_one(seed: int):
         result, report = run_cell((config["lam"], seed))
-        blocks = gcn.param_blocks(result.gcn, result.head)
-        return blocks, result.history, report, {"best_epoch": result.best_epoch}
+        return result.params, result.history, report, {"best_epoch": result.best_epoch}
 
     agg = _run_seeds(man, config["seeds"], config["jobs"], run_one, "")
     print(evaluation.render_aggregate({"test": agg}), end="")

@@ -265,7 +265,8 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
     in scipy's order of operations, computed on the differences scaled by the
     power of two that brings the largest |difference| into [0.5, 1). That
     scaling is exact, so t keeps its bits wherever the unscaled arithmetic
-    neither underflows nor overflows. Differences that are all equal
+    neither underflows nor overflows. Finite scores whose difference would
+    overflow are halved before they are subtracted. Differences that are all equal
     short-circuit: identical sequences give t=0, p=1; a constant non-zero gap
     gives t=+/-inf, p=0. A NaN or infinite score is a ValueError naming its
     sample and position.
@@ -281,7 +282,10 @@ def paired_ttest(a, b, comparisons: int = 1) -> TTestResult:
     n = len(a)
     if n < 2:
         raise ValueError("paired t-test needs at least two pairs")
-    diffs = np.asarray(a) - np.asarray(b)
+    with np.errstate(over="ignore"):
+        diffs = np.asarray(a) - np.asarray(b)
+    if not np.isfinite(diffs).all():
+        diffs = np.ldexp(a, -1) - np.ldexp(b, -1)
     df = n - 1
     if np.all(diffs == diffs[0]):
         if diffs[0] == 0.0:

@@ -4,7 +4,9 @@ The forward pass is softmax(A_hat . ReLU(A_hat X W1 + b1) . W2 + b2) restricted
 to document rows, the head is softmax(Z_doc W + b), and the fused prediction is
 lam * Z_G + (1 - lam) * Z_B. Training minimizes the negative log likelihood of
 the fused probabilities on the train mask with hand-derived reverse-mode
-gradients and a full-batch Adam loop; everything runs in float64.
+gradients and a full-batch Adam loop; everything runs in float64. The
+weights are one dict of named blocks from init_parameters on, which the
+forward pass, the gradients, Adam and the checkpoint all take as it is.
 """
 
 from __future__ import annotations
@@ -40,30 +42,6 @@ class DivergenceError(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"non-finite training loss at epoch {epoch}")
         self.epoch = epoch
-
-
-@dataclass
-class GCNParameters:
-    """Weights of the two graph convolution layers."""
-
-    W1: np.ndarray
-    b1: np.ndarray
-    W2: np.ndarray
-    b2: np.ndarray
-
-    def copy(self) -> "GCNParameters":
-        return GCNParameters(self.W1.copy(), self.b1.copy(), self.W2.copy(), self.b2.copy())
-
-
-@dataclass
-class LinearHead:
-    """Softmax classifier over the external document embeddings."""
-
-    W: np.ndarray
-    b: np.ndarray
-
-    def copy(self) -> "LinearHead":
-        return LinearHead(self.W.copy(), self.b.copy())
 
 
 @dataclass
@@ -112,8 +90,7 @@ class EpochStats:
 
 @dataclass
 class TrainResult:
-    gcn: GCNParameters
-    head: LinearHead | None
+    params: dict[str, np.ndarray]
     history: list[EpochStats]
     best_epoch: int | None
 
@@ -129,19 +106,24 @@ def init_parameters(
     n_classes: int,
     embedding_dim: int | None,
     seed: int,
-) -> tuple[GCNParameters, LinearHead | None]:
-    """Glorot-uniform weights, zero biases; draw order is fixed for a seed."""
+) -> dict[str, np.ndarray]:
+    """The model's named blocks: Glorot-uniform weights, zero biases.
+
+    The keys are gcn.W1 (F x H), gcn.b1, gcn.W2 (H x C) and gcn.b2, then, with
+    an embedding_dim d, the linear head's head.W (d x C) and head.b; this order
+    is the checkpoint's, and the draw order is fixed for a seed.
+    """
     rng = np.random.default_rng(seed)
-    gcn = GCNParameters(
-        W1=_glorot(rng, feature_dim, hidden_dim),
-        b1=np.zeros(hidden_dim),
-        W2=_glorot(rng, hidden_dim, n_classes),
-        b2=np.zeros(n_classes),
-    )
-    head = None
+    params = {
+        "gcn.W1": _glorot(rng, feature_dim, hidden_dim),
+        "gcn.b1": np.zeros(hidden_dim),
+        "gcn.W2": _glorot(rng, hidden_dim, n_classes),
+        "gcn.b2": np.zeros(n_classes),
+    }
     if embedding_dim is not None:
-        head = LinearHead(W=_glorot(rng, embedding_dim, n_classes), b=np.zeros(n_classes))
-    return gcn, head
+        params["head.W"] = _glorot(rng, embedding_dim, n_classes)
+        params["head.b"] = np.zeros(n_classes)
+    return params
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -155,11 +137,15 @@ def _check_finite(name: str, layer: int, arr: np.ndarray) -> None:
         raise FloatingPointError(f"non-finite values in {name} (layer {layer})")
 
 
+def _check_gcn_only(params: dict, lam: float) -> None:
+    if "head.W" not in params and lam != 1.0:
+        raise ValueError("without embeddings the model is GCN-only; lam must be 1")
+
+
 def _forward_pass(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
-    gcn: GCNParameters,
-    head: LinearHead | None,
+    params: dict,
     lam: float,
     dropout_mask: np.ndarray | None,
     h_pre: np.ndarray | None = None,
@@ -172,33 +158,31 @@ def _forward_pass(
     adj_norm to be exactly symmetric, as normalize_adjacency returns it.
 
     h_pre, when given, is the layer-1 pre-activation A X W1 + b1 of exactly
-    these gcn parameters, computed by an earlier pass.
+    these parameters, computed by an earlier pass.
     """
+    _check_gcn_only(params, lam)
     doc_rows = adj_norm[:features.n_docs]
     if h_pre is None:
         if features.doc_embeddings is None:
-            propagated_x = adj_norm @ gcn.W1  # A @ X @ W1 with X = I
+            propagated_x = adj_norm @ params["gcn.W1"]  # A @ X @ W1 with X = I
         else:
-            propagated_x = doc_rows.T @ (features.doc_embeddings @ gcn.W1)
-        h_pre = propagated_x + gcn.b1
+            propagated_x = doc_rows.T @ (features.doc_embeddings @ params["gcn.W1"])
+        h_pre = propagated_x + params["gcn.b1"]
         _check_finite("hidden pre-activation", 1, h_pre)
     hidden = np.maximum(h_pre, 0.0)
     h_drop = hidden * dropout_mask if dropout_mask is not None else hidden
     propagated = doc_rows @ h_drop
-    logits = propagated @ gcn.W2 + gcn.b2
+    logits = propagated @ params["gcn.W2"] + params["gcn.b2"]
     _check_finite("output logits", 2, logits)
     z_g = _softmax(logits)
 
     z_b = None
-    if head is not None:
+    z_final = z_g
+    if "head.W" in params:
         if features.doc_embeddings is None:
             raise ValueError("a linear head requires document embeddings")
-        z_b = _softmax(features.doc_embeddings @ head.W + head.b)
+        z_b = _softmax(features.doc_embeddings @ params["head.W"] + params["head.b"])
         z_final = lam * z_g + (1.0 - lam) * z_b
-    else:
-        if lam != 1.0:
-            raise ValueError("without embeddings the model is GCN-only; lam must be 1")
-        z_final = z_g
     return {
         "doc_rows": doc_rows,
         "h_pre": h_pre,
@@ -231,19 +215,19 @@ def _softmax_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
     return probs * (upstream - inner)
 
 
-def _l2_penalty(gcn: GCNParameters, head: LinearHead | None, weight_decay: float) -> float:
-    """0.5 * weight_decay * the squared norm of the weight matrices (biases excluded)."""
-    return 0.5 * weight_decay * (
-        float((gcn.W1 ** 2).sum()) + float((gcn.W2 ** 2).sum())
-        + (float((head.W ** 2).sum()) if head is not None else 0.0)
-    )
+# The weight matrices, which weight decay acts on; biases are excluded.
+_DECAYED = ("gcn.W1", "gcn.W2", "head.W")
+
+
+def _l2_penalty(params: dict, weight_decay: float) -> float:
+    """0.5 * weight_decay * the squared norm of the weight matrices, summed W1, W2, head.W."""
+    return 0.5 * weight_decay * sum(float((params[n] ** 2).sum()) for n in _DECAYED if n in params)
 
 
 def loss_and_gradients(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
-    gcn: GCNParameters,
-    head: LinearHead | None,
+    params: dict,
     labels,
     train_mask,
     lam: float,
@@ -256,7 +240,7 @@ def loss_and_gradients(
     h_pre is the layer-1 pre-activation of these parameters when train()
     already has it from the validation pass.
     """
-    cache = _forward_pass(features, adj_norm, gcn, head, lam, dropout_mask, h_pre)
+    cache = _forward_pass(features, adj_norm, params, lam, dropout_mask, h_pre)
     mask = np.asarray(train_mask, dtype=bool)
     if not mask.any():
         raise ValueError("loss mask selects no documents")
@@ -265,14 +249,14 @@ def loss_and_gradients(
     picked = cache["z_final"][mask, gold]
     loss = float(-np.log(picked + LOSS_EPS).mean())
 
-    d_final = np.zeros((features.n_docs, gcn.W2.shape[1]))
+    d_final = np.zeros((features.n_docs, params["gcn.W2"].shape[1]))
     d_final[mask, gold] = -1.0 / (len(picked) * (picked + LOSS_EPS))
 
     d_logits = _softmax_backward(cache["z_g"], lam * d_final)
     grads: dict[str, np.ndarray] = {}
     grads["gcn.b2"] = d_logits.sum(axis=0)
     grads["gcn.W2"] = cache["propagated"].T @ d_logits
-    d_propagated = d_logits @ gcn.W2.T
+    d_propagated = d_logits @ params["gcn.W2"].T
     d_h_drop = cache["doc_rows"].T @ d_propagated
     d_hidden = d_h_drop * dropout_mask if dropout_mask is not None else d_h_drop
     d_h_pre = d_hidden * (cache["h_pre"] > 0.0)
@@ -282,17 +266,16 @@ def loss_and_gradients(
     else:
         grads["gcn.W1"] = features.doc_embeddings.T @ (cache["doc_rows"] @ d_h_pre)
 
-    if head is not None:
+    if "head.W" in params:
         d_head_logits = _softmax_backward(cache["z_b"], (1.0 - lam) * d_final)
         grads["head.W"] = features.doc_embeddings.T @ d_head_logits
         grads["head.b"] = d_head_logits.sum(axis=0)
 
     if weight_decay:
-        grads["gcn.W1"] = grads["gcn.W1"] + weight_decay * gcn.W1
-        grads["gcn.W2"] = grads["gcn.W2"] + weight_decay * gcn.W2
-        if head is not None:
-            grads["head.W"] = grads["head.W"] + weight_decay * head.W
-        loss += _l2_penalty(gcn, head, weight_decay)
+        for name in _DECAYED:
+            if name in params:
+                grads[name] = grads[name] + weight_decay * params[name]
+        loss += _l2_penalty(params, weight_decay)
     return loss, grads
 
 
@@ -335,20 +318,10 @@ class AdamState:
             params[name] -= num
 
 
-def param_blocks(gcn: GCNParameters, head: LinearHead | None) -> dict[str, np.ndarray]:
-    """Named parameter arrays (no copies): Adam's update targets and the checkpoint blocks."""
-    params = {"gcn.W1": gcn.W1, "gcn.b1": gcn.b1, "gcn.W2": gcn.W2, "gcn.b2": gcn.b2}
-    if head is not None:
-        params["head.W"] = head.W
-        params["head.b"] = head.b
-    return params
-
-
 def fused_probabilities(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
-    gcn: GCNParameters,
-    head: LinearHead | None,
+    params: dict,
     lam: float,
     layer1: dict | None = None,
 ) -> np.ndarray:
@@ -359,7 +332,7 @@ def fused_probabilities(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
-    cache = _forward_pass(features, adj_norm, gcn, head, lam, None)
+    cache = _forward_pass(features, adj_norm, params, lam, None)
     if layer1 is not None:
         layer1["h_pre"] = cache["h_pre"]
     return cache["z_final"]
@@ -368,15 +341,14 @@ def fused_probabilities(
 def evaluate(
     features: NodeFeatures,
     adj_norm: sp.csr_array,
-    gcn: GCNParameters,
-    head: LinearHead | None,
+    params: dict,
     lam: float,
     labels,
     mask,
     layer1: dict | None = None,
 ) -> evaluation.MetricsReport:
     """Weighted metrics of the fused prediction on the masked documents."""
-    preds = predict(fused_probabilities(features, adj_norm, gcn, head, lam, layer1))
+    preds = predict(fused_probabilities(features, adj_norm, params, lam, layer1))
     mask = np.asarray(mask, dtype=bool)
     return evaluation.metrics(evaluation.confusion(preds[mask], np.asarray(labels)[mask]))
 
@@ -409,21 +381,17 @@ def train(
     labels = np.where(np.equal(np.asarray(labels), None), -1, labels).astype(np.int64)
     n_classes = 2
     embedding_dim = None if features.doc_embeddings is None else features.dim
-    gcn, head = init_parameters(
-        features.dim, config.hidden_dim, n_classes, embedding_dim, config.seed
-    )
-    if head is None and config.lam != 1.0:
-        raise ValueError("without embeddings the model is GCN-only; set lam to 1")
+    params = init_parameters(features.dim, config.hidden_dim, n_classes, embedding_dim, config.seed)
+    _check_gcn_only(params, config.lam)
 
     rng = np.random.default_rng(config.seed)
     adam = AdamState()
-    params = param_blocks(gcn, head)
     hidden_shape = (features.n_docs + features.n_words, config.hidden_dim)
 
     history: list[EpochStats] = []
     best_f1 = -1.0
     best_epoch: int | None = None
-    best_gcn, best_head = None, None
+    best = None
     stale = 0
     # Layer 1 of the current parameters, kept from the validation pass: Adam
     # does not run between it and the next epoch's forward, and dropout acts
@@ -434,7 +402,7 @@ def train(
         if config.dropout > 0.0:
             mask = _dropout_mask(rng, hidden_shape, config.dropout)
         loss, grads = loss_and_gradients(
-            features, adj_norm, gcn, head, labels, train_mask,
+            features, adj_norm, params, labels, train_mask,
             config.lam, config.weight_decay, mask, h_pre=h_pre,
         )
         if not math.isfinite(loss):
@@ -445,7 +413,7 @@ def train(
         if val_mask.any():
             layer1 = {}
             report = evaluate(
-                features, adj_norm, gcn, head, config.lam, labels, val_mask,
+                features, adj_norm, params, config.lam, labels, val_mask,
                 layer1=layer1,
             )
             h_pre = layer1["h_pre"]
@@ -459,15 +427,15 @@ def train(
                 stale += 1
             best_f1 = val_f1
             best_epoch = epoch
-            best_gcn, best_head = gcn.copy(), head.copy() if head is not None else None
+            best = {name: arr.copy() for name, arr in params.items()}
         else:
             stale += 1
         if config.patience is not None and stale > config.patience:
             break
 
-    if best_gcn is not None:
-        gcn, head = best_gcn, best_head
-    return TrainResult(gcn=gcn, head=head, history=history, best_epoch=best_epoch)
+    if best is not None:
+        params = best
+    return TrainResult(params=params, history=history, best_epoch=best_epoch)
 
 
 def write_history_csv(path, history: list[EpochStats]) -> None:
@@ -522,20 +490,16 @@ def check_block_shapes(blocks: dict, dims: dict) -> None:
             )
 
 
-def load_checkpoint(path) -> tuple[GCNParameters, LinearHead | None]:
-    """GCN weights and the optional head; a missing or mis-shaped block raises ValueError.
+def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """A train-gcn checkpoint's blocks, as fused_probabilities and evaluate take them.
 
-    W1 is F x H, b1 (H,), W2 H x C and b2 (C,); head.W (d x C) and head.b
-    (C,) are both present or both absent.
+    gcn.W1 is F x H, gcn.b1 (H,), gcn.W2 H x C and gcn.b2 (C,); head.W (d x C)
+    and head.b (C,) are both present or both absent. A missing or mis-shaped
+    block raises ValueError.
     """
     blocks = load_parameter_blocks(path)
     dims = {"gcn.W1": ("F", "H"), "gcn.b1": ("H",), "gcn.W2": ("H", "C"), "gcn.b2": ("C",)}
-    has_head = "head.W" in blocks or "head.b" in blocks
-    if has_head:
+    if "head.W" in blocks or "head.b" in blocks:
         dims.update({"head.W": ("d", "C"), "head.b": ("C",)})
     check_block_shapes(blocks, dims)
-    gcn = GCNParameters(
-        W1=blocks["gcn.W1"], b1=blocks["gcn.b1"], W2=blocks["gcn.W2"], b2=blocks["gcn.b2"]
-    )
-    head = LinearHead(W=blocks["head.W"], b=blocks["head.b"]) if has_head else None
-    return gcn, head
+    return blocks

@@ -6,7 +6,7 @@ import math
 import operator
 import struct
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
 
@@ -30,12 +30,6 @@ EMBEDDING_VERSION = 1
 _WINDOW_CHUNK_ENTRIES = 1 << 18
 
 
-def _no_pair_counts() -> sp.csr_array:
-    import scipy.sparse as sp
-
-    return sp.csr_array((0, 0), dtype=np.int64)
-
-
 @dataclass
 class WindowStats:
     """Sliding-window presence counts used by the PPMI weighting.
@@ -46,9 +40,9 @@ class WindowStats:
     sorted indices and no stored zeros.
     """
 
-    total_windows: int = 0
-    token_counts: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    pair_counts: sp.csr_array = field(default_factory=_no_pair_counts)
+    total_windows: int
+    token_counts: np.ndarray
+    pair_counts: sp.csr_array
 
 
 @dataclass
@@ -61,6 +55,8 @@ class EmbeddingMatrix:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2:
             raise ValueError("embedding matrix must be 2-D")
+        if self.values.shape[1] < 1:
+            raise ValueError("embedding matrix must have at least one column")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("embedding matrix contains non-finite values")
 
@@ -174,6 +170,7 @@ def slide_windows(corpus, window_size: int = DEFAULT_WINDOW_SIZE) -> WindowStats
         raise ValueError("window_size must be >= 1")
     n_tokens = len(corpus.vocab)
     stats = WindowStats(
+        total_windows=0,
         token_counts=np.zeros(n_tokens, dtype=np.int64),
         pair_counts=sp.csr_array((n_tokens, n_tokens), dtype=np.int64),
     )

@@ -151,14 +151,13 @@ def compose_shots(pool, k: int, seed: int, exclude_ids=None) -> ShotSet:
     """Seeded exemplar selection meeting the class quota for k.
 
     Draws the positive block, then the negative block, then interleaves the
-    two with a seeded permutation. pool entries are Shot objects or
-    (doc_id, text, label) triples; exclude_ids are never selected.
+    two with a seeded permutation. pool holds Shot objects; exclude_ids are
+    never selected.
     """
     if k not in SHOT_QUOTAS:
         raise ValueError(f"supported shot counts are {sorted(SHOT_QUOTAS)}, got {k}")
     excluded = set(exclude_ids) if exclude_ids else set()
-    shots = [s if isinstance(s, Shot) else Shot(*s) for s in pool]
-    shots = [s for s in shots if s.doc_id not in excluded]
+    shots = [s for s in pool if s.doc_id not in excluded]
     positives = [s for s in shots if s.label == 1]
     negatives = [s for s in shots if s.label == 0]
     want_pos, want_neg = SHOT_QUOTAS[k]

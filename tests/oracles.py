@@ -239,9 +239,9 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return out
 
 
-def head_probabilities(embeddings: np.ndarray, head) -> np.ndarray:
-    """The embedding head's prediction Z_B: the row softmax of E @ W + b."""
-    return _softmax_rows(embeddings @ head.W + head.b)
+def head_probabilities(embeddings: np.ndarray, params) -> np.ndarray:
+    """The embedding head's prediction Z_B: the row softmax of E @ head.W + head.b."""
+    return _softmax_rows(embeddings @ params["head.W"] + params["head.b"])
 
 
 def _softmax_rows_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarray:
@@ -252,7 +252,7 @@ def _softmax_rows_backward(probs: np.ndarray, upstream: np.ndarray) -> np.ndarra
     return out
 
 
-def dense_fused_reference(a_hat, x, n_docs, gcn, head, embeddings, lam, labels, train_mask,
+def dense_fused_reference(a_hat, x, n_docs, params, embeddings, lam, labels, train_mask,
                           dropout_mask=None, eps=1e-12):
     """Fused prediction, loss and gradients with a dense A_hat and explicit X.
 
@@ -260,14 +260,16 @@ def dense_fused_reference(a_hat, x, n_docs, gcn, head, embeddings, lam, labels, 
     only at the end; returns (z_final, loss, grads) with grads keyed like
     gcn.loss_and_gradients (no weight decay).
     """
-    mask = np.ones((a_hat.shape[0], gcn.W1.shape[1])) if dropout_mask is None else dropout_mask
-    h_pre = a_hat @ x @ gcn.W1 + gcn.b1
+    w1, w2 = params["gcn.W1"], params["gcn.W2"]
+    head = "head.W" in params
+    mask = np.ones((a_hat.shape[0], w1.shape[1])) if dropout_mask is None else dropout_mask
+    h_pre = a_hat @ x @ w1 + params["gcn.b1"]
     h_drop = np.maximum(h_pre, 0.0) * mask
     propagated = a_hat @ h_drop
-    z_full = _softmax_rows(propagated @ gcn.W2 + gcn.b2)
+    z_full = _softmax_rows(propagated @ w2 + params["gcn.b2"])
     z_g = z_full[:n_docs]
-    z_b = _softmax_rows(embeddings @ head.W + head.b) if head is not None else None
-    z_final = lam * z_g + (1.0 - lam) * z_b if head is not None else z_g
+    z_b = head_probabilities(embeddings, params) if head else None
+    z_final = lam * z_g + (1.0 - lam) * z_b if head else z_g
 
     rows = [i for i in range(n_docs) if train_mask[i]]
     loss = -sum(math.log(z_final[i, labels[i]] + eps) for i in rows) / len(rows)
@@ -278,14 +280,14 @@ def dense_fused_reference(a_hat, x, n_docs, gcn, head, embeddings, lam, labels, 
     d_full = np.zeros_like(z_full)
     d_full[:n_docs] = lam * d_final
     d_logits = _softmax_rows_backward(z_full, d_full)
-    d_h_pre = (a_hat.T @ (d_logits @ gcn.W2.T)) * mask * (h_pre > 0.0)
+    d_h_pre = (a_hat.T @ (d_logits @ w2.T)) * mask * (h_pre > 0.0)
     grads = {
         "gcn.W2": propagated.T @ d_logits,
         "gcn.b2": d_logits.sum(axis=0),
         "gcn.W1": x.T @ a_hat.T @ d_h_pre,
         "gcn.b1": d_h_pre.sum(axis=0),
     }
-    if head is not None:
+    if head:
         d_head = _softmax_rows_backward(z_b, (1.0 - lam) * d_final)
         grads["head.W"] = embeddings.T @ d_head
         grads["head.b"] = d_head.sum(axis=0)
@@ -441,20 +443,17 @@ class ReferenceAdam:
 def reference_train(features, adj_norm, labels, masks, config):
     """gcn.train's loop on public calls only: every epoch computes layer 1 itself.
 
-    Returns (history, gcn, head, best_epoch), with history as
+    Returns (history, params, best_epoch), with history as
     (epoch, loss, val_acc, val_f1) tuples.
     """
     train_mask = np.asarray(masks["train"], dtype=bool)
     val_mask = np.asarray(masks.get("val", np.zeros(features.n_docs, dtype=bool)), dtype=bool)
-    params, head = init_parameters(
+    params = init_parameters(
         features.dim, config.hidden_dim, 2,
         features.dim if features.doc_embeddings is not None else None, config.seed,
     )
     rng = np.random.default_rng(config.seed)
     adam = ReferenceAdam(0.9, 0.999, 1e-8)
-    refs = {"gcn.W1": params.W1, "gcn.b1": params.b1, "gcn.W2": params.W2, "gcn.b2": params.b2}
-    if head is not None:
-        refs.update({"head.W": head.W, "head.b": head.b})
     shape = (features.n_docs + features.n_words, config.hidden_dim)
     history, best_f1, best_epoch, best, stale = [], -1.0, None, None, 0
     for epoch in range(config.epochs):
@@ -462,26 +461,24 @@ def reference_train(features, adj_norm, labels, masks, config):
         if config.dropout > 0.0:
             mask = (rng.random(shape) >= config.dropout) / (1.0 - config.dropout)
         loss, grads = loss_and_gradients(
-            features, adj_norm, params, head, labels, train_mask,
+            features, adj_norm, params, labels, train_mask,
             config.lam, config.weight_decay, mask,
         )
-        adam.step(refs, grads, config.learning_rate)
+        adam.step(params, grads, config.learning_rate)
         val_acc = val_f1 = 0.0
         if val_mask.any():
-            report = evaluate(features, adj_norm, params, head, config.lam, labels, val_mask)
+            report = evaluate(features, adj_norm, params, config.lam, labels, val_mask)
             val_acc, val_f1 = report.accuracy, report.f1
         history.append((epoch, loss, val_acc, val_f1))
         if val_mask.any() and val_f1 >= best_f1:
             stale = 0 if val_f1 > best_f1 else stale + 1
             best_f1, best_epoch = val_f1, epoch
-            best = (params.copy(), head.copy() if head is not None else None)
+            best = {name: arr.copy() for name, arr in params.items()}
         else:
             stale += 1
         if config.patience is not None and stale > config.patience:
             break
-    if best is not None:
-        params, head = best
-    return history, params, head, best_epoch
+    return history, params if best is None else best, best_epoch
 
 
 def reference_ablation(grid, base, features, adj_norm, labels, masks, seeds):
@@ -493,8 +490,7 @@ def reference_ablation(grid, base, features, adj_norm, labels, masks, seeds):
         accs, f1s = [], []
         for seed in seeds:
             result = train(features, adj_norm, labels, masks, replace(base, lam=lam, seed=seed))
-            report = evaluate(features, adj_norm, result.gcn, result.head, lam, labels,
-                              masks["test"])
+            report = evaluate(features, adj_norm, result.params, lam, labels, masks["test"])
             accs.append(report.accuracy)
             f1s.append(report.f1)
         rows.append((lam, float(np.mean(accs)), float(np.mean(f1s)),

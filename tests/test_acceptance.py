@@ -213,7 +213,7 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
                 embeddings = EmbeddingMatrix(rng.normal(size=(n_docs, 3)))
                 lam = float(rng.choice([0.0, 0.2, 0.5, 0.8, 1.0]))
             features = build_node_features(embeddings, n_docs, len(corpus.vocab))
-            params, head = gcn.init_parameters(
+            params = gcn.init_parameters(
                 features.dim, 3, 2, None if identity else 3, seed=case
             )
             labels = [int(x) for x in rng.integers(0, 2, size=n_docs)]
@@ -226,25 +226,21 @@ def test_acceptance_03_gradients_match_finite_differences(announce):
                 n_nodes = features.n_docs + features.n_words
                 dropout_mask = (rng.random((n_nodes, 3)) >= 0.5) / 0.5
 
-            arrays = {"gcn.W1": params.W1, "gcn.b1": params.b1,
-                      "gcn.W2": params.W2, "gcn.b2": params.b2}
-            if head is not None:
-                arrays.update({"head.W": head.W, "head.b": head.b})
-            for arr in arrays.values():
+            for arr in params.values():
                 arr += rng.normal(scale=0.05, size=arr.shape)
 
             _, grads = gcn.loss_and_gradients(
-                features, adj, params, head, labels, train_mask, lam,
+                features, adj, params, labels, train_mask, lam,
                 weight_decay=weight_decay, dropout_mask=dropout_mask,
             )
             fd = fd_gradients(
                 lambda: gcn.loss_and_gradients(
-                    features, adj, params, head, labels, train_mask,
+                    features, adj, params, labels, train_mask,
                     lam, weight_decay=weight_decay, dropout_mask=dropout_mask,
                 )[0],
-                arrays,
+                params,
             )
-            for name in arrays:
+            for name in params:
                 assert_per_coordinate_close(grads[name], fd[name], f"graph case {case} {name}")
 
         for case in range(20):
@@ -291,10 +287,11 @@ def test_acceptance_04_interpolation_boundary_identities(announce, tmp_path):
     with announce(4, "interpolation boundaries reduce to the single branches"):
         features, adj, embeddings, labels, masks, config, result = trained_toy_state(lam=0.5)
 
-        z_b = head_probabilities(embeddings.values, result.head)
-        z_g = gcn.fused_probabilities(features, adj, result.gcn, None, 1.0)
-        fused_0 = gcn.fused_probabilities(features, adj, result.gcn, result.head, 0.0)
-        fused_1 = gcn.fused_probabilities(features, adj, result.gcn, result.head, 1.0)
+        gcn_only = {name: arr for name, arr in result.params.items() if name.startswith("gcn.")}
+        z_b = head_probabilities(embeddings.values, result.params)
+        z_g = gcn.fused_probabilities(features, adj, gcn_only, 1.0)
+        fused_0 = gcn.fused_probabilities(features, adj, result.params, 0.0)
+        fused_1 = gcn.fused_probabilities(features, adj, result.params, 1.0)
         assert np.array_equal(gcn.predict(fused_0), gcn.predict(z_b))
         assert np.array_equal(gcn.predict(fused_1), gcn.predict(z_g))
 
@@ -326,7 +323,7 @@ def test_acceptance_04_interpolation_boundary_identities(announce, tmp_path):
                     replace(base, lam=lam, seed=seed),
                 )
                 report = gcn.evaluate(
-                    features, adj, single.gcn, single.head, lam,
+                    features, adj, single.params, lam,
                     labels, masks["test"],
                 )
                 accs.append(report.accuracy)
@@ -372,7 +369,7 @@ def test_acceptance_05_synthetic_end_to_end_learning(announce):
             config = TrainingConfig(lam=1.0, epochs=200, dropout=0.5, hidden_dim=200, seed=seed)
             result = gcn.train(features_id, adj, noisy, masks, config)
             report = gcn.evaluate(
-                features_id, adj, result.gcn, result.head, 1.0, labels, masks["test"]
+                features_id, adj, result.params, 1.0, labels, masks["test"]
             )
             assert report.f1 >= 0.95, f"seed {seed}: graph-only F1 {report.f1:.4f}"
 
@@ -388,7 +385,7 @@ def test_acceptance_05_synthetic_end_to_end_learning(announce):
                 config = TrainingConfig(lam=lam, epochs=100, dropout=0.5, hidden_dim=100, seed=seed)
                 result = gcn.train(features_ext, adj, noisy, masks, config)
                 report = gcn.evaluate(
-                    features_ext, adj, result.gcn, result.head, lam,
+                    features_ext, adj, result.params, lam,
                     labels, masks["test"],
                 )
                 per_seed.append(report.f1)
@@ -458,10 +455,9 @@ def test_acceptance_07_stratification_and_test_isolation(announce):
             1 - lab if masks["test"][i] else lab for i, lab in enumerate(labels)
         ]
         again = gcn.train(features, adj, flipped, masks, config)
-        for name in ("W1", "b1", "W2", "b2"):
-            assert getattr(result.gcn, name).tobytes() == getattr(again.gcn, name).tobytes()
-        assert result.head.W.tobytes() == again.head.W.tobytes()
-        assert result.head.b.tobytes() == again.head.b.tobytes()
+        assert list(result.params) == list(again.params)
+        for name, arr in result.params.items():
+            assert arr.tobytes() == again.params[name].tobytes(), name
         assert result.best_epoch == again.best_epoch
 
 

@@ -233,9 +233,11 @@ def test_train_gcn_end_to_end(pipeline, tmp_path, capsys):
     assert "+/-" in capsys.readouterr().out
 
     for seed in (0, 1):
-        params, head = gcn.load_checkpoint(out / f"checkpoint-seed{seed}.bin")
-        assert params.W2.shape[1] == 2
-        assert head is not None and head.W.shape == (8, 2)
+        params = gcn.load_checkpoint(out / f"checkpoint-seed{seed}.bin")
+        # The blocks' order is the order init_parameters inserts them in.
+        assert list(params) == ["gcn.W1", "gcn.b1", "gcn.W2", "gcn.b2", "head.W", "head.b"]
+        assert params["gcn.W2"].shape[1] == 2
+        assert params["head.W"].shape == (8, 2)
 
         history = (out / f"history-seed{seed}.csv").read_text(encoding="utf-8").splitlines()
         assert history[0] == "epoch,loss,val_acc,val_f1"
@@ -306,12 +308,19 @@ def test_train_gcn_zero_hidden_units_is_data_error(pipeline, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_gcn_identity_needs_full_graph_weight(pipeline, tmp_path):
+def test_train_gcn_identity_needs_full_graph_weight(pipeline, tmp_path, capsys):
     base = ["--identity", "--epochs", "2", "--seeds", "0", "--hidden-dim", "4"]
     # Identity mode has no linear head, so the default 0.2 interpolation fails.
     assert cli.main(train_gcn_args(pipeline, tmp_path / "bad", base)) == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("data error:")] == [
+        "data error: without embeddings the model is GCN-only; lam must be 1"
+    ]
     rc = cli.main(train_gcn_args(pipeline, tmp_path / "ok", base + ["--lambda", "1"]))
     assert rc == cli.EXIT_OK
+    # Without a head the checkpoint holds the GCN's four blocks, in init_parameters' order.
+    params = gcn.load_checkpoint(tmp_path / "ok" / "checkpoint-seed0.bin")
+    assert list(params) == ["gcn.W1", "gcn.b1", "gcn.W2", "gcn.b2"]
 
 
 @pytest.mark.parametrize("command", ["train-gcn", "train-conv"])
@@ -358,6 +367,22 @@ def test_train_gcn_non_finite_embedding_is_data_error(pipeline, tmp_path, capsys
     ]))
     assert rc == cli.EXIT_DATA
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_train_gcn_embeddings_of_width_zero_are_data_error(pipeline, tmp_path, capsys):
+    # A TGEM file of no columns once trained a model that read nothing (test F1 0.333).
+    path = tmp_path / "emb.bin"
+    path.write_bytes(b"TGEM" + struct.pack("<IQQ", 1, N_DOCS, 0))
+    out = tmp_path / "run"
+    rc = cli.main(train_gcn_args(pipeline, out, [
+        "--embeddings", str(path), "--epochs", "2", "--seeds", "0", "--hidden-dim", "4",
+    ]))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("data error:")] == [
+        "data error: embedding matrix must have at least one column"
+    ]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
@@ -493,7 +518,7 @@ def test_ablate_matches_individual_runs(pipeline, tmp_path):
         for seed in (0, 1):
             cfg = gcn.TrainingConfig(epochs=6, dropout=0.0, lam=lam, seed=seed)
             result = gcn.train(features, adj, labels, masks, cfg)
-            rep = gcn.evaluate(features, adj, result.gcn, result.head, lam, labels, masks["test"])
+            rep = gcn.evaluate(features, adj, result.params, lam, labels, masks["test"])
             accs.append(rep.accuracy)
             f1s.append(rep.f1)
         assert abs(accuracy - np.mean(accs)) < 1e-12

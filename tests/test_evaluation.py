@@ -274,6 +274,17 @@ def test_paired_ttest_antisymmetric():
     rev = paired_ttest(b, a)
     assert fwd.statistic == pytest.approx(-rev.statistic, abs=1e-12)
     assert fwd.p_value == pytest.approx(rev.p_value, abs=1e-12)
+    # Finite scores whose differences overflow a float64 give the t and p of
+    # the halved scores, whose differences do not; once raised ValueError.
+    huge_a, huge_b = [1e308, -1e308, 0.0], [-1e308, 1e308, 0.0]
+    skewed_a = [1e308, -1e308, 5e307]
+    for x, y in ((huge_a, huge_b), (huge_b, huge_a), (skewed_a, huge_b)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = paired_ttest(x, y)
+        want = paired_ttest([v / 2 for v in x], [v / 2 for v in y])
+        assert (got.statistic, got.p_value) == (want.statistic, want.p_value)
+    assert paired_ttest(huge_a, huge_b).statistic == 0.0
 
 
 def test_paired_ttest_validation():

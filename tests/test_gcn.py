@@ -26,8 +26,6 @@ from stressgraph.evaluation import MetricsReport
 from stressgraph.gcn import (
     AdamState,
     DivergenceError,
-    GCNParameters,
-    LinearHead,
     TrainingConfig,
     evaluate,
     fused_probabilities,
@@ -35,7 +33,6 @@ from stressgraph.gcn import (
     load_checkpoint,
     load_parameter_blocks,
     loss_and_gradients,
-    param_blocks,
     predict,
     save_parameter_blocks,
     train,
@@ -74,20 +71,32 @@ def pipeline_setup(seed: int, n_docs: int = 4, n_tokens: int = 4, identity: bool
     return features, adj, embeddings, labels, rng
 
 
-def graph_branch(features, adj, gcn):
+def gcn_blocks(params):
+    """The GCN branch's blocks of a model, without its head."""
+    return {name: arr for name, arr in params.items() if name.startswith("gcn.")}
+
+
+def graph_branch(features, adj, params):
     """The GCN branch's prediction Z_G: the fused forward with no head at lam = 1."""
-    return fused_probabilities(features, adj, gcn, None, 1.0)
+    return fused_probabilities(features, adj, gcn_blocks(params), 1.0)
+
+
+def gcn_model(W1, W2):
+    """GCN-only blocks with the given weights and zero biases."""
+    W1, W2 = np.asarray(W1, dtype=float), np.asarray(W2, dtype=float)
+    return {"gcn.W1": W1, "gcn.b1": np.zeros(W1.shape[1]),
+            "gcn.W2": W2, "gcn.b2": np.zeros(W2.shape[1])}
 
 
 def one_hot_model(g_logits, b_logits):
-    """(features, adjacency, gcn, head) over len(g_logits) documents and no words, whose
+    """(features, adjacency, params) over len(g_logits) documents and no words, whose
     GCN branch predicts softmax(g_logits) and whose head predicts softmax(b_logits):
     one-hot embeddings, an identity adjacency and identity W1 keep every product exact."""
     n = len(g_logits)
     eye = np.eye(n)
     features = build_node_features(EmbeddingMatrix(eye), n, 0)
-    gcn = GCNParameters(W1=eye, b1=np.zeros(n), W2=np.array(g_logits, dtype=float), b2=np.zeros(2))
-    return features, identity_adj(n), gcn, LinearHead(W=np.array(b_logits, dtype=float), b=np.zeros(2))
+    head = {"head.W": np.array(b_logits, dtype=float), "head.b": np.zeros(2)}
+    return features, identity_adj(n), {**gcn_model(eye, g_logits), **head}
 
 
 # --------------------------------------------------------------- forward
@@ -96,10 +105,7 @@ def one_hot_model(g_logits, b_logits):
 def test_gcn_forward_single_node_example():
     # X = [1], W1 = [1], W2 = [[2, 0]]: logits [2, 0] after a unit self-loop.
     feats = build_node_features(EmbeddingMatrix(np.array([[1.0]])), n_docs=1, n_words=0)
-    params = GCNParameters(
-        W1=np.array([[1.0]]), b1=np.zeros(1), W2=np.array([[2.0, 0.0]]), b2=np.zeros(2)
-    )
-    probs = graph_branch(feats, identity_adj(1), params)
+    probs = graph_branch(feats, identity_adj(1), gcn_model([[1.0]], [[2.0, 0.0]]))
     want = np.exp([2.0, 0.0]) / np.exp([2.0, 0.0]).sum()
     np.testing.assert_allclose(probs, [want], rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, [[0.8808, 0.1192]], rtol=0, atol=5e-5)
@@ -107,15 +113,14 @@ def test_gcn_forward_single_node_example():
 
 def test_gcn_forward_zero_weights_uniform():
     feats = build_node_features(EmbeddingMatrix(np.ones((2, 3))), n_docs=2, n_words=1)
-    params = GCNParameters(W1=np.zeros((3, 4)), b1=np.zeros(4), W2=np.zeros((4, 2)), b2=np.zeros(2))
-    probs = graph_branch(feats, identity_adj(3), params)
+    probs = graph_branch(feats, identity_adj(3), gcn_model(np.zeros((3, 4)), np.zeros((4, 2))))
     np.testing.assert_allclose(probs, 0.5, rtol=0, atol=0)
 
 
 def test_gcn_forward_rows_are_stochastic():
     features, adj, _, _, rng = pipeline_setup(0)
-    gcn, _ = init_parameters(features.dim, 5, 2, None, seed=1)
-    probs = graph_branch(features, adj, gcn)
+    params = init_parameters(features.dim, 5, 2, None, seed=1)
+    probs = graph_branch(features, adj, params)
     assert probs.shape == (4, 2)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.all(probs >= 0.0)
@@ -126,10 +131,10 @@ def test_gcn_forward_identity_matches_explicit_eye():
     n = adj.shape[0]
     explicit = explicit_node_features(features)  # full identity over docs and words
     assert np.array_equal(explicit, np.eye(n))
-    gcn, _ = init_parameters(n, 4, 2, None, seed=2)
-    got = graph_branch(features, adj, gcn)
+    params = init_parameters(n, 4, 2, None, seed=2)
+    got = graph_branch(features, adj, params)
     want, _, _ = dense_fused_reference(
-        adj.toarray(), explicit, features.n_docs, gcn, None, None, 1.0, labels,
+        adj.toarray(), explicit, features.n_docs, params, None, 1.0, labels,
         [True] * features.n_docs,
     )
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
@@ -137,8 +142,8 @@ def test_gcn_forward_identity_matches_explicit_eye():
 
 def test_linear_forward_example():
     # The head's logits are [1000, 0] and [0, 0]; at lam = 0 the fused prediction is the head's.
-    features, adj, gcn, head = one_hot_model(np.zeros((2, 2)), [[1000.0, 0.0], [0.0, 0.0]])
-    probs = fused_probabilities(features, adj, gcn, head, 0.0)
+    features, adj, params = one_hot_model(np.zeros((2, 2)), [[1000.0, 0.0], [0.0, 0.0]])
+    probs = fused_probabilities(features, adj, params, 0.0)
     # Shift-stable softmax survives huge logits.
     np.testing.assert_allclose(probs[0], [1.0, 0.0], rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs[1], [0.5, 0.5], rtol=0, atol=1e-12)
@@ -146,53 +151,53 @@ def test_linear_forward_example():
 
 def test_interpolate_example_and_boundaries():
     # Z_G = [0.7, 0.3] and Z_B = [0.1, 0.9], up to the rounding of the softmax.
-    features, adj, gcn, head = one_hot_model(np.log([[0.7, 0.3]]), np.log([[0.1, 0.9]]))
-    fused = fused_probabilities(features, adj, gcn, head, 0.2)
+    features, adj, params = one_hot_model(np.log([[0.7, 0.3]]), np.log([[0.1, 0.9]]))
+    fused = fused_probabilities(features, adj, params, 0.2)
     np.testing.assert_allclose(fused, [[0.22, 0.78]], rtol=0, atol=1e-15)
-    z_g = graph_branch(features, adj, gcn)
-    z_b = head_probabilities(features.doc_embeddings, head)
-    np.testing.assert_array_equal(fused_probabilities(features, adj, gcn, head, 1.0), z_g)
-    np.testing.assert_array_equal(fused_probabilities(features, adj, gcn, head, 0.0), z_b)
+    z_g = graph_branch(features, adj, params)
+    z_b = head_probabilities(features.doc_embeddings, params)
+    np.testing.assert_array_equal(fused_probabilities(features, adj, params, 1.0), z_g)
+    np.testing.assert_array_equal(fused_probabilities(features, adj, params, 0.0), z_b)
 
 
 @pytest.mark.parametrize("lam", [-0.1, 1.5, math.nan])
 def test_fused_probabilities_validates_lam(lam):
-    features, adj, gcn, head = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    features, adj, params = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
     with pytest.raises(ValueError, match=r"^lam must lie in \[0, 1\]"):
-        fused_probabilities(features, adj, gcn, head, lam)
+        fused_probabilities(features, adj, params, lam)
 
 
 @pytest.mark.parametrize("rows, classes", [(2, 2), (1, 3)], ids=["input-dim", "class-count"])
 def test_fused_probabilities_rejects_a_head_of_another_shape(rows, classes):
     # The model has 1-dimensional embeddings and 2 classes.
-    features, adj, gcn, _ = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
-    head = LinearHead(W=np.zeros((rows, classes)), b=np.zeros(classes))
+    features, adj, params = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    params.update({"head.W": np.zeros((rows, classes)), "head.b": np.zeros(classes)})
     with pytest.raises(ValueError):
-        fused_probabilities(features, adj, gcn, head, 0.5)
+        fused_probabilities(features, adj, params, 0.5)
 
 
 def test_a_model_without_a_head_is_gcn_only():
-    features, adj, gcn, _ = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    features, adj, params = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
     with pytest.raises(ValueError, match="GCN-only; lam must be 1$"):
-        fused_probabilities(features, adj, gcn, None, 0.5)
+        fused_probabilities(features, adj, gcn_blocks(params), 0.5)
 
 
 @pytest.mark.parametrize("bias, where", [
     ("b1", "hidden pre-activation (layer 1)"), ("b2", "output logits (layer 2)"),
 ])
 def test_non_finite_activations_are_floating_point_errors(bias, where):
-    features, adj, gcn, head = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
-    setattr(gcn, bias, np.full_like(getattr(gcn, bias), np.inf))
+    features, adj, params = one_hot_model([[0.0, 0.0]], [[0.0, 0.0]])
+    params[f"gcn.{bias}"] = np.full_like(params[f"gcn.{bias}"], np.inf)
     with pytest.raises(FloatingPointError, match=rf"^non-finite values in {re.escape(where)}$"):
-        fused_probabilities(features, adj, gcn, head, 0.5)
+        fused_probabilities(features, adj, params, 0.5)
 
 
 def test_nll_loss_values():
     # The head predicts [0.5, 0.5] and [0.25, 0.75], and lam = 0 makes that the fused prediction.
-    features, adj, gcn, head = one_hot_model(np.zeros((2, 2)), [[0.0, 0.0], [0.0, math.log(3)]])
+    features, adj, params = one_hot_model(np.zeros((2, 2)), [[0.0, 0.0], [0.0, math.log(3)]])
 
     def loss(mask):
-        return loss_and_gradients(features, adj, gcn, head, [0, 1], mask, 0.0)[0]
+        return loss_and_gradients(features, adj, params, [0, 1], mask, 0.0)[0]
 
     # Uniform row: -ln(1/2 + eps), which is ln 2 up to the 1e-12 stabilizer.
     assert loss([True, False]) == pytest.approx(math.log(2), abs=1e-10)
@@ -204,11 +209,11 @@ def test_nll_loss_values():
 
 def test_labels_outside_the_loss_mask_may_be_none():
     features, adj, _, labels, _ = pipeline_setup(46, identity=True)
-    gcn, _ = init_parameters(features.dim, 3, 2, None, seed=0)
+    params = init_parameters(features.dim, 3, 2, None, seed=0)
     mask = [True, True, False, False]
     unlabeled = labels[:2] + [None, None]
-    loss, grads = loss_and_gradients(features, adj, gcn, None, unlabeled, mask, 1.0)
-    want_loss, want_grads = loss_and_gradients(features, adj, gcn, None, labels, mask, 1.0)
+    loss, grads = loss_and_gradients(features, adj, params, unlabeled, mask, 1.0)
+    want_loss, want_grads = loss_and_gradients(features, adj, params, labels, mask, 1.0)
     assert loss == want_loss
     assert all(np.array_equal(grads[name], want_grads[name]) for name in want_grads)
 
@@ -216,11 +221,11 @@ def test_labels_outside_the_loss_mask_may_be_none():
 def test_a_none_label_under_the_loss_mask_is_named():
     # A None label under the mask used to surface as int()'s TypeError.
     features, adj, _, labels, _ = pipeline_setup(46, identity=True)
-    gcn, _ = init_parameters(features.dim, 3, 2, None, seed=0)
+    params = init_parameters(features.dim, 3, 2, None, seed=0)
     mask = [True, True, True, False]
     unlabeled = [labels[0], None, None, labels[3]]
     with pytest.raises(ValueError, match="^train document 1 is unlabeled$"):
-        loss_and_gradients(features, adj, gcn, None, unlabeled, mask, 1.0)
+        loss_and_gradients(features, adj, params, unlabeled, mask, 1.0)
 
 
 def test_predict_breaks_ties_low():
@@ -255,15 +260,17 @@ def test_training_config_rejects_non_finite_rates(field, value):
 
 
 def test_init_parameters_draw_order_stable():
-    # Adding a head must not disturb the GCN draws for the same seed.
-    gcn_a, head_a = init_parameters(5, 4, 2, None, seed=9)
-    gcn_b, head_b = init_parameters(5, 4, 2, 3, seed=9)
-    assert head_a is None and head_b is not None
-    np.testing.assert_array_equal(gcn_a.W1, gcn_b.W1)
-    np.testing.assert_array_equal(gcn_a.W2, gcn_b.W2)
-    assert np.all(gcn_a.b1 == 0.0) and np.all(head_b.b == 0.0)
+    # Adding a head must not disturb the GCN draws for the same seed. The
+    # blocks come in checkpoint order, the head's last.
+    a = init_parameters(5, 4, 2, None, seed=9)
+    b = init_parameters(5, 4, 2, 3, seed=9)
+    assert list(a) == ["gcn.W1", "gcn.b1", "gcn.W2", "gcn.b2"]
+    assert list(b) == [*a, "head.W", "head.b"]
+    np.testing.assert_array_equal(a["gcn.W1"], b["gcn.W1"])
+    np.testing.assert_array_equal(a["gcn.W2"], b["gcn.W2"])
+    assert np.all(a["gcn.b1"] == 0.0) and np.all(b["head.b"] == 0.0)
     # Glorot bound for W1: sqrt(6 / (5 + 4)).
-    assert np.abs(gcn_b.W1).max() <= math.sqrt(6.0 / 9.0)
+    assert np.abs(b["gcn.W1"]).max() <= math.sqrt(6.0 / 9.0)
 
 
 # ------------------------------------------------------------- gradients
@@ -301,7 +308,7 @@ def test_gradients_match_finite_differences(case):
     features, adj, embeddings, labels, rng = pipeline_setup(100 + case, identity=identity)
     # Identity features carry no document embeddings, so that model is GCN-only.
     lam = 1.0 if identity else [0.0, 0.2, 0.5, 1.0][case % 4]
-    gcn, head = init_parameters(features.dim, 3, 2, None if identity else embeddings.dim, seed=case)
+    params = init_parameters(features.dim, 3, 2, None if identity else embeddings.dim, seed=case)
     train_mask = np.zeros(4, dtype=bool)
     train_mask[: 2 + case % 3] = True
 
@@ -311,26 +318,25 @@ def test_gradients_match_finite_differences(case):
         dropout_mask = (rng.random((n, 3)) >= 0.5) / 0.5
 
     _, grads = loss_and_gradients(
-        features, adj, gcn, head, labels, train_mask, lam,
+        features, adj, params, labels, train_mask, lam,
         weight_decay=weight_decay, dropout_mask=dropout_mask,
     )
-    arrays = param_blocks(gcn, head)
     fd = fd_gradients(
         lambda: loss_and_gradients(
-            features, adj, gcn, head, labels, train_mask, lam,
+            features, adj, params, labels, train_mask, lam,
             weight_decay=weight_decay, dropout_mask=dropout_mask,
         )[0],
-        arrays,
+        params,
     )
-    for name in arrays:
+    for name in params:
         assert relative_error(grads[name], fd[name]) < 1e-4, name
 
 
 def test_lambda_zero_gives_exactly_zero_gcn_gradients():
     features, adj, embeddings, labels, _ = pipeline_setup(42)
-    gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
+    params = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
     _, grads = loss_and_gradients(
-        features, adj, gcn, head, labels, [True] * 4, lam=0.0
+        features, adj, params, labels, [True] * 4, lam=0.0
     )
     assert np.all(grads["gcn.W1"] == 0.0)
     assert np.all(grads["gcn.W2"] == 0.0)
@@ -341,9 +347,9 @@ def test_lambda_zero_gives_exactly_zero_gcn_gradients():
 
 def test_lambda_one_gives_exactly_zero_head_gradients():
     features, adj, embeddings, labels, _ = pipeline_setup(43)
-    gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
+    params = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
     _, grads = loss_and_gradients(
-        features, adj, gcn, head, labels, [True] * 4, lam=1.0
+        features, adj, params, labels, [True] * 4, lam=1.0
     )
     assert np.all(grads["head.W"] == 0.0)
     assert np.all(grads["head.b"] == 0.0)
@@ -351,13 +357,14 @@ def test_lambda_one_gives_exactly_zero_head_gradients():
 
 def test_weight_decay_adds_to_loss_and_gradients():
     features, adj, embeddings, labels, _ = pipeline_setup(44)
-    gcn, head = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
-    args = (features, adj, gcn, head, labels, [True] * 4, 0.2)
+    params = init_parameters(features.dim, 3, 2, embeddings.dim, seed=0)
+    args = (features, adj, params, labels, [True] * 4, 0.2)
     loss0, grads0 = loss_and_gradients(*args, weight_decay=0.0)
     loss1, grads1 = loss_and_gradients(*args, weight_decay=0.1)
-    norm2 = (gcn.W1 ** 2).sum() + (gcn.W2 ** 2).sum() + (head.W ** 2).sum()
+    W1, W2, head_W = params["gcn.W1"], params["gcn.W2"], params["head.W"]
+    norm2 = (W1 ** 2).sum() + (W2 ** 2).sum() + (head_W ** 2).sum()
     assert loss1 == pytest.approx(loss0 + 0.05 * norm2, rel=1e-12)
-    np.testing.assert_allclose(grads1["gcn.W1"], grads0["gcn.W1"] + 0.1 * gcn.W1, atol=1e-15)
+    np.testing.assert_allclose(grads1["gcn.W1"], grads0["gcn.W1"] + 0.1 * W1, atol=1e-15)
     # Biases are never decayed.
     np.testing.assert_array_equal(grads1["gcn.b1"], grads0["gcn.b1"])
 
@@ -372,20 +379,20 @@ def test_fused_pass_matches_dense_reference(layout, seed):
     features, adj, embeddings, labels, rng = pipeline_setup(
         200 + seed, n_docs=6, n_tokens=5, identity=identity
     )
-    gcn, head = init_parameters(features.dim, 4, 2, None if identity else embeddings.dim, seed=seed)
+    params = init_parameters(features.dim, 4, 2, None if identity else embeddings.dim, seed=seed)
     train_mask = np.arange(features.n_docs) % 3 != 2
     dropout_mask = (rng.random((adj.shape[0], 4)) >= 0.5) / 0.5
     lam = 1.0 if identity else 0.3
-    reference = (adj.toarray(), explicit_node_features(features), features.n_docs, gcn, head,
+    reference = (adj.toarray(), explicit_node_features(features), features.n_docs, params,
                  features.doc_embeddings, lam, labels, train_mask)
 
     want_z, _, _ = dense_fused_reference(*reference)
-    got_z = fused_probabilities(features, adj, gcn, head, lam)
+    got_z = fused_probabilities(features, adj, params, lam)
     np.testing.assert_allclose(got_z, want_z, rtol=0, atol=1e-12)
 
     _, want_loss, want_grads = dense_fused_reference(*reference, dropout_mask=dropout_mask)
     loss, grads = loss_and_gradients(
-        features, adj, gcn, head, labels, train_mask, lam, dropout_mask=dropout_mask
+        features, adj, params, labels, train_mask, lam, dropout_mask=dropout_mask
     )
     assert loss == pytest.approx(want_loss, rel=1e-12)
     assert grads.keys() == want_grads.keys()
@@ -419,9 +426,9 @@ def test_ppmi_reweighting_with_fixed_row_sums_leaves_prediction(seed, delta):
     assert not np.allclose(base.toarray(), moved.toarray(), rtol=0, atol=1e-3)
     embeddings = EmbeddingMatrix(rng.normal(size=(n_docs, 3)))
     features = build_node_features(embeddings, n_docs, n_words)
-    gcn, _ = init_parameters(features.dim, 4, 2, None, seed=seed)
+    params = init_parameters(features.dim, 4, 2, None, seed=seed)
     np.testing.assert_allclose(
-        graph_branch(features, moved, gcn), graph_branch(features, base, gcn),
+        graph_branch(features, moved, params), graph_branch(features, base, params),
         rtol=0, atol=1e-12,
     )
 
@@ -499,9 +506,9 @@ def test_train_zero_epochs_returns_init():
     features, adj, embeddings, labels, masks = separable_setup()
     config = TrainingConfig(epochs=0, seed=3)
     result = train(features, adj, labels, masks, config)
-    gcn0, head0 = init_parameters(features.dim, config.hidden_dim, 2, embeddings.dim, 3)
-    np.testing.assert_array_equal(result.gcn.W1, gcn0.W1)
-    np.testing.assert_array_equal(result.head.W, head0.W)
+    params0 = init_parameters(features.dim, config.hidden_dim, 2, embeddings.dim, 3)
+    np.testing.assert_array_equal(result.params["gcn.W1"], params0["gcn.W1"])
+    np.testing.assert_array_equal(result.params["head.W"], params0["head.W"])
     assert result.history == []
     assert result.best_epoch is None
 
@@ -511,9 +518,9 @@ def test_train_is_deterministic():
     config = TrainingConfig(epochs=12, seed=5)
     a = train(features, adj, labels, masks, config)
     b = train(features, adj, labels, masks, config)
-    np.testing.assert_array_equal(a.gcn.W1, b.gcn.W1)
-    np.testing.assert_array_equal(a.gcn.W2, b.gcn.W2)
-    np.testing.assert_array_equal(a.head.W, b.head.W)
+    np.testing.assert_array_equal(a.params["gcn.W1"], b.params["gcn.W1"])
+    np.testing.assert_array_equal(a.params["gcn.W2"], b.params["gcn.W2"])
+    np.testing.assert_array_equal(a.params["head.W"], b.params["head.W"])
     assert [(h.epoch, h.loss, h.val_f1) for h in a.history] == [
         (h.epoch, h.loss, h.val_f1) for h in b.history
     ]
@@ -529,20 +536,23 @@ def test_train_loss_improves_without_dropout():
 def test_train_requires_lam_one_without_embeddings():
     features, adj, _, labels, masks = separable_setup()
     identity = build_node_features(None, features.n_docs, features.n_words)
-    with pytest.raises(ValueError):
-        train(identity, adj, labels, masks, TrainingConfig(lam=0.5, epochs=1))
+    # The rule holds before the first epoch, so a run of no epochs refuses too.
+    message = "^without embeddings the model is GCN-only; lam must be 1$"
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match=message):
+            train(identity, adj, labels, masks, TrainingConfig(lam=0.5, epochs=epochs))
     result = train(identity, adj, labels, masks, TrainingConfig(lam=1.0, epochs=2))
-    assert result.head is None
+    assert "head.W" not in result.params
 
 
 def test_identity_features_reject_a_linear_head():
     # Identity features carry no document embeddings for the head to read.
     features, adj, _, labels, _ = pipeline_setup(45, identity=True)
-    gcn, head = init_parameters(features.dim, 3, 2, 3, seed=0)
+    params = init_parameters(features.dim, 3, 2, 3, seed=0)
     with pytest.raises(ValueError, match="a linear head requires document embeddings"):
-        loss_and_gradients(features, adj, gcn, head, labels, [True] * 4, 0.5)
+        loss_and_gradients(features, adj, params, labels, [True] * 4, 0.5)
     with pytest.raises(ValueError, match="a linear head requires document embeddings"):
-        fused_probabilities(features, adj, gcn, head, 0.5)
+        fused_probabilities(features, adj, params, 0.5)
 
 
 def test_train_best_epoch_prefers_latest_tie():
@@ -588,18 +598,14 @@ def test_train_matches_reference_loop(case):
         patience=spec["patience"], seed=len(case),
     )
     result = train(features, adj, labels, masks, config)
-    history, ref_gcn, ref_head, best_epoch = reference_train(features, adj, labels, masks, config)
+    history, ref_params, best_epoch = reference_train(features, adj, labels, masks, config)
     assert [(h.epoch, h.loss, h.val_acc, h.val_f1) for h in result.history] == history
     assert result.best_epoch == best_epoch
     if spec["patience"] is not None:
         assert len(history) < config.epochs
-    for name in ("W1", "b1", "W2", "b2"):
-        assert np.array_equal(getattr(result.gcn, name), getattr(ref_gcn, name)), name
-    if ref_head is None:
-        assert result.head is None
-    else:
-        assert np.array_equal(result.head.W, ref_head.W)
-        assert np.array_equal(result.head.b, ref_head.b)
+    assert list(result.params) == list(ref_params)
+    for name, want in ref_params.items():
+        assert np.array_equal(result.params[name], want), name
 
 
 def test_train_never_reads_test_labels():
@@ -608,9 +614,9 @@ def test_train_never_reads_test_labels():
     a = train(features, adj, labels, masks, config)
     flipped = [1 - lab if masks["test"][i] else lab for i, lab in enumerate(labels)]
     b = train(features, adj, flipped, masks, config)
-    np.testing.assert_array_equal(a.gcn.W1, b.gcn.W1)
-    np.testing.assert_array_equal(a.gcn.W2, b.gcn.W2)
-    np.testing.assert_array_equal(a.head.W, b.head.W)
+    np.testing.assert_array_equal(a.params["gcn.W1"], b.params["gcn.W1"])
+    np.testing.assert_array_equal(a.params["gcn.W2"], b.params["gcn.W2"])
+    np.testing.assert_array_equal(a.params["head.W"], b.params["head.W"])
     assert [h.loss for h in a.history] == [h.loss for h in b.history]
     assert [h.val_f1 for h in a.history] == [h.val_f1 for h in b.history]
 
@@ -631,7 +637,7 @@ def test_train_refuses_an_unlabeled_train_or_val_document():
     a = train(features, adj, labels, masks, config)
     b = train(features, adj, without_label(int(np.flatnonzero(masks["test"])[0])), masks, config)
     assert [(h.loss, h.val_f1) for h in a.history] == [(h.loss, h.val_f1) for h in b.history]
-    np.testing.assert_array_equal(a.gcn.W1, b.gcn.W1)
+    np.testing.assert_array_equal(a.params["gcn.W1"], b.params["gcn.W1"])
 
 
 def test_train_val_labels_do_not_touch_loss():
@@ -654,9 +660,7 @@ def test_train_divergence_reports_epoch():
 def test_evaluate_returns_weighted_report():
     features, adj, embeddings, labels, masks = separable_setup()
     result = train(features, adj, labels, masks, TrainingConfig(epochs=30, dropout=0.0))
-    report = evaluate(
-        features, adj, result.gcn, result.head, 0.2, labels, masks["test"]
-    )
+    report = evaluate(features, adj, result.params, 0.2, labels, masks["test"])
     assert isinstance(report, MetricsReport)
     assert report.averaging == "weighted"
     assert 0.0 <= report.f1 <= 1.0
@@ -669,10 +673,10 @@ def test_evaluate_returns_weighted_report():
 def test_fused_boundaries_match_single_branches():
     features, adj, embeddings, labels, masks = separable_setup()
     result = train(features, adj, labels, masks, TrainingConfig(epochs=8))
-    z_g = graph_branch(features, adj, result.gcn)
-    z_b = head_probabilities(embeddings.values, result.head)
-    only_gcn = fused_probabilities(features, adj, result.gcn, result.head, 1.0)
-    only_head = fused_probabilities(features, adj, result.gcn, result.head, 0.0)
+    z_g = graph_branch(features, adj, result.params)
+    z_b = head_probabilities(embeddings.values, result.params)
+    only_gcn = fused_probabilities(features, adj, result.params, 1.0)
+    only_head = fused_probabilities(features, adj, result.params, 0.0)
     np.testing.assert_array_equal(only_gcn, z_g)
     np.testing.assert_array_equal(only_head, z_b)
 
@@ -684,23 +688,20 @@ def test_checkpoint_roundtrip(tmp_path):
     features, adj, embeddings, labels, masks = separable_setup()
     result = train(features, adj, labels, masks, TrainingConfig(epochs=4))
     path = tmp_path / "model.bin"
-    save_parameter_blocks(path, param_blocks(result.gcn, result.head))
-    gcn, head = load_checkpoint(path)
-    for got, want in (
-        (gcn.W1, result.gcn.W1), (gcn.b1, result.gcn.b1),
-        (gcn.W2, result.gcn.W2), (gcn.b2, result.gcn.b2),
-        (head.W, result.head.W), (head.b, result.head.b),
-    ):
-        np.testing.assert_array_equal(got, want)
+    save_parameter_blocks(path, result.params)
+    back = load_checkpoint(path)
+    assert list(back) == list(result.params)
+    for name, want in result.params.items():
+        np.testing.assert_array_equal(back[name], want)
 
 
 def test_checkpoint_roundtrip_without_head(tmp_path):
-    gcn, _ = init_parameters(4, 3, 2, None, seed=0)
+    params = init_parameters(4, 3, 2, None, seed=0)
     path = tmp_path / "model.bin"
-    save_parameter_blocks(path, param_blocks(gcn, None))
-    back, head = load_checkpoint(path)
-    assert head is None
-    np.testing.assert_array_equal(back.W1, gcn.W1)
+    save_parameter_blocks(path, params)
+    back = load_checkpoint(path)
+    assert "head.W" not in back and "head.b" not in back
+    np.testing.assert_array_equal(back["gcn.W1"], params["gcn.W1"])
 
 
 def test_checkpoint_rejects_bad_magic(tmp_path):
@@ -724,18 +725,16 @@ def test_checkpoint_rejects_oversized_block_header(tmp_path):
 def test_checkpoint_rejects_truncation(tmp_path, cut):
     # Cuts inside the file header, a block header, a name, a shape and the
     # payload all raise ValueError; the 5-byte file is the magic plus 1 byte.
-    gcn, _ = init_parameters(3, 2, 2, None, seed=0)
     path = tmp_path / "model.bin"
-    save_parameter_blocks(path, param_blocks(gcn, None))
+    save_parameter_blocks(path, init_parameters(3, 2, 2, None, seed=0))
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(ValueError, match="truncated checkpoint"):
         load_parameter_blocks(path)
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
-    gcn, _ = init_parameters(3, 2, 2, None, seed=0)
     path = tmp_path / "model.bin"
-    save_parameter_blocks(path, param_blocks(gcn, None))
+    save_parameter_blocks(path, init_parameters(3, 2, 2, None, seed=0))
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(ValueError, match="trailing bytes"):
         load_parameter_blocks(path)
@@ -749,7 +748,7 @@ def test_checkpoint_rejects_duplicate_block(tmp_path):
         load_parameter_blocks(path)
 
 
-GCN_BLOCKS = gcn_module.param_blocks(*init_parameters(3, 2, 2, None, seed=0))
+GCN_BLOCKS = init_parameters(3, 2, 2, None, seed=0)
 
 
 @pytest.mark.parametrize("blocks, message", [
@@ -800,13 +799,13 @@ def test_checkpoint_fuzz_loads_or_raises_value_error(tmp_path_factory, body):
 
 def _failing_writes(tmp_path):
     """(path, good write, failing write) per writer; the failing one raises midway."""
-    gcn, _ = init_parameters(3, 2, 2, None, seed=0)
+    params = init_parameters(3, 2, 2, None, seed=0)
     history = [gcn_module.EpochStats(0, 0.5, 1.0, 1.0)]
     return {
         "checkpoint": (
             tmp_path / "model.bin",
-            lambda p: save_parameter_blocks(p, param_blocks(gcn, None)),
-            lambda p: save_parameter_blocks(p, {"gcn.W1": gcn.W1, "bad": "x"}),
+            lambda p: save_parameter_blocks(p, params),
+            lambda p: save_parameter_blocks(p, {"gcn.W1": params["gcn.W1"], "bad": "x"}),
         ),
         "history": (
             tmp_path / "history.csv",
@@ -839,11 +838,11 @@ def test_identity_features_are_never_materialized():
                          shape=(n_docs, n_words))
     ppmi_block = word_block([(0, 1, 1.0)], n_words)
     adj = normalize_adjacency(assemble_adjacency(tfidf, ppmi_block, n_docs, n_words))
-    gcn, _ = init_parameters(n_docs + n_words, 16, 2, None, seed=0)
+    params = init_parameters(n_docs + n_words, 16, 2, None, seed=0)
     tracemalloc.start()
     try:
         features = build_node_features(None, n_docs, n_words)
-        probs = graph_branch(features, adj, gcn)
+        probs = graph_branch(features, adj, params)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -197,8 +197,9 @@ def test_ppmi_same_token_rejected():
 def test_ppmi_empty_stats_rejected():
     from stressgraph.graph import WindowStats
 
+    empty = WindowStats(0, np.zeros(0, dtype=np.int64), sp.csr_array((0, 0), dtype=np.int64))
     with pytest.raises(ValueError):
-        ppmi(WindowStats(), 0, 1)
+        ppmi(empty, 0, 1)
 
 
 def test_ppmi_edges_ordered_upper_triangle():

@@ -17,7 +17,7 @@ BENCH = os.path.join(ROOT, "bench")
 # Names no package or benchmark code reaches, each kept for library users.
 KEEP = {
     "prompting.HTTPChatClient": "the only completion client that sends real requests",
-    "gcn.load_checkpoint": "reads a train-gcn checkpoint back into GCN parameters and head",
+    "gcn.load_checkpoint": "reads a train-gcn checkpoint back into shape-checked blocks",
     "convnet.params_from_blocks": "turns a train-conv checkpoint's blocks back into conv-head parameters",
     "evaluation.paired_ttest": "compares two models' per-seed scores, with bonferroni",
 }

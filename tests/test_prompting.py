@@ -184,12 +184,6 @@ def test_compose_excludes_ids():
         compose_shots(pool(10, 10), k=10, seed=0, exclude_ids={f"p{i}" for i in range(6)})
 
 
-def test_compose_accepts_plain_triples():
-    triples = [("a", "x", 1), ("b", "y", 1), ("c", "z", 0)]
-    shots = compose_shots(triples, k=3, seed=0)
-    assert len(shots.shots) == 3
-
-
 # --------------------------------------------------------------- parsing
 
 
