@@ -239,6 +239,11 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
     return out
 
 
+def gcn_blocks(params) -> dict:
+    """A model's GCN-branch blocks, without its head."""
+    return {name: arr for name, arr in params.items() if name.startswith("gcn.")}
+
+
 def head_probabilities(embeddings: np.ndarray, params) -> np.ndarray:
     """The embedding head's prediction Z_B: the row softmax of E @ head.W + head.b."""
     return _softmax_rows(embeddings @ params["head.W"] + params["head.b"])

@@ -18,6 +18,7 @@ import scipy.stats
 from oracles import (
     brute_normalize_dense,
     edge_triples,
+    gcn_blocks,
     head_probabilities,
     make_corpus,
     ppmi,
@@ -287,9 +288,8 @@ def test_acceptance_04_interpolation_boundary_identities(announce, tmp_path):
     with announce(4, "interpolation boundaries reduce to the single branches"):
         features, adj, embeddings, labels, masks, config, result = trained_toy_state(lam=0.5)
 
-        gcn_only = {name: arr for name, arr in result.params.items() if name.startswith("gcn.")}
         z_b = head_probabilities(embeddings.values, result.params)
-        z_g = gcn.fused_probabilities(features, adj, gcn_only, 1.0)
+        z_g = gcn.fused_probabilities(features, adj, gcn_blocks(result.params), 1.0)
         fused_0 = gcn.fused_probabilities(features, adj, result.params, 0.0)
         fused_1 = gcn.fused_probabilities(features, adj, result.params, 1.0)
         assert np.array_equal(gcn.predict(fused_0), gcn.predict(z_b))

@@ -16,6 +16,7 @@ from oracles import (
     ReferenceAdam,
     dense_fused_reference,
     explicit_node_features,
+    gcn_blocks,
     head_probabilities,
     make_corpus,
     reference_train,
@@ -69,11 +70,6 @@ def pipeline_setup(seed: int, n_docs: int = 4, n_tokens: int = 4, identity: bool
     features = build_node_features(None if identity else embeddings, n_docs, n_words)
     labels = [int(x) for x in rng.integers(0, 2, size=n_docs)]
     return features, adj, embeddings, labels, rng
-
-
-def gcn_blocks(params):
-    """The GCN branch's blocks of a model, without its head."""
-    return {name: arr for name, arr in params.items() if name.startswith("gcn.")}
 
 
 def graph_branch(features, adj, params):
