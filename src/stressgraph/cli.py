@@ -100,6 +100,12 @@ def _float_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
 
 
+def _non_negative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _has_default_type(value, default) -> bool:
     """Whether a config file value has the JSON type of its default.
 
@@ -419,13 +425,10 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
     if args.docs is not None and not args.graph:
         raise UsageError("--docs needs --graph, the graph.json that build-graph wrote")
     corpus = load_tokenized(args.tokenized)
-
+    # Both are built before either is written: a failure leaves an earlier export as it was.
+    table = salience = None
     if args.label is not None:
         table = interpret.label_word_frequencies(corpus, args.label)
-        write_json(man.output(f"frequencies-label{args.label}.json"),
-                   interpret.frequency_to_json(table), indent=2)
-        print(f"label {args.label}: {len(table.entries)} ranked tokens")
-
     if args.docs is not None:
         tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
         if args.docs.isdigit():
@@ -433,6 +436,12 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
         else:
             doc_ids = [part for part in args.docs.split(",") if part]
         salience = interpret.build_salience_graph(corpus, doc_ids, tfidf, ppmi, args.top_k)
+
+    if table is not None:
+        write_json(man.output(f"frequencies-label{args.label}.json"),
+                   interpret.frequency_to_json(table), indent=2)
+        print(f"label {args.label}: {len(table.entries)} ranked tokens")
+    if salience is not None:
         write_json(man.output("salience.json"), interpret.salience_to_json(salience))
         with atomic_write(man.output("salience.dot")) as fh:
             fh.write(interpret.salience_to_dot(salience))
@@ -549,7 +558,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", help="graph.json from build-graph (required with --docs)")
     p.add_argument("--label", type=int, choices=[0, 1], help="word-frequency export label")
     p.add_argument("--docs", help="document count (first N) or comma-separated ids")
-    p.add_argument("--k", dest="top_k", type=int, default=5, help="salient words per document")
+    p.add_argument("--k", dest="top_k", type=_non_negative_int, default=5,
+                   help="salient words per document")
 
     return parser
 

@@ -73,13 +73,13 @@ class TokenizerRules:
 class Vocabulary:
     """Dense token index with per-token document frequencies.
 
-    Indices are exactly 0..V-1 in first-occurrence order over the corpus.
+    Indices are exactly 0..V-1 in first-occurrence order over the corpus;
+    doc_freq[i] counts the documents whose sequence holds token i.
     """
 
     tokens: list[str]
     index: dict[str, int]
     doc_freq: list[int]
-    n_docs: int
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -267,12 +267,7 @@ def build_vocabulary(token_docs: list[list[str]], min_df: int = 5) -> Vocabulary
                 tokens.append(tok)
     if not tokens:
         raise ValueError(f"vocabulary is empty after min_df={min_df} filtering")
-    return Vocabulary(
-        tokens=tokens,
-        index=index,
-        doc_freq=[df[t] for t in tokens],
-        n_docs=len(token_docs),
-    )
+    return Vocabulary(tokens=tokens, index=index, doc_freq=[df[t] for t in tokens])
 
 
 def tokenize_corpus(
@@ -345,46 +340,39 @@ def stratified_split(
 
 
 def save_tokenized(path, corpus: TokenizedCorpus) -> None:
-    """Persist a tokenized corpus (ids, labels, sequences, vocabulary) as JSON."""
+    """Persist a tokenized corpus (ids, labels, sequences, vocabulary tokens) as JSON."""
     payload = {
         "doc_ids": corpus.doc_ids,
         "labels": corpus.labels,
         "sequences": corpus.sequences,
-        "vocab": {
-            "tokens": corpus.vocab.tokens,
-            "doc_freq": corpus.vocab.doc_freq,
-            "n_docs": corpus.vocab.n_docs,
-        },
+        "vocab": {"tokens": corpus.vocab.tokens},
     }
     write_json(path, payload)
 
 
 def load_tokenized(path) -> TokenizedCorpus:
+    """The corpus save_tokenized wrote, checked; each token's doc_freq is
+    counted from the sequences (any stored doc_freq or n_docs is not read)."""
     payload = read_json(path)
     try:
         tokens = list(payload["vocab"]["tokens"])
-        vocab = Vocabulary(
-            tokens=tokens,
-            index={t: i for i, t in enumerate(tokens)},
-            doc_freq=list(payload["vocab"]["doc_freq"]),
-            n_docs=payload["vocab"]["n_docs"],
-        )
         corpus = TokenizedCorpus(
             doc_ids=list(payload["doc_ids"]),
             sequences=[list(seq) for seq in payload["sequences"]],
-            vocab=vocab,
+            vocab=Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, doc_freq=[]),
             labels=list(payload["labels"]),
         )
     except (KeyError, TypeError, OverflowError) as exc:
         raise CorpusFormatError(f"malformed tokenized-corpus file: {exc}") from exc
-    _check_tokenized(corpus)
+    corpus.vocab.doc_freq = _check_tokenized(corpus)
     return corpus
 
 
-def _check_tokenized(corpus: TokenizedCorpus) -> None:
-    """Aligned per-document lists of unique string ids and 0/1/None labels,
-    unique string tokens, vocabulary n_docs equal to the document count, integer
-    token ids in [0, V), and each token's doc_freq the count of documents holding it."""
+def _check_tokenized(corpus: TokenizedCorpus) -> list[int]:
+    """Each token's document frequency, after checking aligned per-document lists
+    of unique string ids and 0/1/None labels, unique string tokens, and integer
+    token ids in [0, V); a token that no sequence holds is refused, as its idf
+    would divide by zero."""
     n_docs = len(corpus.doc_ids)
     if len(corpus.sequences) != n_docs or len(corpus.labels) != n_docs:
         raise CorpusFormatError(
@@ -399,16 +387,8 @@ def _check_tokenized(corpus: TokenizedCorpus) -> None:
         raise CorpusFormatError("labels must be 0, 1 or null")
     vocab = corpus.vocab
     n_tokens = len(vocab.tokens)
-    if type(vocab.n_docs) is not int or vocab.n_docs != n_docs:
-        raise CorpusFormatError(f"vocabulary n_docs {vocab.n_docs!r} is not the {n_docs} documents")
     if any(type(t) is not str for t in vocab.tokens) or len(vocab.index) != n_tokens:
         raise CorpusFormatError("vocabulary tokens must be unique strings")
-    if len(vocab.doc_freq) != n_tokens:
-        raise CorpusFormatError(
-            f"vocabulary has {n_tokens} tokens but {len(vocab.doc_freq)} doc_freq entries"
-        )
-    if any(type(df) is not int or not 1 <= df <= n_docs for df in vocab.doc_freq):
-        raise CorpusFormatError(f"every doc_freq must be an integer in [1, {n_docs}]")
     # JSON true/false would pass numpy as the integers 1/0.
     if set(map(type, chain.from_iterable(corpus.sequences))) - {int}:
         raise CorpusFormatError("token ids must be integers")
@@ -424,13 +404,10 @@ def _check_tokenized(corpus: TokenizedCorpus) -> None:
     doc_of = np.repeat(np.arange(n_docs), [len(seq) for seq in corpus.sequences])
     keys = np.sort(doc_of * n_tokens + ids)
     counted = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % n_tokens, minlength=n_tokens)
-    wrong = np.flatnonzero(counted != np.asarray(vocab.doc_freq, dtype=np.int64))
-    if len(wrong):
-        token = wrong[0]
-        raise CorpusFormatError(
-            f"doc_freq of token {vocab.tokens[token]!r} is {vocab.doc_freq[token]}, "
-            f"but it occurs in {counted[token]} documents"
-        )
+    unused = np.flatnonzero(counted == 0)
+    if len(unused):
+        raise CorpusFormatError(f"vocabulary token {vocab.tokens[unused[0]]!r} occurs in no document")
+    return counted.tolist()
 
 
 def save_split(path, split: SplitAssignment) -> None:

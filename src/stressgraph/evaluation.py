@@ -58,7 +58,7 @@ class ClassMetrics:
 
 @dataclass(frozen=True)
 class MetricsReport:
-    """Accuracy plus per-class and averaged precision/recall/F1.
+    """Accuracy plus per-class precision/recall/F1, the table every average comes from.
 
     The headline precision/recall/f1 properties follow the requested
     averaging mode; per_class keeps the full table as the primary view and
@@ -68,27 +68,31 @@ class MetricsReport:
 
     accuracy: float
     per_class: dict
-    weighted_precision: float
-    weighted_recall: float
-    weighted_f1: float
-    macro_precision: float
-    macro_recall: float
-    macro_f1: float
     averaging: str
     degenerate_classes: tuple
-    total: int
+
+    def average(self, kind: str, name: str) -> float:
+        """The classes' "macro" (unweighted) or support-weighted mean of precision,
+        recall or f1; kind is an averaging mode, and "per_class" means weighted."""
+        if kind not in AVERAGING_MODES:
+            raise ValueError(f"averaging must be one of {AVERAGING_MODES}, got {kind!r}")
+        classes = [self.per_class[label] for label in (0, 1)]
+        if kind == "macro":
+            return (getattr(classes[0], name) + getattr(classes[1], name)) / 2.0
+        return sum(getattr(cls, name) * cls.support for cls in classes) / sum(
+            cls.support for cls in classes)
 
     @property
     def precision(self) -> float:
-        return self.macro_precision if self.averaging == "macro" else self.weighted_precision
+        return self.average(self.averaging, "precision")
 
     @property
     def recall(self) -> float:
-        return self.macro_recall if self.averaging == "macro" else self.weighted_recall
+        return self.average(self.averaging, "recall")
 
     @property
     def f1(self) -> float:
-        return self.macro_f1 if self.averaging == "macro" else self.weighted_f1
+        return self.average(self.averaging, "f1")
 
 
 @dataclass(frozen=True)
@@ -181,7 +185,7 @@ def _ratio(num: int, den: int) -> tuple[float, bool]:
 
 
 def metrics(cm: ConfusionMatrix, averaging: str = "weighted") -> MetricsReport:
-    """Per-class, support-weighted, and macro precision/recall/F1."""
+    """Accuracy and per-class precision/recall/F1, headlined per the averaging mode."""
     if averaging not in AVERAGING_MODES:
         raise ValueError(f"averaging must be one of {AVERAGING_MODES}, got {averaging!r}")
     per_class: dict[int, ClassMetrics] = {}
@@ -205,25 +209,11 @@ def metrics(cm: ConfusionMatrix, averaging: str = "weighted") -> MetricsReport:
             precision=precision, recall=recall, f1=f1, support=cm.support(label)
         )
 
-    total = cm.total
-    weighted = {
-        field: sum(
-            getattr(per_class[label], field) * cm.support(label) for label in (0, 1)
-        ) / total
-        for field in ("precision", "recall", "f1")
-    }
     return MetricsReport(
-        accuracy=(cm.tp + cm.tn) / total,
+        accuracy=(cm.tp + cm.tn) / cm.total,
         per_class=per_class,
-        weighted_precision=weighted["precision"],
-        weighted_recall=weighted["recall"],
-        weighted_f1=weighted["f1"],
-        macro_precision=(per_class[0].precision + per_class[1].precision) / 2.0,
-        macro_recall=(per_class[0].recall + per_class[1].recall) / 2.0,
-        macro_f1=(per_class[0].f1 + per_class[1].f1) / 2.0,
         averaging=averaging,
         degenerate_classes=tuple(degenerate),
-        total=total,
     )
 
 
@@ -313,16 +303,8 @@ def report_as_dict(report: MetricsReport) -> dict:
         "precision": report.precision,
         "recall": report.recall,
         "f1": report.f1,
-        "weighted": {
-            "precision": report.weighted_precision,
-            "recall": report.weighted_recall,
-            "f1": report.weighted_f1,
-        },
-        "macro": {
-            "precision": report.macro_precision,
-            "recall": report.macro_recall,
-            "f1": report.macro_f1,
-        },
+        **{kind: {name: report.average(kind, name) for name in ("precision", "recall", "f1")}
+           for kind in ("weighted", "macro")},
         "per_class": {
             str(label): {
                 "precision": cls.precision,
@@ -333,7 +315,7 @@ def report_as_dict(report: MetricsReport) -> dict:
             for label, cls in sorted(report.per_class.items())
         },
         "degenerate_classes": list(report.degenerate_classes),
-        "total": report.total,
+        "total": sum(cls.support for cls in report.per_class.values()),
     }
 
 

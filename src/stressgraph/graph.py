@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import operator
 import struct
-from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING
@@ -98,20 +97,17 @@ def compute_tfidf(corpus) -> sp.csr_array:
     """
     import scipy.sparse as sp
 
-    vocab = corpus.vocab
-    n_docs = vocab.n_docs
-    indptr, cols, vals = [0], [], []
-    for seq in corpus.sequences:
-        for w, tf in sorted(Counter(seq).items()):
-            idf = math.log(n_docs / vocab.doc_freq[w])
-            if tf * idf != 0.0:
-                cols.append(w)
-                vals.append(tf * idf)
-        indptr.append(len(cols))
-    return sp.csr_array(
-        (np.array(vals, dtype=np.float64), np.array(cols, dtype=np.int64), np.array(indptr)),
-        shape=(n_docs, len(vocab)),
-    )
+    n_docs, n_words = corpus.n_docs, len(corpus.vocab)
+    lengths = [len(seq) for seq in corpus.sequences]
+    rows = np.repeat(np.arange(n_docs), lengths)
+    cols = np.fromiter(chain.from_iterable(corpus.sequences), np.int64, sum(lengths))
+    # COO -> CSR sums the repeated (document, word) entries into term counts.
+    tfidf = sp.coo_array((np.ones(len(cols)), (rows, cols)), shape=(n_docs, n_words)).tocsr()
+    # A word of no document (df 0) has no entry to weight.
+    idf = np.array([math.log(n_docs / df) if df else 0.0 for df in corpus.vocab.doc_freq])
+    tfidf.data *= idf[tfidf.indices]
+    tfidf.eliminate_zeros()
+    return tfidf
 
 
 def _document_runs(sequences, window_size: int):

@@ -23,12 +23,7 @@ def make_corpus(sequences, n_tokens=None, labels=None) -> TokenizedCorpus:
         n_tokens = max((max(s) for s in sequences if s), default=-1) + 1
     tokens = [f"w{i}" for i in range(n_tokens)]
     doc_freq = [sum(1 for s in sequences if i in s) for i in range(n_tokens)]
-    vocab = Vocabulary(
-        tokens=tokens,
-        index={t: i for i, t in enumerate(tokens)},
-        doc_freq=doc_freq,
-        n_docs=len(sequences),
-    )
+    vocab = Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)}, doc_freq=doc_freq)
     return TokenizedCorpus(
         doc_ids=[f"d{i}" for i in range(len(sequences))],
         sequences=[list(s) for s in sequences],
@@ -505,6 +500,37 @@ def reference_ablation(grid, base, features, adj_norm, labels, masks, seeds):
 
 def _sample_std(values) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
+
+
+def reference_report_dict(cm, averaging: str) -> dict:
+    """evaluation.report_as_dict(metrics(cm, averaging)) by the formulas of a
+    report that stored its averages: a weighted average is the sum, class 0
+    first, of each class's metric times its support, over tn + fp + fn + tp."""
+    per_class, degenerate = {}, []
+    for label, p_num, p_den, r_num, r_den in ((0, cm.tn, cm.tn + cm.fn, cm.tn, cm.tn + cm.fp),
+                                              (1, cm.tp, cm.tp + cm.fp, cm.tp, cm.tp + cm.fn)):
+        precision = p_num / p_den if p_den else 0.0
+        recall = r_num / r_den if r_den else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall else 0.0
+        if not (p_den and r_den and precision + recall):
+            degenerate.append(label)
+        per_class[str(label)] = {"precision": precision, "recall": recall, "f1": f1,
+                                 "support": r_den}
+    total = cm.tn + cm.fp + cm.fn + cm.tp
+    names = ("precision", "recall", "f1")
+    weighted = {name: sum(per_class[label][name] * per_class[label]["support"]
+                          for label in ("0", "1")) / total for name in names}
+    macro = {name: (per_class["0"][name] + per_class["1"][name]) / 2.0 for name in names}
+    return {
+        "accuracy": (cm.tp + cm.tn) / total,
+        "averaging": averaging,
+        **(macro if averaging == "macro" else weighted),
+        "weighted": weighted,
+        "macro": macro,
+        "per_class": per_class,
+        "degenerate_classes": degenerate,
+        "total": total,
+    }
 
 
 def read_manifest(path) -> RunManifest:

@@ -16,7 +16,7 @@ import oracles
 from oracles import read_manifest, write_embeddings_csv
 from stressgraph import cli, convnet, gcn, graph, prompting
 from stressgraph.corpus import load_split, load_tokenized, save_split, save_tokenized
-from stressgraph.manifest import RunManifest, sha256_file, write_json, write_manifest
+from stressgraph.manifest import RunManifest, read_json, sha256_file, write_json, write_manifest
 
 N_DOCS = 24
 
@@ -848,20 +848,43 @@ def test_build_graph_out_of_range_token_id_is_data_error(tmp_path, capsys):
     assert "outside the vocabulary" in capsys.readouterr().err
 
 
-def test_build_graph_wrong_doc_freq_is_data_error(tmp_path, capsys):
-    # x occurs in both documents: its idf is ln(2/2) = 0, so a doc_freq of 1
-    # would add doc-word edges of weight ln 2 that the corpus does not have.
-    tokenized = tmp_path / "tokenized.json"
-    tokenized.write_text(json.dumps({
-        "doc_ids": ["a", "b"],
-        "labels": [0, 1],
-        "sequences": [[0, 1], [0]],
-        "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2},
-    }))
-    rc = cli.main(["build-graph", "--tokenized", str(tokenized), "--out", str(tmp_path / "g")])
-    assert rc == cli.EXIT_DATA
-    assert "doc_freq of token 'x' is 1, but it occurs in 2 documents" in capsys.readouterr().err
-    assert not (tmp_path / "g" / "graph.json").exists()
+def test_build_graph_recounts_a_stored_doc_freq(tmp_path):
+    # x occurs in both documents, so its idf is ln(2/2) = 0 and it has no
+    # doc-word edge; the doc_freq of 1 this file stores is never read.
+    digests = []
+    for vocab in ({"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2}, {"tokens": ["x", "y"]}):
+        tokenized, out = tmp_path / f"tokenized-{len(vocab)}.json", tmp_path / f"graph-{len(vocab)}"
+        tokenized.write_text(json.dumps({
+            "doc_ids": ["a", "b"], "labels": [0, 1], "sequences": [[0, 1], [0]], "vocab": vocab,
+        }))
+        assert load_tokenized(tokenized).vocab.doc_freq == [2, 1]
+        assert cli.main(["build-graph", "--tokenized", str(tokenized), "--out", str(out)]) == 0
+        digests.append(sha256_file(out / "graph.json"))
+    assert digests[0] == digests[1]
+
+
+# The pipeline corpus as tokenized.json was written when "vocab" also held each
+# token's doc_freq and the document count, and the digest of the graph.json
+# that build-graph wrote from it then.
+OLD_TOKENIZED = os.path.join(os.path.dirname(__file__), "golden", "tokenized-with-doc-freq.json")
+OLD_GRAPH_SHA256 = "802c8cbf2e0c821bd4f16c7966b0536b28926c6d4b838d70587bcb30e3c7e140"
+
+
+def test_tokenized_json_is_the_old_file_without_doc_freq_and_n_docs(pipeline, tmp_path):
+    old = read_json(OLD_TOKENIZED)
+    assert list(old["vocab"]) == ["doc_freq", "n_docs", "tokens"]
+    del old["vocab"]["doc_freq"], old["vocab"]["n_docs"]
+    write_json(tmp_path / "expected.json", old)
+    assert pipeline["tokenized"].read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_old_tokenized_json_loads_and_builds_the_same_graph(pipeline, tmp_path):
+    old = load_tokenized(OLD_TOKENIZED)
+    assert old == load_tokenized(pipeline["tokenized"])
+    assert old.vocab.doc_freq == read_json(OLD_TOKENIZED)["vocab"]["doc_freq"]
+    out = tmp_path / "graph"
+    assert cli.main(["build-graph", "--tokenized", OLD_TOKENIZED, "--out", str(out)]) == 0
+    assert sha256_file(out / "graph.json") == OLD_GRAPH_SHA256 == sha256_file(pipeline["graph"])
 
 
 # ---------------------------------------------------------------------------
@@ -1390,6 +1413,45 @@ def test_export_unknown_doc_id_is_data_error(pipeline, tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err == "data error: unknown document id: 'zz9'\n"
+
+
+@pytest.mark.parametrize("k", ["-1", "x"])
+def test_export_k_that_is_no_count_is_usage_error_before_any_input_is_read(
+        pipeline, tmp_path, monkeypatch, capsys, k):
+    calls = []
+    monkeypatch.setattr(cli, "sha256_file", lambda path: calls.append(path))
+    monkeypatch.setattr(cli, "load_tokenized", lambda path: calls.append(path))
+    out = tmp_path / "out"
+    rc = cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--graph",
+                   str(pipeline["graph"]), "--label", "1", "--docs", "3", "--k", k, "--out", str(out)])
+    assert rc == cli.EXIT_USAGE
+    assert capsys.readouterr().err == \
+        f"usage error: argument --k: expected a non-negative integer, got {k!r}\n"
+    assert calls == []
+    assert not out.exists()
+
+
+def test_failed_export_leaves_an_earlier_export_as_it_was(pipeline, tmp_path, capsys):
+    out = tmp_path / "export"
+    assert cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--label", "1",
+                     "--out", str(out)]) == cli.EXIT_OK
+    before = artifact_digests(out)
+    manifest = (out / "manifest.json").read_bytes()
+    # Another corpus, whose salience export fails on an unknown document.
+    other = tmp_path / "other"
+    rows = [{"id": f"o{i}", "text": f"dread panic {i % 3}", "label": i % 2} for i in range(6)]
+    (tmp_path / "other.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert cli.main(["ingest", "--corpus", str(tmp_path / "other.jsonl"), "--min-df", "1",
+                     "--out", str(other)]) == 0
+    assert cli.main(["build-graph", "--tokenized", str(other / "tokenized.json"),
+                     "--out", str(other)]) == 0
+    capsys.readouterr()
+    rc = cli.main(["export", "--tokenized", str(other / "tokenized.json"), "--label", "1",
+                   "--docs", "nosuchdoc", "--graph", str(other / "graph.json"), "--out", str(out)])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: unknown document id: 'nosuchdoc'\n"
+    assert artifact_digests(out) == before
+    assert (out / "manifest.json").read_bytes() == manifest
 
 
 def test_export_repeated_doc_id_is_data_error(pipeline, tmp_path, capsys):

@@ -239,7 +239,6 @@ def test_vocabulary_document_frequency():
     vocab = build_vocabulary([["a", "b"], ["a"]], min_df=1)
     assert vocab.doc_freq[vocab.index["a"]] == 2
     assert vocab.doc_freq[vocab.index["b"]] == 1
-    assert vocab.n_docs == 2
 
 
 def test_vocabulary_df_counts_documents_not_occurrences():
@@ -423,7 +422,6 @@ def test_tokenized_roundtrip(tmp_path):
     assert back.labels == corpus.labels
     assert back.vocab.tokens == corpus.vocab.tokens
     assert back.vocab.doc_freq == corpus.vocab.doc_freq
-    assert back.vocab.n_docs == corpus.vocab.n_docs
     assert back.vocab.index == corpus.vocab.index
 
 
@@ -435,14 +433,15 @@ def test_tokenized_load_rejects_malformed(tmp_path):
 
 
 def _write_tokenized(path, **overrides):
+    """A two-document tokenized.json; tokens, doc_freq and n_docs go under "vocab"."""
     payload = {
         "doc_ids": ["a", "b"],
         "labels": [0, 1],
         "sequences": [[0, 1], []],
-        "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2},
+        "vocab": {"tokens": ["x", "y"]},
     }
     for key, value in overrides.items():
-        if key in payload["vocab"]:
+        if key in ("tokens", "doc_freq", "n_docs"):
             payload["vocab"][key] = value
         else:
             payload[key] = value
@@ -459,25 +458,16 @@ def _write_tokenized(path, **overrides):
         (dict(sequences=[[0, 1]]), "sequences"),
         (dict(labels=[0]), "labels"),
         (dict(doc_ids=["a", "b", "c"]), "doc ids"),
-        (dict(doc_freq=[1]), "doc_freq"),
         (dict(labels=[5, 0]), "labels must be 0, 1 or null"),
         (dict(labels=[0, 0.7]), "labels must be 0, 1 or null"),
         (dict(labels=[True, 0]), "labels must be 0, 1 or null"),
         (dict(sequences=[[0, True], []]), "integers"),
         (dict(doc_ids=[7, 7]), "strings"),
         (dict(doc_ids=["a", "a"]), "unique"),
-        (dict(doc_freq=[0, 1]), "doc_freq"),
-        (dict(doc_freq=["a", 1]), "doc_freq"),
-        (dict(doc_freq=[True, 1]), "doc_freq"),
-        (dict(doc_freq=[1, 1.0]), "doc_freq"),
-        (dict(doc_freq=[3, 1]), "doc_freq"),
-        (dict(n_docs=5), "n_docs"),
-        (dict(n_docs=2.0), "n_docs"),
-        (dict(n_docs="2"), "n_docs"),
+        # Its idf would be ln(2 / 0).
+        (dict(sequences=[[1], []], doc_freq=[0, 1]), "vocabulary token 'x' occurs in no document"),
         (dict(tokens=["x", "x"]), "unique strings"),
         (dict(tokens=["x", 7]), "unique strings"),
-        (dict(sequences=[[0, 1], [0]]), "doc_freq of token 'x' is 1, but it occurs in 2"),
-        (dict(sequences=[[0, 0, 1], []], doc_freq=[2, 1]), "doc_freq of token 'x' is 2"),
     ],
 )
 def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, message):
@@ -487,6 +477,30 @@ def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, messag
     _write_tokenized(path, **overrides)
     with pytest.raises(CorpusFormatError, match=message):
         load_tokenized(path)
+
+
+# Files written before doc_freq and n_docs were dropped hold both under
+# "vocab"; the loader never reads them, and doc_freq is the recount.
+@pytest.mark.parametrize(
+    "overrides, doc_freq",
+    [
+        (dict(doc_freq=[1]), [1, 1]),
+        (dict(doc_freq=[1, 1], n_docs=2), [1, 1]),
+        (dict(doc_freq=["a", 1]), [1, 1]),
+        (dict(doc_freq=[True, 1]), [1, 1]),
+        (dict(doc_freq=[1, 1.0]), [1, 1]),
+        (dict(doc_freq=[3, 1]), [1, 1]),
+        (dict(n_docs=5), [1, 1]),
+        (dict(n_docs=2.0), [1, 1]),
+        (dict(n_docs="2"), [1, 1]),
+        (dict(sequences=[[0, 1], [0]], doc_freq=[1, 1]), [2, 1]),
+        (dict(sequences=[[0, 0, 1], []], doc_freq=[2, 1]), [1, 1]),
+    ],
+)
+def test_tokenized_load_recounts_doc_freq(tmp_path, overrides, doc_freq):
+    path = tmp_path / "tokenized.json"
+    _write_tokenized(path, **overrides)
+    assert load_tokenized(path).vocab.doc_freq == doc_freq
 
 
 # Tokenized-corpus payloads whose fields are well-shaped or arbitrary JSON.
@@ -502,6 +516,7 @@ tokenized_payloads = st.fixed_dictionaries({
     | tokenized_values,
     "vocab": st.fixed_dictionaries({
         "tokens": st.lists(st.text(max_size=2), max_size=3) | tokenized_values,
+    }, optional={
         "doc_freq": st.lists(st.integers(0, 3), max_size=3) | tokenized_values,
         "n_docs": st.integers(0, 3) | tokenized_values,
     }) | tokenized_values,
@@ -530,6 +545,9 @@ tokenized_payloads = st.fixed_dictionaries({
          b' "vocab": {"tokens": ["x", "x"], "doc_freq": [1, 1], "n_docs": 1}}')
 @example(b'{"doc_ids": ["a", "b"], "labels": [0, 1], "sequences": [[0, 1], [0]],'
          b' "vocab": {"tokens": ["x", "y"], "doc_freq": [1, 1], "n_docs": 2}}')
+@example(b'{"doc_ids": ["a", "b"], "labels": [0, 1], "sequences": [[0, 1], [0]],'
+         b' "vocab": {"tokens": ["x", "y"]}}')
+@example(b'{"doc_ids": ["a"], "labels": [0], "sequences": [[0]], "vocab": {"tokens": ["x", "y"]}}')
 def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("tokenized") / "tokenized.json"
     path.write_bytes(data)
@@ -544,9 +562,8 @@ def test_tokenized_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     assert all(type(d) is str for d in corpus.doc_ids)
     assert len(set(corpus.doc_ids)) == len(corpus.doc_ids)
     vocab = corpus.vocab
-    assert type(vocab.n_docs) is int and vocab.n_docs == len(corpus.doc_ids)
     assert all(type(t) is str for t in vocab.tokens) and len(set(vocab.tokens)) == n_tokens
-    assert all(type(df) is int and 1 <= df <= vocab.n_docs for df in vocab.doc_freq)
+    assert all(type(df) is int and 1 <= df <= len(corpus.doc_ids) for df in vocab.doc_freq)
     assert vocab.doc_freq == [sum(t in seq for seq in corpus.sequences) for t in range(n_tokens)]
 
 

@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from stressgraph.evaluation import (
     AVERAGING_MODES,
     ConfusionMatrix,
@@ -92,9 +93,9 @@ def test_confusion_invariant_under_paired_permutation(pairs):
 def test_reference_matrix_reproduces_published_row():
     report = metrics(REFERENCE_CM)
     assert report.accuracy == pytest.approx(0.796318, abs=5e-4)
-    assert report.weighted_precision == pytest.approx(0.762724, abs=5e-4)
-    assert report.weighted_recall == pytest.approx(0.796318, abs=5e-4)
-    assert report.weighted_f1 == pytest.approx(0.743683, abs=5e-4)
+    assert report.average("weighted", "precision") == pytest.approx(0.762724, abs=5e-4)
+    assert report.average("weighted", "recall") == pytest.approx(0.796318, abs=5e-4)
+    assert report.average("weighted", "f1") == pytest.approx(0.743683, abs=5e-4)
 
 
 def test_metrics_per_class_values():
@@ -123,19 +124,21 @@ def test_metrics_headline_follows_averaging():
     weighted = metrics(REFERENCE_CM, averaging="weighted")
     macro = metrics(REFERENCE_CM, averaging="macro")
     per_class = metrics(REFERENCE_CM, averaging="per_class")
-    assert weighted.f1 == weighted.weighted_f1
-    assert macro.f1 == macro.macro_f1
-    assert macro.f1 != macro.weighted_f1
+    assert weighted.f1 == weighted.average("weighted", "f1")
+    assert macro.f1 == macro.average("macro", "f1")
+    assert macro.f1 != macro.average("weighted", "f1")
     # per_class keeps the table primary but the headline falls back to weighted.
-    assert per_class.f1 == per_class.weighted_f1
+    assert per_class.f1 == per_class.average("weighted", "f1")
     assert set(AVERAGING_MODES) == {"weighted", "macro", "per_class"}
     with pytest.raises(ValueError):
         metrics(REFERENCE_CM, averaging="micro")
+    with pytest.raises(ValueError, match="'micro'"):
+        weighted.average("micro", "f1")
 
 
 def test_metrics_macro_is_unweighted_mean():
     report = metrics(REFERENCE_CM)
-    assert report.macro_f1 == pytest.approx(
+    assert report.average("macro", "f1") == pytest.approx(
         (report.per_class[0].f1 + report.per_class[1].f1) / 2, abs=1e-15
     )
 
@@ -147,9 +150,9 @@ def test_metrics_macro_is_unweighted_mean():
 def test_weighted_recall_equals_accuracy(counts):
     tn, fp, fn, tp = counts
     report = metrics(ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp))
-    assert report.weighted_recall == pytest.approx(report.accuracy, abs=1e-12)
-    assert 0.0 <= report.weighted_f1 <= 1.0 + 1e-12
-    assert 0.0 <= report.macro_f1 <= 1.0 + 1e-12
+    assert report.average("weighted", "recall") == pytest.approx(report.accuracy, abs=1e-12)
+    assert 0.0 <= report.average("weighted", "f1") <= 1.0 + 1e-12
+    assert 0.0 <= report.average("macro", "f1") <= 1.0 + 1e-12
 
 
 # ------------------------------------------------------------- aggregate
@@ -333,6 +336,24 @@ def test_report_as_dict_shape():
     assert data["total"] == 869
 
 
+# Counts small enough to hit every 0/0 case, and large enough that float
+# rounding differs between orders of summation.
+oracle_counts = st.integers(0, 3) | st.integers(0, 2**51)
+
+
+@given(st.tuples(*[oracle_counts] * 4).filter(lambda t: sum(t) > 0),
+       st.sampled_from(AVERAGING_MODES))
+@example((0, 0, 0, 1), "macro")
+@example((5, 0, 0, 0), "per_class")
+@example((665, 18, 159, 27), "weighted")
+def test_report_as_dict_matches_the_stored_average_formulas(counts, averaging):
+    tn, fp, fn, tp = counts
+    cm = ConfusionMatrix(tn=tn, fp=fp, fn=fn, tp=tp)
+    # json.dumps writes each float's shortest round-trip repr: equal text is equal bits.
+    assert json.dumps(report_as_dict(metrics(cm, averaging))) == \
+        json.dumps(oracles.reference_report_dict(cm, averaging))
+
+
 def test_render_table_alignment():
     text = render_table(["name", "x"], [["a", "1.5"], ["bbbb", "22"]])
     lines = text.splitlines()
@@ -388,7 +409,7 @@ def test_counts_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
     assert all(type(getattr(cm, name)) is int for name in ("tn", "fp", "fn", "tp"))
     assert cm.total > 0
     for averaging in AVERAGING_MODES:
-        assert metrics(cm, averaging).total == cm.total
+        assert report_as_dict(metrics(cm, averaging))["total"] == cm.total
 
 
 KNOWN_IDS = ["d0", "d1", "d2"]

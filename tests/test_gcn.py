@@ -660,7 +660,7 @@ def test_evaluate_returns_weighted_report():
     assert isinstance(report, MetricsReport)
     assert report.averaging == "weighted"
     assert 0.0 <= report.f1 <= 1.0
-    assert report.total == int(np.sum(masks["test"]))
+    assert sum(cls.support for cls in report.per_class.values()) == int(np.sum(masks["test"]))
 
 
 # ---------------------------------------------------------------- fusion
