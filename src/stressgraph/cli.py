@@ -45,7 +45,6 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # Defaults for everything a config file may override; CLI flags win over the
 # file, the file wins over this table.
 CONFIG_DEFAULTS = {
-    "format": "jsonl",
     "lowercase": True,
     "remove_stopwords": True,
     "min_df": 5,
@@ -181,7 +180,7 @@ def _rules(config: dict) -> TokenizerRules:
 
 
 def cmd_ingest(args, config: dict, man: RunManifest) -> None:
-    docs = load_corpus(args.corpus, config["format"])
+    docs = load_corpus(args.corpus)
     corpus = tokenize_corpus(docs, _rules(config), config["min_df"])
     save_tokenized(man.output("tokenized.json"), corpus)
     with atomic_write(man.output("vocab.csv")) as fh:
@@ -226,10 +225,7 @@ def _gcn_cell(args, config: dict):
     adjacency = graph.assemble_adjacency(tfidf, ppmi, corpus.n_docs, len(corpus.vocab))
     adj_norm = graph.normalize_adjacency(adjacency)
     masks = split_masks(load_split(args.split).aligned(corpus.doc_ids), corpus.doc_ids)
-    embeddings = None
-    if args.embeddings:
-        csv_file = str(args.embeddings).endswith(".csv")
-        embeddings = (graph.read_embeddings_csv if csv_file else graph.read_embeddings)(args.embeddings)
+    embeddings = graph.read_embeddings(args.embeddings) if args.embeddings else None
     labels = gold_labels(corpus, corpus.doc_ids)
     features = graph.build_node_features(embeddings, corpus.n_docs, len(corpus.vocab))
 
@@ -325,7 +321,7 @@ def cmd_ablate(args, config: dict, man: RunManifest) -> None:
 
 def cmd_prompts(args, config: dict, man: RunManifest) -> None:
     k = config["k"]
-    docs = load_corpus(args.corpus, config["format"])
+    docs = load_corpus(args.corpus)
     spec = prompting.PromptSpec()
 
     if args.split:
@@ -431,7 +427,7 @@ def cmd_export(args, config: dict, man: RunManifest) -> None:
         table = interpret.label_word_frequencies(corpus, args.label)
     if args.docs is not None:
         tfidf, ppmi = graph.read_graph_json(args.graph, corpus)
-        if args.docs.isdigit():
+        if args.docs.isdecimal():
             doc_ids = corpus.doc_ids[: int(args.docs)]
         else:
             doc_ids = [part for part in args.docs.split(",") if part]
@@ -472,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tokenized", required=True)
         p.add_argument("--graph", required=True)
         p.add_argument("--split", required=True)
-        p.add_argument("--embeddings", help="document embedding file (binary or .csv)")
+        p.add_argument("--embeddings", help="document embedding file: CSV if named *.csv, else TGEM")
         p.add_argument(
             "--identity", action="store_true",
             help="identity node features, graph branch only (requires lambda 1)",
@@ -487,8 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--jobs", type=int)
 
     p = command("ingest", cmd_ingest, ("corpus",), help="tokenize a corpus and build its vocabulary")
-    p.add_argument("--corpus", required=True, help="JSONL or CSV document file")
-    p.add_argument("--format", choices=["jsonl", "csv"])
+    p.add_argument("--corpus", required=True, help="document file: CSV if named *.csv, else JSONL")
     p.add_argument("--min-df", dest="min_df", type=int)
     p.add_argument("--lowercase", action=argparse.BooleanOptionalAction, default=None)
     p.add_argument(
@@ -530,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("prompts", cmd_prompts, ("corpus", "split"),
                 help="build zero- or few-shot classification prompts")
-    p.add_argument("--corpus", required=True, help="raw document file (text is needed)")
-    p.add_argument("--format", choices=["jsonl", "csv"])
+    p.add_argument("--corpus", required=True,
+                   help="raw document file (text is needed): CSV if named *.csv, else JSONL")
     p.add_argument("--split", help="split assignment file; exemplars come from train")
     p.add_argument("--k", type=int, choices=[0, 3, 10])
     p.add_argument("--seed", dest="prompt_seed", type=int)
@@ -601,9 +596,8 @@ def main(argv=None) -> int:
     except (gcn.DivergenceError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ValueError, KeyError, OSError) as exc:
-        # str() of a KeyError quotes its message; print the message itself.
-        print(f"data error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -114,7 +114,7 @@ class TokenizedCorpus:
         try:
             return self._rows[doc_id]
         except KeyError:
-            raise KeyError(f"unknown document id: {doc_id!r}") from None
+            raise ValueError(f"unknown document id: {doc_id!r}") from None
 
 
 @dataclass
@@ -172,72 +172,55 @@ def _parse_label(value, line_no: int | None) -> int | None:
     return label
 
 
-def load_corpus(path, format: str = "jsonl") -> list[RawDocument]:
-    """Load documents from a JSONL or CSV file, in file order.
+def _records(fh, csv_file: bool = False):
+    """(line number, record) per non-blank JSONL line of fh, or per non-blank CSV
+    row keyed by the header; a quoted CSV field may span lines, so each record
+    is numbered by the line it starts on."""
+    if not csv_file:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    record = load_json(line)
+                except json.JSONDecodeError as exc:
+                    raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no)
+                yield line_no, record
+        return
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None or not {"id", "text"} <= set(header):
+        raise CorpusFormatError("CSV header must contain id,text[,label]", 1)
+    line_no = reader.line_num + 1
+    for row in reader:
+        if row:
+            yield line_no, dict(zip(header, row))
+        line_no = reader.line_num + 1
+
+
+def load_corpus(path) -> list[RawDocument]:
+    """Load documents in file order: CSV with an id,text[,label] header when the
+    name ends in .csv, else one JSON object per line.
 
     Raises CorpusFormatError on malformed records (with line number),
     duplicate ids, or labels outside {0, 1}.
     """
-    if format not in ("jsonl", "csv"):
-        raise ValueError(f"unknown corpus format: {format!r}")
     docs: list[RawDocument] = []
     seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        if format == "jsonl":
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    rec = load_json(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no)
+        try:
+            for line_no, rec in _records(fh, str(path).endswith(".csv")):
                 if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
                     raise CorpusFormatError("record must be an object with id and text", line_no)
                 if not isinstance(rec["id"], str) or not isinstance(rec["text"], str):
                     raise CorpusFormatError("id and text must be strings", line_no)
-                docs.append(
-                    RawDocument(
-                        id=rec["id"],
-                        text=rec["text"],
-                        label=_parse_label(rec.get("label"), line_no),
-                    )
-                )
-                _check_duplicate(docs[-1].id, seen, line_no)
-        else:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader, None)
-                if header is None or not {"id", "text"} <= set(header):
-                    raise CorpusFormatError("CSV header must contain id,text[,label]", 1)
-                while True:
-                    # A quoted field may span lines: number the record by its first line.
-                    line_no = reader.line_num + 1
-                    row = next(reader, None)
-                    if row is None:
-                        break
-                    if not row:
-                        continue
-                    rec = dict(zip(header, row))
-                    if "id" not in rec or "text" not in rec:
-                        raise CorpusFormatError("short record", line_no)
-                    docs.append(
-                        RawDocument(
-                            id=rec["id"],
-                            text=rec["text"],
-                            label=_parse_label(rec.get("label"), line_no),
-                        )
-                    )
-                    _check_duplicate(docs[-1].id, seen, line_no)
-            except csv.Error as exc:
-                # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
-                raise CorpusFormatError(f"invalid CSV ({exc})") from None
+                doc = RawDocument(rec["id"], rec["text"], _parse_label(rec.get("label"), line_no))
+                if doc.id in seen:
+                    raise CorpusFormatError(f"duplicate document id {doc.id!r}", line_no)
+                seen.add(doc.id)
+                docs.append(doc)
+        except csv.Error as exc:
+            # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
+            raise CorpusFormatError(f"invalid CSV ({exc})") from None
     return docs
-
-
-def _check_duplicate(doc_id: str, seen: set[str], line_no: int) -> None:
-    if doc_id in seen:
-        raise CorpusFormatError(f"duplicate document id {doc_id!r}", line_no)
-    seen.add(doc_id)
 
 
 def tokenize(text: str, rules: TokenizerRules = TokenizerRules()) -> list[str]:
@@ -420,14 +403,10 @@ def save_split(path, split: SplitAssignment) -> None:
 def load_split(path) -> SplitAssignment:
     assignment: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for line_no, record in _records(fh):
             try:
-                record = load_json(line)
                 doc_id, name = record["id"], record["split"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (KeyError, TypeError) as exc:
                 raise CorpusFormatError(f"malformed split record: {exc}", line_no) from exc
             if type(doc_id) is not str:
                 raise CorpusFormatError(f"document id {doc_id!r} is not a string", line_no)

@@ -284,15 +284,18 @@ def write_embeddings(path, embeddings: EmbeddingMatrix) -> None:
 
 
 def read_embeddings(path) -> EmbeddingMatrix:
+    """The TGEM file write_embeddings wrote, or, when the name ends in .csv, one
+    comma-separated row per document."""
+    if str(path).endswith(".csv"):
+        return _read_embeddings_csv(path)
     with read_binary(path, EMBEDDING_MAGIC, EMBEDDING_VERSION, "embedding file") as reader:
         shape = reader.unpack("<QQ", "embedding file header")
         values = reader.array(shape, "<f4", "embedding payload")
     return EmbeddingMatrix(values=values)
 
 
-def read_embeddings_csv(path) -> EmbeddingMatrix:
-    """CSV fallback: one embedding row per document, corpus order; ValueError when no line
-    holds data (np.loadtxt would only warn)."""
+def _read_embeddings_csv(path) -> EmbeddingMatrix:
+    """ValueError when no line holds data (np.loadtxt would only warn)."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not any(line.split("#", 1)[0].strip() for line in lines):

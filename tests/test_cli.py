@@ -2,7 +2,9 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import struct
@@ -14,8 +16,16 @@ import pytest
 
 import oracles
 from oracles import read_manifest, write_embeddings_csv
-from stressgraph import cli, convnet, gcn, graph, prompting
-from stressgraph.corpus import load_split, load_tokenized, save_split, save_tokenized
+from stressgraph import cli, convnet, evaluation, gcn, graph, prompting
+from stressgraph.corpus import (
+    TokenizerRules,
+    load_split,
+    load_tokenized,
+    save_split,
+    save_tokenized,
+    stratified_split,
+    tokenize_corpus,
+)
 from stressgraph.manifest import RunManifest, read_json, sha256_file, write_json, write_manifest
 
 N_DOCS = 24
@@ -161,17 +171,45 @@ def test_split_non_finite_ratios_are_data_error(pipeline, tmp_path, capsys):
     assert not (out / "split.jsonl").exists()
 
 
-def test_ingest_csv_format(tmp_path):
-    corpus_path = tmp_path / "c.csv"
-    corpus_path.write_text(
-        "id,text,label\na,sunny garden walk,0\nb,anxious worried walk,1\n",
-        encoding="utf-8",
-    )
-    out = tmp_path / "ing"
-    rc = cli.main(["ingest", "--corpus", str(corpus_path), "--format", "csv",
-                   "--min-df", "1", "--out", str(out)])
-    assert rc == cli.EXIT_OK
-    assert load_tokenized(out / "tokenized.json").n_docs == 2
+CSV_CORPUS = ('id,source,text,label\n'
+              'a,forum,"sunny garden, long walk",0\n'
+              'b,forum,"anxious\nworried walk",1\n'
+              '\n'
+              'c,,quiet garden morning,\n'
+              'd,chat,worried anxious night,1\n')
+# What ingest --format csv wrote for CSV_CORPUS before the file name chose the format.
+CSV_CORPUS_TOKENIZED = (
+    '{"doc_ids":["a","b","c","d"],"labels":[0,1,null,1],'
+    '"sequences":[[0,1,2,3],[4,5,3],[6,1,7],[5,4,8]],'
+    '"vocab":{"tokens":["sunny","garden","long","walk","anxious","worried","quiet","morning","night"]}}\n'
+)
+
+
+def test_ingest_and_prompts_read_a_csv_corpus_by_its_file_name(tmp_path):
+    (tmp_path / "c.csv").write_text(CSV_CORPUS, encoding="utf-8")
+    records = [{"id": "a", "text": "sunny garden, long walk", "label": 0},
+               {"id": "b", "text": "anxious\nworried walk", "label": 1},
+               {"id": "c", "text": "quiet garden morning"},
+               {"id": "d", "text": "worried anxious night", "label": 1}]
+    (tmp_path / "c.jsonl").write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    for name in ("c.csv", "c.jsonl"):
+        corpus = str(tmp_path / name)
+        out = tmp_path / f"ing-{name}"
+        assert cli.main(["ingest", "--corpus", corpus, "--min-df", "1", "--out", str(out)]) == 0
+        assert (out / "tokenized.json").read_text(encoding="utf-8") == CSV_CORPUS_TOKENIZED
+        assert cli.main(["prompts", "--corpus", corpus, "--out", str(tmp_path / f"pr-{name}")]) == 0
+    assert (tmp_path / "pr-c.csv" / "prompts.jsonl").read_bytes() == \
+        (tmp_path / "pr-c.jsonl" / "prompts.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["ingest", "prompts"])
+def test_format_flag_is_usage_error(tmp_path, capsys, command):
+    (tmp_path / "c.csv").write_text(CSV_CORPUS, encoding="utf-8")
+    rc = cli.main([command, "--corpus", str(tmp_path / "c.csv"), "--format", "csv",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_USAGE
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("label, shown", [
@@ -355,7 +393,7 @@ def test_train_gcn_divergence_exit_code(pipeline, tmp_path, capsys):
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
 def test_train_gcn_non_finite_embedding_is_data_error(pipeline, tmp_path, capsys, suffix):
-    rows = graph.read_embeddings_csv(pipeline["embeddings"]).values.astype(np.float32)
+    rows = graph.read_embeddings(pipeline["embeddings"]).values.astype(np.float32)
     rows[1, 0] = np.nan
     path = tmp_path / f"emb{suffix}"
     if suffix == ".csv":
@@ -387,7 +425,7 @@ def test_train_gcn_embeddings_of_width_zero_are_data_error(pipeline, tmp_path, c
 
 @pytest.mark.parametrize("suffix", [".csv", ".bin"])
 def test_train_gcn_embedding_row_count_mismatch_is_data_error(pipeline, tmp_path, capsys, suffix):
-    rows = graph.read_embeddings_csv(pipeline["embeddings"]).values[:-1]
+    rows = graph.read_embeddings(pipeline["embeddings"]).values[:-1]
     path = tmp_path / f"emb{suffix}"
     write = write_embeddings_csv if suffix == ".csv" else graph.write_embeddings
     write(path, graph.EmbeddingMatrix(values=rows))
@@ -475,7 +513,7 @@ def pipeline_training_inputs(pipeline):
     adj = graph.normalize_adjacency(
         graph.assemble_adjacency(tfidf, word_edges, corpus.n_docs, n_words)
     )
-    embeddings = graph.read_embeddings_csv(pipeline["embeddings"])
+    embeddings = graph.read_embeddings(pipeline["embeddings"])
     features = graph.build_node_features(embeddings, corpus.n_docs, n_words)
     split = load_split(pipeline["split"])
     masks = {name: np.asarray(split.mask(corpus.doc_ids, name)) for name in ("train", "val", "test")}
@@ -586,6 +624,39 @@ def test_config_file_unknown_keys_rejected(pipeline, tmp_path, capsys):
                    "--config", str(config_path), "--out", str(tmp_path / "out")])
     assert rc == cli.EXIT_DATA
     assert "unknown config file keys" in capsys.readouterr().err
+
+
+def test_config_file_format_key_rejected(tmp_path, capsys):
+    (tmp_path / "c.csv").write_text(CSV_CORPUS, encoding="utf-8")
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({"format": "csv"}), encoding="utf-8")
+    rc = cli.main(["ingest", "--corpus", str(tmp_path / "c.csv"), "--config", str(config_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: unknown config file keys: ['format']\n"
+
+
+def test_cli_defaults_equal_library_defaults():
+    # Each default is written twice: in the library and in CONFIG_DEFAULTS.
+    library = {f.name: f.default for f in dataclasses.fields(gcn.TrainingConfig) if f.name != "seed"}
+    for f in dataclasses.fields(convnet.ConvHeadConfig):
+        key = "conv_epochs" if f.name == "epochs" else f.name
+        if key != "seed":
+            # dropout and learning_rate are one key for both models.
+            assert library.setdefault(key, f.default) == f.default, key
+    split = inspect.signature(stratified_split).parameters
+    library.update(
+        min_df=inspect.signature(tokenize_corpus).parameters["min_df"].default,
+        averaging=inspect.signature(evaluation.metrics).parameters["averaging"].default,
+        ratios=split["ratios"].default,
+        split_seed=split["seed"].default,
+        window=graph.DEFAULT_WINDOW_SIZE,
+    )
+    assert len(library) == 17
+    for key, default in library.items():
+        value = cli.CONFIG_DEFAULTS[key]
+        assert (tuple(value) if type(value) is list else value) == default, key
+    assert cli._rules(cli.CONFIG_DEFAULTS) == TokenizerRules()
 
 
 @pytest.mark.parametrize("command, document", [
@@ -1454,6 +1525,24 @@ def test_failed_export_leaves_an_earlier_export_as_it_was(pipeline, tmp_path, ca
     assert (out / "manifest.json").read_bytes() == manifest
 
 
+def test_export_docs_of_a_superscript_digit_is_an_id_list(pipeline, tmp_path, capsys):
+    # "²".isdigit() holds, but it is no count: it names a document.
+    rc = cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--docs", "²",
+                   "--graph", str(pipeline["graph"]), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: unknown document id: '²'\n"
+
+
+def test_key_error_in_a_handler_is_not_a_data_error(pipeline, tmp_path, monkeypatch):
+    # Only ValueError and OSError are data errors; a KeyError is a programming error.
+    def handler(args, config, man):
+        raise KeyError("a bug")
+
+    monkeypatch.setattr(cli, "cmd_split", handler)
+    with pytest.raises(KeyError, match="a bug"):
+        cli.main(["split", "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "out")])
+
+
 def test_export_repeated_doc_id_is_data_error(pipeline, tmp_path, capsys):
     rc = cli.main(["export", "--tokenized", str(pipeline["tokenized"]),
                    "--graph", str(pipeline["graph"]), "--docs", "d00,d00",
@@ -1587,7 +1676,7 @@ def test_cli_artifacts_equal_reference_bytes(pipeline, tmp_path):
         out = tmp_path / f"export-{docs}-{k}"
         assert cli.main(["export", "--tokenized", str(pipeline["tokenized"]), "--graph",
                          str(pipeline["graph"]), "--docs", docs, "--k", str(k), "--out", str(out)]) == 0
-        doc_ids = corpus.doc_ids[:int(docs)] if docs.isdigit() else docs.split(",")
+        doc_ids = corpus.doc_ids[:int(docs)] if docs.isdecimal() else docs.split(",")
         ref = oracles.reference_salience(corpus, doc_ids, tfidf, word_edges, k)
         assert (out / "salience.json").read_text(encoding="utf-8") == \
             compact_json(oracles.reference_salience_json(*ref))

@@ -111,7 +111,7 @@ def test_load_bad_label_rejected(tmp_path):
 def test_load_csv(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text('id,text,label\na,"hello, world",1\nb,plain,0\nc,unlabeled,\n')
-    docs = load_corpus(path, format="csv")
+    docs = load_corpus(path)
     assert docs[0].text == "hello, world"
     assert docs[1].label == 0
     assert docs[2].label is None
@@ -123,31 +123,40 @@ def test_load_csv_error_names_the_line_the_record_starts_on(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text('id,text,label\nb,"two\nlines",1\n\nc,bad,7\n')
     with pytest.raises(CorpusFormatError) as exc:
-        load_corpus(path, format="csv")
+        load_corpus(path)
     assert exc.value.line_no == 5
     path.write_text('id,text,label\na,"x\ny",1\nb\n')
-    with pytest.raises(CorpusFormatError, match="short record") as exc:
-        load_corpus(path, format="csv")
+    with pytest.raises(CorpusFormatError, match="record must be an object with id and text") as exc:
+        load_corpus(path)
     assert exc.value.line_no == 4
+
+
+def test_load_corpus_format_follows_the_file_name(tmp_path):
+    # Only a name ending in .csv is read as CSV; the same CSV text under any
+    # other name is read as JSONL.
+    text = 'id,text,label\na,"hello, world",1\n'
+    (tmp_path / "corpus.csv").write_text(text)
+    _write_jsonl(tmp_path / "corpus.jsonl", [{"id": "a", "text": "hello, world", "label": 1}])
+    assert load_corpus(tmp_path / "corpus.csv") == load_corpus(str(tmp_path / "corpus.jsonl"))
+    for name in ("corpus.txt", "corpus.csv.bak", "corpus.CSV"):
+        (tmp_path / name).write_text(text)
+        with pytest.raises(CorpusFormatError, match="invalid JSON") as exc:
+            load_corpus(tmp_path / name)
+        assert exc.value.line_no == 1
 
 
 def test_load_csv_bad_header(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("foo,bar\n1,2\n")
     with pytest.raises(CorpusFormatError):
-        load_corpus(path, format="csv")
+        load_corpus(path)
 
 
 def test_load_csv_reader_error_is_format_error(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("id,text\na,ok\nb," + "x" * (csv.field_size_limit() + 1) + "\n")
     with pytest.raises(CorpusFormatError, match="invalid CSV"):
-        load_corpus(path, format="csv")
-
-
-def test_load_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        load_corpus(tmp_path / "x", format="parquet")
+        load_corpus(path)
 
 
 # Arbitrary JSON lines over the corpus record keys, CSV rows over its
@@ -173,12 +182,13 @@ csv_corpora = st.lists(st.lists(csv_fields, max_size=4).map(",".join), max_size=
 @example(b'{"id": "a", "text": "x", "label": Infinity}', "jsonl")
 @example(b'{"id": ["a"], "text": "x"}', "jsonl")
 @example(b"id,text\na\x00,x\n", "csv")
-def test_corpus_fuzz_loads_or_raises_value_error(tmp_path_factory, data, format):
-    # CorpusFormatError and UnicodeDecodeError are both ValueErrors.
-    path = tmp_path_factory.mktemp("corpus") / f"corpus.{format}"
+def test_corpus_fuzz_loads_or_raises_value_error(tmp_path_factory, data, suffix):
+    # CorpusFormatError and UnicodeDecodeError are both ValueErrors; the file
+    # name's suffix picks the reader.
+    path = tmp_path_factory.mktemp("corpus") / f"corpus.{suffix}"
     path.write_bytes(data)
     try:
-        docs = load_corpus(path, format=format)
+        docs = load_corpus(path)
     except ValueError:
         return
     assert all(type(d.id) is str and type(d.text) is str and d.label in (None, 0, 1) for d in docs)
@@ -289,7 +299,7 @@ def test_tokenize_corpus_drops_oov_keeps_empty_docs():
     assert corpus.empty_doc_ids == ["d2"]
     assert corpus.n_docs == 3
     assert corpus.row_of("d1") == 1
-    with pytest.raises(KeyError, match="unknown document id: 'nope'"):
+    with pytest.raises(ValueError, match="unknown document id: 'nope'"):
         corpus.row_of("nope")
     # A repeated id resolves to its first row.
     repeated = TokenizedCorpus(["a", "b", "a"], [[], [], []], corpus.vocab, [0, 1, 0])

@@ -36,7 +36,6 @@ from stressgraph.graph import (
     normalize_adjacency,
     ppmi_edges,
     read_embeddings,
-    read_embeddings_csv,
     save_graph_json,
     slide_windows,
     write_embeddings,
@@ -500,7 +499,7 @@ def test_embedding_csv_roundtrip(tmp_path):
     emb = EmbeddingMatrix(np.array([[1.5, -2.0], [0.0, 3.25]]))
     path = tmp_path / "emb.csv"
     write_embeddings_csv(path, emb)
-    back = read_embeddings_csv(path)
+    back = read_embeddings(path)
     np.testing.assert_allclose(back.values, emb.values, rtol=0, atol=0)
 
 
@@ -513,7 +512,7 @@ def test_embedding_csv_without_rows_is_value_error(tmp_path, text):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="^embedding file .* holds no rows$"):
-            read_embeddings_csv(path)
+            read_embeddings(path)
 
 
 def test_graph_json_roundtrip(tmp_path):

@@ -184,7 +184,7 @@ def test_salience_subset_of_documents():
 
 def test_salience_unknown_doc_id():
     corpus, tfidf, word_edges, k = salience_setup()
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown document id: 'nope'"):
         build_salience_graph(corpus, ["nope"], tfidf, word_edges, k)
 
 
