@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -11,7 +10,9 @@ from itertools import chain
 
 import numpy as np
 
-from .manifest import atomic_write, load_json, read_json, write_json
+from .manifest import (
+    RecordError, atomic_write, csv_rows, jsonl_records, read_json, record_id, write_json, zero_or_one,
+)
 
 # Classic English stopword list (NLTK lineage), inlined so tokenization has no
 # runtime data dependency.
@@ -35,16 +36,6 @@ SPLIT_NAMES = ("train", "val", "test")
 DEFAULT_SPLIT_RATIOS = (0.70, 0.15, 0.15)
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
-
-
-class CorpusFormatError(ValueError):
-    """Raised for malformed corpus files; carries the offending line number."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        if line_no is not None:
-            message = f"line {line_no}: {message}"
-        super().__init__(message)
-        self.line_no = line_no
 
 
 @dataclass(frozen=True)
@@ -158,69 +149,45 @@ def gold_labels(corpus: TokenizedCorpus, ids: list[str]) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
-def _parse_label(value, line_no: int | None) -> int | None:
+def _parse_label(value, line_no: int, csv_file: bool) -> int | None:
+    """0 or 1, or None for an absent, null or empty label; a CSV label is the text 0 or 1."""
     if value is None or value == "":
         return None
+    if csv_file:
+        return zero_or_one("corpus", line_no, "label", value)
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise CorpusFormatError(f"label {value!r} is not an integer", line_no)
+        raise RecordError("corpus", line_no, f"label {value!r} is not an integer")
     try:
         label = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise CorpusFormatError(f"label {value!r} is not an integer", line_no)
+        raise RecordError("corpus", line_no, f"label {value!r} is not an integer")
     if label not in (0, 1):
-        raise CorpusFormatError(f"label must be 0 or 1, got {label}", line_no)
+        raise RecordError("corpus", line_no, f"label must be 0 or 1, got {label}")
     return label
 
 
-def _records(fh, csv_file: bool = False):
-    """(line number, record) per non-blank JSONL line of fh, or per non-blank CSV
-    row keyed by the header; a quoted CSV field may span lines, so each record
-    is numbered by the line it starts on."""
-    if not csv_file:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    record = load_json(line)
-                except json.JSONDecodeError as exc:
-                    raise CorpusFormatError(f"invalid JSON ({exc.msg})", line_no)
-                yield line_no, record
-        return
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None or not {"id", "text"} <= set(header):
-        raise CorpusFormatError("CSV header must contain id,text[,label]", 1)
-    line_no = reader.line_num + 1
-    for row in reader:
-        if row:
-            yield line_no, dict(zip(header, row))
-        line_no = reader.line_num + 1
-
-
 def load_corpus(path) -> list[RawDocument]:
-    """Load documents in file order: CSV with an id,text[,label] header when the
-    name ends in .csv, else one JSON object per line.
-
-    Raises CorpusFormatError on malformed records (with line number),
-    duplicate ids, or labels outside {0, 1}.
-    """
-    docs: list[RawDocument] = []
-    seen: set[str] = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        try:
-            for line_no, rec in _records(fh, str(path).endswith(".csv")):
-                if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
-                    raise CorpusFormatError("record must be an object with id and text", line_no)
-                if not isinstance(rec["id"], str) or not isinstance(rec["text"], str):
-                    raise CorpusFormatError("id and text must be strings", line_no)
-                doc = RawDocument(rec["id"], rec["text"], _parse_label(rec.get("label"), line_no))
-                if doc.id in seen:
-                    raise CorpusFormatError(f"duplicate document id {doc.id!r}", line_no)
-                seen.add(doc.id)
-                docs.append(doc)
-        except csv.Error as exc:
-            # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
-            raise CorpusFormatError(f"invalid CSV ({exc})") from None
-    return docs
+    """Documents in file order: CSV with an id,text[,label] header when the name ends
+    in .csv, else one JSON object per line; RecordError names a malformed record."""
+    csv_file = str(path).endswith(".csv")
+    if csv_file:
+        rows = csv_rows(path, "corpus")
+        line_no, header = next(rows, (1, None))
+        if header is None or not {"id", "text"} <= set(header):
+            raise RecordError("corpus", line_no, "CSV header must contain id,text[,label]")
+        records = ((n, dict(zip(header, row))) for n, row in rows)
+    else:
+        records = jsonl_records(path, "corpus")
+    docs: dict[str, RawDocument] = {}
+    for line_no, rec in records:
+        if not isinstance(rec, dict) or "id" not in rec or "text" not in rec:
+            raise RecordError("corpus", line_no, "record must be an object with id and text")
+        if not isinstance(rec["id"], str) or not isinstance(rec["text"], str):
+            raise RecordError("corpus", line_no, "id and text must be strings")
+        label = _parse_label(rec.get("label"), line_no, csv_file)
+        doc_id = record_id("corpus", line_no, rec["id"], docs)
+        docs[doc_id] = RawDocument(doc_id, rec["text"], label)
+    return list(docs.values())
 
 
 def tokenize(text: str, rules: TokenizerRules = TokenizerRules()) -> list[str]:
@@ -346,7 +313,7 @@ def load_tokenized(path) -> TokenizedCorpus:
             labels=list(payload["labels"]),
         )
     except (KeyError, TypeError, OverflowError) as exc:
-        raise CorpusFormatError(f"malformed tokenized-corpus file: {exc}") from exc
+        raise ValueError(f"malformed tokenized-corpus file: {exc}") from exc
     corpus.vocab.doc_freq = _check_tokenized(corpus)
     return corpus
 
@@ -358,28 +325,28 @@ def _check_tokenized(corpus: TokenizedCorpus) -> list[int]:
     would divide by zero."""
     n_docs = len(corpus.doc_ids)
     if len(corpus.sequences) != n_docs or len(corpus.labels) != n_docs:
-        raise CorpusFormatError(
+        raise ValueError(
             f"tokenized corpus has {n_docs} doc ids, {len(corpus.sequences)} sequences "
             f"and {len(corpus.labels)} labels"
         )
     if any(type(doc_id) is not str for doc_id in corpus.doc_ids):
-        raise CorpusFormatError("doc ids must be strings")
+        raise ValueError("doc ids must be strings")
     if len(set(corpus.doc_ids)) != n_docs:
-        raise CorpusFormatError("doc ids must be unique")
+        raise ValueError("doc ids must be unique")
     if any(lab is not None and (type(lab) is not int or lab not in (0, 1)) for lab in corpus.labels):
-        raise CorpusFormatError("labels must be 0, 1 or null")
+        raise ValueError("labels must be 0, 1 or null")
     vocab = corpus.vocab
     n_tokens = len(vocab.tokens)
     if any(type(t) is not str for t in vocab.tokens) or len(vocab.index) != n_tokens:
-        raise CorpusFormatError("vocabulary tokens must be unique strings")
+        raise ValueError("vocabulary tokens must be unique strings")
     # JSON true/false would pass numpy as the integers 1/0.
     if set(map(type, chain.from_iterable(corpus.sequences))) - {int}:
-        raise CorpusFormatError("token ids must be integers")
+        raise ValueError("token ids must be integers")
     ids = np.concatenate([seq for seq in corpus.sequences if seq] or [np.zeros(0, np.int64)])
     if ids.dtype.kind != "i":
-        raise CorpusFormatError("token ids must be integers")
+        raise ValueError("token ids must be integers")
     if len(ids) and (ids.min() < 0 or ids.max() >= n_tokens):
-        raise CorpusFormatError(
+        raise ValueError(
             f"token ids span [{ids.min()}, {ids.max()}], outside the vocabulary [0, {n_tokens})"
         )
     # One sorted (document, token) key per occurrence; the first key of each run
@@ -389,7 +356,7 @@ def _check_tokenized(corpus: TokenizedCorpus) -> list[int]:
     counted = np.bincount(keys[np.diff(keys, prepend=-1) != 0] % n_tokens, minlength=n_tokens)
     unused = np.flatnonzero(counted == 0)
     if len(unused):
-        raise CorpusFormatError(f"vocabulary token {vocab.tokens[unused[0]]!r} occurs in no document")
+        raise ValueError(f"vocabulary token {vocab.tokens[unused[0]]!r} occurs in no document")
     return counted.tolist()
 
 
@@ -402,17 +369,11 @@ def save_split(path, split: SplitAssignment) -> None:
 
 def load_split(path) -> SplitAssignment:
     assignment: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, record in _records(fh):
-            try:
-                doc_id, name = record["id"], record["split"]
-            except (KeyError, TypeError) as exc:
-                raise CorpusFormatError(f"malformed split record: {exc}", line_no) from exc
-            if type(doc_id) is not str:
-                raise CorpusFormatError(f"document id {doc_id!r} is not a string", line_no)
-            if name not in SPLIT_NAMES:
-                raise CorpusFormatError(f"unknown split name {name!r}", line_no)
-            if doc_id in assignment:
-                raise CorpusFormatError(f"duplicate document id {doc_id!r}", line_no)
-            assignment[doc_id] = name
+    for line_no, record in jsonl_records(path, "split"):
+        if not isinstance(record, dict) or "id" not in record or "split" not in record:
+            raise RecordError("split", line_no, "expected an object with id and split")
+        doc_id = record_id("split", line_no, record["id"], assignment)
+        if record["split"] not in SPLIT_NAMES:
+            raise RecordError("split", line_no, f"unknown split name {record['split']!r}")
+        assignment[doc_id] = record["split"]
     return SplitAssignment(assignment=assignment)

@@ -8,13 +8,12 @@ zero for a single run).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .manifest import read_json
+from .manifest import RecordError, csv_rows, read_json, record_id, zero_or_one
 
 _VALID_LABELS = (0, 1)
 
@@ -148,33 +147,18 @@ def read_counts(path) -> ConfusionMatrix:
 
 
 def read_predictions(path, known_ids) -> dict:
-    """id -> 0/1 from a CSV file with the header id,pred. A malformed row, a
-    repeated id and an id outside known_ids raise ValueError naming the line."""
+    """id -> 0/1 from a CSV file with the header id,pred, one row per id of known_ids with
+    the text 0 or 1; RecordError names any other row."""
     known, preds = set(known_ids), {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["id", "pred"]:
-                raise ValueError(f"expected prediction header id,pred, got {header}")
-            for row in reader:
-                if len(row) != 2:
-                    raise ValueError(f"line {reader.line_num}: malformed prediction row: {row}")
-                if row[0] in preds:
-                    raise ValueError(f"line {reader.line_num}: repeated prediction id {row[0]!r}")
-                if row[0] not in known:
-                    raise ValueError(
-                        f"line {reader.line_num}: prediction id {row[0]!r} is not in the corpus")
-                try:
-                    pred = int(row[1])
-                except ValueError:
-                    pred = None
-                if pred not in (0, 1):
-                    raise ValueError(f"line {reader.line_num}: prediction {row[1]!r} is not 0 or 1")
-                preds[row[0]] = pred
-        except csv.Error as exc:
-            # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
-            raise ValueError(f"line {reader.line_num}: invalid CSV ({exc})") from None
+    rows = csv_rows(path, "predictions")
+    line_no, header = next(rows, (1, None))
+    if header != ["id", "pred"]:
+        raise RecordError("predictions", line_no, f"expected prediction header id,pred, got {header}")
+    for line_no, row in rows:
+        if len(row) != 2:
+            raise RecordError("predictions", line_no, f"malformed prediction row: {row}")
+        doc_id = record_id("predictions", line_no, row[0], preds, known, what="prediction")
+        preds[doc_id] = zero_or_one("predictions", line_no, "prediction", row[1])
     return preds
 
 

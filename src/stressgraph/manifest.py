@@ -1,4 +1,4 @@
-"""Run manifests and the framing every artifact is written and read through.
+"""Run manifests, the framing every artifact is written and read through, and the line readers.
 
 A manifest records the command, the fully resolved configuration, the seeds,
 SHA-256 digests of every input file, and the path + digest of every artifact
@@ -8,6 +8,7 @@ that varies between identical reruns.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -142,6 +143,72 @@ def read_json(path):
     """load_json of the UTF-8 file at path."""
     with open(path, "r", encoding="utf-8") as fh:
         return load_json(fh.read())
+
+
+class RecordError(ValueError):
+    """A malformed record of a line-oriented input: "<kind> line N: ...", N its first line."""
+
+    def __init__(self, kind: str, line_no: int, message: str):
+        super().__init__(f"{kind} line {line_no}: {message}")
+        self.line_no = line_no
+
+
+def _lines(path, kind: str, torn=None):
+    """(line number, text) per line of the file at path, each decoded as UTF-8 on its
+    own; an unterminated last line is skipped as a torn append when torn(line) holds."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    for line_no, line in enumerate(lines, start=1):
+        if torn is not None and not line.endswith(b"\n") and torn(line):
+            return
+        try:
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise RecordError(kind, line_no, str(exc)) from None
+        yield line_no, text
+
+
+def jsonl_records(path, kind: str, torn=None):
+    """(line number, object) per non-blank line of the JSONL file at path (see _lines)."""
+    for line_no, text in _lines(path, kind, torn):
+        if text.strip():
+            try:
+                record = load_json(text)
+            except json.JSONDecodeError as exc:
+                raise RecordError(kind, line_no, f"invalid JSON ({exc.msg})") from None
+            yield line_no, record
+
+
+def csv_rows(path, kind: str):
+    """(line number, row) per non-blank row of the CSV file at path (see _lines)."""
+    reader = csv.reader(text for _, text in _lines(path, kind))
+    line_no = 1
+    try:
+        for row in reader:
+            if row:
+                yield line_no, row
+            line_no = reader.line_num + 1
+    except csv.Error as exc:
+        # A field over csv.field_size_limit(), or a NUL byte before Python 3.11.
+        raise RecordError(kind, line_no, f"invalid CSV ({exc})") from None
+
+
+def record_id(kind: str, line_no: int, value, seen, known=None, what: str = "document") -> str:
+    """value, if it is a string id not in seen and, when known is given, in known."""
+    if type(value) is not str:
+        raise RecordError(kind, line_no, f"{what} id {value!r} is not a string")
+    if value in seen:
+        raise RecordError(kind, line_no, f"repeated {what} id {value!r}")
+    if known is not None and value not in known:
+        raise RecordError(kind, line_no, f"{what} id {value!r} is not in the corpus")
+    return value
+
+
+def zero_or_one(kind: str, line_no: int, what: str, text: str) -> int:
+    """The CSV field text as an int, if it is exactly "0" or "1"."""
+    if text not in ("0", "1"):
+        raise RecordError(kind, line_no, f"{what} {text!r} is not 0 or 1")
+    return int(text)
 
 
 def write_json(path, data, indent=None) -> None:

@@ -18,7 +18,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .manifest import load_json
+from .manifest import RecordError, jsonl_records, load_json, record_id
 
 TASK_TEMPLATE = (
     "Task: Classify the following input text into one of the following "
@@ -122,15 +122,6 @@ class CompletionTranscript:
             "label": self.label,
             "meta": self.meta,
         }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "CompletionTranscript":
-        return CompletionTranscript(
-            prompt=payload["prompt"],
-            response=payload.get("response"),
-            label=payload.get("label"),
-            meta=dict(payload.get("meta", {})),
-        )
 
 
 def build_few_shot(shots: ShotSet, text: str, spec: PromptSpec = PromptSpec()) -> str:
@@ -268,9 +259,8 @@ class HTTPChatClient(CompletionClient):
             raise RuntimeError(f"malformed completion payload: {exc}") from exc
 
 
-def _decode_transcript(line: bytes) -> CompletionTranscript:
-    """One store line as a transcript; ValueError when it is not a well-typed record."""
-    payload = load_json(line.decode("utf-8"))
+def _transcript(payload) -> CompletionTranscript:
+    """payload as a transcript; ValueError when it is not a well-typed record."""
     if (not isinstance(payload, dict) or not isinstance(payload.get("prompt"), str)
             or not isinstance(payload.get("meta", {}), dict)):
         raise ValueError("not a transcript record (an object with a string prompt)")
@@ -279,59 +269,43 @@ def _decode_transcript(line: bytes) -> CompletionTranscript:
     label = payload.get("label")
     if label is not None and (type(label) is not int or label not in (0, 1)):
         raise ValueError("transcript label must be 0, 1 or null")
-    return CompletionTranscript.from_dict(payload)
+    return CompletionTranscript(payload["prompt"], payload.get("response"), label,
+                                dict(payload.get("meta", {})))
+
+
+def _torn(line: bytes) -> bool:
+    """Whether an unterminated last store line is torn: it does not decode as a transcript."""
+    try:
+        _transcript(load_json(line.decode("utf-8")))
+    except ValueError:
+        return True
+    return False
 
 
 def load_transcript_store(path) -> dict:
-    """Read a transcript JSONL store into a prompt-sha -> transcript map.
-
-    An unterminated final line that does not decode is a torn append (a
-    crash mid-write) and is skipped, so its prompt is sent again on resume;
-    an undecodable line anywhere else is a ValueError.
-    """
+    """A transcript JSONL store as a prompt-sha -> transcript map. A torn last line is
+    skipped, so its prompt is sent again on resume; any other bad line raises RecordError."""
     store: dict[str, CompletionTranscript] = {}
     if not os.path.exists(path):
         return store
-    with open(path, "rb") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                store_entry = _decode_transcript(line)
-            except ValueError as exc:
-                if not line.endswith(b"\n"):
-                    break
-                raise ValueError(f"transcript store line {line_no}: {exc}") from None
-            store[store_entry.prompt_sha256] = store_entry
+    for line_no, payload in jsonl_records(path, "transcript store", torn=_torn):
+        try:
+            transcript = _transcript(payload)
+        except ValueError as exc:
+            raise RecordError("transcript store", line_no, str(exc)) from None
+        store[transcript.prompt_sha256] = transcript
     return store
 
 
 def read_prompt_records(path, known_ids) -> list:
-    """The (id, prompt_sha256) pairs of a prompts.jsonl file, in file order. A line that
-    is not an object with a string id and prompt_sha256, a repeated id and an id
-    outside known_ids raise ValueError naming the line."""
+    """The (id, prompt_sha256) pairs of a prompts.jsonl file, in file order; RecordError
+    names a line that is not an object with a string prompt_sha256 and an id of known_ids."""
     known, records = set(known_ids), {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = load_json(line)
-            except json.JSONDecodeError:
-                record = None
-            if type(record) is not dict or not all(
-                type(record.get(key)) is str for key in ("id", "prompt_sha256")
-            ):
-                raise ValueError(f"prompts file line {line_no}: expected an object with "
-                                 "string id and prompt_sha256")
-            doc_id = record["id"]
-            if doc_id in records:
-                raise ValueError(f"prompts file line {line_no}: repeated prompt id {doc_id!r}")
-            if doc_id not in known:
-                raise ValueError(f"prompts file line {line_no}: prompt id {doc_id!r} "
-                                 "is not in the corpus")
-            records[doc_id] = record["prompt_sha256"]
+    for line_no, record in jsonl_records(path, "prompts file"):
+        if type(record) is not dict or type(record.get("prompt_sha256")) is not str:
+            raise RecordError("prompts file", line_no, "expected an object with a string prompt_sha256")
+        doc_id = record_id("prompts file", line_no, record.get("id"), records, known, what="prompt")
+        records[doc_id] = record["prompt_sha256"]
     return list(records.items())
 
 
@@ -351,9 +325,7 @@ def append_transcript(path, transcript: CompletionTranscript) -> None:
                 fh.seek(0)
                 data = fh.read()
                 start = data.rfind(b"\n") + 1
-                try:
-                    _decode_transcript(data[start:])
-                except ValueError:
+                if _torn(data[start:]):
                     fh.truncate(start)
                 else:
                     fh.write(b"\n")

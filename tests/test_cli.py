@@ -226,7 +226,7 @@ def test_ingest_label_neither_0_nor_1_is_data_error(tmp_path, capsys, label, sho
     assert rc == cli.EXIT_DATA
     err = capsys.readouterr().err
     assert [line for line in err.splitlines() if line.startswith("data error:")] == [
-        f"data error: line 2: label {shown} is not an integer"
+        f"data error: corpus line 2: label {shown} is not an integer"
     ]
 
 
@@ -1091,9 +1091,9 @@ def test_eval_predictions_repeated_id_is_data_error(pipeline, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("row, message", [
-    ("d01,1,0", "line 3: malformed prediction row: ['d01', '1', '0']"),
-    ("d01,abc", "line 3: prediction 'abc' is not 0 or 1"),
-    ("d01,2", "line 3: prediction '2' is not 0 or 1"),
+    ("d01,1,0", "predictions line 3: malformed prediction row: ['d01', '1', '0']"),
+    ("d01,abc", "predictions line 3: prediction 'abc' is not 0 or 1"),
+    ("d01,2", "predictions line 3: prediction '2' is not 0 or 1"),
 ], ids=["field-count", "not-an-integer", "not-0-or-1"])
 def test_eval_predictions_malformed_row_names_its_line(pipeline, tmp_path, capsys, row, message):
     pred_path = tmp_path / "pred.csv"
@@ -1129,7 +1129,7 @@ def test_eval_predictions_invalid_csv_names_its_line(pipeline, tmp_path, capsys)
                    "--tokenized", str(pipeline["tokenized"]), "--out", str(tmp_path / "rep")])
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err == (
-        f"data error: line 3: invalid CSV (field larger than field limit ({limit}))\n"
+        f"data error: predictions line 3: invalid CSV (field larger than field limit ({limit}))\n"
     )
 
 

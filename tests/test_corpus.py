@@ -12,7 +12,6 @@ from stressgraph.corpus import (
     DEFAULT_SPLIT_RATIOS,
     DEFAULT_STOPWORDS,
     SPLIT_NAMES,
-    CorpusFormatError,
     RawDocument,
     SplitAssignment,
     TokenizedCorpus,
@@ -29,6 +28,7 @@ from stressgraph.corpus import (
     tokenize,
     tokenize_corpus,
 )
+from stressgraph.manifest import RecordError
 
 
 # ---------------------------------------------------------------- loading
@@ -67,7 +67,7 @@ def test_load_jsonl_skips_blank_lines(tmp_path):
 def test_load_jsonl_reports_line_number(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a", "text": "x", "label": 0}\nnot json\n')
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(RecordError) as exc:
         load_corpus(path)
     assert exc.value.line_no == 2
     assert "line 2" in str(exc.value)
@@ -76,7 +76,7 @@ def test_load_jsonl_reports_line_number(tmp_path):
 def test_load_jsonl_missing_fields(tmp_path):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "a"}\n')
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(RecordError):
         load_corpus(path)
 
 
@@ -87,7 +87,7 @@ def test_load_jsonl_missing_fields(tmp_path):
 def test_load_jsonl_rejects_non_string_id_or_text(tmp_path, record):
     path = tmp_path / "corpus.jsonl"
     _write_jsonl(path, [{"id": "a", "text": "x"}, record])
-    with pytest.raises(CorpusFormatError, match="must be strings") as exc:
+    with pytest.raises(RecordError, match="must be strings") as exc:
         load_corpus(path)
     assert exc.value.line_no == 2
 
@@ -95,7 +95,7 @@ def test_load_jsonl_rejects_non_string_id_or_text(tmp_path, record):
 def test_load_duplicate_id_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     _write_jsonl(path, [{"id": "a", "text": "x", "label": 0}, {"id": "a", "text": "y", "label": 1}])
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(RecordError) as exc:
         load_corpus(path)
     assert exc.value.line_no == 2
 
@@ -104,7 +104,7 @@ def test_load_bad_label_rejected(tmp_path):
     path = tmp_path / "corpus.jsonl"
     for bad in (2, -1, "yes", math.inf):
         _write_jsonl(path, [{"id": "a", "text": "x", "label": bad}])
-        with pytest.raises(CorpusFormatError):
+        with pytest.raises(RecordError):
             load_corpus(path)
 
 
@@ -122,11 +122,11 @@ def test_load_csv_error_names_the_line_the_record_starts_on(tmp_path):
     # and record "c" with its bad label starts on line 5.
     path = tmp_path / "corpus.csv"
     path.write_text('id,text,label\nb,"two\nlines",1\n\nc,bad,7\n')
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(RecordError) as exc:
         load_corpus(path)
     assert exc.value.line_no == 5
     path.write_text('id,text,label\na,"x\ny",1\nb\n')
-    with pytest.raises(CorpusFormatError, match="record must be an object with id and text") as exc:
+    with pytest.raises(RecordError, match="record must be an object with id and text") as exc:
         load_corpus(path)
     assert exc.value.line_no == 4
 
@@ -140,7 +140,7 @@ def test_load_corpus_format_follows_the_file_name(tmp_path):
     assert load_corpus(tmp_path / "corpus.csv") == load_corpus(str(tmp_path / "corpus.jsonl"))
     for name in ("corpus.txt", "corpus.csv.bak", "corpus.CSV"):
         (tmp_path / name).write_text(text)
-        with pytest.raises(CorpusFormatError, match="invalid JSON") as exc:
+        with pytest.raises(RecordError, match="invalid JSON") as exc:
             load_corpus(tmp_path / name)
         assert exc.value.line_no == 1
 
@@ -148,14 +148,14 @@ def test_load_corpus_format_follows_the_file_name(tmp_path):
 def test_load_csv_bad_header(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("foo,bar\n1,2\n")
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(RecordError):
         load_corpus(path)
 
 
 def test_load_csv_reader_error_is_format_error(tmp_path):
     path = tmp_path / "corpus.csv"
     path.write_text("id,text\na,ok\nb," + "x" * (csv.field_size_limit() + 1) + "\n")
-    with pytest.raises(CorpusFormatError, match="invalid CSV"):
+    with pytest.raises(RecordError, match="invalid CSV"):
         load_corpus(path)
 
 
@@ -183,8 +183,7 @@ csv_corpora = st.lists(st.lists(csv_fields, max_size=4).map(",".join), max_size=
 @example(b'{"id": ["a"], "text": "x"}', "jsonl")
 @example(b"id,text\na\x00,x\n", "csv")
 def test_corpus_fuzz_loads_or_raises_value_error(tmp_path_factory, data, suffix):
-    # CorpusFormatError and UnicodeDecodeError are both ValueErrors; the file
-    # name's suffix picks the reader.
+    # RecordError is a ValueError; the file name's suffix picks the reader.
     path = tmp_path_factory.mktemp("corpus") / f"corpus.{suffix}"
     path.write_bytes(data)
     try:
@@ -438,7 +437,7 @@ def test_tokenized_roundtrip(tmp_path):
 def test_tokenized_load_rejects_malformed(tmp_path):
     path = tmp_path / "tokenized.json"
     path.write_text('{"doc_ids": ["a"]}')
-    with pytest.raises(CorpusFormatError):
+    with pytest.raises(ValueError):
         load_tokenized(path)
 
 
@@ -485,7 +484,7 @@ def test_tokenized_load_rejects_inconsistent_payload(tmp_path, overrides, messag
     _write_tokenized(path)
     assert load_tokenized(path).sequences == [[0, 1], []]
     _write_tokenized(path, **overrides)
-    with pytest.raises(CorpusFormatError, match=message):
+    with pytest.raises(ValueError, match=message):
         load_tokenized(path)
 
 
@@ -598,7 +597,7 @@ def test_split_roundtrip(tmp_path):
 def test_split_load_rejects_bad_names(tmp_path):
     path = tmp_path / "split.jsonl"
     path.write_text('{"id": "a", "split": "dev"}\n')
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(RecordError) as exc:
         load_split(path)
     assert exc.value.line_no == 1
 
@@ -610,7 +609,7 @@ def test_split_load_rejects_bad_names(tmp_path):
 def test_split_load_rejects_non_string_ids(tmp_path, record):
     path = tmp_path / "split.jsonl"
     path.write_text('{"id": "a", "split": "train"}\n' + record + "\n")
-    with pytest.raises(CorpusFormatError, match="not a string") as exc:
+    with pytest.raises(RecordError, match="not a string") as exc:
         load_split(path)
     assert exc.value.line_no == 2
 
@@ -633,7 +632,7 @@ split_lines = st.lists(
 @example(b'{"id": [1], "split": "train"}')
 @example(b'{"id": "a", "split": "train"}\n\xff')
 def test_split_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
-    # CorpusFormatError and UnicodeDecodeError are both ValueErrors.
+    # RecordError is a ValueError.
     path = tmp_path_factory.mktemp("split") / "split.jsonl"
     path.write_bytes(data)
     try:
@@ -675,6 +674,6 @@ def test_gold_labels_name_the_first_unlabeled_document():
 def test_split_load_rejects_duplicates(tmp_path):
     path = tmp_path / "split.jsonl"
     path.write_text('{"id": "a", "split": "train"}\n{"id": "a", "split": "val"}\n')
-    with pytest.raises(CorpusFormatError) as exc:
+    with pytest.raises(RecordError) as exc:
         load_split(path)
     assert exc.value.line_no == 2

@@ -440,5 +440,6 @@ def test_predictions_fuzz_loads_or_raises_value_error(tmp_path_factory, data):
 def test_predictions_field_over_the_csv_limit_names_its_line(tmp_path):
     path = tmp_path / "pred.csv"
     path.write_text("id,pred\nd0,0\nd1," + "1" * (csv.field_size_limit() + 1) + "\n")
-    with pytest.raises(ValueError, match=r"^line 3: invalid CSV \(field larger than field limit"):
+    with pytest.raises(ValueError,
+                       match=r"^predictions line 3: invalid CSV \(field larger than field limit"):
         read_predictions(path, KNOWN_IDS)

@@ -216,11 +216,12 @@ def test_parse_label_custom_categories():
 # ------------------------------------------------------------ transcripts
 
 
-def test_transcript_sha_and_roundtrip():
+def test_transcript_sha_and_roundtrip(tmp_path):
     t = CompletionTranscript(prompt="abc", response="minority stress", label=1, meta={"m": 1})
     assert t.prompt_sha256 == hashlib.sha256(b"abc").hexdigest()
     assert t.label is not None
-    back = CompletionTranscript.from_dict(t.as_dict())
+    append_transcript(tmp_path / "transcripts.jsonl", t)
+    back = load_transcript_store(tmp_path / "transcripts.jsonl")[t.prompt_sha256]
     assert back == t
     failed = CompletionTranscript(prompt="x", response=None, label=None)
     assert failed.label is None
